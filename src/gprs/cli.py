@@ -22,7 +22,12 @@ import sys
 from .galois import field_from_spec
 from .polynomial import Polynomial
 from .matrix import mds_generator_check
-from .codes import BudgetExceededError, DEFAULT_MESSAGE_BUDGET, GprsCode
+from .codes import (
+    BudgetExceededError,
+    DEFAULT_DISTANCE_BUDGET,
+    DEFAULT_MESSAGE_BUDGET,
+    GprsCode,
+)
 from .deepholes import (
     HypothesisError,
     is_deep_hole_mds_extension,
@@ -114,7 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--budget", type=int, default=None, help="message budget")
     p_sweep.add_argument(
-        "--distance-budget", type=int, default=10**8, help="distance-evaluation budget"
+        "--distance-budget",
+        type=int,
+        default=DEFAULT_DISTANCE_BUDGET,
+        help="distance-evaluation budget",
     )
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
     p_sweep.add_argument("--out", help="write the report to a file instead of stdout")
@@ -174,8 +182,9 @@ def _cmd_code(args) -> int:
     f = field_from_spec(args.q, args.mod)
     excluded = [int(e) for e in args.exclude.split(",") if e != ""]
     code = GprsCode(f, excluded, args.k)
-    mds = mds_generator_check(code.generator, code.k)
-    gen_rows = [list(r) for r in code.generator.row_encodings()]
+    generator = code.generator
+    mds = mds_generator_check(generator, code.k)
+    gen_rows = [list(r) for r in generator.row_encodings()]
     record = {
         "spec": code.spec_string(),
         "q": f.q,

@@ -138,6 +138,44 @@ class _EvaluationCode:
             self.field, _interp_enc(self.field, list(self._d_encs), list(word.encs[:n]))
         )
 
+    def encode(self, f: Polynomial) -> ReceivedWord:
+        """Codeword of a message polynomial of degree <= k-1."""
+        if f.field != self.field:
+            raise ValueError("message polynomial over a different field")
+        if not f.degree <= self.k - 1:
+            raise ValueError(f"message degree {f.degree} exceeds k - 1 = {self.k - 1}")
+        return self.word_from_poly(f)
+
+    def word_from_poly(self, u: Polynomial) -> ReceivedWord:
+        """Received word u(D), plus c_{k-1}(u) when projective, for deg u <= q - 2."""
+        if u.field != self.field:
+            raise ValueError("polynomial over a different field")
+        if not u.degree <= self.field.q - 2:
+            raise ValueError(
+                f"degree {u.degree} >= q - 1 = {self.field.q - 1} is ambiguous "
+                "on the field and is rejected"
+            )
+        f = self.field
+        encs = [_eval_enc(f, u.coeffs, y) for y in self._d_encs]
+        if self._projective:
+            encs.append(u.coefficient(self.k - 1).encoding)
+        return self.word(encs)
+
+    def _generator_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Generator rows 1, x, ..., x^(k-1) on D (plus the projective column)."""
+        cached = getattr(self, "_rows_cache", None)
+        if cached is not None:
+            return cached
+        f = self.field
+        rows = []
+        for i in range(self.k):
+            row = [f.pow_enc(y, i) for y in self._d_encs]
+            if self._projective:
+                row.append(1 if i == self.k - 1 else 0)
+            rows.append(tuple(row))
+        self._rows_cache = tuple(rows)
+        return self._rows_cache
+
     # -- codeword enumeration (numpy, cached) --------------------------------
 
     def _codeword_matrix(self) -> np.ndarray:
@@ -152,21 +190,11 @@ class _EvaluationCode:
         for i in range(k):
             digits[:, i] = msgs % q
             msgs //= q
-        # column j of the generator evaluated row-wise: sum_i c_i * y_j^i
-        powers = np.empty((k, self.length), dtype=np.int64)
+        # codeword of message c: sum_i c_i * (generator row i), by table lookups
+        gen = np.array(self._generator_rows(), dtype=np.int64)
+        cw = np.zeros((count, self.length), dtype=np.uint16)
         for i in range(k):
-            row = [f.pow_enc(y, i) for y in self._d_encs]
-            if self._projective:
-                row.append(1 if i == self.k - 1 else 0)
-            powers[i] = row
-        if f.is_prime_field:
-            cw = digits @ powers % f.p
-        else:
-            add_t, mul_t = f.np_tables()
-            cw = np.zeros((count, self.length), dtype=np.int16)
-            for i in range(k):
-                term = mul_t[digits[:, i][:, None], powers[i][None, :]]
-                cw = add_t[cw, term]
+            cw = f.add_table[cw, f.mul_table[digits[:, i][:, None], gen[i][None, :]]]
         cw = cw.astype(np.int16)
         self._cw_cache = cw
         return cw
@@ -296,35 +324,7 @@ class GprsCode(_EvaluationCode):
 
     @property
     def generator(self) -> Matrix:
-        rows = []
-        f = self.field
-        for i in range(self.k):
-            row = [f.pow_enc(y, i) for y in self._d_encs]
-            row.append(1 if i == self.k - 1 else 0)
-            rows.append(row)
-        return Matrix.from_encodings(f, rows)
-
-    def encode(self, f: Polynomial) -> ReceivedWord:
-        """Codeword (f(D), c_{k-1}(f)) of a message of degree <= k-1."""
-        if f.field != self.field:
-            raise ValueError("message polynomial over a different field")
-        if not f.degree <= self.k - 1:
-            raise ValueError(f"message degree {f.degree} exceeds k - 1 = {self.k - 1}")
-        return self.word_from_poly(f)
-
-    def word_from_poly(self, u: Polynomial) -> ReceivedWord:
-        """Received word (u(D), c_{k-1}(u)) for any u with deg u <= q - 2."""
-        if u.field != self.field:
-            raise ValueError("polynomial over a different field")
-        if not u.degree <= self.field.q - 2:
-            raise ValueError(
-                f"degree {u.degree} >= q - 1 = {self.field.q - 1} is ambiguous "
-                "on the field and is rejected"
-            )
-        f = self.field
-        encs = [_eval_enc(f, u.coeffs, y) for y in self._d_encs]
-        encs.append(u.coefficient(self.k - 1).encoding)
-        return self.word(encs)
+        return Matrix.from_encodings(self.field, self._generator_rows())
 
     def minimum_distance(
         self, mode: str = "formula", budget: int = DEFAULT_MESSAGE_BUDGET
@@ -391,18 +391,3 @@ class GrsCode(_EvaluationCode):
         self._d_encs = tuple(pts)
         self.n = n
         self.length = n
-
-    def encode(self, f: Polynomial) -> ReceivedWord:
-        if f.field != self.field:
-            raise ValueError("message polynomial over a different field")
-        if not f.degree <= self.k - 1:
-            raise ValueError(f"message degree {f.degree} exceeds k - 1 = {self.k - 1}")
-        return self.word_from_poly(f)
-
-    def word_from_poly(self, u: Polynomial) -> ReceivedWord:
-        if u.field != self.field:
-            raise ValueError("polynomial over a different field")
-        if not u.degree <= self.field.q - 2:
-            raise ValueError("degree >= q - 1 is ambiguous on the field")
-        f = self.field
-        return self.word([_eval_enc(f, u.coeffs, y) for y in self._d_encs])

@@ -130,8 +130,7 @@ def is_deep_hole_mds_extension(code: GprsCode, word: ReceivedWord) -> DeepHoleVe
     code, i.e. every (k+1)-column minor is nonsingular. A codeword makes
     every minor singular, so codewords come back negative here too.
     """
-    rows = [list(r) for r in code.generator.row_encodings()]
-    rows.append(list(word.encs))
+    rows = code._generator_rows() + (word.encs,)
     witness = first_singular_column_subset(code.field, rows, code.k + 1)
     return DeepHoleVerdict(witness is None, "mds_extension", witness)
 
@@ -358,8 +357,7 @@ def validate_verdict(
             raise ValueError("mds_extension witness validation needs the word")
         from .matrix import det_enc
 
-        rows = [list(r) for r in code.generator.row_encodings()]
-        rows.append(list(word.encs))
+        rows = code._generator_rows() + (word.encs,)
         cols = verdict.witness
         if len(cols) != code.k + 1:
             return False

@@ -7,6 +7,15 @@ gives the total order used everywhere downstream (evaluation sets, witness
 reporting, tie-breaking). Fields and elements are immutable; all operations
 are pure.
 
+One arithmetic kernel serves every field, prime or not. ``FiniteField``
+builds dense q x q uint16 addition and multiplication tables once, at
+construction, vectorised in numpy from the base-p digits (see ``_tables``),
+and derives negation and inversion from them. The scalar operations
+(``add_enc``, ``mul_enc``, ...) are plain lookups in ``array('H')`` row copies
+of the tables; batched callers index the numpy tables ``add_table`` and
+``mul_table`` directly. Each table costs 4 * q^2 bytes (numpy array plus row
+copies), about 19 MB at q = 2187.
+
 Even characteristic is constructible but considered experimental: the
 deep-hole criteria in :mod:`gprs.deepholes` refuse p = 2, only the exhaustive
 oracles run there.
@@ -16,11 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 
-# Extension fields up to this order get dense add/mul lookup tables on first
-# use; larger ones fall back to per-operation coefficient arithmetic.
-_TABLE_LIMIT = 512
-
+import numpy as np
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -118,6 +125,38 @@ def _default_modulus(p: int, s: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {s} over GF({p})")
 
 
+def _tables(p: int, s: int, x_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Addition and multiplication tables of GF(p^s) as q x q uint16 arrays.
+
+    ``x_s`` is the encoding of x^s reduced by the modulus (0 for s = 1).
+    Every step is one numpy operation over at most q^2 entries.
+    """
+    q = p**s
+    enc = np.arange(q)
+    # a + b: the lowest digits add in GF(p), the higher ones in the table of
+    # the next smaller power of p
+    digit = np.arange(p, dtype=np.uint32)
+    prime_add = (np.add.outer(digit, digit) % p).astype(np.uint16)
+    add = prime_add
+    for i in range(2, s + 1):
+        e = np.arange(p**i)
+        add = prime_add[np.ix_(e % p, e % p)] + p * add[np.ix_(e // p, e // p)]
+    # c * b for c in GF(p), by repeated addition
+    scaled = np.zeros((p, q), dtype=np.uint16)
+    for c in range(1, p):
+        scaled[c] = add[scaled[c - 1], enc]
+    # x * b: shift the digits of b up one place, fold the top digit back as top * x^s
+    top = p ** (s - 1)
+    times_x = add[enc % top * p, scaled[enc // top, x_s]]
+    # a * b = a_0 * b + x * ((a // p) * b), one digit of a at a time
+    mul = np.empty((q, q), dtype=np.uint16)
+    mul[:p] = scaled
+    for i in range(1, s):
+        rows = np.arange(p**i, p ** (i + 1))
+        mul[rows] = add[scaled[rows % p], times_x[mul[rows // p]]]
+    return add, mul
+
+
 class FiniteField:
     """The finite field GF(p^s), deterministically constructed.
 
@@ -135,6 +174,8 @@ class FiniteField:
         self.p = p
         self.s = s
         self.q = p**s
+        if self.q > 1 << 16:
+            raise ValueError(f"GF({self.q}) is too large: encodings index uint16 tables")
         if s == 1:
             if modulus is not None:
                 raise ValueError("prime fields take no reduction modulus")
@@ -149,16 +190,20 @@ class FiniteField:
                 if not _is_irreducible(list(mod), p):
                     raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
                 self.modulus = mod
-            # x^i mod modulus for i = s .. 2s-2, as coefficient vectors
-            self._xpow = []
-            for i in range(s, 2 * s - 1):
-                num = [0] * i + [1]
-                red = _poly_mod(num, list(self.modulus), p)
-                self._xpow.append(red + [0] * (s - len(red)))
-        self._mul_table = None
-        self._inv_table = None
-        self._np_mul = None
-        self._np_add = None
+        # x^s reduced by the modulus: -(m_0 + m_1 x + ... + m_{s-1} x^(s-1))
+        x_s = 0
+        if self.modulus is not None:
+            x_s = sum(-c % p * p**i for i, c in enumerate(self.modulus[:-1]))
+        add, mul = _tables(p, s, x_s)
+        for table in (add, mul):
+            table.flags.writeable = False
+        self.add_table = add
+        self.mul_table = mul
+        self._add = [array("H", row.tobytes()) for row in add]
+        self._mul = [array("H", row.tobytes()) for row in mul]
+        self._neg = np.argmax(add == 0, axis=1).tolist()
+        # _inv[0] is never read: inv_enc rejects zero
+        self._inv = np.argmax(mul == 1, axis=1).tolist()
 
     # -- identity and representation ------------------------------------
 
@@ -172,10 +217,6 @@ class FiniteField:
 
     def __repr__(self):
         return f"GF({self.p})" if self.s == 1 else f"GF({self.p}^{self.s})"
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.s == 1
 
     @property
     def has_odd_characteristic(self) -> bool:
@@ -222,83 +263,21 @@ class FiniteField:
     # These are the hot-path primitives; FieldElement operators wrap them.
 
     def add_enc(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        for _ in range(self.s):
-            out += ((a % p) + (b % p)) % p * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        return self._add[a][b]
 
     def neg_enc(self, a: int) -> int:
-        if self.s == 1:
-            return -a % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        for _ in range(self.s):
-            out += (-(a % p)) % p * mul
-            a //= p
-            mul *= p
-        return out
+        return self._neg[a]
 
     def sub_enc(self, a: int, b: int) -> int:
-        return self.add_enc(a, self.neg_enc(b))
-
-    def _mul_coeffs(self, a: int, b: int) -> int:
-        p, s = self.p, self.s
-        ca = _digits(a, p, s)
-        cb = _digits(b, p, s)
-        prod = [0] * (2 * s - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] += x * y
-        acc = [c % p for c in prod[:s]]
-        for i in range(s, 2 * s - 1):
-            c = prod[i] % p
-            if c:
-                red = self._xpow[i - s]
-                for j in range(s):
-                    acc[j] = (acc[j] + c * red[j]) % p
-        enc = 0
-        for c in reversed(acc):
-            enc = enc * p + c
-        return enc
-
-    def _ensure_tables(self):
-        if self._mul_table is None:
-            q = self.q
-            self._mul_table = [
-                [self._mul_coeffs(a, b) for b in range(q)] for a in range(q)
-            ]
-            inv = [0] * q
-            for a in range(1, q):
-                row = self._mul_table[a]
-                inv[a] = row.index(1)
-            self._inv_table = inv
+        return self._add[a][self._neg[b]]
 
     def mul_enc(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return a * b % self.p
-        if self.q <= _TABLE_LIMIT:
-            self._ensure_tables()
-            return self._mul_table[a][b]
-        return self._mul_coeffs(a, b)
+        return self._mul[a][b]
 
     def inv_enc(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self.s == 1:
-            return pow(a, self.p - 2, self.p)
-        if self.q <= _TABLE_LIMIT:
-            self._ensure_tables()
-            return self._inv_table[a]
-        return self.pow_enc(a, self.q - 2)
+        return self._inv[a]
 
     def div_enc(self, a: int, b: int) -> int:
         return self.mul_enc(a, self.inv_enc(b))
@@ -318,24 +297,6 @@ class FiniteField:
             base = self.mul_enc(base, base)
             n >>= 1
         return result
-
-    # -- numpy views of the tables (vectorized scans in gprs.codes) -------
-
-    def np_tables(self):
-        """(add, mul) lookup tables as numpy arrays, or None for prime fields."""
-        if self.s == 1:
-            return None
-        if self.q > _TABLE_LIMIT:
-            raise ValueError(f"lookup tables unavailable for q = {self.q}")
-        import numpy as np
-
-        if self._np_mul is None:
-            self._ensure_tables()
-            q = self.q
-            add = [[self.add_enc(a, b) for b in range(q)] for a in range(q)]
-            self._np_add = np.array(add, dtype=np.int16)
-            self._np_mul = np.array(self._mul_table, dtype=np.int16)
-        return self._np_add, self._np_mul
 
     # -- derived structure -------------------------------------------------
 

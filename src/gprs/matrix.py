@@ -51,23 +51,6 @@ class Matrix:
     def row_encodings(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
 
-    def with_row_appended(self, row) -> "Matrix":
-        extra = []
-        for entry in row:
-            if not isinstance(entry, FieldElement) or entry.field != self.field:
-                raise ValueError("appended row must belong to the owning field")
-            extra.append(entry)
-        if len(extra) != self.ncols:
-            raise ValueError("appended row has wrong length")
-        rows = [[self.field.element(e) for e in r] for r in self._rows]
-        rows.append(extra)
-        return Matrix(self.field, rows)
-
-    def submatrix_columns(self, indices) -> "Matrix":
-        idx = list(indices)
-        rows = [[self.field.element(r[j]) for j in idx] for r in self._rows]
-        return Matrix(self.field, rows)
-
     def determinant(self) -> FieldElement:
         """Exact determinant by Gaussian elimination over the field."""
         if self.nrows != self.ncols:
@@ -148,19 +131,6 @@ def vandermonde_det(points) -> FieldElement:
             if out == 0:
                 return field.zero
     return field.element(out)
-
-
-def vandermonde_matrix(points) -> Matrix:
-    """Moment matrix with rows 1, x, ..., x^(n-1) on the given points."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("vandermonde_matrix needs at least one point")
-    field = pts[0].field
-    n = len(pts)
-    rows = []
-    for power in range(n):
-        rows.append([field.pow_enc(pt.encoding, power) for pt in pts])
-    return Matrix.from_encodings(field, rows)
 
 
 @dataclass(frozen=True)

@@ -208,10 +208,3 @@ def _interp_enc(field: FiniteField, xs, ys) -> list[int]:
                 out[i] = field.add_enc(out[i], field.mul_enc(scale, quot[i]))
     return out
 
-
-def _binom_c_km1(field: FiniteField, m: int, k: int, a_enc: int) -> int:
-    # coefficient of x^(k-1) in (x - a)^m, as an encoding
-    binom = lucas_binom(m, k - 1, field.p)
-    if not binom:
-        return 0
-    return field.mul_enc(binom, field.pow_enc(field.neg_enc(a_enc), m - k + 1))

@@ -222,11 +222,29 @@ def _rng(config: SweepConfig, *tags) -> random.Random:
 
 
 def _exclusion_sets(q: int, l: int, quota: int | None, rng: random.Random):
-    """l-subsets of the field encodings, exhaustive or seeded-sampled."""
-    everything = list(combinations(range(q), l))
-    if quota is None or len(everything) <= quota:
-        return everything
-    return sorted(rng.sample(everything, quota))
+    """l-subsets of the field encodings, exhaustive or seeded-sampled.
+
+    The sample draws lexicographic ranks, which picks the same subsets as
+    sampling the materialised list of all C(q, l) of them.
+    """
+    total = math.comb(q, l)
+    if quota is None or total <= quota:
+        return list(combinations(range(q), l))
+    return [_unrank_subset(q, l, r) for r in sorted(rng.sample(range(total), quota))]
+
+
+def _unrank_subset(q: int, l: int, rank: int) -> tuple[int, ...]:
+    """The l-subset of range(q) at the given lexicographic rank."""
+    out = []
+    x = 0
+    for left in range(l, 0, -1):
+        # subsets starting with x come next, C(q - x - 1, left - 1) of them
+        while rank >= (block := math.comb(q - x - 1, left - 1)):
+            rank -= block
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
 
 
 def _per_l_quota(config: SweepConfig, valid_l: int) -> int | None:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gprs.galois import (
     FiniteField,
@@ -186,6 +188,89 @@ def test_cross_field_operations_rejected():
     d = field(3, 2, (2, 2, 1)).element(4)
     with pytest.raises(ValueError):
         c * d
+
+
+# -- the table kernel against an independent reference --------------------------
+
+
+def _reference_ops(f):
+    """(add, mul) on encodings by digit-wise sums and _naive_mul mod the modulus."""
+    p, s = f.p, f.s
+    modulus = f.modulus
+
+    def digits(e):
+        return [e // p**i % p for i in range(s)]
+
+    def enc(cs):
+        return sum(c * p**i for i, c in enumerate(cs))
+
+    def add(a, b):
+        return enc([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def mul(a, b):
+        prod = _naive_mul(digits(a), digits(b), p)
+        for top in range(len(prod) - 1, s - 1, -1):
+            c = prod[top]
+            for j, m in enumerate(modulus):
+                prod[top - s + j] = (prod[top - s + j] - c * m) % p
+        return enc(prod[:s])
+
+    return add, mul
+
+
+KERNEL_FIELDS = [
+    (2, 1, None), (5, 1, None), (13, 1, None),
+    (2, 2, None), (2, 3, None), (2, 4, None),
+    (3, 2, None), (3, 2, (2, 2, 1)), (3, 3, None), (3, 4, None), (3, 5, None),
+    (5, 2, None), (5, 3, None), (7, 2, None), (7, 3, None), (3, 6, None),
+]
+
+
+@pytest.mark.parametrize("p,s,modulus", KERNEL_FIELDS)
+def test_table_kernel_matches_reference(p, s, modulus):
+    f = field(p, s, modulus)
+    ref_add, ref_mul = _reference_ops(f)
+    q = f.q
+    if q <= 81:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(10**4)]
+    for a, b in pairs:
+        total, prod = ref_add(a, b), ref_mul(a, b)
+        assert f.add_enc(a, b) == total
+        assert f.mul_enc(a, b) == prod
+        assert f.sub_enc(total, b) == a
+        assert ref_add(a, f.neg_enc(a)) == 0
+        if b:
+            assert ref_mul(b, f.inv_enc(b)) == 1
+            assert f.div_enc(prod, b) == a
+        assert f.add_table[a, b] == total and f.mul_table[a, b] == prod
+
+
+def test_table_kernel_rejects_orders_beyond_uint16():
+    with pytest.raises(ValueError):
+        FiniteField(2, 17)
+    with pytest.raises(ValueError):
+        FiniteField(65537)
+
+
+@pytest.mark.parametrize("p,s", [(7, 3), (3, 6)])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_field_axioms_property(p, s, data):
+    f = field(p, s)
+    a, b, c = (data.draw(st.integers(0, f.q - 1)) for _ in range(3))
+    assert f.add_enc(a, b) == f.add_enc(b, a)
+    assert f.mul_enc(a, b) == f.mul_enc(b, a)
+    assert f.add_enc(f.add_enc(a, b), c) == f.add_enc(a, f.add_enc(b, c))
+    assert f.mul_enc(f.mul_enc(a, b), c) == f.mul_enc(a, f.mul_enc(b, c))
+    assert f.mul_enc(a, f.add_enc(b, c)) == f.add_enc(f.mul_enc(a, b), f.mul_enc(a, c))
+    assert f.add_enc(a, 0) == a and f.mul_enc(a, 1) == a
+    assert f.add_enc(a, f.neg_enc(a)) == 0
+    if a:
+        assert f.mul_enc(a, f.inv_enc(a)) == 1
+        assert f.pow_enc(a, f.q - 1) == 1
 
 
 # -- primitive elements and enumeration ----------------------------------------

@@ -1,5 +1,7 @@
 import csv
 import io
+import random
+from itertools import combinations
 
 import pytest
 
@@ -97,6 +99,29 @@ def test_exclusion_set_cap_is_respected_and_seeded():
     assert all(len(sets) <= 2 for sets in per_l.values())  # 12 // 6 valid l
     rep2 = run_sweep(cfg)
     assert rep.to_json() == rep2.to_json()
+
+
+def _materialised_exclusion_sets(q, l, quota, rng):
+    everything = list(combinations(range(q), l))
+    if quota is None or len(everything) <= quota:
+        return everything
+    return sorted(rng.sample(everything, quota))
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_exclusion_sets_match_materialised_sampling(q):
+    for l in range(1, q):
+        for quota in (None, 1, 3, 8, 50):
+            tag = f"{q}/{l}/{quota}"
+            expected = _materialised_exclusion_sets(q, l, quota, random.Random(tag))
+            assert verify._exclusion_sets(q, l, quota, random.Random(tag)) == expected
+
+
+def test_exclusion_sets_sample_without_materialising():
+    # C(49, 24) is about 6.3e13 subsets; only the 8 sampled ones are built
+    sets = verify._exclusion_sets(49, 24, 8, random.Random(0))
+    assert len(sets) == 8 and sets == sorted(set(sets))
+    assert all(len(s) == 24 and list(s) == sorted(set(s)) and s[-1] < 49 for s in sets)
 
 
 def test_csv_is_rfc4180_parseable():
