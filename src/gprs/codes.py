@@ -186,15 +186,14 @@ class _EvaluationCode:
         q, k = f.q, self.k
         count = q**k
         msgs = np.arange(count, dtype=np.int64)
-        digits = np.empty((count, k), dtype=np.int64)
-        for i in range(k):
-            digits[:, i] = msgs % q
-            msgs //= q
-        # codeword of message c: sum_i c_i * (generator row i), by table lookups
+        # codeword of message c: sum_i c_i * (generator row i), by table lookups;
+        # c_i is digit i of the message index, taken one digit at a time so no
+        # count x k array is ever held
         gen = np.array(self._generator_rows(), dtype=np.int64)
         cw = np.zeros((count, self.length), dtype=np.uint16)
         for i in range(k):
-            cw = f.add_table[cw, f.mul_table[digits[:, i][:, None], gen[i][None, :]]]
+            cw = f.add_table[cw, f.mul_table[(msgs % q)[:, None], gen[i][None, :]]]
+            msgs //= q
         cw = cw.astype(np.int16)
         self._cw_cache = cw
         return cw
@@ -346,32 +345,78 @@ class GprsCode(_EvaluationCode):
     def covering_radius(
         self, mode: str = "formula", budget: int = DEFAULT_DISTANCE_BUDGET
     ) -> int:
-        """Covering radius q - l + 1 - k, or exhaustive confirmation.
+        """Covering radius q - l + 1 - k, or its exact computation.
 
-        The brute force maximizes the exact error distance over all
-        q^(n+1) ambient words, costing q^(n+1) * q^k distance evaluations.
+        ``syndrome`` returns the largest coset-leader weight, which is the
+        depth of a breadth-first search over the q^(length-k) syndromes from
+        zero, one step per scalar multiple of a parity-check column (Cohen,
+        Honkala, Litsyn & Lobstein, *Covering Codes*, 1997, ch. 2). The budget
+        caps its work, states x generators = q^(length-k) * length * (q-1).
         """
         if mode == "formula":
             return self.field.q - self.l + 1 - self.k
-        if mode == "bruteforce":
+        if mode == "syndrome":
             q = self.field.q
-            count_words = q**self.length
-            evals = count_words * q**self.k
-            if evals > budget:
+            work = q ** (self.length - self.k) * self.length * (q - 1)
+            if work > budget:
                 raise BudgetExceededError(
-                    f"{evals} distance evaluations exceed budget {budget}"
+                    f"{work} syndrome BFS steps (states x generators) exceed budget {budget}"
                 )
-            cw = self._codeword_matrix()
-            idx = np.arange(count_words, dtype=np.int64)
-            words = np.empty((count_words, self.length), dtype=np.int16)
-            for i in range(self.length):
-                words[:, i] = idx % q
-                idx //= q
-            dmin = np.full(count_words, self.length + 1, dtype=np.int16)
-            for row in cw:
-                np.minimum(dmin, (words != row).sum(axis=1).astype(np.int16), out=dmin)
-            return int(dmin.max())
+            return _syndrome_bfs_depth(self.field, self._parity_columns())
         raise ValueError(f"unknown covering-radius mode {mode!r}")
+
+    def _parity_columns(self) -> list[list[int]]:
+        """Columns of H = [-A^T | I] for the systematic generator [I | A].
+
+        The first k points of D are an information set. Row i of A is the
+        Lagrange basis polynomial L_i of those points evaluated on the rest
+        of D, followed by its x^(k-1) coefficient.
+        """
+        f, k = self.field, self.k
+        xs, rest = list(self._d_encs[:k]), self._d_encs[k:]
+        cols = []
+        for i in range(k):
+            basis = _interp_enc(f, xs, [int(j == i) for j in range(k)])
+            row = [_eval_enc(f, basis, y) for y in rest] + [basis[k - 1]]
+            cols.append([f.neg_enc(a) for a in row])
+        r = self.length - k
+        cols += [[int(t == u) for u in range(r)] for t in range(r)]
+        return cols
+
+
+def _syndrome_bfs_depth(f: FiniteField, columns: list[list[int]]) -> int:
+    """Largest BFS depth over F_q^r, stepping by c * column for every c != 0.
+
+    A syndrome is the integer sum_t s_t q^t; adding g moves digit t from d
+    to add(d, g_t), which shifts the integer by step[t, d, g_t].
+    """
+    q, r = f.q, len(columns[0])
+    size = q**r
+    place = q ** np.arange(r, dtype=np.int64)
+    step = (f.add_table.astype(np.int64) - np.arange(q)[:, None]) * place[:, None, None]
+    # every c * column for c = 1..q-1
+    gens = f.mul_table[np.arange(1, q)[:, None, None], np.array(columns)[None]].reshape(-1, r)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    unseen = size - 1
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while unseen > 0:
+        digits = frontier[:, None] // place % q
+        reached = np.zeros(size, dtype=bool)
+        for g in gens:
+            nxt = frontier.copy()
+            for t in np.flatnonzero(g):
+                nxt += step[t, digits[:, t], g[t]]
+            reached[nxt] = True
+        reached &= ~seen
+        seen |= reached
+        frontier = np.flatnonzero(reached)
+        if not frontier.size:
+            raise ValueError("the columns do not span the syndrome space")
+        unseen -= frontier.size
+        depth += 1
+    return depth
 
 
 class GrsCode(_EvaluationCode):

@@ -146,7 +146,7 @@ def test_criterion_05_minimum_distance_formula_and_mds():
 
 
 def test_criterion_06_covering_radius_bruteforce():
-    with criterion("criterion 6 (covering radius q-l+1-k == exhaustive brute force)"):
+    with criterion("criterion 6 (covering radius q-l+1-k == syndrome BFS coset-leader weight)"):
         report = _clean(
             run_sweep(SweepConfig(claims=("lemma26",), q_list=(5, 7), seed=SEED))
         )

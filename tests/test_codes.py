@@ -1,8 +1,12 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gprs.codes as codes_module
 from gprs.codes import (
     BudgetExceededError,
     GprsCode,
@@ -304,31 +308,145 @@ def test_every_generator_is_mds_and_formula_matches_bruteforce_q_le_9():
                         )
 
 
+def _bruteforce_covering_radius(code):
+    # largest exact distance over all q^length ambient words, each against
+    # every codeword: q^length * q^k comparisons, for small codes only
+    q, length = code.field.q, code.length
+    count_words = q**length
+    cw = code._codeword_matrix()
+    idx = np.arange(count_words, dtype=np.int64)
+    words = np.empty((count_words, length), dtype=np.int16)
+    for i in range(length):
+        words[:, i] = idx % q
+        idx //= q
+    dmin = np.full(count_words, length + 1, dtype=np.int16)
+    for row in cw:
+        np.minimum(dmin, (words != row).sum(axis=1).astype(np.int16), out=dmin)
+    return int(dmin.max())
+
+
+PINNED_COVERING_WORK = 10**6  # q^(length+k) of the brute-force reference
+
+
+def _pinned_shapes(q):
+    # every (l, k) whose brute force fits the cap
+    return [
+        (l, k)
+        for l in range(1, q - 2)
+        for k in range(2, q - l)
+        if q ** (q - l + 1 + k) <= PINNED_COVERING_WORK
+    ]
+
+
+def _pinned_covering_codes(q, sets_per_l=12):
+    # exclusion sets exhaustive for q <= 5, seeded samples above
+    f = field_of_order(q)
+    for l, k in _pinned_shapes(q):
+        sets = list(combinations(range(q), l))
+        if q > 5 and len(sets) > sets_per_l:
+            sets = random.Random(f"covering/{q}/{l}").sample(sets, sets_per_l)
+        for excl in sets:
+            yield GprsCode(f, excl, k)
+
+
 def test_covering_radius_examples():
     assert GprsCode(field(5), [3, 4], 2).covering_radius() == 2
     assert GprsCode(field(7), [0], 2).covering_radius() == 5
-    assert GprsCode(field(5), [3, 4], 2).covering_radius("bruteforce") == 2
+    assert GprsCode(field(5), [3, 4], 2).covering_radius("syndrome") == 2
+    assert _bruteforce_covering_radius(GprsCode(field(5), [3, 4], 2)) == 2
 
 
 def test_covering_radius_modes_agree_spot():
     for excl, k in [((4,), 2), ((4,), 3), ((0, 4), 2)]:
         code = GprsCode(field(5), excl, k)
-        assert code.covering_radius("formula") == code.covering_radius("bruteforce")
+        brute = _bruteforce_covering_radius(code)
+        assert code.covering_radius("formula") == code.covering_radius("syndrome") == brute
 
 
 def test_covering_radius_bruteforce_on_extension_field():
     f = field(3, 2)
     for excl, k in [((3, 4, 5, 6, 7, 8), 2), ((0, 1, 2, 7, 8), 2), ((0, 1, 2, 7, 8), 3)]:
         code = GprsCode(f, excl, k)
-        assert code.covering_radius("formula") == code.covering_radius("bruteforce")
+        brute = _bruteforce_covering_radius(code)
+        assert code.covering_radius("formula") == code.covering_radius("syndrome") == brute
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_syndrome_bfs_matches_bruteforce(q):
+    codes = list(_pinned_covering_codes(q))
+    assert codes
+    for code in codes:
+        assert code.covering_radius("syndrome") == _bruteforce_covering_radius(code), (
+            code.spec_string()
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_syndrome_bfs_property(data):
+    q = data.draw(st.sampled_from([4, 5, 7, 8, 9]))
+    l, k = data.draw(st.sampled_from(_pinned_shapes(q)))
+    excl = data.draw(st.lists(st.integers(0, q - 1), min_size=l, max_size=l, unique=True))
+    code = GprsCode(field_of_order(q), excl, k)
+    syndrome = code.covering_radius("syndrome")
+    assert syndrome == _bruteforce_covering_radius(code) == code.covering_radius("formula")
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_parity_columns_annihilate_generator(q):
+    # H = [-A^T | I] must satisfy G H^T = 0 for the generator rows 1, x, ..., x^(k-1)
+    f = field_of_order(q)
+    for code in _pinned_covering_codes(q):
+        cols = code._parity_columns()
+        for g in code._generator_rows():
+            for t in range(code.length - code.k):
+                acc = 0
+                for gj, col in zip(g, cols):
+                    acc = f.add_enc(acc, f.mul_enc(gj, col[t]))
+                assert acc == 0, code.spec_string()
+
+
+def _hamming_columns(f, r):
+    # one nonzero column per projective point of F_q^r: leading entry 1
+    cols = []
+    for v in product(range(f.q), repeat=r):
+        lead = next((x for x in v if x), 0)
+        if lead == 1:
+            cols.append(list(v))
+    return cols
+
+
+@pytest.mark.parametrize(
+    "p,s,columns,depth",
+    [
+        (2, 1, _hamming_columns(field(2), 3), 1),  # binary Hamming [7, 4]
+        (3, 1, _hamming_columns(field(3), 2), 1),  # ternary Hamming [4, 2]
+        (2, 2, _hamming_columns(field(2, 2), 2), 1),  # Hamming [5, 3] over GF(4)
+        (2, 1, [[1, 1, 1, 1]] + [[int(t == u) for u in range(4)] for t in range(4)], 2),
+        (3, 1, [[1, 1, 1]] + [[int(t == u) for u in range(3)] for t in range(3)], 2),
+    ],
+)
+def test_syndrome_bfs_depth_below_redundancy(p, s, columns, depth):
+    # the BFS on codes whose covering radius is below the redundancy r: Hamming
+    # codes (radius 1) and repetition codes [r + 1, 1]
+    assert codes_module._syndrome_bfs_depth(field(p, s), columns) == depth
+
+
+def test_syndrome_bfs_rejects_columns_that_do_not_span():
+    with pytest.raises(ValueError, match="do not span"):
+        codes_module._syndrome_bfs_depth(field(5), [[1, 0], [2, 0]])
 
 
 def test_covering_radius_budget():
     code = GprsCode(field(7), [0], 2)
-    with pytest.raises(BudgetExceededError):
-        code.covering_radius("bruteforce", budget=10**3)
+    work = 7 ** (7 - 2) * 7 * 6  # q^(length-k) states x length * (q-1) generators
+    with pytest.raises(BudgetExceededError, match=f"^{work} syndrome BFS steps"):
+        code.covering_radius("syndrome", budget=work - 1)
+    assert code.covering_radius("syndrome", budget=work) == 5
     with pytest.raises(ValueError):
         code.covering_radius("bogus")
+    with pytest.raises(ValueError):
+        code.covering_radius("bruteforce")
 
 
 # -- translation and scaling invariance --------------------------------------------------

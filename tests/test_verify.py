@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import io
+import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -122,6 +125,48 @@ def test_exclusion_sets_sample_without_materialising():
     sets = verify._exclusion_sets(49, 24, 8, random.Random(0))
     assert len(sets) == 8 and sets == sorted(set(sets))
     assert all(len(s) == 24 and list(s) == sorted(set(s)) and s[-1] < 49 for s in sets)
+
+
+def _rejection_ranks(total, quota, rng):
+    ranks = set()
+    while len(ranks) < quota:
+        ranks.add(rng.randrange(total))
+    return sorted(ranks)
+
+
+def test_rejection_draw_is_random_sample_for_large_populations():
+    # the draw _exclusion_sets falls back to once C(q, l) > sys.maxsize
+    total = math.comb(49, 24)
+    expected = sorted(random.Random(1).sample(range(total), 8))
+    assert _rejection_ranks(total, 8, random.Random(1)) == expected
+
+
+def test_exclusion_sets_beyond_sys_maxsize():
+    assert math.comb(67, 33) > sys.maxsize
+    sets = verify._exclusion_sets(67, 33, 8, random.Random(0))
+    assert len(sets) == 8 and sets == sorted(set(sets))
+    assert all(len(s) == 33 and list(s) == sorted(set(s)) and s[-1] < 67 for s in sets)
+    ranks = _rejection_ranks(math.comb(67, 33), 8, random.Random(0))
+    assert sets == [verify._unrank_subset(67, 33, r) for r in ranks]
+
+
+# SHA-256 of the lemma25/lemma26 report below, recorded while lemma26 still
+# used the exhaustive brute force; the syndrome BFS must reproduce it
+COVERING_REPORT_SHA256 = "8d41ae06425867e252bfd6107953a86797c7d5326c3b5e2ec3af40744fca8674"
+
+
+def test_covering_sweep_report_is_byte_identical():
+    rep = run_sweep(
+        SweepConfig(
+            claims=("lemma25", "lemma26"),
+            q_list=(5, 7, 8),
+            max_exclusion_sets_per_q=8,
+            distance_budget=20_000_000,
+            seed=0,
+        )
+    )
+    assert rep.summary["total"] == 94 and rep.summary["skipped"] == 23
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == COVERING_REPORT_SHA256
 
 
 def test_csv_is_rfc4180_parseable():
