@@ -301,7 +301,12 @@ def word_in_degree_k_family(code: GprsCode, word: ReceivedWord) -> bool:
 
 
 def word_in_shifted_family(code: GprsCode, word: ReceivedWord, a_j) -> bool:
-    """Is the word lam*(x-a_j)^(q-2) + nu*x^(k-1) + low for some lam != 0?"""
+    """Is the word lam*(x-a_j)^(q-2) + nu*x^(k-1) + low for some lam != 0?
+
+    On D, (x-a_j)^(q-2) is 1/(x-a_j), whose interpolant has exact degree
+    n-1 >= k; so the x^(n-1) coefficients force lam, and two interpolations
+    decide membership.
+    """
     f = code.field
     if not isinstance(a_j, FieldElement):
         a_j = f.element(int(a_j))
@@ -309,19 +314,17 @@ def word_in_shifted_family(code: GprsCode, word: ReceivedWord, a_j) -> bool:
         raise ValueError("a_j must be one of the code's excluded points")
     base = code.word_from_poly(expand_shifted_power(f, a_j, f.q - 2))
     n = code.n
-    for lam in range(1, f.q):
-        residual = [
-            f.sub_enc(word.encs[i], f.mul_enc(lam, base.encs[i])) for i in range(n)
-        ]
-        h = code.interpolant(code.word(residual + [0]))
-        if not h.degree <= code.k - 1:
-            continue
-        expected_last = f.add_enc(
-            f.mul_enc(lam, base.encs[-1]), h.coefficient(code.k - 1).encoding
-        )
-        if expected_last == word.encs[-1]:
-            return True
-    return False
+    h_word = code.interpolant(word).to_encodings()
+    h_base = code.interpolant(base).to_encodings()
+    h_word += (0,) * (n - len(h_word))
+    lam = f.div_enc(h_word[n - 1], h_base[n - 1])
+    if lam == 0:
+        return False
+    h = [f.sub_enc(w, f.mul_enc(lam, b)) for w, b in zip(h_word, h_base)]
+    if any(h[code.k :]):
+        return False
+    expected_last = f.add_enc(f.mul_enc(lam, base.encs[-1]), h[code.k - 1])
+    return expected_last == word.encs[-1]
 
 
 def validate_verdict(
@@ -359,7 +362,9 @@ def validate_verdict(
 
         rows = code._generator_rows() + (word.encs,)
         cols = verdict.witness
-        if len(cols) != code.k + 1:
+        if len(cols) != code.k + 1 or len(set(cols)) != len(cols):
+            return False
+        if not all(0 <= j < code.length for j in cols):
             return False
         sub = [[row[j] for j in cols] for row in rows]
         return det_enc(f, sub) == 0

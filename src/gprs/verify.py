@@ -15,12 +15,20 @@ Each claim tag names one verifiable statement about GPRS codes:
 * ``lemma29``  v_p(C(q-2, t-1)) == v_p(t), against big-integer binomials
 * ``thm11``  random non-codewords respect n - deg u <= d(u, GRS) <= n - k
 
+Each claim is one entry of the claim table ``_CLAIMS``: the function making
+its rows, the smallest q its statement covers, and whether it needs odd
+characteristic. ``run_sweep`` gives every q outside a claim's hypotheses one
+skipped row that names the failed hypothesis, testing odd characteristic
+first. thm14, thm15, lemma25 and lemma26 share one code grid: every l in
+1..q-3, the exclusion sets of each l, and every k in 2..q-l-1 (thm14 stops at
+q-3).
+
 A sweep is deterministic: equal configs produce byte-identical reports.
-Exclusion sets are enumerated exhaustively when they fit the per-q cap and
-sampled without replacement through a seeded RNG otherwise. Rows whose
-exhaustive check would blow a budget are marked skipped, never dropped.
-Any criterion/oracle disagreement flips the report to "refuted" and attaches
-a machine-readable counterexample to the row.
+Exclusion sets are enumerated exhaustively when they fit the per-q cap (split
+evenly over the l) and sampled without replacement through a seeded RNG
+otherwise. Rows whose exhaustive check would blow a budget are marked skipped,
+never dropped. Any criterion/oracle disagreement flips the report to
+"refuted" and attaches a machine-readable counterexample to the row.
 """
 
 from __future__ import annotations
@@ -71,18 +79,6 @@ ROW_FIELDS = (
     "detail",
 )
 
-KNOWN_CLAIMS = (
-    "thm14",
-    "thm15",
-    "thm16",
-    "thm17",
-    "lemma25",
-    "lemma26",
-    "lemma28",
-    "lemma29",
-    "thm11",
-)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -102,6 +98,15 @@ class SweepConfig:
             raise ValueError(f"unknown claims {unknown}; expected {list(KNOWN_CLAIMS)}")
         for q in self.q_list:
             prime_power_decomposition(q)
+        if not self.claims or not self.q_list:
+            raise ValueError("a sweep needs at least one claim and one q")
+        if self.words_per_config < 1:
+            raise ValueError(f"words_per_config = {self.words_per_config} must be >= 1")
+        cap = self.max_exclusion_sets_per_q
+        if cap is not None and cap < 1:
+            raise ValueError(f"max_exclusion_sets_per_q = {cap} must be >= 1")
+        if min(self.message_budget, self.distance_budget) < 1:
+            raise ValueError("budgets must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -175,9 +180,18 @@ class SweepReport:
 def run_sweep(config: SweepConfig) -> SweepReport:
     rows: list[SweepRow] = []
     for claim in sorted(set(config.claims)):
-        builder = _CLAIM_BUILDERS[claim]
+        make_rows, min_q, odd_only = _CLAIMS[claim]
         for q in sorted(set(config.q_list)):
-            rows.extend(builder(q, config))
+            # lemma29 is a statement about integers: it builds no field
+            f = q if claim == "lemma29" else field_of_order(q)
+            if odd_only and prime_power_decomposition(q)[0] == 2:
+                gap = "odd characteristic required"
+            elif q < min_q:
+                gap = f"q >= {min_q} required"
+            else:
+                rows.extend(make_rows(f, config))
+                continue
+            rows.append(_row(claim, f, (), -1, -1, None, detail=gap))
     rows.sort(key=lambda r: r.sort_key)
     summary = {
         "total": len(rows),
@@ -189,10 +203,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
 
 # -- shared helpers -----------------------------------------------------------
-
-
-def _field_for(q: int) -> FiniteField:
-    return field_of_order(q)
 
 
 def _modulus_str(f: FiniteField) -> str:
@@ -207,14 +217,27 @@ def _encs_str(encs) -> str:
     return ",".join(str(e) for e in encs)
 
 
-def _skip_row(claim, q, reason, modulus="") -> SweepRow:
+def _row(claim, f, excluded, k: int, aj: int, ok: bool | None, **cols) -> SweepRow:
+    """One report row of ``claim`` over the field ``f``.
+
+    q, modulus, the excluded/k/aj strings and the sort key come from the
+    arguments; a k or aj of -1 prints empty. ``ok`` sets agree and status,
+    and None marks a skipped row. lemma29 passes the bare order q for ``f``,
+    so its rows print no modulus.
+    """
+    q, modulus = (f, "") if isinstance(f, int) else (f.q, _modulus_str(f))
+    excl = tuple(int(e) for e in excluded)
     return SweepRow(
         claim=claim,
         q=q,
         modulus=modulus,
-        status="skipped",
-        detail=reason,
-        sort_key=(claim, q, (), -1, -1),
+        excluded=_encs_str(excl),
+        k="" if k < 0 else str(k),
+        aj="" if aj < 0 else str(aj),
+        agree="" if ok is None else _bool_str(ok),
+        status="skipped" if ok is None else "agreed" if ok else "refuted",
+        sort_key=(claim, q, excl, k, aj),
+        **cols,
     )
 
 
@@ -256,388 +279,218 @@ def _unrank_subset(q: int, l: int, rank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _per_l_quota(config: SweepConfig, valid_l: int) -> int | None:
+def _code_grid(f: FiniteField, config: SweepConfig, claim: str, k_cap=None):
+    """The claim's codes: every l in 1..q-3, its exclusion sets (the per-q
+    cap is split evenly over the l), and k in 2..q-l-1, at most ``k_cap``."""
+    q = f.q
+    ls = range(1, q - 2)
     cap = config.max_exclusion_sets_per_q
-    if cap is None:
-        return None
-    return max(1, cap // max(valid_l, 1))
+    quota = None if cap is None else max(1, cap // len(ls))
+    for l in ls:
+        k_top = q - l - 1 if k_cap is None else min(k_cap, q - l - 1)
+        for excl in _exclusion_sets(q, l, quota, _rng(config, claim, q, "sets", l)):
+            for k in range(2, k_top + 1):
+                yield GprsCode(f, excl, k)
 
 
-def _random_degree_k_word(code: GprsCode, rng: random.Random):
+def _degree_k_words(code: GprsCode, rng: random.Random, count: int):
     f = code.field
-    encs = [rng.randrange(f.q) for _ in range(code.k)]
-    encs.append(rng.randrange(1, f.q))
-    return code.word_from_poly(Polynomial.from_encodings(f, encs))
+    for _ in range(count):
+        encs = [rng.randrange(f.q) for _ in range(code.k)]
+        encs.append(rng.randrange(1, f.q))
+        yield code.word_from_poly(Polynomial.from_encodings(f, encs))
 
 
-def _random_shifted_word(code: GprsCode, a_j, rng: random.Random):
+def _shifted_words(code: GprsCode, a_j, rng: random.Random, count: int):
     f = code.field
-    spec = WordFamilySpec(
-        kind="shifted_qminus2",
-        lam=f.element(rng.randrange(1, f.q)),
-        nu=f.element(rng.randrange(f.q)),
-        a_j=a_j,
-        low=Polynomial.from_encodings(
-            f, [rng.randrange(f.q) for _ in range(code.k - 1)]
-        ),
-    )
-    return build_family_word(code, spec)
+    for _ in range(count):
+        spec = WordFamilySpec(
+            kind="shifted_qminus2",
+            lam=f.element(rng.randrange(1, f.q)),
+            nu=f.element(rng.randrange(f.q)),
+            a_j=a_j,
+            low=Polynomial.from_encodings(
+                f, [rng.randrange(f.q) for _ in range(code.k - 1)]
+            ),
+        )
+        yield build_family_word(code, spec)
 
 
-def _verdict_str(v: DeepHoleVerdict) -> str:
-    return _bool_str(v.is_deep_hole)
+def _first_miss(code: GprsCode, words, expected: bool, mds: bool = False):
+    """Run the words past the oracle, and past the MDS scan when ``mds``.
+
+    Returns the last oracle verdict ("" if no word ran) and, for the first
+    word that a check rules on differently from ``expected``, the tuple
+    (word, oracle verdict, MDS verdict or None); None when every word agrees.
+    """
+    last = ""
+    for word in words:
+        o = is_deep_hole_oracle(code, word)
+        m = is_deep_hole_mds_extension(code, word) if mds else None
+        last = _bool_str(o.is_deep_hole)
+        if o.is_deep_hole != expected or (mds and m.is_deep_hole != expected):
+            return last, (word, o, m)
+    return last, None
 
 
 # -- claim builders -----------------------------------------------------------
 
 
-def _thm14_rows(q: int, config: SweepConfig):
-    f = _field_for(q)
-    if not f.has_odd_characteristic:
-        return [_skip_row("thm14", q, "odd characteristic required", _modulus_str(f))]
-    if q < 5:
-        return [_skip_row("thm14", q, "q >= 5 required", _modulus_str(f))]
-    rows = []
-    valid_l = [l for l in range(1, q - 2) if min(q - 3, q - l - 1) >= 2]
-    quota = _per_l_quota(config, len(valid_l))
-    for l in valid_l:
-        sets = _exclusion_sets(q, l, quota, _rng(config, "thm14", q, "sets", l))
-        for excl in sets:
-            for k in range(2, min(q - 3, q - l - 1) + 1):
-                code = GprsCode(f, excl, k)
-                rows.append(_thm14_one(code, config))
-    return rows
+def _thm14_rows(f: FiniteField, config: SweepConfig):
+    grid = _code_grid(f, config, "thm14", k_cap=f.q - 3)
+    return [_thm14_row(code, config) for code in grid]
 
 
-def _thm14_one(code: GprsCode, config: SweepConfig) -> SweepRow:
+def _thm14_row(code: GprsCode, config: SweepConfig) -> SweepRow:
     f = code.field
     excl = tuple(e.encoding for e in code.excluded)
     predicted = thm14_criterion(code)
-    rng = _rng(config, "thm14", f.q, _encs_str(excl), code.k)
-    status, detail = "agreed", ""
+    claimed = _bool_str(predicted.is_deep_hole)
+    ok, detail = True, ""
     if predicted.witness is not None and not validate_verdict(code, predicted):
-        status, detail = "refuted", "criterion witness failed re-validation"
-    oracle_str = ""
-    for _ in range(config.words_per_config):
-        word = _random_degree_k_word(code, rng)
-        o = is_deep_hole_oracle(code, word)
-        m = is_deep_hole_mds_extension(code, word)
-        oracle_str = _verdict_str(o)
-        if (
-            o.is_deep_hole != predicted.is_deep_hole
-            or m.is_deep_hole != predicted.is_deep_hole
-        ):
-            status = "refuted"
-            detail = (
-                f"word={word.to_text()} oracle={_verdict_str(o)} "
-                f"mds={_verdict_str(m)} criterion={_verdict_str(predicted)}"
-            )
-            break
-    return SweepRow(
-        claim="thm14",
-        q=f.q,
-        modulus=_modulus_str(f),
-        excluded=_encs_str(excl),
-        k=str(code.k),
-        predicted=_verdict_str(predicted),
-        oracle=oracle_str,
-        agree=_bool_str(status == "agreed"),
-        status=status,
-        witness="" if predicted.witness is None else _encs_str(predicted.witness),
-        detail=detail,
-        sort_key=("thm14", f.q, excl, code.k, -1),
-    )
+        ok, detail = False, "criterion witness failed re-validation"
+    rng = _rng(config, "thm14", f.q, _encs_str(excl), code.k)
+    words = _degree_k_words(code, rng, config.words_per_config)
+    oracle, miss = _first_miss(code, words, predicted.is_deep_hole, mds=True)
+    if miss:
+        word, o, m = miss
+        ok, detail = False, (
+            f"word={word.to_text()} oracle={_bool_str(o.is_deep_hole)} "
+            f"mds={_bool_str(m.is_deep_hole)} criterion={claimed}"
+        )
+    witness = _encs_str(predicted.witness or ())
+    cols = dict(predicted=claimed, oracle=oracle, witness=witness, detail=detail)
+    return _row("thm14", f, excl, code.k, -1, ok, **cols)
 
 
-def _thm15_rows(q: int, config: SweepConfig):
-    f = _field_for(q)
-    if not f.has_odd_characteristic:
-        return [_skip_row("thm15", q, "odd characteristic required", _modulus_str(f))]
-    if q < 4:
-        return [_skip_row("thm15", q, "q >= 4 required", _modulus_str(f))]
-    rows = []
-    valid_l = [l for l in range(1, q - 2) if q - l - 1 >= 2]
-    quota = _per_l_quota(config, len(valid_l))
-    for l in valid_l:
-        sets = _exclusion_sets(q, l, quota, _rng(config, "thm15", q, "sets", l))
-        for excl in sets:
-            for k in range(2, q - l - 1 + 1):
-                code = GprsCode(f, excl, k)
-                for a_j in code.excluded:
-                    rows.append(_thm15_one(code, a_j, config))
-    return rows
+def _thm15_rows(f: FiniteField, config: SweepConfig):
+    return [
+        _thm15_row(code, a_j, config)
+        for code in _code_grid(f, config, "thm15")
+        for a_j in code.excluded
+    ]
 
 
-def _thm15_one(code: GprsCode, a_j, config: SweepConfig) -> SweepRow:
+def _thm15_row(code: GprsCode, a_j, config: SweepConfig) -> SweepRow:
     f = code.field
     excl = tuple(e.encoding for e in code.excluded)
     predicted = thm15_criterion(code, a_j)
-    rng = _rng(config, "thm15", f.q, _encs_str(excl), code.k, a_j.encoding)
-    status, detail = "agreed", ""
+    claimed = _bool_str(predicted.is_deep_hole)
+    ok, detail, oracle = True, "", ""
     if code.k % f.p == 0 and not predicted.is_deep_hole:
-        status, detail = "refuted", "p | k must force a positive verdict"
+        ok, detail = False, "p | k must force a positive verdict"
     if predicted.witness is not None and not validate_verdict(code, predicted, a_j=a_j):
-        status, detail = "refuted", "criterion witness failed re-validation"
-    oracle_str = ""
-    if status == "agreed":
-        for _ in range(config.words_per_config):
-            word = _random_shifted_word(code, a_j, rng)
-            o = is_deep_hole_oracle(code, word)
-            oracle_str = _verdict_str(o)
-            if o.is_deep_hole != predicted.is_deep_hole:
-                status = "refuted"
-                detail = (
-                    f"word={word.to_text()} oracle={_verdict_str(o)} "
-                    f"criterion={_verdict_str(predicted)}"
-                )
-                break
-    return SweepRow(
-        claim="thm15",
-        q=f.q,
-        modulus=_modulus_str(f),
-        excluded=_encs_str(excl),
-        k=str(code.k),
-        aj=str(a_j.encoding),
-        predicted=_verdict_str(predicted),
-        oracle=oracle_str,
-        agree=_bool_str(status == "agreed"),
-        status=status,
-        witness="" if predicted.witness is None else _encs_str(predicted.witness),
-        detail=detail,
-        sort_key=("thm15", f.q, excl, code.k, a_j.encoding),
-    )
+        ok, detail = False, "criterion witness failed re-validation"
+    if ok:
+        rng = _rng(config, "thm15", f.q, _encs_str(excl), code.k, a_j.encoding)
+        words = _shifted_words(code, a_j, rng, config.words_per_config)
+        oracle, miss = _first_miss(code, words, predicted.is_deep_hole)
+        if miss:
+            word, o, _ = miss
+            ok, detail = False, (
+                f"word={word.to_text()} oracle={_bool_str(o.is_deep_hole)} "
+                f"criterion={claimed}"
+            )
+    witness = _encs_str(predicted.witness or ())
+    cols = dict(predicted=claimed, oracle=oracle, witness=witness, detail=detail)
+    return _row("thm15", f, excl, code.k, a_j.encoding, ok, **cols)
 
 
-def _thm16_rows(q: int, config: SweepConfig):
-    f = _field_for(q)
-    if not f.has_odd_characteristic:
-        return [_skip_row("thm16", q, "odd characteristic required", _modulus_str(f))]
-    if q < 5:
-        return [_skip_row("thm16", q, "q >= 5 required", _modulus_str(f))]
+def _thm16_rows(f: FiniteField, config: SweepConfig):
     rows = []
-    for k in range(2, q - 2):
+    for k in range(2, f.q - 2):
         code = GprsCode(f, [0], k)
         predicted = thm14_criterion(code)
-        zs = zero_sum_subset(f, k)
-        zs_encs = tuple(e.encoding for e in zs)
-        status, detail = "agreed", ""
+        zs_encs = tuple(e.encoding for e in zero_sum_subset(f, k))
+        ok, detail, oracle = True, "", ""
         if predicted.is_deep_hole:
-            status, detail = "refuted", "criterion claims a deep hole exists"
-        elif not validate_verdict(
-            code, DeepHoleVerdict(False, "thm14", zs_encs)
-        ):
-            status, detail = "refuted", "constructed zero-sum subset rejected"
-        oracle_str = ""
-        if status == "agreed":
-            rng = _rng(config, "thm16", q, k)
-            for _ in range(config.words_per_config):
-                word = _random_degree_k_word(code, rng)
-                o = is_deep_hole_oracle(code, word)
-                oracle_str = _verdict_str(o)
-                if o.is_deep_hole:
-                    status = "refuted"
-                    detail = f"word={word.to_text()} is a deep hole"
-                    break
-        rows.append(
-            SweepRow(
-                claim="thm16",
-                q=q,
-                modulus=_modulus_str(f),
-                excluded="0",
-                k=str(k),
-                predicted="false",
-                oracle=oracle_str,
-                agree=_bool_str(status == "agreed"),
-                status=status,
-                witness=_encs_str(zs_encs),
-                detail=detail,
-                sort_key=("thm16", q, (0,), k, -1),
-            )
-        )
+            ok, detail = False, "criterion claims a deep hole exists"
+        elif not validate_verdict(code, DeepHoleVerdict(False, "thm14", zs_encs)):
+            ok, detail = False, "constructed zero-sum subset rejected"
+        else:
+            rng = _rng(config, "thm16", f.q, k)
+            words = _degree_k_words(code, rng, config.words_per_config)
+            oracle, miss = _first_miss(code, words, False)
+            if miss:
+                ok, detail = False, f"word={miss[0].to_text()} is a deep hole"
+        witness = _encs_str(zs_encs)
+        cols = dict(predicted="false", oracle=oracle, witness=witness, detail=detail)
+        rows.append(_row("thm16", f, (0,), k, -1, ok, **cols))
     return rows
 
 
-def _thm17_rows(q: int, config: SweepConfig):
-    f = _field_for(q)
-    if not f.has_odd_characteristic:
-        return [_skip_row("thm17", q, "odd characteristic required", _modulus_str(f))]
-    if q < 4:
-        return [_skip_row("thm17", q, "q >= 4 required", _modulus_str(f))]
+def _thm17_rows(f: FiniteField, config: SweepConfig):
     rows = []
-    for k in range(2, q - 1):
+    for k in range(2, f.q - 1):
         code = GprsCode(f, [0], k)
-        predicted = thm15_criterion(code, f.zero)
-        status, detail = "agreed", ""
-        if not predicted.is_deep_hole:
-            status, detail = "refuted", "criterion rejected the shifted family"
-        oracle_str = ""
-        if status == "agreed":
-            rng = _rng(config, "thm17", q, k)
-            for _ in range(config.words_per_config):
-                word = _random_shifted_word(code, f.zero, rng)
-                o = is_deep_hole_oracle(code, word)
-                oracle_str = _verdict_str(o)
-                if not o.is_deep_hole:
-                    status = "refuted"
-                    detail = f"word={word.to_text()} distance={o.distance}"
-                    break
-        rows.append(
-            SweepRow(
-                claim="thm17",
-                q=q,
-                modulus=_modulus_str(f),
-                excluded="0",
-                k=str(k),
-                aj="0",
-                predicted="true",
-                oracle=oracle_str,
-                agree=_bool_str(status == "agreed"),
-                status=status,
-                detail=detail,
-                sort_key=("thm17", q, (0,), k, 0),
-            )
-        )
+        ok, detail, oracle = True, "", ""
+        if not thm15_criterion(code, f.zero).is_deep_hole:
+            ok, detail = False, "criterion rejected the shifted family"
+        else:
+            rng = _rng(config, "thm17", f.q, k)
+            words = _shifted_words(code, f.zero, rng, config.words_per_config)
+            oracle, miss = _first_miss(code, words, True)
+            if miss:
+                word, o, _ = miss
+                ok, detail = False, f"word={word.to_text()} distance={o.distance}"
+        cols = dict(predicted="true", oracle=oracle, detail=detail)
+        rows.append(_row("thm17", f, (0,), k, 0, ok, **cols))
     return rows
 
 
-def _code_grid(q: int, config: SweepConfig, claim: str):
-    f = _field_for(q)
-    valid_l = [l for l in range(1, q - 2) if q - l - 1 >= 2]
-    quota = _per_l_quota(config, len(valid_l))
-    for l in valid_l:
-        sets = _exclusion_sets(q, l, quota, _rng(config, claim, q, "sets", l))
-        for excl in sets:
-            for k in range(2, q - l - 1 + 1):
-                yield GprsCode(f, excl, k)
-
-
-def _lemma25_rows(q: int, config: SweepConfig):
-    f = _field_for(q)
-    if q < 4:
-        return [_skip_row("lemma25", q, "q >= 4 required", _modulus_str(f))]
+def _lemma25_rows(f: FiniteField, config: SweepConfig):
     rows = []
-    for code in _code_grid(q, config, "lemma25"):
-        excl = tuple(e.encoding for e in code.excluded)
+    for code in _code_grid(f, config, "lemma25"):
         formula = code.minimum_distance("formula")
-        key = ("lemma25", q, excl, code.k, -1)
-        count = q**code.k
+        ok, cols = None, {"predicted": str(formula)}
+        count = f.q**code.k
         if count > config.message_budget:
-            rows.append(
-                SweepRow(
-                    claim="lemma25",
-                    q=q,
-                    modulus=_modulus_str(f),
-                    excluded=_encs_str(excl),
-                    k=str(code.k),
-                    predicted=str(formula),
-                    status="skipped",
-                    detail=f"q^k = {count} exceeds message budget",
-                    sort_key=key,
-                )
-            )
-            continue
-        brute = code.minimum_distance("bruteforce", budget=config.message_budget)
-        mds = mds_generator_check(code.generator, code.k)
-        ok = formula == brute and mds.is_mds
-        rows.append(
-            SweepRow(
-                claim="lemma25",
-                q=q,
-                modulus=_modulus_str(f),
-                excluded=_encs_str(excl),
-                k=str(code.k),
-                predicted=str(formula),
-                oracle=str(brute),
-                agree=_bool_str(ok),
-                status="agreed" if ok else "refuted",
-                witness="" if mds.is_mds else "cols:" + _encs_str(mds.witness),
-                detail="" if mds.is_mds else "generator failed the MDS minor scan",
-                sort_key=key,
-            )
-        )
+            cols["detail"] = f"q^k = {count} exceeds message budget"
+        else:
+            brute = code.minimum_distance("bruteforce", budget=config.message_budget)
+            mds = mds_generator_check(code.generator, code.k)
+            ok = formula == brute and mds.is_mds
+            cols["oracle"] = str(brute)
+            if not mds.is_mds:
+                cols["witness"] = "cols:" + _encs_str(mds.witness)
+                cols["detail"] = "generator failed the MDS minor scan"
+        rows.append(_row("lemma25", f, code.excluded, code.k, -1, ok, **cols))
     return rows
 
 
-def _lemma26_rows(q: int, config: SweepConfig):
-    f = _field_for(q)
-    if q < 4:
-        return [_skip_row("lemma26", q, "q >= 4 required", _modulus_str(f))]
+def _lemma26_rows(f: FiniteField, config: SweepConfig):
     rows = []
-    for code in _code_grid(q, config, "lemma26"):
-        excl = tuple(e.encoding for e in code.excluded)
+    for code in _code_grid(f, config, "lemma26"):
         formula = code.covering_radius("formula")
-        key = ("lemma26", q, excl, code.k, -1)
-        evals = q**code.length * q**code.k
+        ok, cols = None, {"predicted": str(formula)}
+        evals = f.q**code.length * f.q**code.k
         if evals > config.distance_budget:
-            rows.append(
-                SweepRow(
-                    claim="lemma26",
-                    q=q,
-                    modulus=_modulus_str(f),
-                    excluded=_encs_str(excl),
-                    k=str(code.k),
-                    predicted=str(formula),
-                    status="skipped",
-                    detail=f"{evals} distance evaluations exceed budget",
-                    sort_key=key,
-                )
-            )
-            continue
-        oracle = code.covering_radius("syndrome", budget=config.distance_budget)
-        ok = formula == oracle
-        rows.append(
-            SweepRow(
-                claim="lemma26",
-                q=q,
-                modulus=_modulus_str(f),
-                excluded=_encs_str(excl),
-                k=str(code.k),
-                predicted=str(formula),
-                oracle=str(oracle),
-                agree=_bool_str(ok),
-                status="agreed" if ok else "refuted",
-                detail="" if ok else "covering radius mismatch",
-                sort_key=key,
-            )
-        )
+            cols["detail"] = f"{evals} distance evaluations exceed budget"
+        else:
+            oracle = code.covering_radius("syndrome", budget=config.distance_budget)
+            ok = formula == oracle
+            cols["oracle"] = str(oracle)
+            if not ok:
+                cols["detail"] = "covering radius mismatch"
+        rows.append(_row("lemma26", f, code.excluded, code.k, -1, ok, **cols))
     return rows
 
 
-def _lemma28_rows(q: int, config: SweepConfig):
-    f = _field_for(q)
-    if not f.has_odd_characteristic:
-        return [_skip_row("lemma28", q, "odd characteristic required", _modulus_str(f))]
-    if q < 5:
-        return [_skip_row("lemma28", q, "q >= 5 required", _modulus_str(f))]
+def _lemma28_rows(f: FiniteField, config: SweepConfig):
     rows = []
-    for k in range(2, q - 2):
-        subset = zero_sum_subset(f, k)
-        encs = tuple(e.encoding for e in subset)
+    for k in range(2, f.q - 2):
+        encs = tuple(e.encoding for e in zero_sum_subset(f, k))
         acc = 0
         for e in encs:
             acc = f.add_enc(acc, e)
-        ok = acc == 0 and len(set(encs)) == k and all(1 <= e < q for e in encs)
-        rows.append(
-            SweepRow(
-                claim="lemma28",
-                q=q,
-                modulus=_modulus_str(f),
-                k=str(k),
-                predicted="true",
-                oracle=_bool_str(ok),
-                agree=_bool_str(ok),
-                status="agreed" if ok else "refuted",
-                witness=_encs_str(encs),
-                sort_key=("lemma28", q, (), k, -1),
-            )
-        )
+        ok = acc == 0 and len(set(encs)) == k and all(1 <= e < f.q for e in encs)
+        cols = dict(predicted="true", oracle=_bool_str(ok), witness=_encs_str(encs))
+        rows.append(_row("lemma28", f, (), k, -1, ok, **cols))
     return rows
 
 
 def _lemma29_rows(q: int, config: SweepConfig):
     p, _ = prime_power_decomposition(q)
-    if p == 2:
-        return [_skip_row("lemma29", q, "odd characteristic required")]
     rows = []
     for t in range(2, q):
         predicted = vp_binomial(q, t)
@@ -646,19 +499,8 @@ def _lemma29_rows(q: int, config: SweepConfig):
         while value % p == 0:
             value //= p
             actual += 1
-        ok = predicted == actual
-        rows.append(
-            SweepRow(
-                claim="lemma29",
-                q=q,
-                k=str(t),
-                predicted=str(predicted),
-                oracle=str(actual),
-                agree=_bool_str(ok),
-                status="agreed" if ok else "refuted",
-                sort_key=("lemma29", q, (), t, -1),
-            )
-        )
+        cols = dict(predicted=str(predicted), oracle=str(actual))
+        rows.append(_row("lemma29", q, (), t, -1, predicted == actual, **cols))
     return rows
 
 
@@ -669,7 +511,7 @@ def check_liwan_bounds(
     message_budget: int = DEFAULT_MESSAGE_BUDGET,
 ) -> list[SweepRow]:
     """Random GRS non-codewords must satisfy n - deg u <= d(u, C) <= n - k."""
-    f = _field_for(q)
+    f = field_of_order(q)
     rng = random.Random(f"{seed}/thm11/{q}")
     kmax_global = 1
     while q ** (kmax_global + 1) <= message_budget:
@@ -689,40 +531,32 @@ def check_liwan_bounds(
         deg = code.interpolant(word).degree
         ok = (n - deg) <= d <= (n - k)
         excluded = tuple(e for e in range(q) if e not in set(pts))
-        rows.append(
-            SweepRow(
-                claim="thm11",
-                q=q,
-                modulus=_modulus_str(f),
-                excluded=_encs_str(excluded),
-                k=str(k),
-                aj=str(trial),
-                predicted=f"{n - deg}..{n - k}",
-                oracle=str(d),
-                agree=_bool_str(ok),
-                status="agreed" if ok else "refuted",
-                witness="" if ok else word.to_text(),
-                detail=f"n={n} deg={deg}",
-                sort_key=("thm11", q, excluded, k, trial),
-            )
+        cols = dict(
+            predicted=f"{n - deg}..{n - k}",
+            oracle=str(d),
+            witness="" if ok else word.to_text(),
+            detail=f"n={n} deg={deg}",
         )
+        rows.append(_row("thm11", f, excluded, k, trial, ok, **cols))
     return rows
 
 
-def _thm11_rows(q: int, config: SweepConfig):
+def _thm11_rows(f: FiniteField, config: SweepConfig):
     return check_liwan_bounds(
-        q, config.words_per_config, config.seed, config.message_budget
+        f.q, config.words_per_config, config.seed, config.message_budget
     )
 
 
-_CLAIM_BUILDERS = {
-    "thm14": _thm14_rows,
-    "thm15": _thm15_rows,
-    "thm16": _thm16_rows,
-    "thm17": _thm17_rows,
-    "lemma25": _lemma25_rows,
-    "lemma26": _lemma26_rows,
-    "lemma28": _lemma28_rows,
-    "lemma29": _lemma29_rows,
-    "thm11": _thm11_rows,
+# claim -> (function making its rows, smallest q, odd characteristic required)
+_CLAIMS = {
+    "thm14": (_thm14_rows, 5, True),
+    "thm15": (_thm15_rows, 4, True),
+    "thm16": (_thm16_rows, 5, True),
+    "thm17": (_thm17_rows, 4, True),
+    "lemma25": (_lemma25_rows, 4, False),
+    "lemma26": (_lemma26_rows, 4, False),
+    "lemma28": (_lemma28_rows, 5, True),
+    "lemma29": (_lemma29_rows, 3, True),
+    "thm11": (_thm11_rows, 3, False),
 }
+KNOWN_CLAIMS = tuple(_CLAIMS)

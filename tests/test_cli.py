@@ -229,6 +229,14 @@ def test_usage_errors(capsys):
     )
     assert code == 2
     assert "thm99" in err
+    # sweeps that would check nothing
+    for flags in (
+        ("--claims", "", "--q-list", "5"),
+        ("--claims", "thm14", "--q-list", "5", "--words", "0"),
+        ("--claims", "thm14", "--q-list", "5", "--max-sets", "0"),
+        ("--claims", "thm14", "--q-list", "5", "--max-sets", "-4"),
+    ):
+        assert run_cli(capsys, "sweep", *flags)[0] == 2
 
 
 def test_budget_env_variable(capsys, monkeypatch):

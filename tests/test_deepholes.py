@@ -22,7 +22,7 @@ from gprs.deepholes import (
     zero_sum_subset,
 )
 from gprs.galois import field, field_of_order
-from gprs.polynomial import Polynomial
+from gprs.polynomial import Polynomial, expand_shifted_power
 
 
 def x_squared(f):
@@ -303,6 +303,62 @@ def test_family_membership_rejects_outsiders():
     w = code.word_from_poly(x_squared(f))
     tampered = code.word([w.encs[0], w.encs[1], w.encs[2], (w.encs[3] + 1) % 5])
     assert not word_in_degree_k_family(code, tampered)
+
+
+def _shifted_family_by_scale_search(code, word, a_j):
+    # reference: try every scale lam and interpolate the residual each time
+    f = code.field
+    base = code.word_from_poly(expand_shifted_power(f, a_j, f.q - 2))
+    for lam in range(1, f.q):
+        residual = [
+            f.sub_enc(word.encs[i], f.mul_enc(lam, base.encs[i])) for i in range(code.n)
+        ]
+        h = code.interpolant(code.word(residual + [0]))
+        if not h.degree <= code.k - 1:
+            continue
+        top = h.coefficient(code.k - 1).encoding
+        if f.add_enc(f.mul_enc(lam, base.encs[-1]), top) == word.encs[-1]:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_shifted_family_membership_matches_scale_search(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    seen = set()
+    for _ in range(40):
+        l = rng.randrange(1, q - 2)
+        code = GprsCode(f, rng.sample(range(q), l), rng.randrange(2, q - l))
+        a_j = rng.choice(code.excluded)
+        spec = WordFamilySpec(
+            "shifted_qminus2",
+            f.element(rng.randrange(1, q)),
+            f.element(rng.randrange(q)),
+            a_j,
+            Polynomial.from_encodings(f, [rng.randrange(q) for _ in range(code.k - 1)]),
+        )
+        member = build_family_word(code, spec)
+        perturbed = list(member.encs)
+        i = rng.randrange(code.length)
+        perturbed[i] = f.add_enc(perturbed[i], rng.randrange(1, q))
+        noise = [rng.randrange(q) for _ in range(code.length)]
+        for encs in (member.encs, perturbed, noise):
+            word = code.word(list(encs))
+            expected = _shifted_family_by_scale_search(code, word, a_j)
+            assert word_in_shifted_family(code, word, a_j) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_validate_verdict_rejects_bogus_mds_columns():
+    code = GprsCode(field(7), [5, 6], 2)
+    word = code.word([1, 2, 3, 4, 5, 6])
+    # k + 1 = 3 distinct columns in range(6) are required
+    for cols in [(0, 0, 1), (-1, 5, 5), (-1, 0, 1), (0, 1, 9), (0, 1), (0, 1, 2, 3)]:
+        assert not validate_verdict(
+            code, DeepHoleVerdict(False, "mds_extension", cols), word=word
+        )
 
 
 def test_build_family_word_errors():

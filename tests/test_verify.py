@@ -10,7 +10,14 @@ import pytest
 
 import gprs.verify as verify
 from gprs.deepholes import DeepHoleVerdict
-from gprs.verify import ROW_FIELDS, SweepConfig, check_liwan_bounds, run_sweep
+from gprs.matrix import MdsCheckResult
+from gprs.verify import (
+    KNOWN_CLAIMS,
+    ROW_FIELDS,
+    SweepConfig,
+    check_liwan_bounds,
+    run_sweep,
+)
 
 
 def test_config_validation():
@@ -20,6 +27,18 @@ def test_config_validation():
         SweepConfig(claims=("thm14",), q_list=(6,))  # not a prime power
     cfg = SweepConfig(claims=("thm14",), q_list=(5,))
     assert cfg.to_dict()["budgets"]["messages"] == 10**6
+    # sweeps that would check nothing
+    for bad in (
+        dict(claims=(), q_list=(5,)),
+        dict(claims=("thm14",), q_list=()),
+        dict(claims=("thm14",), q_list=(5,), words_per_config=0),
+        dict(claims=("thm14",), q_list=(5,), max_exclusion_sets_per_q=0),
+        dict(claims=("thm14",), q_list=(5,), max_exclusion_sets_per_q=-4),
+        dict(claims=("thm14",), q_list=(5,), message_budget=0),
+        dict(claims=("thm14",), q_list=(5,), distance_budget=0),
+    ):
+        with pytest.raises(ValueError):
+            SweepConfig(**bad)
 
 
 def test_reports_are_deterministic():
@@ -88,6 +107,28 @@ def test_even_characteristic_rows_skip():
     rep = run_sweep(SweepConfig(claims=("thm14", "lemma28"), q_list=(8,)))
     assert rep.summary["skipped"] == rep.summary["total"] == 2
     assert all("odd characteristic" in r.detail for r in rep.rows)
+
+
+def test_hypothesis_skip_rows():
+    claims = ("thm11", "thm14", "lemma25", "lemma29")
+    rep = run_sweep(SweepConfig(claims=claims, q_list=(2, 3, 4, 8)))
+    skips = {(r.claim, r.q): (r.modulus, r.detail) for r in rep.rows if not r.k}
+    assert skips == {
+        # thm11 draws codes of length >= 3, which GF(2) has no room for
+        ("thm11", 2): ("", "q >= 3 required"),
+        # the odd-characteristic test comes before the size test
+        ("thm14", 2): ("", "odd characteristic required"),
+        ("thm14", 3): ("", "q >= 5 required"),
+        ("thm14", 4): ("1,1,1", "odd characteristic required"),
+        ("thm14", 8): ("1,1,0,1", "odd characteristic required"),
+        ("lemma25", 2): ("", "q >= 4 required"),
+        ("lemma25", 3): ("", "q >= 4 required"),
+        # lemma29 is about integers and prints no modulus
+        ("lemma29", 2): ("", "odd characteristic required"),
+        ("lemma29", 4): ("", "odd characteristic required"),
+        ("lemma29", 8): ("", "odd characteristic required"),
+    }
+    assert all(r.status == "skipped" and r.agree == "" for r in rep.rows if not r.k)
 
 
 def test_exclusion_set_cap_is_respected_and_seeded():
@@ -169,6 +210,43 @@ def test_covering_sweep_report_is_byte_identical():
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == COVERING_REPORT_SHA256
 
 
+# SHA-256 of two more reports, recorded before the claim table replaced the
+# per-claim row functions: every claim with every hypothesis skip and both
+# budget skips, and the exhaustive thm14/thm15 grid on GF(7)
+ALL_CLAIMS_JSON_SHA256 = "2d0456306f0682b0bc9e5db2f614275ee46e97ffc97de2734af9526d54278bd7"
+ALL_CLAIMS_CSV_SHA256 = "13395f6fc7a636b1091b08bc2c6ae29e598677ee0516a4927fb774d25b52641b"
+DEEPHOLE_GF7_JSON_SHA256 = "d312ee1a216645860c536c683387c991829882ede910b932d129e879c331a865"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_all_claims_report_is_byte_identical():
+    rep = run_sweep(
+        SweepConfig(
+            claims=KNOWN_CLAIMS,
+            q_list=(3, 4, 5, 7, 8, 9),
+            max_exclusion_sets_per_q=6,
+            words_per_config=3,
+            seed=0,
+            message_budget=10**4,
+            distance_budget=10**6,
+        )
+    )
+    assert rep.summary["total"] == 324 and rep.summary["skipped"] == 71
+    assert _sha256(rep.to_json()) == ALL_CLAIMS_JSON_SHA256
+    assert _sha256(rep.to_csv()) == ALL_CLAIMS_CSV_SHA256
+
+
+def test_deephole_gf7_report_is_byte_identical():
+    rep = run_sweep(
+        SweepConfig(claims=("thm14", "thm15"), q_list=(7,), words_per_config=2, seed=0)
+    )
+    assert rep.summary["total"] == 693
+    assert _sha256(rep.to_json()) == DEEPHOLE_GF7_JSON_SHA256
+
+
 def test_csv_is_rfc4180_parseable():
     rep = run_sweep(SweepConfig(claims=("lemma29",), q_list=(9,)))
     text = rep.to_csv()
@@ -189,19 +267,97 @@ def test_json_shape():
     assert set(data["rows"][0]) == set(ROW_FIELDS)
 
 
-def test_refutation_channel(monkeypatch):
-    # force the criterion to lie; the oracle must catch it and flip the report
-    def liar(code):
-        honest = _real_thm14(code)
-        return DeepHoleVerdict(not honest.is_deep_hole, "thm14", None)
+def _negated(real):
+    # the criterion's verdict flipped, with no witness to re-validate
+    return lambda *args: DeepHoleVerdict(not real(*args).is_deep_hole, "liar")
 
-    _real_thm14 = verify.thm14_criterion
-    monkeypatch.setattr(verify, "thm14_criterion", liar)
-    rep = run_sweep(SweepConfig(claims=("thm14",), q_list=(5,), words_per_config=4))
-    assert rep.summary["refuted"] > 0
+
+def _always(value):
+    return lambda real: lambda *args, **kwargs: value
+
+
+def _non_mds(real):
+    return lambda g, k: MdsCheckResult(False, tuple(range(k)))
+
+
+_DEEP = _always(DeepHoleVerdict(True, "liar"))
+_NOT_DEEP = _always(DeepHoleVerdict(False, "liar"))
+
+
+# Each case makes one check lie. What the sweep reported was recorded before
+# the claim table replaced the per-claim row functions. A case gives the name
+# patched in gprs.verify, the lie, the claim, q_list and the total and refuted
+# row counts; then every refuted detail up to its first "="; then the first
+# refuted row's excluded, k, aj, oracle and witness; then its detail.
+REFUTATIONS = {
+    "thm14": (
+        ("thm14_criterion", _negated, "thm14", (5,), 4, 4),
+        {"word"},
+        ("1", "2", "", "false", ""),
+        "word=4,4,1,1,2 oracle=false mds=false criterion=true",
+    ),
+    "thm15": (
+        ("thm15_criterion", _negated, "thm15", (5, 9), 64, 64),
+        {"word", "p | k must force a positive verdict"},
+        ("0", "2", "0", "true", ""),
+        "word=4,4,1,1,3 oracle=true criterion=false",
+    ),
+    "thm16": (
+        ("thm14_criterion", _DEEP, "thm16", (5,), 1, 1),
+        {"criterion claims a deep hole exists"},
+        ("0", "2", "", "", "1,4"),
+        "criterion claims a deep hole exists",
+    ),
+    "thm17": (
+        ("thm15_criterion", _NOT_DEEP, "thm17", (5,), 2, 2),
+        {"criterion rejected the shifted family"},
+        ("0", "2", "0", "", ""),
+        "criterion rejected the shifted family",
+    ),
+    "lemma25": (
+        ("mds_generator_check", _non_mds, "lemma25", (5,), 6, 6),
+        {"generator failed the MDS minor scan"},
+        ("0,4", "2", "", "3", "cols:0,1"),
+        "generator failed the MDS minor scan",
+    ),
+    "thm14-witness": (
+        ("validate_verdict", _always(False), "thm14", (5,), 4, 3),
+        {"criterion witness failed re-validation"},
+        ("1", "2", "", "false", "2,3"),
+        "criterion witness failed re-validation",
+    ),
+    "thm15-witness": (
+        ("validate_verdict", _always(False), "thm15", (5,), 8, 5),
+        {"criterion witness failed re-validation"},
+        ("0,1", "2", "1", "", "2,4"),
+        "criterion witness failed re-validation",
+    ),
+    "thm16-zero-sum": (
+        ("validate_verdict", _always(False), "thm16", (5,), 1, 1),
+        {"constructed zero-sum subset rejected"},
+        ("0", "2", "", "", "1,4"),
+        "constructed zero-sum subset rejected",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUTATIONS)
+def test_refutation_channel(monkeypatch, case):
+    patch, details, first, detail = REFUTATIONS[case]
+    name, lie, claim, q_list, total, refuted = patch
+    monkeypatch.setattr(verify, name, lie(getattr(verify, name)))
+    cfg = SweepConfig(
+        claims=(claim,), q_list=q_list, words_per_config=3, max_exclusion_sets_per_q=4
+    )
+    rep = run_sweep(cfg)
+    assert (rep.summary["total"], rep.summary["refuted"]) == (total, refuted)
     assert rep.exit_status() == "refuted"
     bad = [r for r in rep.rows if r.status == "refuted"]
-    assert any("word=" in r.detail for r in bad)
+    assert all(r.agree == "false" for r in bad)
+    assert {r.detail.split("=")[0] for r in bad} == details
+    r = bad[0]
+    assert (r.excluded, r.k, r.aj, r.oracle, r.witness) == first
+    assert r.detail == detail
 
 
 def test_check_liwan_bounds():
