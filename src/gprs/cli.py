@@ -53,7 +53,7 @@ def _default_budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,16 +18,23 @@ The closed-form criteria hard-require their hypotheses (odd characteristic
 included) and raise HypothesisError outside them; the oracles run anywhere.
 Failed criteria always carry a witness subset, enumerated in lexicographic
 order of canonical encodings so reruns agree byte-for-byte.
+
+thm14, thm15 and mds_extension each define their witnesses once: a ground
+set, a subset size and a field expression that is zero exactly on a
+witness. The criterion scan and ``validate_verdict`` both evaluate that one
+definition, so a witness is re-checked by the definition that found it;
+thm15 validation therefore also requires a_j to be an excluded point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .galois import FieldElement, FiniteField, lucas_binom
 from .polynomial import Polynomial, expand_shifted_power
-from .matrix import first_singular_column_subset
+from .matrix import det_enc, first_singular_column_subset
 from .codes import DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord
 
 CRITERION_METHODS = ("thm14", "thm15")
@@ -130,8 +137,8 @@ def is_deep_hole_mds_extension(code: GprsCode, word: ReceivedWord) -> DeepHoleVe
     code, i.e. every (k+1)-column minor is nonsingular. A codeword makes
     every minor singular, so codewords come back negative here too.
     """
-    rows = code._generator_rows() + (word.encs,)
-    witness = first_singular_column_subset(code.field, rows, code.k + 1)
+    test = _mds_test(code, word)
+    witness = first_singular_column_subset(code.field, test.rows, test.size)
     return DeepHoleVerdict(witness is None, "mds_extension", witness)
 
 
@@ -147,22 +154,13 @@ def thm14_criterion(code: GprsCode) -> DeepHoleVerdict:
     """Subset-sum criterion for words of interpolant degree exactly k.
 
     Every such word of the code is a deep hole iff no k-subset of D sums
-    to zero. Requires q >= 5 and 2 <= k <= min(q-3, q-l-1).
+    to zero. Requires 2 <= k <= min(q-3, q-l-1).
     """
     f = code.field
     _require_odd(f)
-    if f.q < 5:
-        raise HypothesisError("thm14 requires q >= 5")
-    bound = min(f.q - 3, f.q - code.l - 1)
-    if not 2 <= code.k <= bound:
-        raise HypothesisError(f"thm14 requires 2 <= k <= {bound}, got k = {code.k}")
-    for subset in combinations(code.evaluation_encodings(), code.k):
-        acc = 0
-        for e in subset:
-            acc = f.add_enc(acc, e)
-        if acc == 0:
-            return DeepHoleVerdict(False, "thm14", tuple(subset))
-    return DeepHoleVerdict(True, "thm14")
+    if code.k > f.q - 3:  # GprsCode already holds 2 <= k <= q-l-1
+        raise HypothesisError(f"thm14 requires 2 <= k <= {f.q - 3}, got k = {code.k}")
+    return _criterion("thm14", _thm14_test(code))
 
 
 def thm15_criterion(code: GprsCode, a_j) -> DeepHoleVerdict:
@@ -171,33 +169,85 @@ def thm15_criterion(code: GprsCode, a_j) -> DeepHoleVerdict:
     Every family word is a deep hole iff
     C(q-2, k-1) * a_j^(q-1-k) * prod_{y in I}(y - a_j) + 1 != 0 for all
     k-subsets I of D. If p divides k the binomial vanishes mod p and the
-    verdict is immediately positive.
+    verdict is positive without a scan.
     """
+    _require_odd(code.field)
+    return _criterion("thm15", _thm15_test(code, a_j))
+
+
+class _WitnessTest(NamedTuple):
+    """The witnesses of one method: the size-subsets I of ground with value(I) == 0.
+
+    ``value`` is None when the expression is a nonzero constant, so that no
+    subset is a witness. ``rows`` is the stacked matrix of mds_extension,
+    whose minors ``value`` takes.
+    """
+
+    ground: tuple[int, ...]
+    size: int
+    value: Callable[[tuple[int, ...]], int] | None
+    rows: tuple[tuple[int, ...], ...] = ()
+
+    def holds(self, subset) -> bool:
+        return (
+            self.value is not None
+            and len(subset) == self.size
+            and len(set(subset)) == self.size
+            and set(subset) <= set(self.ground)
+            and self.value(subset) == 0
+        )
+
+
+def _criterion(method: str, test: _WitnessTest) -> DeepHoleVerdict:
+    """Verdict carrying the lexicographically first witness, if there is one."""
+    witness = None
+    if test.value is not None:
+        subsets = combinations(test.ground, test.size)
+        witness = next((s for s in subsets if test.value(s) == 0), None)
+    return DeepHoleVerdict(witness is None, method, witness)
+
+
+def _thm14_test(code: GprsCode) -> _WitnessTest:
+    add = code.field.add_enc
+
+    def total(subset):
+        acc = 0
+        for e in subset:
+            acc = add(acc, e)
+        return acc
+
+    return _WitnessTest(code.evaluation_encodings(), code.k, total)
+
+
+def _thm15_test(code: GprsCode, a_j) -> _WitnessTest:
     f = code.field
-    _require_odd(f)
-    if f.q < 4:
-        raise HypothesisError("thm15 requires q >= 4")
-    if not 2 <= code.k <= f.q - code.l - 1:
-        raise HypothesisError(f"thm15 requires 2 <= k <= {f.q - code.l - 1}")
     if not isinstance(a_j, FieldElement):
         a_j = f.element(int(a_j))
     if a_j not in code.excluded:
         raise ValueError("a_j must be one of the code's excluded points")
-    if code.k % f.p == 0:
-        return DeepHoleVerdict(True, "thm15")
     aj = a_j.encoding
+    # (-a_j)^(q-1-k) * prod (a_j - y) of the paper; the signs cancel as q is odd
     binom = lucas_binom(f.q - 2, code.k - 1, f.p)
-    const = f.mul_enc(binom, f.pow_enc(aj, f.q - 1 - code.k)) if binom else 0
-    if const == 0:
-        # the product term vanishes identically, the sum is always 1
-        return DeepHoleVerdict(True, "thm15")
-    for subset in combinations(code.evaluation_encodings(), code.k):
-        prod = const
+    const = f.mul_enc(binom, f.pow_enc(aj, f.q - 1 - code.k))
+    add, mul, sub = f.add_enc, f.mul_enc, f.sub_enc
+
+    def shifted(subset):
+        acc = const
         for e in subset:
-            prod = f.mul_enc(prod, f.sub_enc(e, aj))
-        if f.add_enc(prod, 1) == 0:
-            return DeepHoleVerdict(False, "thm15", tuple(subset))
-    return DeepHoleVerdict(True, "thm15")
+            acc = mul(acc, sub(e, aj))
+        return add(acc, 1)
+
+    # const == 0 (p | k, or a_j = 0): the expression is the constant 1
+    return _WitnessTest(code.evaluation_encodings(), code.k, shifted if const else None)
+
+
+def _mds_test(code: GprsCode, word: ReceivedWord) -> _WitnessTest:
+    rows = code._generator_rows() + (word.encs,)
+
+    def minor(cols):
+        return det_enc(code.field, [[row[j] for j in cols] for row in rows])
+
+    return _WitnessTest(tuple(range(code.length)), code.k + 1, minor, rows)
 
 
 def zero_sum_subset(field: FiniteField, k: int) -> tuple[FieldElement, ...]:
@@ -208,49 +258,27 @@ def zero_sum_subset(field: FiniteField, k: int) -> tuple[FieldElement, ...]:
     characteristic is at least 7; a scan-built triple z', z'', -(z'+z'') for
     p in {3, 5}) and fill up with pairs disjoint from it.
     """
-    _require_odd_plain(field)
+    _require_odd(field)
     if not 2 <= k <= field.q - 3:
         raise ValueError(f"subset size k = {k} outside 2..{field.q - 3}")
-    pairs = []
-    seen = set()
-    for enc in range(1, field.q):
-        if enc in seen:
-            continue
-        partner = field.neg_enc(enc)
-        seen.add(enc)
-        seen.add(partner)
-        pairs.append((enc, partner))
+    neg = field.neg_enc
+    pairs = [(e, neg(e)) for e in range(1, field.q) if e < neg(e)]
     if k % 2 == 0:
         chosen = [e for pair in pairs[: k // 2] for e in pair]
-        return _as_sorted_elements(field, chosen)
-    triple = _zero_sum_triple(field)
-    blocked = set(triple) | {field.neg_enc(e) for e in triple}
-    chosen = list(triple)
-    needed = (k - 3) // 2
-    for pair in pairs:
-        if needed == 0:
-            break
-        if pair[0] in blocked or pair[1] in blocked:
-            continue
-        chosen.extend(pair)
-        needed -= 1
-    if needed:
-        raise AssertionError("pair supply exhausted; k range check is wrong")
-    return _as_sorted_elements(field, chosen)
-
-
-def _require_odd_plain(field: FiniteField):
-    if not field.has_odd_characteristic:
-        raise ValueError("zero-sum construction requires odd characteristic")
-
-
-def _as_sorted_elements(field, encs):
-    acc = 0
-    for e in encs:
-        acc = field.add_enc(acc, e)
-    if acc != 0 or len(set(encs)) != len(encs):
+    else:
+        triple = _zero_sum_triple(field)
+        blocked = set(triple) | {field.neg_enc(e) for e in triple}
+        chosen = list(triple)
+        for pair in pairs:
+            if len(chosen) == k:
+                break
+            if pair[0] in blocked or pair[1] in blocked:
+                continue
+            chosen.extend(pair)
+    witness = DeepHoleVerdict(False, "thm14", tuple(sorted(chosen)))
+    if not validate_verdict(GprsCode(field, [0], k), witness):
         raise AssertionError("constructed subset failed its own invariant")
-    return tuple(field.element(e) for e in sorted(encs))
+    return tuple(field.element(e) for e in witness.witness)
 
 
 def _zero_sum_triple(field: FiniteField) -> tuple[int, int, int]:
@@ -333,52 +361,24 @@ def validate_verdict(
     a_j: FieldElement | None = None,
     word: ReceivedWord | None = None,
 ) -> bool:
-    """Re-check a verdict's witness against its defining equation."""
-    f = code.field
+    """Re-check a verdict's witness by the definition that found it.
+
+    The witness must be a subset of the right size of the method's ground
+    set at which the method's expression is zero. thm15 needs a_j, and a_j
+    must be one of the code's excluded points; mds_extension needs the word.
+    """
     if verdict.witness is None:
         return True
     if verdict.method == "thm14":
-        return _valid_zero_sum_witness(code, verdict.witness)
-    if verdict.method == "thm15":
+        test = _thm14_test(code)
+    elif verdict.method == "thm15":
         if a_j is None:
             raise ValueError("thm15 witness validation needs a_j")
-        if not isinstance(a_j, FieldElement):
-            a_j = f.element(int(a_j))
-        subset = verdict.witness
-        if len(subset) != code.k or len(set(subset)) != code.k:
-            return False
-        d_set = set(code.evaluation_encodings())
-        if any(e not in d_set for e in subset):
-            return False
-        binom = lucas_binom(f.q - 2, code.k - 1, f.p)
-        acc = f.mul_enc(binom, f.pow_enc(a_j.encoding, f.q - 1 - code.k))
-        for e in subset:
-            acc = f.mul_enc(acc, f.sub_enc(e, a_j.encoding))
-        return f.add_enc(acc, 1) == 0
-    if verdict.method == "mds_extension":
+        test = _thm15_test(code, a_j)
+    elif verdict.method == "mds_extension":
         if word is None:
             raise ValueError("mds_extension witness validation needs the word")
-        from .matrix import det_enc
-
-        rows = code._generator_rows() + (word.encs,)
-        cols = verdict.witness
-        if len(cols) != code.k + 1 or len(set(cols)) != len(cols):
-            return False
-        if not all(0 <= j < code.length for j in cols):
-            return False
-        sub = [[row[j] for j in cols] for row in rows]
-        return det_enc(f, sub) == 0
-    raise ValueError(f"no witness semantics for method {verdict.method!r}")
-
-
-def _valid_zero_sum_witness(code: GprsCode, witness) -> bool:
-    f = code.field
-    if len(witness) != code.k or len(set(witness)) != code.k:
-        return False
-    d_set = set(code.evaluation_encodings())
-    if any(e not in d_set for e in witness):
-        return False
-    acc = 0
-    for e in witness:
-        acc = f.add_enc(acc, e)
-    return acc == 0
+        test = _mds_test(code, word)
+    else:
+        raise ValueError(f"no witness semantics for method {verdict.method!r}")
+    return test.holds(verdict.witness)

@@ -480,10 +480,7 @@ def _lemma28_rows(f: FiniteField, config: SweepConfig):
     rows = []
     for k in range(2, f.q - 2):
         encs = tuple(e.encoding for e in zero_sum_subset(f, k))
-        acc = 0
-        for e in encs:
-            acc = f.add_enc(acc, e)
-        ok = acc == 0 and len(set(encs)) == k and all(1 <= e < f.q for e in encs)
+        ok = validate_verdict(GprsCode(f, [0], k), DeepHoleVerdict(False, "thm14", encs))
         cols = dict(predicted="true", oracle=_bool_str(ok), witness=_encs_str(encs))
         rows.append(_row("lemma28", f, (), k, -1, ok, **cols))
     return rows
@@ -511,6 +508,8 @@ def check_liwan_bounds(
     message_budget: int = DEFAULT_MESSAGE_BUDGET,
 ) -> list[SweepRow]:
     """Random GRS non-codewords must satisfy n - deg u <= d(u, C) <= n - k."""
+    if q < 3:
+        raise ValueError(f"thm11 needs GRS codes of length >= 3, so q >= 3; got q = {q}")
     f = field_of_order(q)
     rng = random.Random(f"{seed}/thm11/{q}")
     kmax_global = 1

@@ -246,3 +246,13 @@ def test_budget_env_variable(capsys, monkeypatch):
     )
     assert code == 2
     assert "budget" in err
+
+
+def test_malformed_budget_env_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GPRS_BUDGET", "abc")
+    code, out, err = run_cli(
+        capsys, "distance", "--code", "q=5;exclude=0,4;k=2", "--word", "1,4,4,0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: GPRS_BUDGET must be an integer, got 'abc'\n"

@@ -157,6 +157,65 @@ def test_thm15_witness_example():
     assert validate_verdict(GprsCode(f, [0, 1], 2), v, a_j=f.element(1))
 
 
+def test_thm15_validation_requires_an_excluded_aj():
+    # a_j = 1 lies in D; the criterion refuses it, and so must its validator
+    f = field(7)
+    code = GprsCode(f, [0], 2)
+    v = DeepHoleVerdict(False, "thm15", (2, 5))
+    for a_j in (1, f.element(1)):
+        with pytest.raises(ValueError, match="a_j must be one of the code's excluded points"):
+            validate_verdict(code, v, a_j=a_j)
+        with pytest.raises(ValueError, match="a_j must be one of the code's excluded points"):
+            thm15_criterion(code, a_j)
+
+
+def _paper_codes(q):
+    f = field_of_order(q)
+    for l in (1, 2):
+        for excl in combinations(range(q), l):
+            for k in range(2, q - l):
+                yield f, GprsCode(f, excl, k)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_witness_definitions_match_the_paper(q):
+    # reference side in FieldElement arithmetic only: thm14 asks for a k-subset
+    # I of D with sum(I) = 0, thm15 for one with
+    # C(q-2, k-1) * (-a_j)^(q-1-k) * prod_{y in I}(a_j - y) + 1 = 0
+    for f, code in _paper_codes(q):
+        subsets = list(combinations(code.D, code.k))
+        first14 = None
+        for subset in subsets:
+            total = f.zero
+            for y in subset:
+                total = total + y
+            witness = tuple(y.encoding for y in subset)
+            got = validate_verdict(code, DeepHoleVerdict(False, "thm14", witness))
+            assert got == total.is_zero
+            if got and first14 is None:
+                first14 = witness
+        if code.k <= q - 3:
+            assert thm14_criterion(code).witness == first14
+        binom = binom_mod_p(q - 2, code.k - 1, f)
+        for a_j in code.excluded:
+            first15 = None
+            head = binom * (-a_j) ** (q - 1 - code.k)
+            for subset in subsets:
+                value = head
+                for y in subset:
+                    value = value * (a_j - y)
+                value = value + f.one
+                witness = tuple(y.encoding for y in subset)
+                verdict = DeepHoleVerdict(False, "thm15", witness)
+                got = validate_verdict(code, verdict, a_j=a_j)
+                assert got == value.is_zero
+                if got and first15 is None:
+                    first15 = witness
+            v = thm15_criterion(code, a_j)
+            assert v.witness == first15
+            assert v.is_deep_hole == (first15 is None)
+
+
 def test_thm15_p_divides_k_fast_path():
     f9 = field(3, 2)
     code = GprsCode(f9, [0], 3)

@@ -371,3 +371,11 @@ def test_check_liwan_bounds():
 def test_thm11_sweep_rows():
     rep = run_sweep(SweepConfig(claims=("thm11",), q_list=(5,), words_per_config=15))
     assert rep.summary == {"total": 15, "agreed": 15, "refuted": 0, "skipped": 0}
+
+
+def test_check_liwan_bounds_rejects_fields_below_three():
+    # GRS codes of length >= 3 need three distinct points
+    for q in (2, 1):
+        with pytest.raises(ValueError, match="q >= 3"):
+            check_liwan_bounds(q, trials=3, seed=0)
+    assert len(check_liwan_bounds(3, trials=3, seed=0)) == 3
