@@ -264,16 +264,15 @@ def _cmd_deephole(args) -> int:
         if args.aj is None:
             print("--method thm15 requires --aj", file=sys.stderr)
             return EXIT_USAGE
-        a_j = code.field.element(args.aj)
         parameters["aj"] = args.aj
-        if not word_in_shifted_family(code, word, a_j):
+        if not word_in_shifted_family(code, word, args.aj):
             print(
                 "thm15 applies to words of the form "
                 "lam*(x-aj)^(q-2) + nu*x^(k-1) + (degree <= k-2)",
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        verdict = thm15_criterion(code, a_j)
+        verdict = thm15_criterion(code, args.aj)
     record = verdict.to_record(parameters)
     lines = [f"is_deep_hole={str(verdict.is_deep_hole).lower()} method={verdict.method}"]
     if verdict.witness is not None:

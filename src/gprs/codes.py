@@ -34,25 +34,13 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive scan would exceed its explicit work budget."""
 
 
-def _coerce_elements(field: FiniteField, items) -> list[FieldElement]:
-    out = []
-    for item in items:
-        if isinstance(item, FieldElement):
-            if item.field != field:
-                raise ValueError("element from a different field")
-            out.append(item)
-        else:
-            out.append(field.element(int(item)))
-    return out
-
-
 class ReceivedWord:
     """A word of the ambient space F_q^length attached to its code."""
 
     __slots__ = ("code", "encs")
 
     def __init__(self, code, coords):
-        encs = tuple(e.encoding for e in _coerce_elements(code.field, coords))
+        encs = code.field.encodings(coords)
         if len(encs) != code.length:
             raise ValueError(
                 f"word length {len(encs)} does not match code length {code.length}"
@@ -67,14 +55,12 @@ class ReceivedWord:
     def __add__(self, other: "ReceivedWord") -> "ReceivedWord":
         _check_same_code(self, other)
         f = self.code.field
-        return ReceivedWord(
-            self.code, [f.element(f.add_enc(a, b)) for a, b in zip(self.encs, other.encs)]
-        )
+        return ReceivedWord(self.code, [f.add_enc(a, b) for a, b in zip(self.encs, other.encs)])
 
     def __eq__(self, other):
         if not isinstance(other, ReceivedWord):
             return NotImplemented
-        return self.code is other.code and self.encs == other.encs
+        return self.encs == other.encs and _codes_compatible(self.code, other.code)
 
     def __hash__(self):
         return hash(self.encs)
@@ -133,10 +119,11 @@ class _EvaluationCode:
 
     def interpolant(self, word: ReceivedWord) -> Polynomial:
         """Lagrange interpolant of the first n coordinates over D."""
-        n = len(self._d_encs)
-        return Polynomial.from_encodings(
-            self.field, _interp_enc(self.field, list(self._d_encs), list(word.encs[:n]))
-        )
+        return Polynomial(self.field, self._interp(word.encs))
+
+    def _interp(self, encs) -> list[int]:
+        """Coefficients c_0..c_(n-1) of the interpolant of encs[:n] over D."""
+        return _interp_enc(self.field, self._d_encs, encs[: len(self._d_encs)])
 
     def encode(self, f: Polynomial) -> ReceivedWord:
         """Codeword of a message polynomial of degree <= k-1."""
@@ -155,11 +142,14 @@ class _EvaluationCode:
                 f"degree {u.degree} >= q - 1 = {self.field.q - 1} is ambiguous "
                 "on the field and is rejected"
             )
-        f = self.field
-        encs = [_eval_enc(f, u.coeffs, y) for y in self._d_encs]
+        return self.word(self._evaluate(u.coeffs))
+
+    def _evaluate(self, coeffs) -> list[int]:
+        """Encodings of u(D), plus c_(k-1)(u) when projective, for u's coefficients."""
+        encs = [_eval_enc(self.field, coeffs, y) for y in self._d_encs]
         if self._projective:
-            encs.append(u.coefficient(self.k - 1).encoding)
-        return self.word(encs)
+            encs.append(coeffs[self.k - 1] if len(coeffs) >= self.k else 0)
+        return encs
 
     def _generator_rows(self) -> tuple[tuple[int, ...], ...]:
         """Generator rows 1, x, ..., x^(k-1) on D (plus the projective column)."""
@@ -257,12 +247,10 @@ class _EvaluationCode:
         return top - best
 
     def is_codeword(self, word: ReceivedWord) -> bool:
-        h = self.interpolant(word)
-        if not h.degree <= self.k - 1:
+        h = self._interp(word.encs)
+        if any(h[self.k :]):
             return False
-        if self._projective:
-            return h.coefficient(self.k - 1).encoding == word.encs[-1]
-        return True
+        return not self._projective or h[self.k - 1] == word.encs[-1]
 
 
 class GprsCode(_EvaluationCode):
@@ -279,7 +267,7 @@ class GprsCode(_EvaluationCode):
     def __init__(self, field: FiniteField, excluded, k: int):
         if field.q < 4:
             raise ValueError("code construction requires q >= 4")
-        excl = sorted(e.encoding for e in _coerce_elements(field, excluded))
+        excl = sorted(field.encodings(excluded))
         if not excl:
             raise ValueError("the evaluation set must be a proper subset of the field")
         if len(set(excl)) != len(excl):
@@ -300,7 +288,10 @@ class GprsCode(_EvaluationCode):
 
     @classmethod
     def from_spec(cls, text: str, modulus_text: str | None = None) -> "GprsCode":
-        """Parse "q=<p^s>;exclude=<e1,e2,...>;k=<k>[;mod=c0,...,cs]" into a code."""
+        """Parse "q=<p^s>;exclude=<e1,e2,...>;k=<k>[;mod=c0,...,cs]" into a code.
+
+        Each key may appear once; any other key is rejected.
+        """
         parts = dict()
         for chunk in text.split(";"):
             chunk = chunk.strip()
@@ -309,7 +300,12 @@ class GprsCode(_EvaluationCode):
             if "=" not in chunk:
                 raise ValueError(f"bad code spec fragment {chunk!r}")
             key, _, value = chunk.partition("=")
-            parts[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in ("q", "exclude", "k", "mod"):
+                raise ValueError(f"unknown code spec key {key!r}")
+            if key in parts:
+                raise ValueError(f"code spec repeats key {key!r}")
+            parts[key] = value.strip()
         missing = {"q", "exclude", "k"} - parts.keys()
         if missing:
             raise ValueError(f"code spec missing {sorted(missing)}")
@@ -425,7 +421,7 @@ class GrsCode(_EvaluationCode):
     _projective = False
 
     def __init__(self, field: FiniteField, evaluation_set, k: int):
-        pts = sorted(e.encoding for e in _coerce_elements(field, evaluation_set))
+        pts = sorted(field.encodings(evaluation_set))
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be distinct")
         n = len(pts)

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .galois import FieldElement, FiniteField, lucas_binom
-from .polynomial import Polynomial, expand_shifted_power
+from .polynomial import Polynomial, _shifted_power_enc
 from .matrix import det_enc, first_singular_column_subset
 from .codes import DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord
 
@@ -78,21 +78,21 @@ class WordFamilySpec:
     kind "deg_k": lam * x^k + nu * x^(k-1) + low(x).
     kind "shifted_qminus2": lam * (x - a_j)^(q-2) + nu * x^(k-1) + low(x),
     with a_j one of the code's excluded points.
+    lam, nu and a_j are elements of the code's field or their encodings;
     ``low`` must have degree <= k - 2 (None means zero).
     """
 
     kind: str
-    lam: FieldElement
-    nu: FieldElement
-    a_j: FieldElement | None = None
+    lam: FieldElement | int
+    nu: FieldElement | int
+    a_j: FieldElement | int | None = None
     low: Polynomial | None = None
 
 
 def build_family_word(code: GprsCode, spec: WordFamilySpec) -> ReceivedWord:
     f = code.field
-    if spec.lam.field != f or spec.nu.field != f:
-        raise ValueError("family parameters from a different field")
-    if spec.lam.is_zero:
+    lam, nu = f.encodings((spec.lam, spec.nu))
+    if lam == 0:
         raise ValueError("family scale lam must be nonzero")
     low = spec.low if spec.low is not None else Polynomial.zero(f)
     if low.field != f:
@@ -100,17 +100,24 @@ def build_family_word(code: GprsCode, spec: WordFamilySpec) -> ReceivedWord:
     if not low.degree <= code.k - 2:
         raise ValueError(f"low-order part degree {low.degree} exceeds k - 2")
     if spec.kind == "deg_k":
-        head = Polynomial.x_power(f, code.k, spec.lam)
+        head = Polynomial.x_power(f, code.k, lam)
     elif spec.kind == "shifted_qminus2":
         if spec.a_j is None:
             raise ValueError("shifted family needs the excluded point a_j")
-        if spec.a_j not in code.excluded:
-            raise ValueError("a_j must be one of the code's excluded points")
-        head = expand_shifted_power(f, spec.a_j, f.q - 2) * spec.lam
+        aj = _excluded_point(code, spec.a_j)
+        head = Polynomial(f, [f.mul_enc(lam, c) for c in _shifted_power_enc(f, aj, f.q - 2)])
     else:
         raise ValueError(f"unknown family kind {spec.kind!r}")
-    u = head + Polynomial.x_power(f, code.k - 1, spec.nu) + low
+    u = head + Polynomial.x_power(f, code.k - 1, nu) + low
     return code.word_from_poly(u)
+
+
+def _excluded_point(code: GprsCode, a_j) -> int:
+    """The encoding of a_j, which must be one of the code's excluded points."""
+    (aj,) = code.field.encodings((a_j,))
+    if aj in code.evaluation_encodings():
+        raise ValueError("a_j must be one of the code's excluded points")
+    return aj
 
 
 def is_deep_hole_oracle(
@@ -221,11 +228,7 @@ def _thm14_test(code: GprsCode) -> _WitnessTest:
 
 def _thm15_test(code: GprsCode, a_j) -> _WitnessTest:
     f = code.field
-    if not isinstance(a_j, FieldElement):
-        a_j = f.element(int(a_j))
-    if a_j not in code.excluded:
-        raise ValueError("a_j must be one of the code's excluded points")
-    aj = a_j.encoding
+    aj = _excluded_point(code, a_j)
     # (-a_j)^(q-1-k) * prod (a_j - y) of the paper; the signs cancel as q is odd
     binom = lucas_binom(f.q - 2, code.k - 1, f.p)
     const = f.mul_enc(binom, f.pow_enc(aj, f.q - 1 - code.k))
@@ -324,8 +327,8 @@ def binom_mod_p(m: int, r: int, field: FiniteField) -> FieldElement:
 
 def word_in_degree_k_family(code: GprsCode, word: ReceivedWord) -> bool:
     """Is the word (u(D), c_{k-1}(u)) for some u of degree exactly k?"""
-    h = code.interpolant(word)
-    return h.degree == code.k and h.coefficient(code.k - 1).encoding == word.encs[-1]
+    h, k = code._interp(word.encs), code.k
+    return h[k] != 0 and not any(h[k + 1 :]) and h[k - 1] == word.encs[-1]
 
 
 def word_in_shifted_family(code: GprsCode, word: ReceivedWord, a_j) -> bool:
@@ -336,29 +339,25 @@ def word_in_shifted_family(code: GprsCode, word: ReceivedWord, a_j) -> bool:
     decide membership.
     """
     f = code.field
-    if not isinstance(a_j, FieldElement):
-        a_j = f.element(int(a_j))
-    if a_j not in code.excluded:
-        raise ValueError("a_j must be one of the code's excluded points")
-    base = code.word_from_poly(expand_shifted_power(f, a_j, f.q - 2))
+    aj = _excluded_point(code, a_j)
+    base = code._evaluate(_shifted_power_enc(f, aj, f.q - 2))
     n = code.n
-    h_word = code.interpolant(word).to_encodings()
-    h_base = code.interpolant(base).to_encodings()
-    h_word += (0,) * (n - len(h_word))
+    h_word = code._interp(word.encs)
+    h_base = code._interp(base)
     lam = f.div_enc(h_word[n - 1], h_base[n - 1])
     if lam == 0:
         return False
     h = [f.sub_enc(w, f.mul_enc(lam, b)) for w, b in zip(h_word, h_base)]
     if any(h[code.k :]):
         return False
-    expected_last = f.add_enc(f.mul_enc(lam, base.encs[-1]), h[code.k - 1])
+    expected_last = f.add_enc(f.mul_enc(lam, base[-1]), h[code.k - 1])
     return expected_last == word.encs[-1]
 
 
 def validate_verdict(
     code: GprsCode,
     verdict: DeepHoleVerdict,
-    a_j: FieldElement | None = None,
+    a_j: FieldElement | int | None = None,
     word: ReceivedWord | None = None,
 ) -> bool:
     """Re-check a verdict's witness by the definition that found it.

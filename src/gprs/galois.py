@@ -16,6 +16,15 @@ of the tables; batched callers index the numpy tables ``add_table`` and
 ``mul_table`` directly. Each table costs 4 * q^2 bytes (numpy array plus row
 copies), about 19 MB at q = 2187.
 
+Values enter the encoding currency in one place, ``FiniteField.encodings``.
+It takes elements of the field and integers 0..q-1 (through
+``operator.index``, so numpy integers pass); an element of another field or
+an out-of-range integer raises ValueError, and a float, string or None
+raises TypeError. Every library entry that takes field values (word
+coordinates, excluded and evaluation points, polynomial coefficients, matrix
+entries, a_j and the family scales) goes through it, and everything behind
+it works on encodings.
+
 Even characteristic is constructible but considered experimental: the
 deep-hole criteria in :mod:`gprs.deepholes` refuse p = 2, only the exhaustive
 oracles run there.
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from array import array
 
 import numpy as np
@@ -228,10 +238,27 @@ class FiniteField:
 
     # -- element constructors --------------------------------------------
 
-    def element(self, encoding: int) -> "FieldElement":
-        if not 0 <= encoding < self.q:
-            raise ValueError(f"encoding {encoding} outside 0..{self.q - 1}")
-        return FieldElement(self, encoding)
+    def encodings(self, items) -> tuple[int, ...]:
+        """Canonical encodings of elements of this field or integers 0..q-1.
+
+        Raises ValueError for an element of another field or an integer
+        outside 0..q-1, and TypeError for a value that is neither.
+        """
+        out = []
+        for item in items:
+            if isinstance(item, FieldElement):
+                if item.field is not self and item.field != self:
+                    raise ValueError(f"element of {item.field!r} used in {self!r}")
+                out.append(item.encoding)
+            else:
+                enc = operator.index(item)
+                if not 0 <= enc < self.q:
+                    raise ValueError(f"encoding {enc} outside 0..{self.q - 1}")
+                out.append(enc)
+        return tuple(out)
+
+    def element(self, encoding) -> "FieldElement":
+        return FieldElement(self, *self.encodings((encoding,)))
 
     def from_coeffs(self, coeffs) -> "FieldElement":
         cs = [int(c) % self.p for c in coeffs]

@@ -18,29 +18,20 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "_rows")
 
     def __init__(self, field: FiniteField, rows):
-        grid = []
-        width = None
-        for row in rows:
-            encs = []
-            for entry in row:
-                if not isinstance(entry, FieldElement) or entry.field != field:
-                    raise ValueError("matrix entries must belong to the owning field")
-                encs.append(entry.encoding)
-            if width is None:
-                width = len(encs)
-            elif len(encs) != width:
-                raise ValueError("matrix rows must have equal length")
-            grid.append(tuple(encs))
-        if width is None or width == 0:
+        """Rows of elements of ``field`` or their encodings."""
+        grid = tuple(field.encodings(row) for row in rows)
+        if not grid or not grid[0]:
             raise ValueError("matrix must be nonempty")
+        if any(len(row) != len(grid[0]) for row in grid):
+            raise ValueError("matrix rows must have equal length")
         self.field = field
         self.nrows = len(grid)
-        self.ncols = width
-        self._rows = tuple(grid)
+        self.ncols = len(grid[0])
+        self._rows = grid
 
     @classmethod
     def from_encodings(cls, field: FiniteField, rows) -> "Matrix":
-        return cls(field, [[field.element(int(e)) for e in row] for row in rows])
+        return cls(field, rows)
 
     def entry(self, i: int, j: int) -> FieldElement:
         return self.field.element(self._rows[i][j])
@@ -120,10 +111,7 @@ def vandermonde_det(points) -> FieldElement:
     if not pts:
         raise ValueError("vandermonde_det needs at least one point")
     field = pts[0].field
-    for pt in pts:
-        if not isinstance(pt, FieldElement) or pt.field != field:
-            raise ValueError("points must share one field")
-    encs = [pt.encoding for pt in pts]
+    encs = field.encodings(pts)
     out = 1
     for i in range(len(encs)):
         for j in range(i + 1, len(encs)):

@@ -17,32 +17,26 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FiniteField, coeffs=()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise ValueError("coefficient from a different field")
-                cs.append(c.encoding)
-            else:
-                raise TypeError("coefficients must be FieldElement instances")
-        while cs and cs[-1] == 0:
-            cs.pop()
+        """Coefficients c_0, c_1, ... as elements of ``field`` or their encodings."""
+        cs = field.encodings(coeffs)
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = cs[:end]
 
     @classmethod
     def from_encodings(cls, field: FiniteField, encodings) -> "Polynomial":
-        return cls(field, [field.element(int(e)) for e in encodings])
+        return cls(field, encodings)
 
     @classmethod
     def zero(cls, field: FiniteField) -> "Polynomial":
         return cls(field, ())
 
     @classmethod
-    def x_power(cls, field: FiniteField, n: int, scale: FieldElement | None = None) -> "Polynomial":
-        """The monomial x^n, optionally scaled."""
-        lead = field.one if scale is None else scale
-        return cls(field, [field.zero] * n + [lead])
+    def x_power(cls, field: FiniteField, n: int, scale=None) -> "Polynomial":
+        """The monomial x^n, optionally scaled by an element or its encoding."""
+        return cls(field, [0] * n + [1 if scale is None else scale])
 
     @property
     def degree(self):
@@ -63,10 +57,9 @@ class Polynomial:
     def to_encodings(self) -> tuple[int, ...]:
         return self.coeffs
 
-    def __call__(self, x: FieldElement) -> FieldElement:
-        if x.field != self.field:
-            raise ValueError("evaluation point from a different field")
-        return self.field.element(_eval_enc(self.field, self.coeffs, x.encoding))
+    def __call__(self, x) -> FieldElement:
+        (enc,) = self.field.encodings((x,))
+        return FieldElement(self.field, _eval_enc(self.field, self.coeffs, enc))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -85,23 +78,20 @@ class Polynomial:
             a = self.coeffs[i] if i < len(self.coeffs) else 0
             b = other.coeffs[i] if i < len(other.coeffs) else 0
             out.append(f.add_enc(a, b))
-        return Polynomial.from_encodings(f, out)
+        return Polynomial(f, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         f = self.field
-        return Polynomial.from_encodings(f, [f.neg_enc(c) for c in self.coeffs])
+        return Polynomial(f, [f.neg_enc(c) for c in self.coeffs])
 
     def __mul__(self, other):
         f = self.field
         if isinstance(other, FieldElement):
-            if other.field != f:
-                raise ValueError("scalar from a different field")
-            return Polynomial.from_encodings(
-                f, [f.mul_enc(c, other.encoding) for c in self.coeffs]
-            )
+            (scale,) = f.encodings((other,))
+            return Polynomial(f, [f.mul_enc(c, scale) for c in self.coeffs])
         self._check(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(f)
@@ -111,7 +101,7 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[i + j] = f.add_enc(out[i + j], f.mul_enc(a, b))
-        return Polynomial.from_encodings(f, out)
+        return Polynomial(f, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -143,36 +133,34 @@ def lagrange_interpolate(nodes, values) -> Polynomial:
     if len(nodes) != len(values):
         raise ValueError("node and value counts differ")
     f = nodes[0].field
-    for pt in nodes + values:
-        if not isinstance(pt, FieldElement) or pt.field != f:
-            raise ValueError("nodes and values must share one field")
-    xs = [pt.encoding for pt in nodes]
+    xs = f.encodings(nodes)
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be pairwise distinct")
-    ys = [v.encoding for v in values]
-    return Polynomial.from_encodings(f, _interp_enc(f, xs, ys))
+    return Polynomial(f, _interp_enc(f, xs, f.encodings(values)))
 
 
-def expand_shifted_power(field: FiniteField, a: FieldElement, m: int) -> Polynomial:
+def expand_shifted_power(field: FiniteField, a, m: int) -> Polynomial:
     """Full expansion of (x - a)^m via the binomial theorem.
 
     Coefficient of x^i is C(m, i) * (-a)^(m-i), with the binomial reduced
     into the prime subfield by base-p digits.
     """
-    if a.field != field:
-        raise ValueError("shift from a different field")
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    neg_a = field.neg_enc(a.encoding)
+    (enc,) = field.encodings((a,))
+    return Polynomial(field, _shifted_power_enc(field, enc, m))
+
+
+# -- encoding-level kernels (shared with gprs.codes and gprs.deepholes) --
+
+
+def _shifted_power_enc(field: FiniteField, a: int, m: int) -> list[int]:
+    neg_a = field.neg_enc(a)
     out = []
     for i in range(m + 1):
         binom = lucas_binom(m, i, field.p)
-        term = field.mul_enc(binom, field.pow_enc(neg_a, m - i)) if binom else 0
-        out.append(term)
-    return Polynomial.from_encodings(field, out)
-
-
-# -- encoding-level kernels (shared with the distance scans in gprs.codes) --
+        out.append(field.mul_enc(binom, field.pow_enc(neg_a, m - i)) if binom else 0)
+    return out
 
 
 def _eval_enc(field: FiniteField, coeffs, x: int) -> int:

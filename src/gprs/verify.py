@@ -306,8 +306,8 @@ def _shifted_words(code: GprsCode, a_j, rng: random.Random, count: int):
     for _ in range(count):
         spec = WordFamilySpec(
             kind="shifted_qminus2",
-            lam=f.element(rng.randrange(1, f.q)),
-            nu=f.element(rng.randrange(f.q)),
+            lam=rng.randrange(1, f.q),
+            nu=rng.randrange(f.q),
             a_j=a_j,
             low=Polynomial.from_encodings(
                 f, [rng.randrange(f.q) for _ in range(code.k - 1)]

@@ -239,6 +239,14 @@ def test_usage_errors(capsys):
         assert run_cli(capsys, "sweep", *flags)[0] == 2
 
 
+def test_code_spec_with_unknown_or_repeated_key_is_a_usage_error(capsys):
+    for spec in ("q=3^2;exclude=0;k=2;modulus=2,2,1", "q=5;k=2;exclude=0;k=3"):
+        code, out, err = run_cli(capsys, "distance", "--code", spec, "--word", "0,0,0,0,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_budget_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("GPRS_BUDGET", "3")
     code, _, err = run_cli(

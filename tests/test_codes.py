@@ -98,6 +98,18 @@ def test_spec_string_roundtrip():
             GprsCode.from_spec(bad)
 
 
+def test_spec_rejects_unknown_and_repeated_keys():
+    # a misspelt modulus key would otherwise build GF(9) with the default modulus
+    with pytest.raises(ValueError, match="unknown code spec key 'modulus'"):
+        GprsCode.from_spec("q=3^2;exclude=0;k=2;modulus=2,2,1")
+    with pytest.raises(ValueError, match="repeats key 'k'"):
+        GprsCode.from_spec("q=5;k=2;exclude=0;k=3")
+    with pytest.raises(ValueError, match="repeats key 'mod'"):
+        GprsCode.from_spec("q=3^2;exclude=0;k=2;mod=2,2,1;mod=1,0,1")
+    code = GprsCode.from_spec(" q = 3^2 ; mod=2,2,1; k=2;exclude=0,1 ;")
+    assert code.field.modulus == (2, 2, 1) and code.k == 2
+
+
 # -- encoding ---------------------------------------------------------------------
 
 
@@ -170,6 +182,17 @@ def test_word_validation():
         code.word([0, 0, 0])
     with pytest.raises(ValueError):
         code.word([0, 0, 0, 9])
+
+
+def test_words_of_equal_codes_compare_equal():
+    spec = "q=7;exclude=0;k=2"
+    u = GprsCode.from_spec(spec).word([1, 2, 3, 4, 5, 6, 0])
+    v = GprsCode.from_spec(spec).word([1, 2, 3, 4, 5, 6, 0])
+    assert u.code is not v.code
+    assert hamming_distance(u, v) == 0
+    assert u == v and hash(u) == hash(v)
+    other = GprsCode.from_spec("q=7;exclude=0;k=3").word(u.encs)
+    assert u != other
 
 
 def test_word_addition():

@@ -1,10 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gprs.codes import GprsCode, GrsCode
+from gprs.deepholes import (
+    DeepHoleVerdict,
+    WordFamilySpec,
+    build_family_word,
+    thm15_criterion,
+    validate_verdict,
+    word_in_shifted_family,
+)
 from gprs.galois import (
     FiniteField,
     field,
@@ -15,6 +25,8 @@ from gprs.galois import (
     parse_field_spec,
     prime_power_decomposition,
 )
+from gprs.matrix import Matrix, vandermonde_det
+from gprs.polynomial import Polynomial, expand_shifted_power, lagrange_interpolate
 
 
 # -- independent oracles -------------------------------------------------------
@@ -358,3 +370,64 @@ def test_field_spec_parsing():
     for bad in ("", "x", "3^", "3^2^2", "6"):
         with pytest.raises(ValueError):
             field_from_spec(bad)
+
+
+# -- where values enter the encoding currency ------------------------------------------
+
+_F7 = field(7)
+_CODE = GprsCode(_F7, [0, 3], 2)  # excluded points 0 and 3, D = {1, 2, 4, 5, 6}
+_E = _F7.element
+
+# Each entry puts one caller value v into a field-value slot; v = 3 is valid in all.
+VALUE_ENTRIES = {
+    "FiniteField.encodings": lambda v: _F7.encodings([1, v]),
+    "FiniteField.element": lambda v: _F7.element(v),
+    "code.word": lambda v: _CODE.word([v, 0, 0, 0, 0, 0]),
+    "GprsCode": lambda v: GprsCode(_F7, [0, v], 2).evaluation_encodings(),
+    "GrsCode": lambda v: GrsCode(_F7, [0, 1, v], 1).evaluation_encodings(),
+    "Polynomial": lambda v: Polynomial(_F7, [1, v]),
+    "Polynomial.from_encodings": lambda v: Polynomial.from_encodings(_F7, [1, v]),
+    "Polynomial.__call__": lambda v: Polynomial(_F7, [1, 1])(v),
+    "Matrix": lambda v: Matrix(_F7, [[1, v], [0, 1]]),
+    "Matrix.from_encodings": lambda v: Matrix.from_encodings(_F7, [[1, v], [0, 1]]),
+    "lagrange_interpolate nodes": lambda v: lagrange_interpolate([_E(1), v], [_E(1), _E(2)]),
+    "lagrange_interpolate values": lambda v: lagrange_interpolate([_E(1), _E(2)], [_E(1), v]),
+    "vandermonde_det": lambda v: vandermonde_det([_E(1), v]),
+    "expand_shifted_power": lambda v: expand_shifted_power(_F7, v, 3),
+    "build_family_word lam": lambda v: build_family_word(
+        _CODE, WordFamilySpec("shifted_qminus2", v, 1, a_j=0)
+    ),
+    "build_family_word nu": lambda v: build_family_word(
+        _CODE, WordFamilySpec("deg_k", 1, v)
+    ),
+    "build_family_word a_j": lambda v: build_family_word(
+        _CODE, WordFamilySpec("shifted_qminus2", 1, 1, a_j=v)
+    ),
+    "thm15_criterion a_j": lambda v: thm15_criterion(_CODE, v),
+    "word_in_shifted_family a_j": lambda v: word_in_shifted_family(
+        _CODE, _CODE.word([0] * 6), v
+    ),
+    "validate_verdict a_j": lambda v: validate_verdict(
+        _CODE, DeepHoleVerdict(False, "thm15", (1, 2)), a_j=v
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VALUE_ENTRIES))
+@pytest.mark.parametrize(
+    "value,error",
+    [
+        (field(5).element(3), ValueError),
+        (7, ValueError),
+        (3.7, TypeError),  # never truncated to 3
+        (np.int64(3), None),
+    ],
+    ids=["other_field", "out_of_range", "float", "np_int64"],
+)
+def test_field_values_enter_through_encodings(entry, value, error):
+    call = VALUE_ENTRIES[entry]
+    if error is None:
+        assert call(value) == call(3)
+    else:
+        with pytest.raises(error):
+            call(value)
