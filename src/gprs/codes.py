@@ -5,6 +5,11 @@ evaluation set D = F_q minus l excluded points and appends the coefficient
 of x^(k-1) as one extra coordinate. D is kept in ascending canonical
 encoding order so generator columns and witness reports are deterministic.
 
+Membership is by syndrome: ``_syndrome`` is the word minus the codeword
+through its first k coordinates (an information set), on the rest. It is
+zero exactly on codewords, and the parity-check columns are the syndromes
+of the unit words.
+
 Exact error distance comes in two interchangeable flavors:
 
 * ``enumerate`` scans all q^k message polynomials (budget capped; the cap
@@ -47,10 +52,6 @@ class ReceivedWord:
             )
         self.code = code
         self.encs = encs
-
-    @property
-    def coords(self) -> tuple[FieldElement, ...]:
-        return tuple(self.code.field.element(e) for e in self.encs)
 
     def __add__(self, other: "ReceivedWord") -> "ReceivedWord":
         _check_same_code(self, other)
@@ -119,11 +120,8 @@ class _EvaluationCode:
 
     def interpolant(self, word: ReceivedWord) -> Polynomial:
         """Lagrange interpolant of the first n coordinates over D."""
-        return Polynomial(self.field, self._interp(word.encs))
-
-    def _interp(self, encs) -> list[int]:
-        """Coefficients c_0..c_(n-1) of the interpolant of encs[:n] over D."""
-        return _interp_enc(self.field, self._d_encs, encs[: len(self._d_encs)])
+        n = len(self._d_encs)
+        return Polynomial(self.field, _interp_enc(self.field, self._d_encs, word.encs[:n]))
 
     def encode(self, f: Polynomial) -> ReceivedWord:
         """Codeword of a message polynomial of degree <= k-1."""
@@ -152,19 +150,21 @@ class _EvaluationCode:
         return encs
 
     def _generator_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Generator rows 1, x, ..., x^(k-1) on D (plus the projective column)."""
+        """Generator rows: the words of 1, x, ..., x^(k-1)."""
         cached = getattr(self, "_rows_cache", None)
-        if cached is not None:
-            return cached
-        f = self.field
-        rows = []
-        for i in range(self.k):
-            row = [f.pow_enc(y, i) for y in self._d_encs]
-            if self._projective:
-                row.append(1 if i == self.k - 1 else 0)
-            rows.append(tuple(row))
-        self._rows_cache = tuple(rows)
-        return self._rows_cache
+        if cached is None:
+            cached = tuple(tuple(self._evaluate([0] * i + [1])) for i in range(self.k))
+            self._rows_cache = cached
+        return cached
+
+    def _syndrome(self, encs) -> list[int]:
+        """H·w for H = [-A^T | I], the parity check of the systematic generator [I | A].
+
+        The word minus the codeword through its first k coordinates, on the rest.
+        """
+        f, k = self.field, self.k
+        through = self._evaluate(_interp_enc(f, self._d_encs[:k], encs[:k]))
+        return [f.sub_enc(w, c) for w, c in zip(encs[k:], through[k:])]
 
     # -- codeword enumeration (numpy, cached) --------------------------------
 
@@ -247,10 +247,7 @@ class _EvaluationCode:
         return top - best
 
     def is_codeword(self, word: ReceivedWord) -> bool:
-        h = self._interp(word.encs)
-        if any(h[self.k :]):
-            return False
-        return not self._projective or h[self.k - 1] == word.encs[-1]
+        return not any(self._syndrome(word.encs))
 
 
 class GprsCode(_EvaluationCode):
@@ -362,22 +359,11 @@ class GprsCode(_EvaluationCode):
         raise ValueError(f"unknown covering-radius mode {mode!r}")
 
     def _parity_columns(self) -> list[list[int]]:
-        """Columns of H = [-A^T | I] for the systematic generator [I | A].
-
-        The first k points of D are an information set. Row i of A is the
-        Lagrange basis polynomial L_i of those points evaluated on the rest
-        of D, followed by its x^(k-1) coefficient.
-        """
-        f, k = self.field, self.k
-        xs, rest = list(self._d_encs[:k]), self._d_encs[k:]
-        cols = []
-        for i in range(k):
-            basis = _interp_enc(f, xs, [int(j == i) for j in range(k)])
-            row = [_eval_enc(f, basis, y) for y in rest] + [basis[k - 1]]
-            cols.append([f.neg_enc(a) for a in row])
-        r = self.length - k
-        cols += [[int(t == u) for u in range(r)] for t in range(r)]
-        return cols
+        """Columns of H = [-A^T | I]: the syndromes of the unit words."""
+        return [
+            self._syndrome([int(j == i) for j in range(self.length)])
+            for i in range(self.length)
+        ]
 
 
 def _syndrome_bfs_depth(f: FiniteField, columns: list[list[int]]) -> int:

@@ -14,6 +14,11 @@ covering radius q - l + 1 - k. Four routes produce a verdict:
   every k-subset I of D. When the characteristic divides k the binomial
   term vanishes and the verdict is always yes.
 
+Each paper family is one base word plus the code: the word of x^k, or of
+(x - a_j)^(q-2), scaled by lam != 0, plus the codeword of
+nu*x^(k-1) + low. ``build_family_word`` builds it that way, and a word is in
+a family iff its syndrome is a nonzero multiple of the base word's.
+
 The closed-form criteria hard-require their hypotheses (odd characteristic
 included) and raise HypothesisError outside them; the oracles run anywhere.
 Failed criteria always carry a witness subset, enumerated in lexicographic
@@ -99,17 +104,21 @@ def build_family_word(code: GprsCode, spec: WordFamilySpec) -> ReceivedWord:
         raise ValueError("low-order part over a different field")
     if not low.degree <= code.k - 2:
         raise ValueError(f"low-order part degree {low.degree} exceeds k - 2")
-    if spec.kind == "deg_k":
-        head = Polynomial.x_power(f, code.k, lam)
-    elif spec.kind == "shifted_qminus2":
-        if spec.a_j is None:
+    base = _family_base(code, spec.kind, spec.a_j)
+    tail = code._evaluate((Polynomial.x_power(f, code.k - 1, nu) + low).coeffs)
+    return code.word([f.add_enc(f.mul_enc(lam, b), c) for b, c in zip(base, tail)])
+
+
+def _family_base(code: GprsCode, kind: str, a_j=None) -> list[int]:
+    """The word of x^k ("deg_k") or of (x - a_j)^(q-2) ("shifted_qminus2")."""
+    f = code.field
+    if kind == "deg_k":
+        return code._evaluate([0] * code.k + [1])
+    if kind == "shifted_qminus2":
+        if a_j is None:
             raise ValueError("shifted family needs the excluded point a_j")
-        aj = _excluded_point(code, spec.a_j)
-        head = Polynomial(f, [f.mul_enc(lam, c) for c in _shifted_power_enc(f, aj, f.q - 2)])
-    else:
-        raise ValueError(f"unknown family kind {spec.kind!r}")
-    u = head + Polynomial.x_power(f, code.k - 1, nu) + low
-    return code.word_from_poly(u)
+        return code._evaluate(_shifted_power_enc(f, _excluded_point(code, a_j), f.q - 2))
+    raise ValueError(f"unknown family kind {kind!r}")
 
 
 def _excluded_point(code: GprsCode, a_j) -> int:
@@ -130,8 +139,6 @@ def is_deep_hole_oracle(
 
     Codewords are never deep holes; they come back with distance 0.
     """
-    if code.is_codeword(word):
-        return DeepHoleVerdict(False, "oracle", distance=0)
     d = code.error_distance(word, method=method, budget=budget)
     rho = code.covering_radius("formula")
     return DeepHoleVerdict(d == rho, "oracle", distance=d)
@@ -327,31 +334,26 @@ def binom_mod_p(m: int, r: int, field: FiniteField) -> FieldElement:
 
 def word_in_degree_k_family(code: GprsCode, word: ReceivedWord) -> bool:
     """Is the word (u(D), c_{k-1}(u)) for some u of degree exactly k?"""
-    h, k = code._interp(word.encs), code.k
-    return h[k] != 0 and not any(h[k + 1 :]) and h[k - 1] == word.encs[-1]
+    return _in_family(code, word, _family_base(code, "deg_k"))
 
 
 def word_in_shifted_family(code: GprsCode, word: ReceivedWord, a_j) -> bool:
-    """Is the word lam*(x-a_j)^(q-2) + nu*x^(k-1) + low for some lam != 0?
+    """Is the word lam*(x-a_j)^(q-2) + nu*x^(k-1) + low for some lam != 0?"""
+    return _in_family(code, word, _family_base(code, "shifted_qminus2", a_j))
 
-    On D, (x-a_j)^(q-2) is 1/(x-a_j), whose interpolant has exact degree
-    n-1 >= k; so the x^(n-1) coefficients force lam, and two interpolations
-    decide membership.
+
+def _in_family(code: GprsCode, word: ReceivedWord, base) -> bool:
+    """Is the word lam * base plus a codeword for some lam != 0?
+
+    By linearity that holds iff s(word) = lam * s(base). The base word is
+    never a codeword, so s(base) != 0: on D its interpolant has degree k or
+    n - 1 (x^k, or 1/(x - a_j)), and n - 1 >= k.
     """
     f = code.field
-    aj = _excluded_point(code, a_j)
-    base = code._evaluate(_shifted_power_enc(f, aj, f.q - 2))
-    n = code.n
-    h_word = code._interp(word.encs)
-    h_base = code._interp(base)
-    lam = f.div_enc(h_word[n - 1], h_base[n - 1])
-    if lam == 0:
-        return False
-    h = [f.sub_enc(w, f.mul_enc(lam, b)) for w, b in zip(h_word, h_base)]
-    if any(h[code.k :]):
-        return False
-    expected_last = f.add_enc(f.mul_enc(lam, base[-1]), h[code.k - 1])
-    return expected_last == word.encs[-1]
+    s_word, s_base = code._syndrome(word.encs), code._syndrome(base)
+    t = next(i for i, b in enumerate(s_base) if b)
+    lam = f.div_enc(s_word[t], s_base[t])
+    return lam != 0 and all(w == f.mul_enc(lam, b) for w, b in zip(s_word, s_base))
 
 
 def validate_verdict(

@@ -126,6 +126,11 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+def _prime_coeffs(coeffs, p: int) -> tuple[int, ...]:
+    """Integer coefficients reduced mod p; a float or other non-integer raises TypeError."""
+    return tuple(operator.index(c) % p for c in coeffs)
+
+
 def _default_modulus(p: int, s: int) -> tuple[int, ...]:
     # smallest monic irreducible of degree s in canonical encoding order
     for enc in range(p**s):
@@ -194,7 +199,7 @@ class FiniteField:
             if modulus is None:
                 self.modulus = _default_modulus(p, s)
             else:
-                mod = tuple(int(c) % p for c in modulus)
+                mod = _prime_coeffs(modulus, p)
                 if len(mod) != s + 1 or mod[-1] != 1:
                     raise ValueError(f"modulus must be monic of degree {s}")
                 if not _is_irreducible(list(mod), p):
@@ -261,7 +266,7 @@ class FiniteField:
         return FieldElement(self, *self.encodings((encoding,)))
 
     def from_coeffs(self, coeffs) -> "FieldElement":
-        cs = [int(c) % self.p for c in coeffs]
+        cs = list(_prime_coeffs(coeffs, self.p))
         if len(cs) > self.s:
             raise ValueError(f"coefficient vector longer than degree {self.s}")
         cs += [0] * (self.s - len(cs))
@@ -416,6 +421,14 @@ class FieldElement:
         return f"{self.field!r}:{self.encoding}"
 
 
+def _field_of(items) -> FiniteField:
+    """The field of the first FieldElement among items, which may mix in encodings."""
+    for item in items:
+        if isinstance(item, FieldElement):
+            return item.field
+    raise ValueError("no FieldElement among the inputs names the field")
+
+
 @functools.lru_cache(maxsize=None)
 def _cached_field(p: int, s: int, modulus) -> FiniteField:
     return FiniteField(p, s, modulus)
@@ -423,7 +436,8 @@ def _cached_field(p: int, s: int, modulus) -> FiniteField:
 
 def field(p: int, s: int = 1, modulus=None) -> FiniteField:
     """Shared-instance field constructor (tables get reused across callers)."""
-    key = None if modulus is None else tuple(int(c) for c in modulus)
+    # FiniteField rejects a p that is not prime before it reads the modulus
+    key = None if modulus is None or not is_prime(p) else _prime_coeffs(modulus, p)
     return _cached_field(p, s, key)
 
 

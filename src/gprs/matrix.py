@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .galois import FieldElement, FiniteField
+from .galois import FieldElement, FiniteField, _field_of
 
 
 class Matrix:
@@ -32,12 +32,6 @@ class Matrix:
     @classmethod
     def from_encodings(cls, field: FiniteField, rows) -> "Matrix":
         return cls(field, rows)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.field.element(self._rows[i][j])
-
-    def row(self, i: int) -> tuple[FieldElement, ...]:
-        return tuple(self.field.element(e) for e in self._rows[i])
 
     def row_encodings(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
@@ -106,11 +100,11 @@ def first_singular_column_subset(field: FiniteField, rows, size: int):
 
 
 def vandermonde_det(points) -> FieldElement:
-    """prod_{i<j} (points[j] - points[i]); the empty product for one point."""
+    """prod_{i<j} (points[j] - points[i]) in the field of the first FieldElement."""
     pts = list(points)
     if not pts:
         raise ValueError("vandermonde_det needs at least one point")
-    field = pts[0].field
+    field = _field_of(pts)
     encs = field.encodings(pts)
     out = 1
     for i in range(len(encs)):

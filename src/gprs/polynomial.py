@@ -8,7 +8,7 @@ special case).
 
 from __future__ import annotations
 
-from .galois import FieldElement, FiniteField, lucas_binom
+from .galois import FieldElement, FiniteField, _field_of, lucas_binom
 
 NEG_INF = float("-inf")
 
@@ -124,7 +124,8 @@ def lagrange_interpolate(nodes, values) -> Polynomial:
     """The unique polynomial of degree < len(nodes) through the given points.
 
     Computed by the explicit product formula
-    sum_i y_i * prod_{j != i} (x - x_j) / (x_i - x_j).
+    sum_i y_i * prod_{j != i} (x - x_j) / (x_i - x_j). Nodes and values may be
+    encodings; the field is that of the first FieldElement among them.
     """
     nodes = list(nodes)
     values = list(values)
@@ -132,7 +133,7 @@ def lagrange_interpolate(nodes, values) -> Polynomial:
         raise ValueError("interpolation needs at least one node")
     if len(nodes) != len(values):
         raise ValueError("node and value counts differ")
-    f = nodes[0].field
+    f = _field_of(nodes + values)
     xs = f.encodings(nodes)
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be pairwise distinct")

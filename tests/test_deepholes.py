@@ -410,6 +410,30 @@ def test_shifted_family_membership_matches_scale_search(q):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("excluded", [[2], [0, 3]])
+def test_membership_by_syndrome_matches_the_paper_on_every_word(excluded):
+    # every word of every GPRS code over GF(5) with this exclusion set
+    f = field(5)
+    outcomes = {"codeword": set(), "deg_k": set(), "shifted": set()}
+    for k in range(2, f.q - len(excluded)):
+        code = GprsCode(f, excluded, k)
+        for encs in product(range(f.q), repeat=code.length):
+            word = code.word(encs)
+            h = code.interpolant(word)
+            last_ok = h.coefficient(k - 1).encoding == encs[-1]
+            codeword = h.degree <= k - 1 and last_ok
+            assert code.is_codeword(word) == codeword
+            outcomes["codeword"].add(codeword)
+            deg_k = h.degree == k and last_ok
+            assert word_in_degree_k_family(code, word) == deg_k
+            outcomes["deg_k"].add(deg_k)
+            for a_j in excluded:
+                shifted = _shifted_family_by_scale_search(code, word, a_j)
+                assert word_in_shifted_family(code, word, a_j) == shifted
+                outcomes["shifted"].add(shifted)
+    assert all(seen == {True, False} for seen in outcomes.values())
+
+
 def test_validate_verdict_rejects_bogus_mds_columns():
     code = GprsCode(field(7), [5, 6], 2)
     word = code.word([1, 2, 3, 4, 5, 6])

@@ -105,6 +105,8 @@ def test_explicit_modulus_accepted_and_checked():
 def test_nonprime_characteristic_rejected(bad_p):
     with pytest.raises(ValueError):
         FiniteField(bad_p)
+    with pytest.raises(ValueError):
+        field(bad_p, 2, (1, 0, 1))
 
 
 def test_prime_field_rejects_modulus():
@@ -329,6 +331,18 @@ def test_enumerate_elements_order_and_roundtrip():
         assert f.from_coeffs(e.coeffs) == e
 
 
+def test_prime_coefficients_are_integers_never_truncated():
+    with pytest.raises(TypeError):
+        field(5).from_coeffs([2.7])
+    with pytest.raises(TypeError):
+        field(3, 2, (1.9, 0, 1.2))
+    with pytest.raises(TypeError):
+        FiniteField(3, 2, (1.9, 0, 1.2))
+    assert field(5).from_coeffs([np.int64(7)]) == field(5).element(2)
+    assert field(3, 2, (np.int64(2), 2, 1)) == field(3, 2, (2, 2, 1))
+    assert field(3, 2, (-1, 5, 4)).modulus == (2, 2, 1)
+
+
 def test_encoding_is_base_p_digit_value():
     f = field(3, 2)
     assert f.from_coeffs([2, 1]).encoding == 2 + 1 * 3
@@ -392,7 +406,11 @@ VALUE_ENTRIES = {
     "Matrix.from_encodings": lambda v: Matrix.from_encodings(_F7, [[1, v], [0, 1]]),
     "lagrange_interpolate nodes": lambda v: lagrange_interpolate([_E(1), v], [_E(1), _E(2)]),
     "lagrange_interpolate values": lambda v: lagrange_interpolate([_E(1), _E(2)], [_E(1), v]),
+    "lagrange_interpolate first node": lambda v: lagrange_interpolate(
+        [v, _E(1)], [_E(1), _E(2)]
+    ),
     "vandermonde_det": lambda v: vandermonde_det([_E(1), v]),
+    "vandermonde_det first point": lambda v: vandermonde_det([v, _E(1)]),
     "expand_shifted_power": lambda v: expand_shifted_power(_F7, v, 3),
     "build_family_word lam": lambda v: build_family_word(
         _CODE, WordFamilySpec("shifted_qminus2", v, 1, a_j=0)
@@ -431,3 +449,10 @@ def test_field_values_enter_through_encodings(entry, value, error):
     else:
         with pytest.raises(error):
             call(value)
+
+
+def test_all_encoding_inputs_name_no_field():
+    with pytest.raises(ValueError, match="names the field"):
+        vandermonde_det([1, 2])
+    with pytest.raises(ValueError, match="names the field"):
+        lagrange_interpolate([1, 2], [1, 2])
