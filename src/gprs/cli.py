@@ -10,6 +10,11 @@ named "p^s" with an optional reduction-modulus override. Exit codes:
 
 Diagnostics go to stderr only; stdout carries just the data stream, and
 identical invocations produce byte-identical stdout.
+
+The parser is built once, at import, and declares each shared option once;
+``main`` only parses, and reads ``GPRS_BUDGET`` afresh on every call. Every
+usage error a handler finds is a ``ValueError`` that ``main`` reports as
+``error: ...`` on stderr, with exit 2.
 """
 
 from __future__ import annotations
@@ -65,47 +70,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several subcommands take, each declared once in a parent parser
+    q, field_opts, code, word, budget = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    q.add_argument("--q", required=True, help='field order, e.g. "7" or "3^2"')
+    field_opts.add_argument("--mod", help="reduction modulus c0,c1,...,cs (monic)")
+    field_opts.add_argument("--format", choices=("text", "json"), default="text")
+    code.add_argument("--code", required=True, help='"q=5;exclude=3,4;k=2"')
+    word.add_argument("--word", required=True, help="received word w1,...,wn+1")
+    # None means "not given"; main reads GPRS_BUDGET then, so no value is frozen here
+    budget.add_argument("--budget", type=int, default=None, help="message budget")
 
-    p_field = sub.add_parser("field", help="inspect a finite field")
-    p_field.add_argument("--q", required=True, help='field order, e.g. "7" or "3^2"')
-    p_field.add_argument("--mod", help="reduction modulus c0,c1,...,cs (monic)")
-    p_field.add_argument("--format", choices=("text", "json"), default="text")
+    sub.add_parser("field", parents=[q, field_opts], help="inspect a finite field")
 
-    p_code = sub.add_parser("code", help="construct a code and print its metrics")
-    p_code.add_argument("--q", required=True)
-    p_code.add_argument("--mod")
+    p_code = sub.add_parser(
+        "code", parents=[q, field_opts], help="construct a code and print its metrics"
+    )
     p_code.add_argument("--exclude", required=True, help="excluded points e1,e2,...")
     p_code.add_argument("--k", required=True, type=int)
-    p_code.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_encode = sub.add_parser("encode", help="encode a message polynomial")
-    p_encode.add_argument("--code", required=True, help='"q=5;exclude=3,4;k=2"')
-    p_encode.add_argument("--mod")
+    p_encode = sub.add_parser(
+        "encode", parents=[code, field_opts], help="encode a message polynomial"
+    )
     p_encode.add_argument("--poly", required=True, help="message c0,c1,...")
-    p_encode.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_dist = sub.add_parser("distance", help="exact error distance of a word")
-    p_dist.add_argument("--code", required=True)
-    p_dist.add_argument("--mod")
-    p_dist.add_argument("--word", required=True, help="received word w1,...,wn+1")
+    p_dist = sub.add_parser(
+        "distance", parents=[code, word, budget, field_opts], help="exact error distance of a word"
+    )
     p_dist.add_argument(
         "--method", choices=("enumerate", "agreement"), default="enumerate"
     )
-    p_dist.add_argument("--budget", type=int, default=None)
-    p_dist.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_dh = sub.add_parser("deephole", help="deep-hole verdict for a word")
-    p_dh.add_argument("--code", required=True)
-    p_dh.add_argument("--mod")
-    p_dh.add_argument("--word", required=True)
+    p_dh = sub.add_parser(
+        "deephole", parents=[code, word, budget, field_opts], help="deep-hole verdict for a word"
+    )
     p_dh.add_argument(
         "--method", choices=("oracle", "mds", "thm14", "thm15"), required=True
     )
     p_dh.add_argument("--aj", type=int, help="excluded point for --method thm15")
-    p_dh.add_argument("--budget", type=int, default=None)
-    p_dh.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_sweep = sub.add_parser("sweep", help="machine-check claims over a grid")
+    p_sweep = sub.add_parser("sweep", parents=[budget], help="machine-check claims over a grid")
     p_sweep.add_argument(
         "--claims",
         required=True,
@@ -117,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--max-sets", type=int, default=None, help="exclusion-set cap per q"
     )
-    p_sweep.add_argument("--budget", type=int, default=None, help="message budget")
     p_sweep.add_argument(
         "--distance-budget",
         type=int,
@@ -129,14 +131,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        # only commands that take --budget have the attribute
+        if getattr(args, "budget", 0) is None:
+            args.budget = _default_budget()
         return _HANDLERS[args.command](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
@@ -215,9 +222,7 @@ def _cmd_code(args) -> int:
 
 def _cmd_encode(args) -> int:
     code = GprsCode.from_spec(args.code, args.mod)
-    message = Polynomial.from_encodings(
-        code.field, [int(c) for c in args.poly.split(",")]
-    )
+    message = Polynomial(code.field, [int(c) for c in args.poly.split(",")])
     word = code.encode(message)
     _emit(
         args,
@@ -230,8 +235,7 @@ def _cmd_encode(args) -> int:
 def _cmd_distance(args) -> int:
     code = GprsCode.from_spec(args.code, args.mod)
     word = code.word_from_text(args.word)
-    budget = args.budget if args.budget is not None else _default_budget()
-    d = code.error_distance(word, method=args.method, budget=budget)
+    d = code.error_distance(word, method=args.method, budget=args.budget)
     record = {
         "distance": d,
         "is_codeword": code.is_codeword(word),
@@ -245,33 +249,27 @@ def _cmd_distance(args) -> int:
 def _cmd_deephole(args) -> int:
     code = GprsCode.from_spec(args.code, args.mod)
     word = code.word_from_text(args.word)
-    budget = args.budget if args.budget is not None else _default_budget()
     parameters = {"code": code.spec_string(), "word": word.to_text(), "method": args.method}
     if args.method == "oracle":
-        verdict = is_deep_hole_oracle(code, word, method="enumerate", budget=budget)
+        verdict = is_deep_hole_oracle(code, word, method="enumerate", budget=args.budget)
     elif args.method == "mds":
         verdict = is_deep_hole_mds_extension(code, word)
     elif args.method == "thm14":
         if not word_in_degree_k_family(code, word):
-            print(
+            raise ValueError(
                 "thm14 applies to words whose interpolant has degree exactly k "
-                "and whose last coordinate matches its x^(k-1) coefficient",
-                file=sys.stderr,
+                "and whose last coordinate matches its x^(k-1) coefficient"
             )
-            return EXIT_USAGE
         verdict = thm14_criterion(code)
     else:
         if args.aj is None:
-            print("--method thm15 requires --aj", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--method thm15 requires --aj")
         parameters["aj"] = args.aj
         if not word_in_shifted_family(code, word, args.aj):
-            print(
+            raise ValueError(
                 "thm15 applies to words of the form "
-                "lam*(x-aj)^(q-2) + nu*x^(k-1) + (degree <= k-2)",
-                file=sys.stderr,
+                "lam*(x-aj)^(q-2) + nu*x^(k-1) + (degree <= k-2)"
             )
-            return EXIT_USAGE
         verdict = thm15_criterion(code, args.aj)
     record = verdict.to_record(parameters)
     lines = [f"is_deep_hole={str(verdict.is_deep_hole).lower()} method={verdict.method}"]
@@ -286,14 +284,13 @@ def _cmd_deephole(args) -> int:
 def _cmd_sweep(args) -> int:
     claims = tuple(c.strip() for c in args.claims.split(",") if c.strip())
     q_list = tuple(int(q) for q in args.q_list.split(","))
-    budget = args.budget if args.budget is not None else _default_budget()
     config = SweepConfig(
         claims=claims,
         q_list=q_list,
         max_exclusion_sets_per_q=args.max_sets,
         words_per_config=args.words,
         seed=args.seed,
-        message_budget=budget,
+        message_budget=args.budget,
         distance_budget=args.distance_budget,
     )
     report = run_sweep(config)

@@ -168,6 +168,13 @@ class _EvaluationCode:
 
     # -- codeword enumeration (numpy, cached) --------------------------------
 
+    def _codewords(self, budget: int) -> np.ndarray:
+        """The q^k codeword matrix, refused before any build or cache hit if q^k > budget."""
+        count = self.field.q**self.k
+        if count > budget:
+            raise BudgetExceededError(f"q^k = {count} codewords exceed budget {budget}")
+        return self._codeword_matrix()
+
     def _codeword_matrix(self) -> np.ndarray:
         cached = getattr(self, "_cw_cache", None)
         if cached is not None:
@@ -205,12 +212,7 @@ class _EvaluationCode:
         if not _codes_compatible(word.code, self):
             raise ValueError("word belongs to a different code")
         if method == "enumerate":
-            count = self.field.q**self.k
-            if count > budget:
-                raise BudgetExceededError(
-                    f"q^k = {count} codewords exceed budget {budget}"
-                )
-            cw = self._codeword_matrix()
+            cw = self._codewords(budget)
             target = np.array(word.encs, dtype=np.int16)
             return int((cw != target).sum(axis=1).min())
         if method == "agreement":
@@ -276,7 +278,7 @@ class GprsCode(_EvaluationCode):
             )
         self.field = field
         self.k = k
-        self.excluded = tuple(field.element(e) for e in excl)
+        self.excluded = tuple(FieldElement(field, e) for e in excl)
         self.l = l
         excl_set = set(excl)
         self._d_encs = tuple(e for e in range(field.q) if e not in excl_set)
@@ -316,7 +318,7 @@ class GprsCode(_EvaluationCode):
 
     @property
     def generator(self) -> Matrix:
-        return Matrix.from_encodings(self.field, self._generator_rows())
+        return Matrix(self.field, self._generator_rows())
 
     def minimum_distance(
         self, mode: str = "formula", budget: int = DEFAULT_MESSAGE_BUDGET
@@ -325,12 +327,7 @@ class GprsCode(_EvaluationCode):
         if mode == "formula":
             return self.field.q - self.l - self.k + 2
         if mode == "bruteforce":
-            count = self.field.q**self.k
-            if count > budget:
-                raise BudgetExceededError(
-                    f"q^k = {count} codewords exceed budget {budget}"
-                )
-            cw = self._codeword_matrix()
+            cw = self._codewords(budget)
             weights = (cw != 0).sum(axis=1)
             return int(weights[1:].min())
         raise ValueError(f"unknown minimum-distance mode {mode!r}")

@@ -29,10 +29,6 @@ class Matrix:
         self.ncols = len(grid[0])
         self._rows = grid
 
-    @classmethod
-    def from_encodings(cls, field: FiniteField, rows) -> "Matrix":
-        return cls(field, rows)
-
     def row_encodings(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
 

@@ -27,6 +27,7 @@ class Polynomial:
 
     @classmethod
     def from_encodings(cls, field: FiniteField, encodings) -> "Polynomial":
+        """Alias of ``Polynomial(field, encodings)``, kept for outside callers."""
         return cls(field, encodings)
 
     @classmethod

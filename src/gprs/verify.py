@@ -39,7 +39,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .galois import FiniteField, field_of_order, prime_power_decomposition
@@ -139,9 +139,7 @@ class SweepRow:
     sort_key: tuple = dc_field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("sort_key")
-        return d
+        return {name: getattr(self, name) for name in ROW_FIELDS}
 
 
 @dataclass
@@ -298,7 +296,7 @@ def _degree_k_words(code: GprsCode, rng: random.Random, count: int):
     for _ in range(count):
         encs = [rng.randrange(f.q) for _ in range(code.k)]
         encs.append(rng.randrange(1, f.q))
-        yield code.word_from_poly(Polynomial.from_encodings(f, encs))
+        yield code.word_from_poly(Polynomial(f, encs))
 
 
 def _shifted_words(code: GprsCode, a_j, rng: random.Random, count: int):
@@ -309,9 +307,7 @@ def _shifted_words(code: GprsCode, a_j, rng: random.Random, count: int):
             lam=rng.randrange(1, f.q),
             nu=rng.randrange(f.q),
             a_j=a_j,
-            low=Polynomial.from_encodings(
-                f, [rng.randrange(f.q) for _ in range(code.k - 1)]
-            ),
+            low=Polynomial(f, [rng.randrange(f.q) for _ in range(code.k - 1)]),
         )
         yield build_family_word(code, spec)
 

@@ -1,4 +1,8 @@
+import argparse
 import json
+import re
+
+import pytest
 
 from gprs.cli import main
 
@@ -146,7 +150,7 @@ def test_deephole_thm15_with_aj(capsys):
 
 
 def test_deephole_thm15_requires_aj(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys,
         "deephole",
         "--code",
@@ -158,11 +162,32 @@ def test_deephole_thm15_requires_aj(capsys):
     )
     assert code == 2
     assert "--aj" in err
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_deephole_thm15_rejects_word_outside_the_family(capsys):
+    # the word of (x-1)^3 with its last coordinate changed from 3 to 4
+    code, out, err = run_cli(
+        capsys,
+        "deephole",
+        "--code",
+        "q=5;exclude=0,1;k=2",
+        "--word",
+        "1,3,2,4",
+        "--method",
+        "thm15",
+        "--aj",
+        "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: thm15 applies to words of the form")
 
 
 def test_deephole_thm14_rejects_inapplicable_word(capsys):
     # the word of x^3 has interpolant degree 3 != k
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys,
         "deephole",
         "--code",
@@ -174,6 +199,8 @@ def test_deephole_thm14_rejects_inapplicable_word(capsys):
     )
     assert code == 2
     assert "degree exactly k" in err
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_sweep_json(capsys):
@@ -264,3 +291,46 @@ def test_malformed_budget_env_variable_is_a_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: GPRS_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_budget_env_variable_is_read_on_every_call(capsys, monkeypatch):
+    # q^k = 25 codewords: a budget of 3 refuses the scan, one of 25 allows it
+    for argv, allowed in (
+        (("distance", "--word", "1,4,4,0"), 0),
+        (("deephole", "--word", "1,4,4,0", "--method", "oracle"), 1),
+    ):
+        for budget, expected in (("3", 2), ("25", allowed), ("3", 2)):
+            monkeypatch.setenv("GPRS_BUDGET", budget)
+            assert run_cli(capsys, *argv, "--code", "q=5;exclude=0,4;k=2")[0] == expected
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "field", "--q", "5")[0] == 0
+    assert built == []
+
+
+HELP_OPTIONS = {
+    "field": "--q --mod --format",
+    "code": "--q --mod --exclude --k --format",
+    "encode": "--code --mod --poly --format",
+    "distance": "--code --mod --word --method --budget --format",
+    "deephole": "--code --mod --word --method --aj --budget --format",
+    "sweep": "--claims --q-list --seed --words --max-sets --budget --distance-budget "
+    "--format --out",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_subcommand_help_lists_its_options(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out))
+    assert listed == {"-h", "--help", *HELP_OPTIONS[command].split()}

@@ -268,6 +268,13 @@ def test_error_distance_budget():
     assert code.error_distance(w, budget=25) == 2
     with pytest.raises(ValueError):
         code.error_distance(w, method="bogus")
+    # the codeword matrix is now cached; a smaller budget still refuses it
+    refused = "^q\\^k = 25 codewords exceed budget 24$"
+    with pytest.raises(BudgetExceededError, match=refused):
+        code.error_distance(w, budget=24)
+    with pytest.raises(BudgetExceededError, match=refused):
+        code.minimum_distance("bruteforce", budget=24)
+    assert code.minimum_distance("bruteforce", budget=25) == 3
 
 
 def test_agreement_oracle_matches_plain_enumeration_gf9():

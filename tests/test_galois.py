@@ -403,7 +403,6 @@ VALUE_ENTRIES = {
     "Polynomial.from_encodings": lambda v: Polynomial.from_encodings(_F7, [1, v]),
     "Polynomial.__call__": lambda v: Polynomial(_F7, [1, 1])(v),
     "Matrix": lambda v: Matrix(_F7, [[1, v], [0, 1]]),
-    "Matrix.from_encodings": lambda v: Matrix.from_encodings(_F7, [[1, v], [0, 1]]),
     "lagrange_interpolate nodes": lambda v: lagrange_interpolate([_E(1), v], [_E(1), _E(2)]),
     "lagrange_interpolate values": lambda v: lagrange_interpolate([_E(1), _E(2)], [_E(1), v]),
     "lagrange_interpolate first node": lambda v: lagrange_interpolate(

@@ -35,13 +35,13 @@ def _permute_columns(grid, perm):
 
 def test_identity_determinant():
     f = field(5)
-    m = Matrix.from_encodings(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = Matrix(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert m.determinant() == f.one
 
 
 def test_equal_columns_give_zero():
     f = field(5)
-    m = Matrix.from_encodings(f, [[2, 2, 1], [3, 3, 0], [4, 4, 2]])
+    m = Matrix(f, [[2, 2, 1], [3, 3, 0], [4, 4, 2]])
     assert m.determinant() == f.zero
 
 
@@ -61,7 +61,7 @@ def test_determinant_matches_cofactor_oracle(q):
     for n in range(1, 5):
         for _ in range(20):
             grid = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            m = Matrix.from_encodings(f, grid)
+            m = Matrix(f, grid)
             assert m.determinant().encoding == _cofactor_det(f, grid)
 
 
@@ -126,29 +126,29 @@ def test_determinant_sign_under_full_permutations():
 def test_determinant_requires_square():
     f = field(5)
     with pytest.raises(ValueError):
-        Matrix.from_encodings(f, [[1, 2, 3], [4, 0, 1]]).determinant()
+        Matrix(f, [[1, 2, 3], [4, 0, 1]]).determinant()
 
 
 def test_matrix_validation():
     f = field(5)
     with pytest.raises(ValueError):
-        Matrix.from_encodings(f, [[1, 2], [3]])
+        Matrix(f, [[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix(f, [[field(7).element(1)]])
     with pytest.raises(ValueError):
-        Matrix.from_encodings(f, [])
+        Matrix(f, [])
 
 
 def test_mds_check_on_projective_generator():
     f = field(5)
-    g = Matrix.from_encodings(f, [[1, 1, 1, 0], [0, 1, 2, 1]])
+    g = Matrix(f, [[1, 1, 1, 0], [0, 1, 2, 1]])
     result = mds_generator_check(g, 2)
     assert result.is_mds and result.witness is None
 
 
 def test_mds_check_zero_column_witness():
     f = field(5)
-    g = Matrix.from_encodings(f, [[1, 0, 1], [0, 0, 1]])
+    g = Matrix(f, [[1, 0, 1], [0, 0, 1]])
     result = mds_generator_check(g, 2)
     assert not result.is_mds
     assert result.witness == (0, 1)
@@ -157,7 +157,7 @@ def test_mds_check_zero_column_witness():
 
 def test_mds_check_requires_k_rows():
     f = field(5)
-    g = Matrix.from_encodings(f, [[1, 1, 1, 0], [0, 1, 2, 1]])
+    g = Matrix(f, [[1, 1, 1, 0], [0, 1, 2, 1]])
     with pytest.raises(ValueError):
         mds_generator_check(g, 3)
 
