@@ -32,6 +32,7 @@ from .codes import (
     DEFAULT_DISTANCE_BUDGET,
     DEFAULT_MESSAGE_BUDGET,
     GprsCode,
+    parse_excluded,
 )
 from .deepholes import (
     HypothesisError,
@@ -187,8 +188,7 @@ def _cmd_field(args) -> int:
 
 def _cmd_code(args) -> int:
     f = field_from_spec(args.q, args.mod)
-    excluded = [int(e) for e in args.exclude.split(",") if e != ""]
-    code = GprsCode(f, excluded, args.k)
+    code = GprsCode(f, parse_excluded(args.exclude), args.k)
     generator = code.generator
     mds = mds_generator_check(generator, code.k)
     gen_rows = [list(r) for r in generator.row_encodings()]
@@ -238,7 +238,7 @@ def _cmd_distance(args) -> int:
     d = code.error_distance(word, method=args.method, budget=args.budget)
     record = {
         "distance": d,
-        "is_codeword": code.is_codeword(word),
+        "is_codeword": d == 0,
         "covering_radius": code.covering_radius("formula"),
         "method": args.method,
     }

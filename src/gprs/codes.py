@@ -18,12 +18,24 @@ Exact error distance comes in two interchangeable flavors:
   maximizes codeword agreement, which is exact for any received word and
   stays cheap when q^k explodes.
 
-The test suite pins the two against each other exhaustively on small codes.
+Agreement is one batched kernel. The Lagrange tensor T[S, s, i] =
+L_{S,s}(x_i), over the k-subsets S in lexicographic order, with the x^(k-1)
+coefficient of L_{S,s} as an extra column for projective codes, is built by
+table gathers on a difference table. A batch of words then gets every
+interpolant's values in k gathers. The tensor is cached on the code when
+building it fits half of a fixed cap, ``_AGREEMENT_BYTES`` (8 MiB);
+otherwise it is built and scored run by run of subsets, so agreement
+working memory stays under the cap either way.
+
+The test suite pins the two flavors against each other exhaustively on
+small codes, and the kernel against the per-subset interpolation loop it
+replaced.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import math
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -33,6 +45,9 @@ from .matrix import Matrix
 
 DEFAULT_MESSAGE_BUDGET = 10**6
 DEFAULT_DISTANCE_BUDGET = 10**8
+# bytes of agreement working memory: a cached Lagrange tensor takes at most
+# half, and one run of subsets with its scoring scratch the other half
+_AGREEMENT_BYTES = 1 << 23
 
 
 class BudgetExceededError(RuntimeError):
@@ -216,40 +231,99 @@ class _EvaluationCode:
             target = np.array(word.encs, dtype=np.int16)
             return int((cw != target).sum(axis=1).min())
         if method == "agreement":
-            return self._agreement_distance(word.encs)
+            return self.agreement_distances([word])[0]
         raise ValueError(f"unknown error-distance method {method!r}")
 
-    def _agreement_distance(self, encs) -> int:
+    def agreement_distances(self, words) -> list[int]:
+        """Exact error distances of the words by agreement, scored in one batch.
+
+        For each k-subset S of the first n coordinates, the interpolant of a
+        word w through S takes the value sum_s w[S_s] * T[S, s, i] at
+        coordinate i (``_lagrange_tensor``), so its agreement with w is a count
+        of equal entries; the distance is length minus the best agreement.
+        The scan stops at the first chunk of subsets after which every word
+        has full agreement, i.e. is a codeword.
+        """
+        for word in words:
+            if not _codes_compatible(word.code, self):
+                raise ValueError("word belongs to a different code")
+        f, k, top = self.field, self.k, self.length
+        w = np.array([word.encs for word in words], dtype=np.intp).reshape(-1, top)
+        best = np.zeros(len(w), dtype=np.intp)
+        # scoring scratch per subset: an index copy of its tensor rows, and
+        # per word the products, sums and comparisons over every coordinate
+        for subsets, T in self._lagrange_chunks(top * (8 + 8 * len(w))):
+            vals = f.mul_table[w[:, subsets[:, 0], None], T[None, :, 0]]
+            for s in range(1, k):
+                vals = f.add_table[vals, f.mul_table[w[:, subsets[:, s], None], T[None, :, s]]]
+            np.maximum(best, (vals == w[:, None, :]).sum(axis=2).max(axis=1), out=best)
+            if (best == top).all():
+                break
+        return (top - best).tolist()
+
+    def _lagrange_chunks(self, scratch: int):
+        """(subsets, T) for runs of the k-subsets of the first n coordinates.
+
+        The subsets come in lexicographic order, one row of indices each. A
+        run's tensor rows, the temporaries that build them and ``scratch``
+        bytes per subset fit half of ``_AGREEMENT_BYTES``. The whole tensor is
+        built once and cached on the code when its build fits the other half;
+        otherwise each run is built when it is reached.
+        """
+        n, k = len(self._d_encs), self.k
+        build = k * (2 * self.length + 8) + 48 * n  # bytes per subset
+        step = max(1, _AGREEMENT_BYTES // 2 // (build + scratch))
+        cached = getattr(self, "_lagrange_cache", None)
+        if cached is None and math.comb(n, k) * build <= _AGREEMENT_BYTES // 2:
+            subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
+            cached = self._lagrange_cache = (subsets, self._lagrange_tensor(subsets))
+        if cached is not None:
+            subsets, T = cached
+            for start in range(0, len(subsets), step):
+                yield subsets[start : start + step], T[start : start + step]
+            return
+        runs = combinations(range(n), k)
+        while run := list(islice(runs, step)):
+            subsets = np.array(run, dtype=np.intp)
+            yield subsets, self._lagrange_tensor(subsets)
+
+    def _lagrange_tensor(self, subsets: np.ndarray) -> np.ndarray:
+        """T[S, s, i] = L_{S,s}(x_i) for the subsets S in the rows of ``subsets``.
+
+        L_{S,s} is the Lagrange basis polynomial of S that is 1 at x_{S_s} and
+        0 on the rest of S. Off S it is P_S(x_i) / (x_i - x_{S_s}) times
+        c = 1 / prod_{t != s} (x_{S_s} - x_{S_t}), with P_S = prod_t (x - x_{S_t});
+        c is its x^(k-1) coefficient, which projective codes keep as column n.
+        """
         f = self.field
-        n = len(self._d_encs)
-        k = self.k
-        best = 0
-        top = self.length
-        last = encs[n] if self._projective else None
-        d_encs = self._d_encs
-        for subset in combinations(range(n), k):
-            xs = [d_encs[i] for i in subset]
-            ys = [encs[i] for i in subset]
-            coeffs = _interp_enc(f, xs, ys)
-            agree = k
-            pos = 0
-            for i in range(n):
-                if pos < k and subset[pos] == i:
-                    pos += 1
-                    continue
-                if _eval_enc(f, coeffs, d_encs[i]) == encs[i]:
-                    agree += 1
+        add, mul = f.add_table, f.mul_table
+        x = np.array(self._d_encs, dtype=np.intp)
+        n = len(x)
+        m, k = subsets.shape
+        diff = add[x[None, :], f.neg_table[x][:, None]]  # diff[j, i] = x_i - x_j
+        inv_diff = f.inv_table[diff]  # 0 on the diagonal
+        prod = diff[subsets[:, 0]]
+        for t in range(1, k):
+            prod = mul[prod, diff[subsets[:, t]]]  # P_S(x_i), 0 on S
+        T = np.zeros((m, k, self.length), dtype=np.uint16)
+        for s in range(k):
+            c = np.ones(m, dtype=np.intp)
+            for t in range(k):
+                if t != s:
+                    c = mul[c, inv_diff[subsets[:, t], subsets[:, s]]]
+            T[:, s, :n] = mul[mul[prod, inv_diff[subsets[:, s]]], c[:, None]]
+            T[np.arange(m), s, subsets[:, s]] = 1
             if self._projective:
-                ck1 = coeffs[k - 1] if len(coeffs) > k - 1 else 0
-                agree += ck1 == last
-            if agree > best:
-                best = agree
-                if best == top:
-                    break
-        return top - best
+                T[:, s, n] = c
+        return T
 
     def is_codeword(self, word: ReceivedWord) -> bool:
         return not any(self._syndrome(word.encs))
+
+
+def parse_excluded(text: str) -> list[int]:
+    """Excluded points from their comma list "e1,e2,..."; empty items are dropped."""
+    return [int(e) for e in text.split(",") if e != ""]
 
 
 class GprsCode(_EvaluationCode):
@@ -309,8 +383,7 @@ class GprsCode(_EvaluationCode):
         if missing:
             raise ValueError(f"code spec missing {sorted(missing)}")
         field = field_from_spec(parts["q"], parts.get("mod", modulus_text))
-        excluded = [int(e) for e in parts["exclude"].split(",") if e != ""]
-        return cls(field, excluded, int(parts["k"]))
+        return cls(field, parse_excluded(parts["exclude"]), int(parts["k"]))
 
     def spec_string(self) -> str:
         excl = ",".join(str(e.encoding) for e in self.excluded)

@@ -139,9 +139,16 @@ def is_deep_hole_oracle(
 
     Codewords are never deep holes; they come back with distance 0.
     """
-    d = code.error_distance(word, method=method, budget=budget)
-    rho = code.covering_radius("formula")
-    return DeepHoleVerdict(d == rho, "oracle", distance=d)
+    return _oracle_verdict(code, code.error_distance(word, method=method, budget=budget))
+
+
+def oracle_verdicts(code: GprsCode, words) -> list[DeepHoleVerdict]:
+    """``is_deep_hole_oracle`` by agreement for each word, the words scored in one batch."""
+    return [_oracle_verdict(code, d) for d in code.agreement_distances(words)]
+
+
+def _oracle_verdict(code: GprsCode, d: int) -> DeepHoleVerdict:
+    return DeepHoleVerdict(d == code.covering_radius("formula"), "oracle", distance=d)
 
 
 def is_deep_hole_mds_extension(code: GprsCode, word: ReceivedWord) -> DeepHoleVerdict:

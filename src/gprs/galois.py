@@ -10,11 +10,12 @@ are pure.
 One arithmetic kernel serves every field, prime or not. ``FiniteField``
 builds dense q x q uint16 addition and multiplication tables once, at
 construction, vectorised in numpy from the base-p digits (see ``_tables``),
-and derives negation and inversion from them. The scalar operations
-(``add_enc``, ``mul_enc``, ...) are plain lookups in ``array('H')`` row copies
-of the tables; batched callers index the numpy tables ``add_table`` and
-``mul_table`` directly. Each table costs 4 * q^2 bytes (numpy array plus row
-copies), about 19 MB at q = 2187.
+and derives the negation and inversion vectors from them. The scalar
+operations (``add_enc``, ``mul_enc``, ...) are plain lookups in ``array('H')``
+row copies of the tables; batched callers index the numpy arrays
+``add_table``, ``mul_table``, ``neg_table`` and ``inv_table`` directly. Each
+q x q table costs 4 * q^2 bytes (numpy array plus row copies), about 19 MB at
+q = 2187.
 
 Values enter the encoding currency in one place, ``FiniteField.encodings``.
 It takes elements of the field and integers 0..q-1 (through
@@ -210,15 +211,14 @@ class FiniteField:
         if self.modulus is not None:
             x_s = sum(-c % p * p**i for i, c in enumerate(self.modulus[:-1]))
         add, mul = _tables(p, s, x_s)
-        for table in (add, mul):
+        # inv[0] is 0, and inv_enc rejects zero
+        neg, inv = np.argmax(add == 0, axis=1), np.argmax(mul == 1, axis=1)
+        for table in (add, mul, neg, inv):
             table.flags.writeable = False
-        self.add_table = add
-        self.mul_table = mul
+        self.add_table, self.mul_table, self.neg_table, self.inv_table = add, mul, neg, inv
         self._add = [array("H", row.tobytes()) for row in add]
         self._mul = [array("H", row.tobytes()) for row in mul]
-        self._neg = np.argmax(add == 0, axis=1).tolist()
-        # _inv[0] is never read: inv_enc rejects zero
-        self._inv = np.argmax(mul == 1, axis=1).tolist()
+        self._neg, self._inv = neg.tolist(), inv.tolist()
 
     # -- identity and representation ------------------------------------
 

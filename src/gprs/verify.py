@@ -56,7 +56,7 @@ from .deepholes import (
     WordFamilySpec,
     build_family_word,
     is_deep_hole_mds_extension,
-    is_deep_hole_oracle,
+    oracle_verdicts,
     thm14_criterion,
     thm15_criterion,
     validate_verdict,
@@ -315,13 +315,15 @@ def _shifted_words(code: GprsCode, a_j, rng: random.Random, count: int):
 def _first_miss(code: GprsCode, words, expected: bool, mds: bool = False):
     """Run the words past the oracle, and past the MDS scan when ``mds``.
 
-    Returns the last oracle verdict ("" if no word ran) and, for the first
-    word that a check rules on differently from ``expected``, the tuple
-    (word, oracle verdict, MDS verdict or None); None when every word agrees.
+    The oracle scores all the words in one batch; the words are then walked
+    in order. Returns the last oracle verdict ("" if no word ran) and, for
+    the first word that a check rules on differently from ``expected``, the
+    tuple (word, oracle verdict, MDS verdict or None); None when every word
+    agrees.
     """
+    words = list(words)
     last = ""
-    for word in words:
-        o = is_deep_hole_oracle(code, word)
+    for word, o in zip(words, oracle_verdicts(code, words)):
         m = is_deep_hole_mds_extension(code, word) if mds else None
         last = _bool_str(o.is_deep_hole)
         if o.is_deep_hole != expected or (mds and m.is_deep_hole != expected):

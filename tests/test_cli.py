@@ -5,6 +5,8 @@ import re
 import pytest
 
 from gprs.cli import main
+from gprs.codes import GprsCode
+from gprs.polynomial import Polynomial
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +64,33 @@ def test_distance_subcommand(capsys):
     )
     assert code == 0
     assert out.strip() == "distance: 1"
+
+
+@pytest.mark.parametrize("method", ["enumerate", "agreement"])
+def test_distance_reports_is_codeword_by_membership(capsys, method):
+    spec = "q=5;exclude=0,4;k=2"
+    code = GprsCode.from_spec(spec)
+    codeword = code.encode(Polynomial(code.field, [3, 2]))
+    for word, expected in ((codeword, True), (code.word_from_text("1,4,4,0"), False)):
+        assert code.is_codeword(word) == expected
+        status, out, _ = run_cli(
+            capsys, "distance", "--code", spec, "--word", word.to_text(),
+            "--method", method, "--format", "json",
+        )
+        assert status == 0
+        assert json.loads(out)["is_codeword"] is expected
+
+
+def test_code_exclude_option_parses_like_the_spec_key(capsys):
+    status, out, _ = run_cli(
+        capsys, "code", "--q", "7", "--exclude", "0,1,", "--k", "2", "--format", "json"
+    )
+    assert status == 0
+    data = json.loads(out)
+    code = GprsCode.from_spec("q=7;exclude=0,1,;k=2")
+    assert data["spec"] == code.spec_string() == "q=7;exclude=0,1;k=2"
+    assert data["evaluation_set"] == list(code.evaluation_encodings())
+    assert data["generator"] == [list(r) for r in code.generator.row_encodings()]
 
 
 def test_distance_budget_exit(capsys):

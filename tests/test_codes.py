@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -13,9 +15,10 @@ from gprs.codes import (
     GrsCode,
     hamming_distance,
 )
+from gprs.deepholes import WordFamilySpec, build_family_word
 from gprs.galois import field, field_of_order
 from gprs.matrix import mds_generator_check
-from gprs.polynomial import Polynomial
+from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
 
 
 # -- independent oracle: plain-int message enumeration --------------------------
@@ -285,6 +288,163 @@ def test_agreement_oracle_matches_plain_enumeration_gf9():
         assert code.error_distance(w, method="agreement") == _oracle_distance(
             code, w.encs
         )
+
+
+# -- batched agreement kernel, pinned to the per-subset loop it replaced ---------------
+
+
+def _loop_agreement_distance(code, encs):
+    # interpolate every k-subset of the first n coordinates in lexicographic
+    # order and count the interpolant's agreement with the word; a codeword
+    # reaches full agreement and ends the scan
+    f = code.field
+    d_encs = code.evaluation_encodings()
+    n, k, top = len(d_encs), code.k, code.length
+    best = 0
+    for subset in combinations(range(n), k):
+        coeffs = _interp_enc(f, [d_encs[i] for i in subset], [encs[i] for i in subset])
+        agree = k + sum(
+            _eval_enc(f, coeffs, d_encs[i]) == encs[i] for i in range(n) if i not in subset
+        )
+        if code._projective:
+            agree += (coeffs[k - 1] if len(coeffs) > k - 1 else 0) == encs[n]
+        best = max(best, agree)
+        if best == top:
+            break
+    return top - best
+
+
+def _kernel_words(code, rng, count=2):
+    """Random words, a codeword, that codeword with one coordinate changed,
+    and a degree-k and a shifted family word."""
+    f = code.field
+    q, k = f.q, code.k
+    words = [code.word([rng.randrange(q) for _ in range(code.length)]) for _ in range(count)]
+    codeword = code.word_from_poly(Polynomial(f, [rng.randrange(q) for _ in range(k)]))
+    pos = rng.randrange(code.length)
+    changed = list(codeword.encs)
+    changed[pos] = f.add_enc(changed[pos], rng.randrange(1, q))
+    words += [codeword, code.word(changed)]
+    for kind, a_j in (("deg_k", None), ("shifted_qminus2", rng.choice(code.excluded))):
+        spec = WordFamilySpec(
+            kind, rng.randrange(1, q), rng.randrange(q), a_j,
+            Polynomial(f, [rng.randrange(q) for _ in range(k - 1)]),
+        )
+        words.append(build_family_word(code, spec))
+    return words
+
+
+def _assert_kernel_matches_loop(code, words):
+    expected = [_loop_agreement_distance(code, w.encs) for w in words]
+    assert code.agreement_distances(words) == expected, code.spec_string()
+    assert [code.error_distance(w, method="agreement") for w in words] == expected
+
+
+def _every_code(q):
+    f = field_of_order(q)
+    for l in range(1, q - 2):
+        for excl in combinations(range(q), l):
+            for k in range(2, q - l):
+                yield GprsCode(f, excl, k)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_agreement_kernel_matches_loop_on_every_code(q):
+    rng = random.Random(q)
+    codes = list(_every_code(q))
+    assert len(codes) == {5: 20, 7: 196}[q]
+    for code in codes:
+        words = _kernel_words(code, rng)
+        _assert_kernel_matches_loop(code, words)
+        assert code.agreement_distances(words)[2:4] == [0, 1]
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_agreement_kernel_matches_loop_per_shape(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for l in range(1, q - 2):
+        excl = rng.sample(range(q), l)
+        for k in range(2, q - l):
+            code = GprsCode(f, excl, k)
+            _assert_kernel_matches_loop(code, _kernel_words(code, rng, count=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_agreement_kernel_property(data):
+    q = data.draw(st.sampled_from([5, 7, 8, 9, 11]))
+    l = data.draw(st.integers(1, q - 3))
+    k = data.draw(st.integers(2, q - l - 1))
+    excl = data.draw(st.lists(st.integers(0, q - 1), min_size=l, max_size=l, unique=True))
+    code = GprsCode(field_of_order(q), excl, k)
+    coords = st.integers(0, q - 1)
+    words = data.draw(st.lists(st.lists(coords, min_size=code.length, max_size=code.length),
+                               min_size=1, max_size=4))
+    _assert_kernel_matches_loop(code, [code.word(w) for w in words])
+
+
+def test_agreement_kernel_matches_grs_loop():
+    rng = random.Random(5)
+    for q in (5, 7, 9):
+        f = field_of_order(q)
+        for k in range(1, q - 1):
+            code = GrsCode(f, sorted(rng.sample(range(q), q - 1)), k)
+            words = [code.word([rng.randrange(q) for _ in range(code.length)]) for _ in range(3)]
+            _assert_kernel_matches_loop(code, words)
+
+
+@pytest.mark.parametrize("cap", [1, 6000, 12000])
+def test_agreement_chunk_boundaries(monkeypatch, cap):
+    # a small cap splits the subsets into uncached runs of 1 or a few
+    monkeypatch.setattr(codes_module, "_AGREEMENT_BYTES", cap)
+    rng = random.Random(cap)
+    for q, excl, k in ((7, (0,), 3), (11, (0, 5), 4), (9, (2,), 5)):
+        code = GprsCode(field_of_order(q), excl, k)
+        words = _kernel_words(code, rng)
+        _assert_kernel_matches_loop(code, words)
+        assert not hasattr(code, "_lagrange_cache")
+
+
+def test_agreement_tensor_is_cached_when_it_fits():
+    code = GprsCode(field_of_order(11), [0], 5)
+    rng = random.Random(11)
+    code.agreement_distances(_kernel_words(code, rng))
+    subsets, T = code._lagrange_cache
+    assert T.shape == (math.comb(10, 5), 5, 11)
+    assert [tuple(r) for r in subsets] == list(combinations(range(10), 5))
+    code.agreement_distances(_kernel_words(code, rng))
+    assert code._lagrange_cache[1] is T
+
+
+@pytest.mark.parametrize("cap", [300_000, 1_300_000])
+def test_agreement_cached_tensor_scored_in_runs(monkeypatch, cap):
+    # the tensor fits the cap and is cached, but scoring all 3125 words in
+    # one batch takes its 6 subsets in runs of 1, or of 5 and 1
+    monkeypatch.setattr(codes_module, "_AGREEMENT_BYTES", cap)
+    code = GprsCode(field(5), [4], 2)
+    _assert_kernel_matches_loop(code, [code.word(w) for w in product(range(5), repeat=5)])
+    assert hasattr(code, "_lagrange_cache")
+
+
+def test_agreement_memory_stays_under_the_cap():
+    # GF(19), n = 18, k = 9: the whole tensor is C(18, 9) * 9 * 19 uint16, about 16.6 MB
+    code = GprsCode(field_of_order(19), [0], 9)
+    cap = codes_module._AGREEMENT_BYTES
+    assert math.comb(18, 9) * 9 * code.length * 2 > cap
+    codeword = code.word_from_poly(Polynomial(code.field, range(1, 10)))
+    changed = list(codeword.encs)
+    changed[4] = (changed[4] + 1) % 19
+    near = code.word(changed)
+    tracemalloc.start()
+    try:
+        distances = code.agreement_distances([codeword]), code.agreement_distances([near])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distances == ([0], [1])
+    assert peak < cap
+    assert not hasattr(code, "_lagrange_cache")
 
 
 # -- is_codeword ----------------------------------------------------------------------

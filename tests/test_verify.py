@@ -379,3 +379,25 @@ def test_check_liwan_bounds_rejects_fields_below_three():
         with pytest.raises(ValueError, match="q >= 3"):
             check_liwan_bounds(q, trials=3, seed=0)
     assert len(check_liwan_bounds(3, trials=3, seed=0)) == 3
+
+
+def test_deephole_sweep_oracle_interpolates_no_subsets(monkeypatch):
+    # the agreement oracle scores a row's words with one Lagrange tensor, so a
+    # fast path that falls back to per-subset interpolation fails here
+    from gprs import polynomial
+
+    real = polynomial._interp_enc
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gprs" or name.startswith("gprs."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    rep = run_sweep(SweepConfig(claims=("thm14", "thm15"), q_list=(7,), words_per_config=5))
+    assert rep.summary["total"] == rep.summary["agreed"] > 0
+    assert calls[0] <= rep.summary["total"]
