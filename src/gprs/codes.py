@@ -18,6 +18,11 @@ Exact error distance comes in two interchangeable flavors:
   maximizes codeword agreement, which is exact for any received word and
   stays cheap when q^k explodes.
 
+Codewords come by span doubling, span_(i+1) = span_i + F_q * row_i from
+span_0 = {0}. ``enumerate`` scans span_k; the brute-force minimum distance
+scans each row_i + span_i, one codeword per projective point, and never
+builds span_k. Both budgets still count q^k codewords.
+
 Agreement is one batched kernel. The Lagrange tensor T[S, s, i] =
 L_{S,s}(x_i), over the k-subsets S in lexicographic order, with the x^(k-1)
 coefficient of L_{S,s} as an extra column for projective codes, is built by
@@ -28,8 +33,8 @@ otherwise it is built and scored run by run of subsets, so agreement
 working memory stays under the cap either way.
 
 The test suite pins the two flavors against each other exhaustively on
-small codes, and the kernel against the per-subset interpolation loop it
-replaced.
+small codes, the kernel against the per-subset interpolation loop it
+replaced, and the spans against the digit-by-digit q^k build they replaced.
 """
 
 from __future__ import annotations
@@ -183,32 +188,31 @@ class _EvaluationCode:
 
     # -- codeword enumeration (numpy, cached) --------------------------------
 
-    def _codewords(self, budget: int) -> np.ndarray:
-        """The q^k codeword matrix, refused before any build or cache hit if q^k > budget."""
+    def _check_message_budget(self, budget: int) -> None:
+        """Refuse q^k > budget before any codeword is built or a cached one used."""
         count = self.field.q**self.k
         if count > budget:
             raise BudgetExceededError(f"q^k = {count} codewords exceed budget {budget}")
-        return self._codeword_matrix()
+
+    def _spans(self, rows: np.ndarray):
+        """span_0 = {0}, then span_(i+1) = span_i + F_q * rows[i], each as uint16 rows.
+
+        Row c * q^i + j of span_(i+1) is row j of span_i plus c * rows[i]: message-index order.
+        """
+        f = self.field
+        scalars = np.arange(f.q)[:, None, None]
+        span = np.zeros((1, self.length), dtype=np.uint16)
+        yield span
+        for row in rows:
+            span = f.add_table[f.mul_table[scalars, row], span].reshape(-1, self.length)
+            yield span
 
     def _codeword_matrix(self) -> np.ndarray:
-        cached = getattr(self, "_cw_cache", None)
-        if cached is not None:
-            return cached
-        f = self.field
-        q, k = f.q, self.k
-        count = q**k
-        msgs = np.arange(count, dtype=np.int64)
-        # codeword of message c: sum_i c_i * (generator row i), by table lookups;
-        # c_i is digit i of the message index, taken one digit at a time so no
-        # count x k array is ever held
-        gen = np.array(self._generator_rows(), dtype=np.int64)
-        cw = np.zeros((count, self.length), dtype=np.uint16)
-        for i in range(k):
-            cw = f.add_table[cw, f.mul_table[(msgs % q)[:, None], gen[i][None, :]]]
-            msgs //= q
-        cw = cw.astype(np.int16)
-        self._cw_cache = cw
-        return cw
+        """All q^k codewords as int16 rows, in message-index order: span_k, cached."""
+        if getattr(self, "_cw_cache", None) is None:
+            *_, span = self._spans(np.array(self._generator_rows()))
+            self._cw_cache = span.view(np.int16)
+        return self._cw_cache
 
     # -- exact error distance -------------------------------------------------
 
@@ -227,7 +231,8 @@ class _EvaluationCode:
         if not _codes_compatible(word.code, self):
             raise ValueError("word belongs to a different code")
         if method == "enumerate":
-            cw = self._codewords(budget)
+            self._check_message_budget(budget)
+            cw = self._codeword_matrix()
             target = np.array(word.encs, dtype=np.int16)
             return int((cw != target).sum(axis=1).min())
         if method == "agreement":
@@ -396,13 +401,19 @@ class GprsCode(_EvaluationCode):
     def minimum_distance(
         self, mode: str = "formula", budget: int = DEFAULT_MESSAGE_BUDGET
     ) -> int:
-        """Minimum distance q - l - k + 2, or its brute-force confirmation."""
+        """Minimum distance q - l - k + 2, or its brute-force confirmation.
+
+        ``bruteforce`` takes the least weight of row_i + span_i over i: one
+        codeword per projective point, exhaustive since scaling keeps weight.
+        """
         if mode == "formula":
             return self.field.q - self.l - self.k + 2
         if mode == "bruteforce":
-            cw = self._codewords(budget)
-            weights = (cw != 0).sum(axis=1)
-            return int(weights[1:].min())
+            self._check_message_budget(budget)
+            rows = np.array(self._generator_rows())
+            # row_i + span_i is nonzero where span_i differs from -row_i
+            return min(int((span != neg).sum(axis=1).min())
+                       for span, neg in zip(self._spans(rows[:-1]), self.field.neg_table[rows]))
         raise ValueError(f"unknown minimum-distance mode {mode!r}")
 
     def covering_radius(

@@ -39,7 +39,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from itertools import combinations
 
 from .galois import FiniteField, field_of_order, prime_power_decomposition
@@ -63,22 +63,6 @@ from .deepholes import (
     vp_binomial,
     zero_sum_subset,
 )
-
-ROW_FIELDS = (
-    "claim",
-    "q",
-    "modulus",
-    "excluded",
-    "k",
-    "aj",
-    "predicted",
-    "oracle",
-    "agree",
-    "status",
-    "witness",
-    "detail",
-)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -140,6 +124,10 @@ class SweepRow:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in ROW_FIELDS}
+
+
+# the report columns, in CSV order: every SweepRow field but the sort key
+ROW_FIELDS = tuple(f.name for f in fields(SweepRow) if f.compare)
 
 
 @dataclass

@@ -464,6 +464,90 @@ def test_is_codeword_cases():
 # -- minimum distance and covering radius ----------------------------------------------
 
 
+def _digit_codeword_matrix(code):
+    # the q^k codewords in message-index order, built digit by digit: digit i
+    # of the index times generator row i, added one row at a time
+    f = code.field
+    q, k = f.q, code.k
+    count = q**k
+    msgs = np.arange(count, dtype=np.int64)
+    gen = np.array(code._generator_rows(), dtype=np.int64)
+    cw = np.zeros((count, code.length), dtype=np.uint16)
+    for i in range(k):
+        cw = f.add_table[cw, f.mul_table[(msgs % q)[:, None], gen[i][None, :]]]
+        msgs //= q
+    return cw.astype(np.int16)
+
+
+PINNED_MESSAGES = 10**4  # q^k of the digit-by-digit reference
+
+
+def _assert_spans_match_reference(code):
+    ref = _digit_codeword_matrix(code)
+    cw = code._codeword_matrix()
+    assert cw.dtype == np.int16 and np.array_equal(cw, ref), code.spec_string()
+    if isinstance(code, GprsCode):
+        weights = (ref != 0).sum(axis=1)
+        assert code.minimum_distance("bruteforce") == weights[1:].min(), code.spec_string()
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_codeword_spans_match_digit_reference_on_every_code(q):
+    codes = [code for code in _every_code(q) if q**code.k <= PINNED_MESSAGES]
+    assert codes
+    for code in codes:
+        _assert_spans_match_reference(code)
+
+
+def test_codeword_spans_match_digit_reference_grs():
+    rng = random.Random(25)
+    for q in (5, 7, 9):
+        f = field_of_order(q)
+        for n in (3, q - 1, q):
+            for k in range(1, n):
+                if q**k <= PINNED_MESSAGES:
+                    _assert_spans_match_reference(GrsCode(f, rng.sample(range(q), n), k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_codeword_spans_property(data):
+    q = data.draw(st.sampled_from([5, 7, 8, 9, 11]))
+    l = data.draw(st.integers(1, q - 3))
+    kmax = max(k for k in range(2, q - l) if q**k <= PINNED_MESSAGES)
+    k = data.draw(st.integers(2, kmax))
+    excl = data.draw(st.lists(st.integers(0, q - 1), min_size=l, max_size=l, unique=True))
+    _assert_spans_match_reference(GprsCode(field_of_order(q), excl, k))
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_minimum_distance_scans_every_level(i):
+    # a generator whose one weight-1 codeword has its top nonzero message
+    # coefficient at row i; every other nonzero codeword weighs at least 2
+    code = GprsCode(field(5), [0], 3)
+    rows = [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, 1, 4, 4, 1]]
+    rows[i] = [0, 0, 0, 0, 1]
+    code._rows_cache = tuple(map(tuple, rows))
+    assert (_digit_codeword_matrix(code) != 0).sum(axis=1)[1:].min() == 1
+    assert code.minimum_distance("bruteforce") == 1
+
+
+def test_projective_minimum_distance_work_and_memory():
+    # GF(8), l = 1, k = 6: the q^k x length uint16 matrix alone would be 4 MiB
+    code = GprsCode(field(2, 3), [0], 6)
+    assert 8**6 * code.length * 2 == 4 * 2**20
+    tracemalloc.start()
+    try:
+        d = code.minimum_distance("bruteforce")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 3
+    assert peak < 2 * 2**20
+    assert not hasattr(code, "_cw_cache")
+    assert GprsCode(field(3, 2), [0], 7).minimum_distance("bruteforce", budget=10**7) == 3
+
+
 def test_minimum_distance_examples():
     assert GprsCode(field(5), [3, 4], 2).minimum_distance() == 3
     assert GprsCode(field(7), [0], 2).minimum_distance() == 6
@@ -503,7 +587,7 @@ def _bruteforce_covering_radius(code):
     # every codeword: q^length * q^k comparisons, for small codes only
     q, length = code.field.q, code.length
     count_words = q**length
-    cw = code._codeword_matrix()
+    cw = _digit_codeword_matrix(code)
     idx = np.arange(count_words, dtype=np.int64)
     words = np.empty((count_words, length), dtype=np.int16)
     for i in range(length):
