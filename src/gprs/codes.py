@@ -46,7 +46,7 @@ import numpy as np
 
 from .galois import FieldElement, FiniteField, field_from_spec
 from .polynomial import Polynomial, _eval_enc, _interp_enc
-from .matrix import Matrix
+from .matrix import Matrix, column_minors
 
 DEFAULT_MESSAGE_BUDGET = 10**6
 DEFAULT_DISTANCE_BUDGET = 10**8
@@ -176,6 +176,13 @@ class _EvaluationCode:
             cached = tuple(tuple(self._evaluate([0] * i + [1])) for i in range(self.k))
             self._rows_cache = cached
         return cached
+
+    def _minor_table(self) -> np.ndarray:
+        """det G_T for every k-column subset T of the generator, in lexicographic order, cached."""
+        if getattr(self, "_minor_cache", None) is None:
+            runs = column_minors(self.field, self._generator_rows(), self.k)
+            self._minor_cache = np.concatenate([dets for _, dets in runs])
+        return self._minor_cache
 
     def _syndrome(self, encs) -> list[int]:
         """H·w for H = [-A^T | I], the parity check of the systematic generator [I | A].

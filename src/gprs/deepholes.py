@@ -5,7 +5,8 @@ covering radius q - l + 1 - k. Four routes produce a verdict:
 
 * ``oracle``: compare the exact error distance against the covering radius;
 * ``mds_extension``: stack the word under the generator matrix and demand
-  every (k+1)-column minor be nonsingular;
+  every (k+1)-column minor be nonsingular (a batch of words expands them
+  over the code's cached k-minors, ``mds_extension_verdicts``);
 * ``thm14``: closed form for words whose interpolant has degree exactly k;
   such a word is a deep hole iff no k-subset of D sums to zero;
 * ``thm15``: closed form for the family lam*(x - a_j)^(q-2) + nu*x^(k-1)
@@ -16,8 +17,8 @@ covering radius q - l + 1 - k. Four routes produce a verdict:
 
 Each paper family is one base word plus the code: the word of x^k, or of
 (x - a_j)^(q-2), scaled by lam != 0, plus the codeword of
-nu*x^(k-1) + low. ``build_family_word`` builds it that way, and a word is in
-a family iff its syndrome is a nonzero multiple of the base word's.
+nu*x^(k-1) + low. ``family_words`` builds a batch of words that way, and a
+word is in a family iff its syndrome is a nonzero multiple of the base word's.
 
 The closed-form criteria hard-require their hypotheses (odd characteristic
 included) and raise HypothesisError outside them; the oracles run anywhere.
@@ -33,14 +34,18 @@ thm15 validation therefore also requires a_j to be an excluded point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .galois import FieldElement, FiniteField, lucas_binom
 from .polynomial import Polynomial, _shifted_power_enc
 from .matrix import det_enc, first_singular_column_subset
-from .codes import DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord
+from .codes import _AGREEMENT_BYTES, DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord
 
 CRITERION_METHODS = ("thm14", "thm15")
 
@@ -104,9 +109,19 @@ def build_family_word(code: GprsCode, spec: WordFamilySpec) -> ReceivedWord:
         raise ValueError("low-order part over a different field")
     if not low.degree <= code.k - 2:
         raise ValueError(f"low-order part degree {low.degree} exceeds k - 2")
-    base = _family_base(code, spec.kind, spec.a_j)
-    tail = code._evaluate((Polynomial.x_power(f, code.k - 1, nu) + low).coeffs)
-    return code.word([f.add_enc(f.mul_enc(lam, b), c) for b, c in zip(base, tail)])
+    tail = low.coeffs + (0,) * (code.k - 1 - len(low.coeffs)) + (nu,)
+    return code.word(family_words(code, spec.kind, [lam], [tail], spec.a_j)[0].tolist())
+
+
+def family_words(code: GprsCode, kind: str, lams, tails, a_j=None) -> np.ndarray:
+    """Rows lam * base + sum_i t_i * G_i, for the family's base word and the generator
+    rows G_i: one gather per term. G_(k-1) carries t_(k-1) into the projective coordinate."""
+    f = code.field
+    base = np.array(_family_base(code, kind, a_j), dtype=np.intp)
+    words = f.mul_table[np.asarray(lams, dtype=np.intp)[:, None], base]
+    for t, row in zip(np.asarray(tails, dtype=np.intp).T, code._generator_rows()):
+        words = f.add_table[words, f.mul_table[t[:, None], row]]
+    return words
 
 
 def _family_base(code: GprsCode, kind: str, a_j=None) -> list[int]:
@@ -161,6 +176,48 @@ def is_deep_hole_mds_extension(code: GprsCode, word: ReceivedWord) -> DeepHoleVe
     test = _mds_test(code, word)
     witness = first_singular_column_subset(code.field, test.rows, test.size)
     return DeepHoleVerdict(witness is None, "mds_extension", witness)
+
+
+def mds_extension_verdicts(code: GprsCode, words) -> list[DeepHoleVerdict]:
+    """``is_deep_hole_mds_extension`` for each word, the words scanned in one batch.
+
+    det[G_S; w_S] = sum_j (-1)^(k+j) w_(S_j) det G_(S minus S_j), k+1 gathers per
+    run of subsets S over the code's k-minor table, up to the first run that
+    leaves every word a zero. Past ``_AGREEMENT_BYTES // 2`` each word scans alone.
+    """
+    words, n, k = list(words), code.length, code.k
+    # the cofactor table below has C(n, k+1) * (k+1) = C(n, k) * (n-k) entries
+    if math.comb(n, k) * (n - k) * 24 > _AGREEMENT_BYTES // 2:
+        return [is_deep_hole_mds_extension(code, word) for word in words]
+    add, mul, neg = code.field.add_table, code.field.mul_table, code.field.neg_table
+    subsets, ranks = _cofactor_index(n, k)
+    cof = code._minor_table()[ranks]
+    cof[:, (k + 1) % 2 :: 2] = neg[cof[:, (k + 1) % 2 :: 2]]  # the sign (-1)^(k+j)
+    w = np.array([word.encs for word in words], dtype=np.intp).reshape(-1, n)
+    first = np.full(len(w), -1)
+    step = max(1, _AGREEMENT_BYTES // 2 // (16 * (k + 1) * (len(w) + 1)))
+    for start in range(0, len(subsets), step):
+        terms = mul[w[:, subsets[start : start + step]], cof[start : start + step]]
+        vals = terms[..., 0]
+        for j in range(1, k + 1):
+            vals = add[vals, terms[..., j]]
+        zero = vals == 0
+        found = (first < 0) & zero.any(axis=1)
+        first[found] = start + zero[found].argmax(axis=1)
+        if (first >= 0).all():
+            break
+    return [DeepHoleVerdict(i < 0, "mds_extension", None if i < 0 else tuple(subsets[i].tolist()))
+            for i in first.tolist()]
+
+
+@lru_cache(maxsize=16)
+def _cofactor_index(length: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k+1)-subsets S of range(length), and per column j the rank of S minus S_j
+    among the k-subsets, both in lexicographic order."""
+    rank = {T: i for i, T in enumerate(combinations(range(length), k))}
+    subsets = list(combinations(range(length), k + 1))
+    ranks = [[rank[S[:j] + S[j + 1 :]] for j in range(k + 1)] for S in subsets]
+    return np.array(subsets, dtype=np.intp), np.array(ranks, dtype=np.intp)
 
 
 def _require_odd(field: FiniteField):
@@ -243,7 +300,8 @@ def _thm14_test(code: GprsCode) -> _WitnessTest:
 def _thm15_test(code: GprsCode, a_j) -> _WitnessTest:
     f = code.field
     aj = _excluded_point(code, a_j)
-    # (-a_j)^(q-1-k) * prod (a_j - y) of the paper; the signs cancel as q is odd
+    # (-a_j)^(q-1-k) * prod (a_j - y) of the paper; the signs multiply to
+    # (-1)^(q-1) = 1, as q - 1 is even for odd q and -1 = 1 in characteristic 2
     binom = lucas_binom(f.q - 2, code.k - 1, f.p)
     const = f.mul_enc(binom, f.pow_enc(aj, f.q - 1 - code.k))
     add, mul, sub = f.add_enc, f.mul_enc, f.sub_enc

@@ -1,17 +1,22 @@
 """Dense matrices over a finite field, exact determinants, MDS minor scans.
 
-Matrix sizes here stay tiny (n <= q + 1 at desk scale), so every minor is
-computed independently by Gaussian elimination; no rank caching. Column
-subsets are always enumerated in lexicographic order of their index tuples,
-which makes the first failing minor a reproducible witness.
+Determinants come from Gaussian elimination, one grid at a time (``det_enc``)
+or a stack at a time by table gathers (``det_stack``, fed runs of column
+subsets by ``column_minors``). Column subsets are always enumerated in
+lexicographic order of their index tuples, which makes the first failing
+minor a reproducible witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+
+import numpy as np
 
 from .galois import FieldElement, FiniteField, _field_of
+
+_RUN_BYTES = 1 << 22  # about the bytes of one run of minors in column_minors
 
 
 class Matrix:
@@ -80,6 +85,37 @@ def det_enc(field: FiniteField, rows) -> int:
     return field.neg_enc(det) if flip else det
 
 
+def det_stack(field: FiniteField, stack) -> np.ndarray:
+    """Determinants of an (m, s, s) stack of encodings, by elimination in table gathers.
+
+    Each grid takes its own pivot, the first nonzero entry on or below the
+    diagonal, and flips its sign per row swap; with no pivot its det is 0.
+    """
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
+    a = np.array(stack, dtype=np.intp)
+    det, at = np.ones(len(a), dtype=np.intp), np.arange(len(a))
+    for c in range(a.shape[1]):
+        piv = c + (a[:, c:, c] != 0).argmax(axis=1)
+        top = a[at, piv]
+        a[at, piv] = a[:, c]
+        a[:, c] = top
+        det = mul[det, top[:, c]]
+        det = np.where(piv == c, det, neg[det])
+        scale = mul[a[:, c + 1 :, c], inv[top[:, c]][:, None]]
+        a[:, c + 1 :, c:] = add[a[:, c + 1 :, c:], neg[mul[scale[:, :, None], top[:, None, c:]]]]
+    return det
+
+
+def column_minors(field: FiniteField, rows, size: int):
+    """(subsets, dets) for runs of the size-column minors of a grid with ``size`` rows,
+    the subsets in lexicographic order; a run's stack takes about ``_RUN_BYTES``."""
+    g = np.array(rows, dtype=np.intp)
+    subsets = combinations(range(g.shape[1]), size)
+    while run := list(islice(subsets, max(1, _RUN_BYTES // (32 * size * size)))):
+        cols = np.array(run, dtype=np.intp)
+        yield cols, det_stack(field, g[:, cols].transpose(1, 0, 2))
+
+
 def first_singular_column_subset(field: FiniteField, rows, size: int):
     """First (in lexicographic index order) singular size x size column minor.
 
@@ -127,5 +163,6 @@ def mds_generator_check(g: Matrix, k: int) -> MdsCheckResult:
         raise ValueError(f"generator has {g.nrows} rows, expected k = {k}")
     if g.ncols < k:
         raise ValueError("generator needs at least k columns")
-    witness = first_singular_column_subset(g.field, g.row_encodings(), k)
+    runs = column_minors(g.field, g.row_encodings(), k)
+    witness = next((tuple(cols[dets == 0][0].tolist()) for cols, dets in runs if 0 in dets), None)
     return MdsCheckResult(witness is None, witness)

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field as dc_field, fields
 from itertools import combinations
 
 from .galois import FiniteField, field_of_order, prime_power_decomposition
-from .polynomial import Polynomial
 from .matrix import mds_generator_check
 from .codes import (
     DEFAULT_DISTANCE_BUDGET,
@@ -53,9 +52,8 @@ from .codes import (
 )
 from .deepholes import (
     DeepHoleVerdict,
-    WordFamilySpec,
-    build_family_word,
-    is_deep_hole_mds_extension,
+    family_words,
+    mds_extension_verdicts,
     oracle_verdicts,
     thm14_criterion,
     thm15_criterion,
@@ -280,39 +278,35 @@ def _code_grid(f: FiniteField, config: SweepConfig, claim: str, k_cap=None):
 
 
 def _degree_k_words(code: GprsCode, rng: random.Random, count: int):
-    f = code.field
-    for _ in range(count):
-        encs = [rng.randrange(f.q) for _ in range(code.k)]
-        encs.append(rng.randrange(1, f.q))
-        yield code.word_from_poly(Polynomial(f, encs))
+    """Words of t(x) + lam*x^k: per word t's k coefficients, then lam."""
+    q = code.field.q
+    draws = [[rng.randrange(q) for _ in range(code.k)] + [rng.randrange(1, q)] for _ in range(count)]
+    words = family_words(code, "deg_k", [d[-1] for d in draws], [d[:-1] for d in draws])
+    return [code.word(w) for w in words.tolist()]
 
 
 def _shifted_words(code: GprsCode, a_j, rng: random.Random, count: int):
-    f = code.field
-    for _ in range(count):
-        spec = WordFamilySpec(
-            kind="shifted_qminus2",
-            lam=rng.randrange(1, f.q),
-            nu=rng.randrange(f.q),
-            a_j=a_j,
-            low=Polynomial(f, [rng.randrange(f.q) for _ in range(code.k - 1)]),
-        )
-        yield build_family_word(code, spec)
+    """Words of lam*(x-a_j)^(q-2) + nu*x^(k-1) + low: per word lam, nu, then low's k-1."""
+    q = code.field.q
+    draws = [[rng.randrange(1, q), rng.randrange(q)] + [rng.randrange(q) for _ in range(code.k - 1)]
+             for _ in range(count)]
+    tails = [d[2:] + d[1:2] for d in draws]
+    words = family_words(code, "shifted_qminus2", [d[0] for d in draws], tails, a_j)
+    return [code.word(w) for w in words.tolist()]
 
 
-def _first_miss(code: GprsCode, words, expected: bool, mds: bool = False):
+def _first_miss(code: GprsCode, words: list, expected: bool, mds: bool = False):
     """Run the words past the oracle, and past the MDS scan when ``mds``.
 
-    The oracle scores all the words in one batch; the words are then walked
-    in order. Returns the last oracle verdict ("" if no word ran) and, for
-    the first word that a check rules on differently from ``expected``, the
-    tuple (word, oracle verdict, MDS verdict or None); None when every word
-    agrees.
+    Each check scores all the words in one batch; the words are then walked
+    in order. Returns the last oracle verdict walked ("" if no word ran) and,
+    for the first word that a check rules on differently from ``expected``,
+    the tuple (word, oracle verdict, MDS verdict or None); None when every
+    word agrees.
     """
-    words = list(words)
+    mds_verdicts = mds_extension_verdicts(code, words) if mds else [None] * len(words)
     last = ""
-    for word, o in zip(words, oracle_verdicts(code, words)):
-        m = is_deep_hole_mds_extension(code, word) if mds else None
+    for word, o, m in zip(words, oracle_verdicts(code, words), mds_verdicts):
         last = _bool_str(o.is_deep_hole)
         if o.is_deep_hole != expected or (mds and m.is_deep_hole != expected):
             return last, (word, o, m)

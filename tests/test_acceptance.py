@@ -259,15 +259,15 @@ def test_criterion_11_translation_and_scaling_invariance():
 
 
 def _invariance_trials(code, trials):
+    # every trial's words are drawn first, then scored in one agreement batch
     f = code.field
     q = f.q
     rng = random.Random(f"{SEED}/invariance/{code.spec_string()}")
+    words = []
     for _ in range(trials):
         u = code.word([rng.randrange(q) for _ in range(code.length)])
         msg = Polynomial.from_encodings(f, [rng.randrange(q) for _ in range(code.k)])
         u0 = code.encode(msg)
-        d_u = code.error_distance(u, method="agreement")
-        assert d_u == code.error_distance(u + u0, method="agreement")
 
         v = Polynomial.from_encodings(f, [rng.randrange(q) for _ in range(q - 1)])
         lam = f.element(rng.randrange(1, q))
@@ -275,6 +275,8 @@ def _invariance_trials(code, trials):
             f, [rng.randrange(q) for _ in range(code.k - 1)]
         )
         scaled = v * lam + low
-        assert code.error_distance(
-            code.word_from_poly(scaled), method="agreement"
-        ) == code.error_distance(code.word_from_poly(v), method="agreement")
+        words += [u, u + u0, code.word_from_poly(scaled), code.word_from_poly(v)]
+    d = code.agreement_distances(words)
+    # per trial d(u) == d(u + u0) and d(lam * v + low) == d(v)
+    assert d[0::4] == d[1::4]
+    assert d[2::4] == d[3::4]

@@ -3,16 +3,23 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gprs.deepholes as deepholes
 from gprs.codes import BudgetExceededError, GprsCode
 from gprs.deepholes import (
     DeepHoleVerdict,
     HypothesisError,
     WordFamilySpec,
+    _cofactor_index,
+    _family_base,
     binom_mod_p,
     build_family_word,
+    family_words,
     is_deep_hole_mds_extension,
     is_deep_hole_oracle,
+    mds_extension_verdicts,
     thm14_criterion,
     thm15_criterion,
     validate_verdict,
@@ -432,6 +439,160 @@ def test_membership_by_syndrome_matches_the_paper_on_every_word(excluded):
                 assert word_in_shifted_family(code, word, a_j) == shifted
                 outcomes["shifted"].add(shifted)
     assert all(seen == {True, False} for seen in outcomes.values())
+
+
+# -- batched routes, pinned to the scalar ones -----------------------------------------
+
+
+def _scalar_family_word(code, spec):
+    """Reference: build_family_word before family_words. The tail polynomial
+    nu*x^(k-1) + low is evaluated coordinate by coordinate, then lam * base added."""
+    f = code.field
+    lam, nu = f.encodings((spec.lam, spec.nu))
+    low = spec.low if spec.low is not None else Polynomial.zero(f)
+    base = _family_base(code, spec.kind, spec.a_j)
+    tail = code._evaluate((Polynomial.x_power(f, code.k - 1, nu) + low).coeffs)
+    return code.word([f.add_enc(f.mul_enc(lam, b), c) for b, c in zip(base, tail)])
+
+
+def _expanded_family_word(code, spec):
+    """Reference: the word of the family polynomial itself, expanded in full."""
+    f = code.field
+    lam, nu = f.encodings((spec.lam, spec.nu))
+    if spec.kind == "deg_k":
+        head = Polynomial.x_power(f, code.k)
+    else:
+        head = expand_shifted_power(f, spec.a_j, f.q - 2)
+    low = spec.low if spec.low is not None else Polynomial.zero(f)
+    return code.word_from_poly(head * f.element(lam) + Polynomial.x_power(f, code.k - 1, nu) + low)
+
+
+def _random_spec(code, rng, kind, a_j=None):
+    q = code.field.q
+    low = Polynomial(code.field, [rng.randrange(q) for _ in range(rng.randrange(code.k))])
+    return WordFamilySpec(kind, rng.randrange(1, q), rng.randrange(q), a_j, low)
+
+
+def _random_code(f, rng):
+    l = rng.randrange(1, f.q - 2)
+    return GprsCode(f, rng.sample(range(f.q), l), rng.randrange(2, f.q - l))
+
+
+def _assert_family_word_matches_references(code, spec):
+    word = build_family_word(code, spec)
+    assert word == _scalar_family_word(code, spec) == _expanded_family_word(code, spec)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11])
+def test_family_words_match_scalar_and_expanded_words(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        code = _random_code(f, rng)
+        for kind, a_j in (("deg_k", None), ("shifted_qminus2", rng.choice(code.excluded))):
+            specs = [_random_spec(code, rng, kind, a_j) for _ in range(4)]
+            for spec in specs:
+                _assert_family_word_matches_references(code, spec)
+            # a batch of rows is the rows built one at a time
+            tails = [s.low.coeffs + (0,) * (code.k - 1 - len(s.low.coeffs)) + (s.nu,)
+                     for s in specs]
+            rows = family_words(code, kind, [s.lam for s in specs], tails, a_j).tolist()
+            assert rows == [list(_scalar_family_word(code, s).encs) for s in specs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_family_words_property(data):
+    q = data.draw(st.sampled_from([5, 7, 9, 11]))
+    l = data.draw(st.integers(1, q - 3))
+    k = data.draw(st.integers(2, q - l - 1))
+    excl = data.draw(st.lists(st.integers(0, q - 1), min_size=l, max_size=l, unique=True))
+    code = GprsCode(field_of_order(q), excl, k)
+    kind = data.draw(st.sampled_from(["deg_k", "shifted_qminus2"]))
+    low = data.draw(st.lists(st.integers(0, q - 1), max_size=k - 1))
+    spec = WordFamilySpec(
+        kind,
+        data.draw(st.integers(1, q - 1)),
+        data.draw(st.integers(0, q - 1)),
+        data.draw(st.sampled_from(excl)) if kind == "shifted_qminus2" else None,
+        Polynomial(code.field, low),
+    )
+    _assert_family_word_matches_references(code, spec)
+
+
+def _mds_words(code, rng):
+    """A codeword, one word of each paper family, and three random words."""
+    q = code.field.q
+    words = [code.encode(Polynomial(code.field, [rng.randrange(q) for _ in range(code.k)]))]
+    words.append(build_family_word(code, _random_spec(code, rng, "deg_k")))
+    a_j = rng.choice(code.excluded)
+    words.append(build_family_word(code, _random_spec(code, rng, "shifted_qminus2", a_j)))
+    words += [code.word([rng.randrange(q) for _ in range(code.length)]) for _ in range(3)]
+    return words
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_mds_extension_verdicts_match_scalar_scan(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    outcomes = set()
+    for _ in range(40):
+        code = _random_code(f, rng)
+        words = _mds_words(code, rng)
+        verdicts = mds_extension_verdicts(code, words)
+        assert verdicts == [is_deep_hole_mds_extension(code, w) for w in words]
+        outcomes.update(v.is_deep_hole for v in verdicts)
+    assert outcomes == {True, False}
+
+
+def _counted_scalar_route(monkeypatch):
+    calls = [0]
+    real = deepholes.is_deep_hole_mds_extension
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(deepholes, "is_deep_hole_mds_extension", counted)
+    return calls
+
+
+def test_mds_extension_verdicts_fall_back_past_the_cap(monkeypatch):
+    rng = random.Random(61)
+    cases = [(code, _mds_words(code, rng)) for code in
+             (GprsCode(field(7), [0], 3), GprsCode(field(2, 3), [1, 5], 2),
+              GprsCode(field(11), [0, 5], 4))]
+    expected = [[is_deep_hole_mds_extension(c, w) for w in words] for c, words in cases]
+    calls = _counted_scalar_route(monkeypatch)
+    assert [mds_extension_verdicts(c, words) for c, words in cases] == expected
+    assert calls[0] == 0
+    monkeypatch.setattr(deepholes, "_AGREEMENT_BYTES", 1)
+    assert [mds_extension_verdicts(c, words) for c, words in cases] == expected
+    assert calls[0] == sum(len(words) for _, words in cases)
+
+
+@pytest.mark.parametrize("slack", [1, 2, 8])
+def test_mds_extension_verdicts_in_runs(monkeypatch, slack):
+    # a cap just above the cofactor table scores the subsets in short runs
+    rng = random.Random(slack)
+    for q, excl, k in ((7, (0,), 3), (9, (2, 4), 4), (11, (0, 5), 2), (13, (1,), 5)):
+        code = GprsCode(field_of_order(q), excl, k)
+        words = _mds_words(code, rng) * 2
+        expected = [is_deep_hole_mds_extension(code, w) for w in words]
+        n = code.length
+        monkeypatch.setattr(deepholes, "_AGREEMENT_BYTES", 2 * slack * math.comb(n, k) * (n - k) * 24)
+        calls = _counted_scalar_route(monkeypatch)
+        assert mds_extension_verdicts(code, words) == expected
+        assert calls[0] == 0
+
+
+@pytest.mark.parametrize("length,k", [(4, 2), (7, 3), (9, 5), (12, 2)])
+def test_cofactor_index_deletes_each_column(length, k):
+    subsets, ranks = _cofactor_index(length, k)
+    k_subsets = list(combinations(range(length), k))
+    assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(length), k + 1))
+    for s, r in zip(subsets.tolist(), ranks.tolist()):
+        assert [k_subsets[i] for i in r] == [tuple(s[:j] + s[j + 1 :]) for j in range(k + 1)]
 
 
 def test_validate_verdict_rejects_bogus_mds_columns():

@@ -3,8 +3,19 @@ from itertools import combinations, permutations
 
 import pytest
 
+import gprs.matrix as matrix_module
+from gprs.codes import GprsCode
 from gprs.galois import field, field_of_order
-from gprs.matrix import Matrix, det_enc, mds_generator_check, vandermonde_det
+from gprs.matrix import (
+    Matrix,
+    MdsCheckResult,
+    column_minors,
+    det_enc,
+    det_stack,
+    first_singular_column_subset,
+    mds_generator_check,
+    vandermonde_det,
+)
 
 
 # -- independent oracle: cofactor expansion ------------------------------------
@@ -160,6 +171,78 @@ def test_mds_check_requires_k_rows():
     g = Matrix(f, [[1, 1, 1, 0], [0, 1, 2, 1]])
     with pytest.raises(ValueError):
         mds_generator_check(g, 3)
+
+
+# -- batched determinants, pinned to det_enc -----------------------------------
+
+
+def _sparse_grid(rng, q, n):
+    """A random n x n grid, often singular: many zeros, sometimes a repeated row."""
+    grid = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        grid[rng.randrange(1, n)] = list(grid[0])
+    return grid
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_det_stack_matches_det_enc_on_random_grids(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for n in range(1, 7):
+        stack = [_sparse_grid(rng, q, n) for _ in range(200)]
+        dets = det_stack(f, stack).tolist()
+        assert dets == [det_enc(f, grid) for grid in stack]
+        assert 0 in dets and any(dets)
+
+
+def _assert_minors_match_det_enc(code, monkeypatch):
+    rows = code._generator_rows()
+    subsets = list(combinations(range(code.length), code.k))
+    expected = [det_enc(code.field, [[r[j] for j in cols] for r in rows]) for cols in subsets]
+    assert code._minor_table().tolist() == expected
+    # a grid whose last row repeats another has every minor singular; taken
+    # in runs of 3 subsets
+    size = code.k + 1
+    with monkeypatch.context() as m:
+        m.setattr(matrix_module, "_RUN_BYTES", 96 * size * size)
+        runs = list(column_minors(code.field, rows + (rows[0],), size))
+    assert [tuple(c) for cols, _ in runs for c in cols.tolist()] == list(
+        combinations(range(code.length), code.k + 1)
+    )
+    assert all(not dets.any() for _, dets in runs)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_code_minor_table_matches_det_enc_on_every_code(monkeypatch, q):
+    f = field_of_order(q)
+    for l in range(1, q - 2):
+        for excl in combinations(range(q), l):
+            for k in range(2, q - l):
+                _assert_minors_match_det_enc(GprsCode(f, excl, k), monkeypatch)
+
+
+@pytest.mark.parametrize("q", [9, 11, 13])
+def test_code_minor_table_matches_det_enc_on_sampled_codes(monkeypatch, q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(12):
+        l = rng.randrange(1, q - 2)
+        code = GprsCode(f, rng.sample(range(q), l), rng.randrange(2, q - l))
+        _assert_minors_match_det_enc(code, monkeypatch)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 9])
+def test_mds_check_matches_scalar_scan(q):
+    # the batched check against the scalar first_singular_column_subset loop
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(60):
+        k = rng.randrange(1, 4)
+        ncols = rng.randrange(k, 8)
+        rows = [[rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(ncols)]
+                for _ in range(k)]
+        witness = first_singular_column_subset(f, rows, k)
+        assert mds_generator_check(Matrix(f, rows), k) == MdsCheckResult(witness is None, witness)
 
 
 # -- stacked-matrix determinant identities (small cases; the acceptance

@@ -9,8 +9,11 @@ from itertools import combinations
 import pytest
 
 import gprs.verify as verify
-from gprs.deepholes import DeepHoleVerdict
+from gprs.codes import GprsCode
+from gprs.deepholes import DeepHoleVerdict, WordFamilySpec, build_family_word
+from gprs.galois import field_of_order
 from gprs.matrix import MdsCheckResult
+from gprs.polynomial import Polynomial
 from gprs.verify import (
     KNOWN_CLAIMS,
     ROW_FIELDS,
@@ -401,3 +404,43 @@ def test_deephole_sweep_oracle_interpolates_no_subsets(monkeypatch):
     rep = run_sweep(SweepConfig(claims=("thm14", "thm15"), q_list=(7,), words_per_config=5))
     assert rep.summary["total"] == rep.summary["agreed"] > 0
     assert calls[0] <= rep.summary["total"]
+
+
+def _scalar_degree_k_words(code, rng, count):
+    # reference: one polynomial per word, evaluated coordinate by coordinate
+    f = code.field
+    for _ in range(count):
+        encs = [rng.randrange(f.q) for _ in range(code.k)]
+        encs.append(rng.randrange(1, f.q))
+        yield code.word_from_poly(Polynomial(f, encs))
+
+
+def _scalar_shifted_words(code, a_j, rng, count):
+    f = code.field
+    for _ in range(count):
+        spec = WordFamilySpec(
+            kind="shifted_qminus2",
+            lam=rng.randrange(1, f.q),
+            nu=rng.randrange(f.q),
+            a_j=a_j,
+            low=Polynomial(f, [rng.randrange(f.q) for _ in range(code.k - 1)]),
+        )
+        yield build_family_word(code, spec)
+
+
+@pytest.mark.parametrize("q", [5, 8, 9, 11])
+def test_sweep_words_match_the_scalar_route_draw_for_draw(q):
+    # the batched family words draw the same values in the same order
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(10):
+        l = rng.randrange(1, q - 2)
+        code = GprsCode(f, rng.sample(range(q), l), rng.randrange(2, q - l))
+        a_j = rng.choice(code.excluded)
+        seed = rng.random()
+        assert verify._degree_k_words(code, random.Random(seed), 7) == list(
+            _scalar_degree_k_words(code, random.Random(seed), 7)
+        )
+        assert verify._shifted_words(code, a_j, random.Random(seed), 7) == list(
+            _scalar_shifted_words(code, a_j, random.Random(seed), 7)
+        )
