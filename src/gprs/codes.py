@@ -23,14 +23,15 @@ span_0 = {0}. ``enumerate`` scans span_k; the brute-force minimum distance
 scans each row_i + span_i, one codeword per projective point, and never
 builds span_k. Both budgets still count q^k codewords.
 
-Agreement is one batched kernel. The Lagrange tensor T[S, s, i] =
+Agreement is one batched kernel over a slab: rows whose codes share the
+field, n and k, each with its words. The Lagrange tensor T[S, s, i] =
 L_{S,s}(x_i), over the k-subsets S in lexicographic order, with the x^(k-1)
 coefficient of L_{S,s} as an extra column for projective codes, is built by
-table gathers on a difference table. A batch of words then gets every
-interpolant's values in k gathers. The tensor is cached on the code when
-building it fits half of a fixed cap, ``_AGREEMENT_BYTES`` (8 MiB);
-otherwise it is built and scored run by run of subsets, so agreement
-working memory stays under the cap either way.
+table gathers on a difference table, once per distinct code and in one call
+for a group of codes. The words then get every interpolant's values in k
+gathers. Working memory stays under a fixed cap, ``_AGREEMENT_BYTES``
+(8 MiB), by building and scoring in runs of subsets; a code alone in its
+slab (the per-code method) keeps its tensor cached when it fits half the cap.
 
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
@@ -173,16 +174,8 @@ class _EvaluationCode:
         """Generator rows: the words of 1, x, ..., x^(k-1)."""
         cached = getattr(self, "_rows_cache", None)
         if cached is None:
-            cached = tuple(tuple(self._evaluate([0] * i + [1])) for i in range(self.k))
-            self._rows_cache = cached
+            cached = self._rows_cache = tuple(map(tuple, _generator_stack([self])[0].tolist()))
         return cached
-
-    def _minor_table(self) -> np.ndarray:
-        """det G_T for every k-column subset T of the generator, in lexicographic order, cached."""
-        if getattr(self, "_minor_cache", None) is None:
-            runs = column_minors(self.field, self._generator_rows(), self.k)
-            self._minor_cache = np.concatenate([dets for _, dets in runs])
-        return self._minor_cache
 
     def _syndrome(self, encs) -> list[int]:
         """H·w for H = [-A^T | I], the parity check of the systematic generator [I | A].
@@ -247,90 +240,133 @@ class _EvaluationCode:
         raise ValueError(f"unknown error-distance method {method!r}")
 
     def agreement_distances(self, words) -> list[int]:
-        """Exact error distances of the words by agreement, scored in one batch.
-
-        For each k-subset S of the first n coordinates, the interpolant of a
-        word w through S takes the value sum_s w[S_s] * T[S, s, i] at
-        coordinate i (``_lagrange_tensor``), so its agreement with w is a count
-        of equal entries; the distance is length minus the best agreement.
-        The scan stops at the first chunk of subsets after which every word
-        has full agreement, i.e. is a codeword.
-        """
+        """Exact error distances of the words by agreement: the slab of this code alone."""
         for word in words:
             if not _codes_compatible(word.code, self):
                 raise ValueError("word belongs to a different code")
-        f, k, top = self.field, self.k, self.length
-        w = np.array([word.encs for word in words], dtype=np.intp).reshape(-1, top)
-        best = np.zeros(len(w), dtype=np.intp)
-        # scoring scratch per subset: an index copy of its tensor rows, and
-        # per word the products, sums and comparisons over every coordinate
-        for subsets, T in self._lagrange_chunks(top * (8 + 8 * len(w))):
-            vals = f.mul_table[w[:, subsets[:, 0], None], T[None, :, 0]]
-            for s in range(1, k):
-                vals = f.add_table[vals, f.mul_table[w[:, subsets[:, s], None], T[None, :, s]]]
-            np.maximum(best, (vals == w[:, None, :]).sum(axis=2).max(axis=1), out=best)
-            if (best == top).all():
-                break
-        return (top - best).tolist()
-
-    def _lagrange_chunks(self, scratch: int):
-        """(subsets, T) for runs of the k-subsets of the first n coordinates.
-
-        The subsets come in lexicographic order, one row of indices each. A
-        run's tensor rows, the temporaries that build them and ``scratch``
-        bytes per subset fit half of ``_AGREEMENT_BYTES``. The whole tensor is
-        built once and cached on the code when its build fits the other half;
-        otherwise each run is built when it is reached.
-        """
-        n, k = len(self._d_encs), self.k
-        build = k * (2 * self.length + 8) + 48 * n  # bytes per subset
-        step = max(1, _AGREEMENT_BYTES // 2 // (build + scratch))
-        cached = getattr(self, "_lagrange_cache", None)
-        if cached is None and math.comb(n, k) * build <= _AGREEMENT_BYTES // 2:
-            subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
-            cached = self._lagrange_cache = (subsets, self._lagrange_tensor(subsets))
-        if cached is not None:
-            subsets, T = cached
-            for start in range(0, len(subsets), step):
-                yield subsets[start : start + step], T[start : start + step]
-            return
-        runs = combinations(range(n), k)
-        while run := list(islice(runs, step)):
-            subsets = np.array(run, dtype=np.intp)
-            yield subsets, self._lagrange_tensor(subsets)
-
-    def _lagrange_tensor(self, subsets: np.ndarray) -> np.ndarray:
-        """T[S, s, i] = L_{S,s}(x_i) for the subsets S in the rows of ``subsets``.
-
-        L_{S,s} is the Lagrange basis polynomial of S that is 1 at x_{S_s} and
-        0 on the rest of S. Off S it is P_S(x_i) / (x_i - x_{S_s}) times
-        c = 1 / prod_{t != s} (x_{S_s} - x_{S_t}), with P_S = prod_t (x - x_{S_t});
-        c is its x^(k-1) coefficient, which projective codes keep as column n.
-        """
-        f = self.field
-        add, mul = f.add_table, f.mul_table
-        x = np.array(self._d_encs, dtype=np.intp)
-        n = len(x)
-        m, k = subsets.shape
-        diff = add[x[None, :], f.neg_table[x][:, None]]  # diff[j, i] = x_i - x_j
-        inv_diff = f.inv_table[diff]  # 0 on the diagonal
-        prod = diff[subsets[:, 0]]
-        for t in range(1, k):
-            prod = mul[prod, diff[subsets[:, t]]]  # P_S(x_i), 0 on S
-        T = np.zeros((m, k, self.length), dtype=np.uint16)
-        for s in range(k):
-            c = np.ones(m, dtype=np.intp)
-            for t in range(k):
-                if t != s:
-                    c = mul[c, inv_diff[subsets[:, t], subsets[:, s]]]
-            T[:, s, :n] = mul[mul[prod, inv_diff[subsets[:, s]]], c[:, None]]
-            T[np.arange(m), s, subsets[:, s]] = 1
-            if self._projective:
-                T[:, s, n] = c
-        return T
+        return agreement_distances([self], [[word.encs for word in words]])[0].tolist()
 
     def is_codeword(self, word: ReceivedWord) -> bool:
         return not any(self._syndrome(word.encs))
+
+
+def _distinct(codes) -> tuple[list, np.ndarray]:
+    """The distinct code objects of a slab in first-seen order, and each row's index among them."""
+    uniq = {id(code): code for code in codes}
+    rank = {key: i for i, key in enumerate(uniq)}
+    return list(uniq.values()), np.array([rank[id(code)] for code in codes], dtype=np.intp)
+
+
+def _generator_stack(codes) -> np.ndarray:
+    """Each code's generator rows, (codes, k, length): x^i on D by repeated mul_table
+    gathers, and for projective codes the column of the x^(k-1) coefficient."""
+    f, k, n = codes[0].field, codes[0].k, len(codes[0]._d_encs)
+    g = np.zeros((len(codes), k, codes[0].length), dtype=np.intp)
+    g[:, 0, :n] = 1
+    for i in range(1, k):
+        g[:, i, :n] = f.mul_table[g[:, i - 1, :n], [code._d_encs for code in codes]]
+    g[:, k - 1, n:] = 1
+    return g
+
+
+def _minor_tables(codes) -> np.ndarray:
+    """det G_T of each row's code for every k-column subset T, in lexicographic order,
+    as (codes, C(length, k)): one column_minors pass over the distinct codes."""
+    uniq, index = _distinct(codes)
+    runs = column_minors(uniq[0].field, _generator_stack(uniq), uniq[0].k)
+    return np.concatenate([dets for _, dets in runs], axis=1)[index]
+
+
+def agreement_distances(codes, words) -> np.ndarray:
+    """Exact error distances by agreement of words[r, j] to codes[r], as (rows, words).
+
+    The codes share the field, n and k, and may repeat. The interpolant of a word
+    w through a k-subset S takes the value sum_s w[S_s] * T[S, s, i] at coordinate i
+    (``_lagrange_tensor``); the distance is length minus the best count of entries
+    where it equals w. A group of rows stops at the first run of subsets after
+    which every word in it is a codeword.
+    """
+    f, k, top = codes[0].field, codes[0].k, codes[0].length
+    w = np.asarray(words, dtype=np.intp).reshape(len(codes), -1, top)
+    best = np.zeros(w.shape[:2], dtype=np.intp)
+    # scoring scratch per row and subset: an index copy of its tensor rows, and
+    # per word the products, sums and comparisons over every coordinate
+    for rows, runs in _lagrange_runs(codes, top * (8 + 8 * w.shape[1])):
+        wr = w[rows]
+        for subsets, T in runs:
+            vals = f.mul_table[np.take(wr, subsets[:, 0], axis=2)[..., None], T[:, None, :, 0]]
+            for s in range(1, k):
+                ws = np.take(wr, subsets[:, s], axis=2)[..., None]
+                vals = f.add_table[vals, f.mul_table[ws, T[:, None, :, s]]]
+            best[rows] = np.maximum(best[rows], (vals == wr[:, :, None]).sum(axis=3).max(axis=2))
+            if (best[rows] == top).all():
+                break
+    return top - best
+
+
+def _lagrange_runs(codes, scratch: int):
+    """(rows, runs) per group of distinct codes, with all their rows. A run is (subsets, T):
+    the next k-subsets S in lexicographic order and T[r, S], code ``rows[r]``'s tensor rows
+    on them, built when reached. A run's tensor rows, their build temporaries and ``scratch``
+    bytes per row and subset fit half of ``_AGREEMENT_BYTES``. A code alone in its slab
+    keeps its whole tensor cached when building it fits that half."""
+    code, half = codes[0], _AGREEMENT_BYTES // 2
+    n, k, total = len(code._d_encs), code.k, math.comb(len(code._d_encs), code.k)
+    build = k * (2 * code.length + 8) + 48 * n  # bytes per code and subset
+    uniq, index = _distinct(codes)
+    per_code = build + int(np.bincount(index).max()) * scratch  # a code and its rows
+    group = max(1, half // (total * per_code))  # distinct codes per group
+    step = max(1, half // (group * per_code))  # subsets per run
+    if len(uniq) == 1 and total * build <= half:
+        if getattr(code, "_lagrange_cache", None) is None:
+            subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
+            code._lagrange_cache = (subsets, _lagrange_tensor([code], subsets)[0])
+        subsets, T = code._lagrange_cache
+        yield slice(None), [(subsets[a : a + step], T[None, a : a + step]) for a in range(0, total, step)]
+        return
+    for g in range(0, len(uniq), group):
+        rows = np.flatnonzero(index // group == g // group)
+        yield rows, _tensor_runs(uniq[g : g + group], index[rows] - g, step)
+
+
+def _tensor_runs(codes, at: np.ndarray, step: int):
+    """(subsets, T) for runs of ``step`` k-subsets, T of the codes taken per row by ``at``."""
+    runs = combinations(range(len(codes[0]._d_encs)), codes[0].k)
+    while run := list(islice(runs, step)):
+        subsets = np.array(run, dtype=np.intp)
+        yield subsets, _lagrange_tensor(codes, subsets)[at]
+
+
+def _lagrange_tensor(codes, subsets: np.ndarray) -> np.ndarray:
+    """T[c, S, s, i] = L_{S,s}(x_i) on the points of codes[c], for the rows S of ``subsets``.
+
+    L_{S,s} is the Lagrange basis polynomial of S that is 1 at x_{S_s} and
+    0 on the rest of S. Off S it is P_S(x_i) / (x_i - x_{S_s}) times
+    c = 1 / prod_{t != s} (x_{S_s} - x_{S_t}), with P_S = prod_t (x - x_{S_t});
+    c is its x^(k-1) coefficient, which projective codes keep as column n.
+    """
+    f = codes[0].field
+    add, mul = f.add_table, f.mul_table
+    x = np.array([code._d_encs for code in codes], dtype=np.intp)
+    n = x.shape[1]
+    m, k = subsets.shape
+    diff = add[x[:, None, :], f.neg_table[x][:, :, None]]  # diff[c, j, i] = x_i - x_j
+    inv_diff = f.inv_table[diff]  # 0 on the diagonal
+    pair = inv_diff[:, subsets[:, :, None], subsets[:, None, :]]  # 1 / (x_{S_u} - x_{S_t})
+    prod = np.take(diff, subsets[:, 0], axis=1)
+    for t in range(1, k):
+        prod = mul[prod, np.take(diff, subsets[:, t], axis=1)]  # P_S(x_i), 0 on S
+    T = np.zeros((len(codes), m, k, codes[0].length), dtype=np.uint16)
+    for s in range(k):
+        c = np.ones((len(codes), m), dtype=np.intp)
+        for t in range(k):
+            if t != s:
+                c = mul[c, pair[:, :, t, s]]
+        T[:, :, s, :n] = mul[mul[prod, np.take(inv_diff, subsets[:, s], axis=1)], c[:, :, None]]
+        T[:, np.arange(m), s, subsets[:, s]] = 1
+        if codes[0]._projective:
+            T[:, :, s, n] = c
+    return T
 
 
 def parse_excluded(text: str) -> list[int]:

@@ -5,8 +5,8 @@ covering radius q - l + 1 - k. Four routes produce a verdict:
 
 * ``oracle``: compare the exact error distance against the covering radius;
 * ``mds_extension``: stack the word under the generator matrix and demand
-  every (k+1)-column minor be nonsingular (a batch of words expands them
-  over the code's cached k-minors, ``mds_extension_verdicts``);
+  every (k+1)-column minor be nonsingular (a slab of words expands them
+  over each distinct code's k-minors, ``mds_extension_verdicts``);
 * ``thm14``: closed form for words whose interpolant has degree exactly k;
   such a word is a deep hole iff no k-subset of D sums to zero;
 * ``thm15``: closed form for the family lam*(x - a_j)^(q-2) + nu*x^(k-1)
@@ -17,8 +17,10 @@ covering radius q - l + 1 - k. Four routes produce a verdict:
 
 Each paper family is one base word plus the code: the word of x^k, or of
 (x - a_j)^(q-2), scaled by lam != 0, plus the codeword of
-nu*x^(k-1) + low. ``family_words`` builds a batch of words that way, and a
-word is in a family iff its syndrome is a nonzero multiple of the base word's.
+nu*x^(k-1) + low. ``family_words`` builds a slab of words that way (rows whose
+codes share the field, n and k), and a word is in a family iff its syndrome is
+a nonzero multiple of the base word's. Base words are table gathers: x^k, and
+(y - a_j)^(q-2) = 1 / (y - a_j) on D, as a_j is excluded.
 
 The closed-form criteria hard-require their hypotheses (odd characteristic
 included) and raise HypothesisError outside them; the oracles run anywhere.
@@ -43,9 +45,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .galois import FieldElement, FiniteField, lucas_binom
-from .polynomial import Polynomial, _shifted_power_enc
+from .polynomial import Polynomial
 from .matrix import det_enc, first_singular_column_subset
 from .codes import _AGREEMENT_BYTES, DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord
+from .codes import _generator_stack, _minor_tables
 
 CRITERION_METHODS = ("thm14", "thm15")
 
@@ -110,34 +113,47 @@ def build_family_word(code: GprsCode, spec: WordFamilySpec) -> ReceivedWord:
     if not low.degree <= code.k - 2:
         raise ValueError(f"low-order part degree {low.degree} exceeds k - 2")
     tail = low.coeffs + (0,) * (code.k - 1 - len(low.coeffs)) + (nu,)
-    return code.word(family_words(code, spec.kind, [lam], [tail], spec.a_j)[0].tolist())
+    return code.word(family_words([code], spec.kind, [[lam]], [[tail]], [spec.a_j])[0, 0].tolist())
 
 
-def family_words(code: GprsCode, kind: str, lams, tails, a_j=None) -> np.ndarray:
-    """Rows lam * base + sum_i t_i * G_i, for the family's base word and the generator
-    rows G_i: one gather per term. G_(k-1) carries t_(k-1) into the projective coordinate."""
-    f = code.field
-    base = np.array(_family_base(code, kind, a_j), dtype=np.intp)
-    words = f.mul_table[np.asarray(lams, dtype=np.intp)[:, None], base]
-    for t, row in zip(np.asarray(tails, dtype=np.intp).T, code._generator_rows()):
-        words = f.add_table[words, f.mul_table[t[:, None], row]]
+def family_words(codes, kind: str, lams, tails, a_js) -> np.ndarray:
+    """Words lam * base + sum_i t_i * G_i of each code, (codes, words, length), for the
+    family's base word and the generator rows G_i: one gather per term. G_(k-1) carries
+    t_(k-1) into the projective coordinate. ``lams`` is (codes, words), ``tails`` is
+    (codes, words, k), and ``a_js`` one a_j per code (read by the shifted family)."""
+    f = codes[0].field
+    base = _family_bases(codes, kind, a_js)
+    words = f.mul_table[np.asarray(lams, dtype=np.intp)[:, :, None], base[:, None]]
+    tails = np.moveaxis(np.asarray(tails, dtype=np.intp), 2, 0)
+    for t, row in zip(tails, np.moveaxis(_generator_stack(codes), 1, 0)):
+        words = f.add_table[words, f.mul_table[t[:, :, None], row[:, None]]]
     return words
 
 
-def _family_base(code: GprsCode, kind: str, a_j=None) -> list[int]:
-    """The word of x^k ("deg_k") or of (x - a_j)^(q-2) ("shifted_qminus2")."""
-    f = code.field
+def _family_bases(codes, kind: str, a_js) -> np.ndarray:
+    """Each code's word of x^k ("deg_k") or of (x - a_j)^(q-2) ("shifted_qminus2"), by
+    table gathers on D: x^k by repeated multiplication, or 1 / (y - a_j) with the x^(k-1)
+    coefficient C(q-2, k-1) * (-a_j)^(q-1-k)."""
+    f, k = codes[0].field, codes[0].k
+    x = np.array([code._d_encs for code in codes], dtype=np.intp)
     if kind == "deg_k":
-        return code._evaluate([0] * code.k + [1])
-    if kind == "shifted_qminus2":
-        if a_j is None:
-            raise ValueError("shifted family needs the excluded point a_j")
-        return code._evaluate(_shifted_power_enc(f, _excluded_point(code, a_j), f.q - 2))
-    raise ValueError(f"unknown family kind {kind!r}")
+        head, coeff = x, [0] * len(codes)
+        for _ in range(1, k):
+            head = f.mul_table[head, x]
+    elif kind == "shifted_qminus2":
+        a = np.array([_excluded_point(code, a_j) for code, a_j in zip(codes, a_js)])
+        head = f.inv_table[f.add_table[x, f.neg_table[a][:, None]]]
+        binom = lucas_binom(f.q - 2, k - 1, f.p)
+        coeff = [f.mul_enc(binom, f.pow_enc(f.neg_enc(e), f.q - 1 - k)) for e in a.tolist()]
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return np.column_stack([head, coeff])
 
 
 def _excluded_point(code: GprsCode, a_j) -> int:
     """The encoding of a_j, which must be one of the code's excluded points."""
+    if a_j is None:
+        raise ValueError("shifted family needs the excluded point a_j")
     (aj,) = code.field.encodings((a_j,))
     if aj in code.evaluation_encodings():
         raise ValueError("a_j must be one of the code's excluded points")
@@ -154,15 +170,7 @@ def is_deep_hole_oracle(
 
     Codewords are never deep holes; they come back with distance 0.
     """
-    return _oracle_verdict(code, code.error_distance(word, method=method, budget=budget))
-
-
-def oracle_verdicts(code: GprsCode, words) -> list[DeepHoleVerdict]:
-    """``is_deep_hole_oracle`` by agreement for each word, the words scored in one batch."""
-    return [_oracle_verdict(code, d) for d in code.agreement_distances(words)]
-
-
-def _oracle_verdict(code: GprsCode, d: int) -> DeepHoleVerdict:
+    d = code.error_distance(word, method=method, budget=budget)
     return DeepHoleVerdict(d == code.covering_radius("formula"), "oracle", distance=d)
 
 
@@ -178,36 +186,40 @@ def is_deep_hole_mds_extension(code: GprsCode, word: ReceivedWord) -> DeepHoleVe
     return DeepHoleVerdict(witness is None, "mds_extension", witness)
 
 
-def mds_extension_verdicts(code: GprsCode, words) -> list[DeepHoleVerdict]:
-    """``is_deep_hole_mds_extension`` for each word, the words scanned in one batch.
+def mds_extension_verdicts(codes, words) -> list[list[DeepHoleVerdict]]:
+    """``is_deep_hole_mds_extension`` of words[r, j] against codes[r], as (rows, words).
 
-    det[G_S; w_S] = sum_j (-1)^(k+j) w_(S_j) det G_(S minus S_j), k+1 gathers per
-    run of subsets S over the code's k-minor table, up to the first run that
-    leaves every word a zero. Past ``_AGREEMENT_BYTES // 2`` each word scans alone.
+    det[G_S; w_S] = sum_j (-1)^(k+j) w_(S_j) det G_(S minus S_j), k+1 gathers per run of
+    subsets S over a group of rows' k-minor tables, up to the first run that leaves
+    each word of the group a zero. Past ``_AGREEMENT_BYTES // 2`` each word scans alone.
     """
-    words, n, k = list(words), code.length, code.k
-    # the cofactor table below has C(n, k+1) * (k+1) = C(n, k) * (n-k) entries
-    if math.comb(n, k) * (n - k) * 24 > _AGREEMENT_BYTES // 2:
-        return [is_deep_hole_mds_extension(code, word) for word in words]
+    code, n, k, half = codes[0], codes[0].length, codes[0].k, _AGREEMENT_BYTES // 2
+    w = np.asarray(words, dtype=np.intp).reshape(len(codes), -1, n)
+    # the cofactor table below has C(n, k+1) * (k+1) = C(n, k) * (n-k) entries per row
+    table = math.comb(n, k) * (n - k) * 24
+    if table > half:
+        return [[is_deep_hole_mds_extension(c, c.word(x)) for x in xs] for c, xs in zip(codes, w.tolist())]
     add, mul, neg = code.field.add_table, code.field.mul_table, code.field.neg_table
     subsets, ranks = _cofactor_index(n, k)
-    cof = code._minor_table()[ranks]
-    cof[:, (k + 1) % 2 :: 2] = neg[cof[:, (k + 1) % 2 :: 2]]  # the sign (-1)^(k+j)
-    w = np.array([word.encs for word in words], dtype=np.intp).reshape(-1, n)
-    first = np.full(len(w), -1)
-    step = max(1, _AGREEMENT_BYTES // 2 // (16 * (k + 1) * (len(w) + 1)))
-    for start in range(0, len(subsets), step):
-        terms = mul[w[:, subsets[start : start + step]], cof[start : start + step]]
-        vals = terms[..., 0]
-        for j in range(1, k + 1):
-            vals = add[vals, terms[..., j]]
-        zero = vals == 0
-        found = (first < 0) & zero.any(axis=1)
-        first[found] = start + zero[found].argmax(axis=1)
-        if (first >= 0).all():
-            break
-    return [DeepHoleVerdict(i < 0, "mds_extension", None if i < 0 else tuple(subsets[i].tolist()))
-            for i in first.tolist()]
+    first = np.full(w.shape[:2], -1)
+    group = half // table
+    for start in range(0, len(codes), group):
+        cof = _minor_tables(codes[start : start + group])[:, ranks]
+        cof[..., (k + 1) % 2 :: 2] = neg[cof[..., (k + 1) % 2 :: 2]]  # the sign (-1)^(k+j)
+        wr, fr = w[start : start + group], first[start : start + group]
+        step = max(1, half // (16 * (k + 1) * (wr.shape[1] + 1) * len(wr)))
+        for a in range(0, len(subsets), step):
+            terms = mul[wr[:, :, subsets[a : a + step]], cof[:, None, a : a + step]]
+            vals = terms[..., 0]
+            for j in range(1, k + 1):
+                vals = add[vals, terms[..., j]]
+            zero = vals == 0
+            found = (fr < 0) & zero.any(axis=2)
+            fr[found] = a + zero[found].argmax(axis=1)
+            if (fr >= 0).all():
+                break
+    return [[DeepHoleVerdict(i < 0, "mds_extension", None if i < 0 else tuple(subsets[i].tolist()))
+             for i in row] for row in first.tolist()]
 
 
 @lru_cache(maxsize=16)
@@ -399,22 +411,23 @@ def binom_mod_p(m: int, r: int, field: FiniteField) -> FieldElement:
 
 def word_in_degree_k_family(code: GprsCode, word: ReceivedWord) -> bool:
     """Is the word (u(D), c_{k-1}(u)) for some u of degree exactly k?"""
-    return _in_family(code, word, _family_base(code, "deg_k"))
+    return _in_family(code, word, "deg_k", None)
 
 
 def word_in_shifted_family(code: GprsCode, word: ReceivedWord, a_j) -> bool:
     """Is the word lam*(x-a_j)^(q-2) + nu*x^(k-1) + low for some lam != 0?"""
-    return _in_family(code, word, _family_base(code, "shifted_qminus2", a_j))
+    return _in_family(code, word, "shifted_qminus2", a_j)
 
 
-def _in_family(code: GprsCode, word: ReceivedWord, base) -> bool:
-    """Is the word lam * base plus a codeword for some lam != 0?
+def _in_family(code: GprsCode, word: ReceivedWord, kind: str, a_j) -> bool:
+    """Is the word lam * base plus a codeword for some lam != 0, base the family's word?
 
     By linearity that holds iff s(word) = lam * s(base). The base word is
     never a codeword, so s(base) != 0: on D its interpolant has degree k or
     n - 1 (x^k, or 1/(x - a_j)), and n - 1 >= k.
     """
     f = code.field
+    base = _family_bases([code], kind, [a_j])[0].tolist()
     s_word, s_base = code._syndrome(word.encs), code._syndrome(base)
     t = next(i for i, b in enumerate(s_base) if b)
     lam = f.div_enc(s_word[t], s_base[t])

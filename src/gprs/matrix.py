@@ -107,13 +107,15 @@ def det_stack(field: FiniteField, stack) -> np.ndarray:
 
 
 def column_minors(field: FiniteField, rows, size: int):
-    """(subsets, dets) for runs of the size-column minors of a grid with ``size`` rows,
-    the subsets in lexicographic order; a run's stack takes about ``_RUN_BYTES``."""
+    """(subsets, dets) for runs of the size-column minors of a grid with ``size`` rows, or of
+    each grid of a stack, the subsets in lexicographic order; a run takes about ``_RUN_BYTES``."""
     g = np.array(rows, dtype=np.intp)
-    subsets = combinations(range(g.shape[1]), size)
-    while run := list(islice(subsets, max(1, _RUN_BYTES // (32 * size * size)))):
+    grids = g[..., 0, 0].size
+    subsets = combinations(range(g.shape[-1]), size)
+    while run := list(islice(subsets, max(1, _RUN_BYTES // (32 * size * size * grids)))):
         cols = np.array(run, dtype=np.intp)
-        yield cols, det_stack(field, g[:, cols].transpose(1, 0, 2))
+        stack = np.moveaxis(g[..., cols], -2, -3)  # (grids..., run, size, size)
+        yield cols, det_stack(field, stack.reshape(-1, size, size)).reshape(stack.shape[:-2])
 
 
 def first_singular_column_subset(field: FiniteField, rows, size: int):

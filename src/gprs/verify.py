@@ -42,6 +42,8 @@ import sys
 from dataclasses import dataclass, field as dc_field, fields
 from itertools import combinations
 
+import numpy as np
+
 from .galois import FiniteField, field_of_order, prime_power_decomposition
 from .matrix import mds_generator_check
 from .codes import (
@@ -49,12 +51,12 @@ from .codes import (
     DEFAULT_MESSAGE_BUDGET,
     GprsCode,
     GrsCode,
+    agreement_distances,
 )
 from .deepholes import (
     DeepHoleVerdict,
     family_words,
     mds_extension_verdicts,
-    oracle_verdicts,
     thm14_criterion,
     thm15_criterion,
     validate_verdict,
@@ -264,53 +266,61 @@ def _unrank_subset(q: int, l: int, rank: int) -> tuple[int, ...]:
 
 
 def _code_grid(f: FiniteField, config: SweepConfig, claim: str, k_cap=None):
-    """The claim's codes: every l in 1..q-3, its exclusion sets (the per-q
-    cap is split evenly over the l), and k in 2..q-l-1, at most ``k_cap``."""
+    """The claim's codes, one list per (l, k): every l in 1..q-3, its exclusion sets
+    (the per-q cap is split evenly over the l), and k in 2..q-l-1, at most ``k_cap``."""
     q = f.q
     ls = range(1, q - 2)
     cap = config.max_exclusion_sets_per_q
     quota = None if cap is None else max(1, cap // len(ls))
     for l in ls:
         k_top = q - l - 1 if k_cap is None else min(k_cap, q - l - 1)
-        for excl in _exclusion_sets(q, l, quota, _rng(config, claim, q, "sets", l)):
-            for k in range(2, k_top + 1):
-                yield GprsCode(f, excl, k)
+        sets = _exclusion_sets(q, l, quota, _rng(config, claim, q, "sets", l))
+        for k in range(2, k_top + 1):
+            yield [GprsCode(f, excl, k) for excl in sets]
 
 
-def _degree_k_words(code: GprsCode, rng: random.Random, count: int):
-    """Words of t(x) + lam*x^k: per word t's k coefficients, then lam."""
+def _degree_k_draws(code: GprsCode, rng: random.Random, count: int):
+    """lams and tails of words t(x) + lam*x^k: per word t's k coefficients, then lam."""
     q = code.field.q
     draws = [[rng.randrange(q) for _ in range(code.k)] + [rng.randrange(1, q)] for _ in range(count)]
-    words = family_words(code, "deg_k", [d[-1] for d in draws], [d[:-1] for d in draws])
-    return [code.word(w) for w in words.tolist()]
+    return [d[-1] for d in draws], [d[:-1] for d in draws]
 
 
-def _shifted_words(code: GprsCode, a_j, rng: random.Random, count: int):
-    """Words of lam*(x-a_j)^(q-2) + nu*x^(k-1) + low: per word lam, nu, then low's k-1."""
+def _shifted_draws(code: GprsCode, rng: random.Random, count: int):
+    """lams and tails of words lam*(x-a_j)^(q-2) + nu*x^(k-1) + low: per word lam, nu, low's k-1."""
     q = code.field.q
     draws = [[rng.randrange(1, q), rng.randrange(q)] + [rng.randrange(q) for _ in range(code.k - 1)]
              for _ in range(count)]
-    tails = [d[2:] + d[1:2] for d in draws]
-    words = family_words(code, "shifted_qminus2", [d[0] for d in draws], tails, a_j)
-    return [code.word(w) for w in words.tolist()]
+    return [d[0] for d in draws], [d[2:] + d[1:2] for d in draws]
 
 
-def _first_miss(code: GprsCode, words: list, expected: bool, mds: bool = False):
-    """Run the words past the oracle, and past the MDS scan when ``mds``.
-
-    Each check scores all the words in one batch; the words are then walked
-    in order. Returns the last oracle verdict walked ("" if no word ran) and,
-    for the first word that a check rules on differently from ``expected``,
-    the tuple (word, oracle verdict, MDS verdict or None); None when every
-    word agrees.
-    """
-    mds_verdicts = mds_extension_verdicts(code, words) if mds else [None] * len(words)
-    last = ""
-    for word, o, m in zip(words, oracle_verdicts(code, words), mds_verdicts):
-        last = _bool_str(o.is_deep_hole)
-        if o.is_deep_hole != expected or (mds and m.is_deep_hole != expected):
-            return last, (word, o, m)
-    return last, None
+def _scored_rows(built, mds: bool = False) -> list[SweepRow]:
+    """The rows of one slab, from the (args, cols, draw) of rows whose codes share the field,
+    n and k; ``_row(*args, **cols)`` makes a row. A row with words to score has the draw
+    (code, a_j, lams, tails, expected, miss), a_j None for the degree-k family. The slab's
+    words are built and scored by the oracle and, with ``mds``, the MDS scan, one call
+    each. The oracle column is the last oracle verdict walked; the first word a check
+    rules on differently from ``expected`` refutes the row, with ``miss`` formatted by
+    the word, its distance and the oracle and MDS verdicts as the detail."""
+    drawn = [(cols, draw) for _, cols, draw in built if draw]
+    if drawn:
+        codes, a_js, lams, tails, expected, _ = zip(*(draw for _, draw in drawn))
+        words = family_words(codes, "deg_k" if a_js[0] is None else "shifted_qminus2", lams, tails, a_js)
+        dist = agreement_distances(codes, words)
+        deep = dist == codes[0].covering_radius("formula")
+        checked = deep
+        if mds:
+            checked = np.array([[v.is_deep_hole for v in vs] for vs in mds_extension_verdicts(codes, words)])
+        want = np.array(expected)[:, None]
+        bad = (deep != want) | (checked != want)
+        for r, (cols, draw) in enumerate(drawn):
+            j = int(bad[r].argmax()) if bad[r].any() else -1
+            cols["oracle"] = _bool_str(deep[r, j])
+            if j >= 0:
+                word = codes[r].word(words[r, j].tolist()).to_text()
+                cols["ok"], cols["detail"] = False, draw[-1].format(
+                    word=word, oracle=cols["oracle"], mds=_bool_str(checked[r, j]), distance=dist[r, j])
+    return [_row(*args, **cols) for args, cols, _ in built]
 
 
 # -- claim builders -----------------------------------------------------------
@@ -318,10 +328,10 @@ def _first_miss(code: GprsCode, words: list, expected: bool, mds: bool = False):
 
 def _thm14_rows(f: FiniteField, config: SweepConfig):
     grid = _code_grid(f, config, "thm14", k_cap=f.q - 3)
-    return [_thm14_row(code, config) for code in grid]
+    return [row for slab in grid for row in _scored_rows([_thm14_row(c, config) for c in slab], mds=True)]
 
 
-def _thm14_row(code: GprsCode, config: SweepConfig) -> SweepRow:
+def _thm14_row(code: GprsCode, config: SweepConfig):
     f = code.field
     excl = tuple(e.encoding for e in code.excluded)
     predicted = thm14_criterion(code)
@@ -330,97 +340,76 @@ def _thm14_row(code: GprsCode, config: SweepConfig) -> SweepRow:
     if predicted.witness is not None and not validate_verdict(code, predicted):
         ok, detail = False, "criterion witness failed re-validation"
     rng = _rng(config, "thm14", f.q, _encs_str(excl), code.k)
-    words = _degree_k_words(code, rng, config.words_per_config)
-    oracle, miss = _first_miss(code, words, predicted.is_deep_hole, mds=True)
-    if miss:
-        word, o, m = miss
-        ok, detail = False, (
-            f"word={word.to_text()} oracle={_bool_str(o.is_deep_hole)} "
-            f"mds={_bool_str(m.is_deep_hole)} criterion={claimed}"
-        )
-    witness = _encs_str(predicted.witness or ())
-    cols = dict(predicted=claimed, oracle=oracle, witness=witness, detail=detail)
-    return _row("thm14", f, excl, code.k, -1, ok, **cols)
+    miss = "word={word} oracle={oracle} mds={mds} criterion=" + claimed
+    draw = (code, None, *_degree_k_draws(code, rng, config.words_per_config), predicted.is_deep_hole, miss)
+    cols = dict(ok=ok, predicted=claimed, witness=_encs_str(predicted.witness or ()), detail=detail)
+    return ("thm14", f, excl, code.k, -1), cols, draw
 
 
 def _thm15_rows(f: FiniteField, config: SweepConfig):
-    return [
-        _thm15_row(code, a_j, config)
-        for code in _code_grid(f, config, "thm15")
-        for a_j in code.excluded
-    ]
+    grid = _code_grid(f, config, "thm15")
+    return [row for slab in grid for row in _scored_rows(
+        [_thm15_row(c, a_j, config) for c in slab for a_j in c.excluded])]
 
 
-def _thm15_row(code: GprsCode, a_j, config: SweepConfig) -> SweepRow:
+def _thm15_row(code: GprsCode, a_j, config: SweepConfig):
     f = code.field
     excl = tuple(e.encoding for e in code.excluded)
     predicted = thm15_criterion(code, a_j)
     claimed = _bool_str(predicted.is_deep_hole)
-    ok, detail, oracle = True, "", ""
+    ok, detail, draw = True, "", None
     if code.k % f.p == 0 and not predicted.is_deep_hole:
         ok, detail = False, "p | k must force a positive verdict"
     if predicted.witness is not None and not validate_verdict(code, predicted, a_j=a_j):
         ok, detail = False, "criterion witness failed re-validation"
     if ok:
         rng = _rng(config, "thm15", f.q, _encs_str(excl), code.k, a_j.encoding)
-        words = _shifted_words(code, a_j, rng, config.words_per_config)
-        oracle, miss = _first_miss(code, words, predicted.is_deep_hole)
-        if miss:
-            word, o, _ = miss
-            ok, detail = False, (
-                f"word={word.to_text()} oracle={_bool_str(o.is_deep_hole)} "
-                f"criterion={claimed}"
-            )
-    witness = _encs_str(predicted.witness or ())
-    cols = dict(predicted=claimed, oracle=oracle, witness=witness, detail=detail)
-    return _row("thm15", f, excl, code.k, a_j.encoding, ok, **cols)
+        miss = "word={word} oracle={oracle} criterion=" + claimed
+        draw = (code, a_j, *_shifted_draws(code, rng, config.words_per_config), predicted.is_deep_hole, miss)
+    cols = dict(ok=ok, predicted=claimed, witness=_encs_str(predicted.witness or ()), detail=detail)
+    return ("thm15", f, excl, code.k, a_j.encoding), cols, draw
 
 
 def _thm16_rows(f: FiniteField, config: SweepConfig):
-    rows = []
-    for k in range(2, f.q - 2):
-        code = GprsCode(f, [0], k)
-        predicted = thm14_criterion(code)
-        zs_encs = tuple(e.encoding for e in zero_sum_subset(f, k))
-        ok, detail, oracle = True, "", ""
-        if predicted.is_deep_hole:
-            ok, detail = False, "criterion claims a deep hole exists"
-        elif not validate_verdict(code, DeepHoleVerdict(False, "thm14", zs_encs)):
-            ok, detail = False, "constructed zero-sum subset rejected"
-        else:
-            rng = _rng(config, "thm16", f.q, k)
-            words = _degree_k_words(code, rng, config.words_per_config)
-            oracle, miss = _first_miss(code, words, False)
-            if miss:
-                ok, detail = False, f"word={miss[0].to_text()} is a deep hole"
-        witness = _encs_str(zs_encs)
-        cols = dict(predicted="false", oracle=oracle, witness=witness, detail=detail)
-        rows.append(_row("thm16", f, (0,), k, -1, ok, **cols))
-    return rows
+    return [row for k in range(2, f.q - 2) for row in _scored_rows([_thm16_row(f, k, config)])]
+
+
+def _thm16_row(f: FiniteField, k: int, config: SweepConfig):
+    code = GprsCode(f, [0], k)
+    predicted = thm14_criterion(code)
+    zs_encs = tuple(e.encoding for e in zero_sum_subset(f, k))
+    ok, detail, draw = True, "", None
+    if predicted.is_deep_hole:
+        ok, detail = False, "criterion claims a deep hole exists"
+    elif not validate_verdict(code, DeepHoleVerdict(False, "thm14", zs_encs)):
+        ok, detail = False, "constructed zero-sum subset rejected"
+    else:
+        rng = _rng(config, "thm16", f.q, k)
+        draws = _degree_k_draws(code, rng, config.words_per_config)
+        draw = (code, None, *draws, False, "word={word} is a deep hole")
+    cols = dict(ok=ok, predicted="false", witness=_encs_str(zs_encs), detail=detail)
+    return ("thm16", f, (0,), k, -1), cols, draw
 
 
 def _thm17_rows(f: FiniteField, config: SweepConfig):
-    rows = []
-    for k in range(2, f.q - 1):
-        code = GprsCode(f, [0], k)
-        ok, detail, oracle = True, "", ""
-        if not thm15_criterion(code, f.zero).is_deep_hole:
-            ok, detail = False, "criterion rejected the shifted family"
-        else:
-            rng = _rng(config, "thm17", f.q, k)
-            words = _shifted_words(code, f.zero, rng, config.words_per_config)
-            oracle, miss = _first_miss(code, words, True)
-            if miss:
-                word, o, _ = miss
-                ok, detail = False, f"word={word.to_text()} distance={o.distance}"
-        cols = dict(predicted="true", oracle=oracle, detail=detail)
-        rows.append(_row("thm17", f, (0,), k, 0, ok, **cols))
-    return rows
+    return [row for k in range(2, f.q - 1) for row in _scored_rows([_thm17_row(f, k, config)])]
+
+
+def _thm17_row(f: FiniteField, k: int, config: SweepConfig):
+    code = GprsCode(f, [0], k)
+    ok, detail, draw = True, "", None
+    if not thm15_criterion(code, f.zero).is_deep_hole:
+        ok, detail = False, "criterion rejected the shifted family"
+    else:
+        rng = _rng(config, "thm17", f.q, k)
+        draws = _shifted_draws(code, rng, config.words_per_config)
+        draw = (code, f.zero, *draws, True, "word={word} distance={distance}")
+    return ("thm17", f, (0,), k, 0), dict(ok=ok, predicted="true", detail=detail), draw
 
 
 def _lemma25_rows(f: FiniteField, config: SweepConfig):
     rows = []
-    for code in _code_grid(f, config, "lemma25"):
+    for code in (c for slab in _code_grid(f, config, "lemma25") for c in slab):
         formula = code.minimum_distance("formula")
         ok, cols = None, {"predicted": str(formula)}
         count = f.q**code.k
@@ -440,7 +429,7 @@ def _lemma25_rows(f: FiniteField, config: SweepConfig):
 
 def _lemma26_rows(f: FiniteField, config: SweepConfig):
     rows = []
-    for code in _code_grid(f, config, "lemma26"):
+    for code in (c for slab in _code_grid(f, config, "lemma26") for c in slab):
         formula = code.covering_radius("formula")
         ok, cols = None, {"predicted": str(formula)}
         evals = f.q**code.length * f.q**code.k

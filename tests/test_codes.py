@@ -13,6 +13,7 @@ from gprs.codes import (
     BudgetExceededError,
     GprsCode,
     GrsCode,
+    agreement_distances,
     hamming_distance,
 )
 from gprs.deepholes import WordFamilySpec, build_family_word
@@ -357,6 +358,43 @@ def test_agreement_kernel_matches_loop_on_every_code(q):
         words = _kernel_words(code, rng)
         _assert_kernel_matches_loop(code, words)
         assert code.agreement_distances(words)[2:4] == [0, 1]
+
+
+def _slabs(q, rng):
+    """Every code for q <= 8, two sampled exclusion sets per (l, k) above, one slab
+    per (l, k) that ends with its first code object once more; then that code
+    alone, in two rows."""
+    f = field_of_order(q)
+    for l in range(1, q - 2):
+        sets = list(combinations(range(q), l)) if q <= 8 else [rng.sample(range(q), l) for _ in range(2)]
+        for k in range(2, q - l):
+            slab = [GprsCode(f, excl, k) for excl in sets]
+            yield slab + slab[:1]
+            yield slab[:1] * 2
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_agreement_kernel_on_a_slab_matches_loop(monkeypatch, q):
+    # at the default cap; with a cap that takes a slab two rows at a time, and one
+    # that leaves a row alone and scores its tensor in runs; and at a cap so small
+    # that each distinct code builds its tensor one subset at a time. The loop
+    # takes seconds per slab past a few hundred subsets, so those shapes are left out.
+    rng = random.Random(q)
+    default = codes_module._AGREEMENT_BYTES
+    for i, slab in enumerate(_slabs(q, rng)):
+        n, k, top = len(slab[0].evaluation_encodings()), slab[0].k, slab[0].length
+        if math.comb(n, k) > 330:
+            continue
+        words = [[w.encs for w in _kernel_words(code, rng, count=0)] for code in slab]
+        expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
+        build = math.comb(n, k) * (k * (2 * top + 8) + 48 * n)
+        scored = build + math.comb(n, k) * top * (8 + 8 * len(words[0]))
+        for cap in [default, 4 * scored, 2 * build] + [1] * (i < 4):
+            monkeypatch.setattr(codes_module, "_AGREEMENT_BYTES", cap)
+            assert agreement_distances(slab, words).tolist() == expected, slab[0].spec_string()
+        # only a code alone in its slab keeps its tensor
+        lone = all(code is slab[0] for code in slab)
+        assert [hasattr(code, "_lagrange_cache") for code in slab] == [lone] * len(slab)
 
 
 @pytest.mark.parametrize("q", [8, 9])

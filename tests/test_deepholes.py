@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gprs.deepholes as deepholes
-from gprs.codes import BudgetExceededError, GprsCode
+from gprs.codes import BudgetExceededError, GprsCode, _generator_stack
 from gprs.deepholes import (
     DeepHoleVerdict,
     HypothesisError,
     WordFamilySpec,
     _cofactor_index,
-    _family_base,
+    _family_bases,
     binom_mod_p,
     build_family_word,
     family_words,
@@ -29,7 +29,7 @@ from gprs.deepholes import (
     zero_sum_subset,
 )
 from gprs.galois import field, field_of_order
-from gprs.polynomial import Polynomial, expand_shifted_power
+from gprs.polynomial import Polynomial, _eval_enc, _shifted_power_enc, expand_shifted_power
 
 
 def x_squared(f):
@@ -450,7 +450,7 @@ def _scalar_family_word(code, spec):
     f = code.field
     lam, nu = f.encodings((spec.lam, spec.nu))
     low = spec.low if spec.low is not None else Polynomial.zero(f)
-    base = _family_base(code, spec.kind, spec.a_j)
+    base = _family_bases([code], spec.kind, [spec.a_j])[0].tolist()
     tail = code._evaluate((Polynomial.x_power(f, code.k - 1, nu) + low).coeffs)
     return code.word([f.add_enc(f.mul_enc(lam, b), c) for b, c in zip(base, tail)])
 
@@ -478,6 +478,11 @@ def _random_code(f, rng):
     return GprsCode(f, rng.sample(range(f.q), l), rng.randrange(2, f.q - l))
 
 
+def _tail(code, spec):
+    """The coefficients of x^0 .. x^(k-1) in nu*x^(k-1) + low."""
+    return spec.low.coeffs + (0,) * (code.k - 1 - len(spec.low.coeffs)) + (spec.nu,)
+
+
 def _assert_family_word_matches_references(code, spec):
     word = build_family_word(code, spec)
     assert word == _scalar_family_word(code, spec) == _expanded_family_word(code, spec)
@@ -494,9 +499,8 @@ def test_family_words_match_scalar_and_expanded_words(q):
             for spec in specs:
                 _assert_family_word_matches_references(code, spec)
             # a batch of rows is the rows built one at a time
-            tails = [s.low.coeffs + (0,) * (code.k - 1 - len(s.low.coeffs)) + (s.nu,)
-                     for s in specs]
-            rows = family_words(code, kind, [s.lam for s in specs], tails, a_j).tolist()
+            tails = [_tail(code, s) for s in specs]
+            rows = family_words([code], kind, [[s.lam for s in specs]], [tails], [a_j])[0].tolist()
             assert rows == [list(_scalar_family_word(code, s).encs) for s in specs]
 
 
@@ -531,6 +535,11 @@ def _mds_words(code, rng):
     return words
 
 
+def _verdicts(code, words):
+    # the slab of one code
+    return mds_extension_verdicts([code], [[w.encs for w in words]])[0]
+
+
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_mds_extension_verdicts_match_scalar_scan(q):
     f = field_of_order(q)
@@ -539,7 +548,7 @@ def test_mds_extension_verdicts_match_scalar_scan(q):
     for _ in range(40):
         code = _random_code(f, rng)
         words = _mds_words(code, rng)
-        verdicts = mds_extension_verdicts(code, words)
+        verdicts = _verdicts(code, words)
         assert verdicts == [is_deep_hole_mds_extension(code, w) for w in words]
         outcomes.update(v.is_deep_hole for v in verdicts)
     assert outcomes == {True, False}
@@ -564,10 +573,10 @@ def test_mds_extension_verdicts_fall_back_past_the_cap(monkeypatch):
               GprsCode(field(11), [0, 5], 4))]
     expected = [[is_deep_hole_mds_extension(c, w) for w in words] for c, words in cases]
     calls = _counted_scalar_route(monkeypatch)
-    assert [mds_extension_verdicts(c, words) for c, words in cases] == expected
+    assert [_verdicts(c, words) for c, words in cases] == expected
     assert calls[0] == 0
     monkeypatch.setattr(deepholes, "_AGREEMENT_BYTES", 1)
-    assert [mds_extension_verdicts(c, words) for c, words in cases] == expected
+    assert [_verdicts(c, words) for c, words in cases] == expected
     assert calls[0] == sum(len(words) for _, words in cases)
 
 
@@ -582,8 +591,85 @@ def test_mds_extension_verdicts_in_runs(monkeypatch, slack):
         n = code.length
         monkeypatch.setattr(deepholes, "_AGREEMENT_BYTES", 2 * slack * math.comb(n, k) * (n - k) * 24)
         calls = _counted_scalar_route(monkeypatch)
-        assert mds_extension_verdicts(code, words) == expected
+        assert _verdicts(code, words) == expected
         assert calls[0] == 0
+
+
+# -- slabs: rows of codes that share the field, n and k -----------------------------------
+
+
+def _slabs(q, rng):
+    """Every code for q <= 8, two sampled exclusion sets per (l, k) above, one slab
+    per (l, k) that ends with its first code object once more; then that code
+    alone, in two rows."""
+    f = field_of_order(q)
+    for l in range(1, q - 2):
+        sets = list(combinations(range(q), l)) if q <= 8 else [rng.sample(range(q), l) for _ in range(2)]
+        for k in range(2, q - l):
+            slab = [GprsCode(f, excl, k) for excl in sets]
+            yield slab + slab[:1]
+            yield slab[:1] * 2
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11])
+def test_table_built_words_match_the_polynomial_route(q):
+    # the reference evaluates x^i and the expanded (x - a)^(q-2) by Horner's rule,
+    # memoised per point; every code, both kinds, every a_j
+    f = field_of_order(q)
+    power = {(i, y): _eval_enc(f, [0] * i + [1], y) for i in range(q) for y in range(q)}
+    shifted = {a: _shifted_power_enc(f, a, q - 2) for a in range(q)}
+    value = {(a, y): _eval_enc(f, shifted[a], y) for a in range(q) for y in range(q)}
+    for l in range(1, q - 2):
+        sets = list(combinations(range(q), l))
+        for k in range(2, q - l):
+            codes = [GprsCode(f, excl, k) for excl in sets]
+            d_sets = [code.evaluation_encodings() for code in codes]
+            assert _generator_stack(codes).tolist() == [
+                [[power[i, y] for y in d] + [int(i == k - 1)] for i in range(k)] for d in d_sets
+            ]
+            deg_k = _family_bases(codes, "deg_k", [None] * len(codes))
+            assert deg_k.tolist() == [[power[k, y] for y in d] + [0] for d in d_sets]
+            rows = [(code, d, a) for code, d, excl in zip(codes, d_sets, sets) for a in excl]
+            bases = _family_bases([r[0] for r in rows], "shifted_qminus2", [r[2] for r in rows])
+            assert bases.tolist() == [[value[a, y] for y in d] + [shifted[a][k - 1]] for _, d, a in rows]
+    code = GprsCode(f, [0], 2)
+    assert code._generator_rows() == tuple(tuple(code._evaluate([0] * i + [1])) for i in range(2))
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_family_words_of_a_slab_match_scalar_words(q):
+    rng = random.Random(q)
+    for slab in _slabs(q, rng):
+        a_js = [rng.choice(code.excluded) for code in slab]
+        for kind in ("deg_k", "shifted_qminus2"):
+            specs = [[_random_spec(code, rng, kind, a_j) for _ in range(3)] for code, a_j in zip(slab, a_js)]
+            lams = [[s.lam for s in row] for row in specs]
+            tails = [[_tail(code, s) for s in row] for code, row in zip(slab, specs)]
+            assert family_words(slab, kind, lams, tails, a_js).tolist() == [
+                [list(_scalar_family_word(code, s).encs) for s in row] for code, row in zip(slab, specs)
+            ]
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_mds_extension_verdicts_of_a_slab_match_scalar_scan(monkeypatch, q):
+    # at the default cap; with a cap of about two rows' cofactor tables, so a slab
+    # goes in groups scanned in short runs; and past the cap, word by word
+    rng = random.Random(q)
+    outcomes, default = set(), deepholes._AGREEMENT_BYTES
+    for i, slab in enumerate(_slabs(q, rng)):
+        words = [_mds_words(code, rng) for code in slab]
+        expected = [[is_deep_hole_mds_extension(c, w) for w in row] for c, row in zip(slab, words)]
+        encs = [[w.encs for w in row] for row in words]
+        n, k = slab[0].length, slab[0].k
+        table = math.comb(n, k) * (n - k) * 24
+        caps = [default, 4 * table + 1] + [1] * (i < 3)
+        for cap in caps:
+            monkeypatch.setattr(deepholes, "_AGREEMENT_BYTES", cap)
+            calls = _counted_scalar_route(monkeypatch)
+            assert mds_extension_verdicts(slab, encs) == expected
+            assert calls[0] == (len(slab) * len(words[0]) if cap == 1 else 0)
+        outcomes.update(v.is_deep_hole for row in expected for v in row)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("length,k", [(4, 2), (7, 3), (9, 5), (12, 2)])

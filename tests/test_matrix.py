@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 import gprs.matrix as matrix_module
-from gprs.codes import GprsCode
+from gprs.codes import GprsCode, _minor_tables
 from gprs.galois import field, field_of_order
 from gprs.matrix import (
     Matrix,
@@ -199,7 +199,7 @@ def _assert_minors_match_det_enc(code, monkeypatch):
     rows = code._generator_rows()
     subsets = list(combinations(range(code.length), code.k))
     expected = [det_enc(code.field, [[r[j] for j in cols] for r in rows]) for cols in subsets]
-    assert code._minor_table().tolist() == expected
+    assert _minor_tables([code])[0].tolist() == expected
     # a grid whose last row repeats another has every minor singular; taken
     # in runs of 3 subsets
     size = code.k + 1
@@ -216,9 +216,15 @@ def _assert_minors_match_det_enc(code, monkeypatch):
 def test_code_minor_table_matches_det_enc_on_every_code(monkeypatch, q):
     f = field_of_order(q)
     for l in range(1, q - 2):
-        for excl in combinations(range(q), l):
-            for k in range(2, q - l):
-                _assert_minors_match_det_enc(GprsCode(f, excl, k), monkeypatch)
+        for k in range(2, q - l):
+            slab = [GprsCode(f, excl, k) for excl in combinations(range(q), l)]
+            for code in slab:
+                _assert_minors_match_det_enc(code, monkeypatch)
+            # the codes of a slab, one repeated, stacked into one pass in runs of 3 subsets
+            with monkeypatch.context() as m:
+                m.setattr(matrix_module, "_RUN_BYTES", 96 * k * k * len(slab))
+                stacked = _minor_tables(slab + slab[:1]).tolist()
+            assert stacked == [_minor_tables([code])[0].tolist() for code in slab + slab[:1]]
 
 
 @pytest.mark.parametrize("q", [9, 11, 13])
@@ -287,7 +293,7 @@ def _identity_row_checks(code, a_j=None):
 
 
 def test_degree_row_determinant_identity_f5():
-    from gprs.codes import GprsCode
+    from gprs.codes import GprsCode, _minor_tables
 
     f = field(5)
     for excl in combinations(range(5), 2):
@@ -295,7 +301,7 @@ def test_degree_row_determinant_identity_f5():
 
 
 def test_inverse_row_determinant_identity_f5():
-    from gprs.codes import GprsCode
+    from gprs.codes import GprsCode, _minor_tables
 
     f = field(5)
     for excl in combinations(range(5), 2):

@@ -10,7 +10,7 @@ import pytest
 
 import gprs.verify as verify
 from gprs.codes import GprsCode
-from gprs.deepholes import DeepHoleVerdict, WordFamilySpec, build_family_word
+from gprs.deepholes import DeepHoleVerdict, WordFamilySpec, build_family_word, family_words
 from gprs.galois import field_of_order
 from gprs.matrix import MdsCheckResult
 from gprs.polynomial import Polynomial
@@ -250,6 +250,25 @@ def test_deephole_gf7_report_is_byte_identical():
     assert _sha256(rep.to_json()) == DEEPHOLE_GF7_JSON_SHA256
 
 
+# SHA-256 of the thm14..thm17 report below, recorded before the deep-hole rows
+# were scored slab by slab: an extension field, sampled grids and 20 words a row
+DEEPHOLE_SAMPLED_JSON_SHA256 = "f9f30be2102bb4d3b9df4aa48489582d3b49cff622291af27c55e29e4b99b22e"
+
+
+def test_deephole_sampled_report_is_byte_identical():
+    rep = run_sweep(
+        SweepConfig(
+            claims=("thm14", "thm15", "thm16", "thm17"),
+            q_list=(9, 11, 13),
+            max_exclusion_sets_per_q=12,
+            words_per_config=20,
+            seed=0,
+        )
+    )
+    assert rep.summary == {"total": 626, "agreed": 626, "refuted": 0, "skipped": 0}
+    assert _sha256(rep.to_json()) == DEEPHOLE_SAMPLED_JSON_SHA256
+
+
 def test_csv_is_rfc4180_parseable():
     rep = run_sweep(SweepConfig(claims=("lemma29",), q_list=(9,)))
     text = rep.to_csv()
@@ -428,6 +447,13 @@ def _scalar_shifted_words(code, a_j, rng, count):
         yield build_family_word(code, spec)
 
 
+def _sweep_words(code, a_j, draws):
+    # the words a sweep row builds from its draws, as its slab does
+    lams, tails = draws
+    kind = "deg_k" if a_j is None else "shifted_qminus2"
+    return family_words([code], kind, [lams], [tails], [a_j])[0].tolist()
+
+
 @pytest.mark.parametrize("q", [5, 8, 9, 11])
 def test_sweep_words_match_the_scalar_route_draw_for_draw(q):
     # the batched family words draw the same values in the same order
@@ -438,9 +464,9 @@ def test_sweep_words_match_the_scalar_route_draw_for_draw(q):
         code = GprsCode(f, rng.sample(range(q), l), rng.randrange(2, q - l))
         a_j = rng.choice(code.excluded)
         seed = rng.random()
-        assert verify._degree_k_words(code, random.Random(seed), 7) == list(
-            _scalar_degree_k_words(code, random.Random(seed), 7)
-        )
-        assert verify._shifted_words(code, a_j, random.Random(seed), 7) == list(
-            _scalar_shifted_words(code, a_j, random.Random(seed), 7)
-        )
+        assert _sweep_words(code, None, verify._degree_k_draws(code, random.Random(seed), 7)) == [
+            list(w.encs) for w in _scalar_degree_k_words(code, random.Random(seed), 7)
+        ]
+        assert _sweep_words(code, a_j, verify._shifted_draws(code, random.Random(seed), 7)) == [
+            list(w.encs) for w in _scalar_shifted_words(code, a_j, random.Random(seed), 7)
+        ]
