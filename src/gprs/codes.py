@@ -14,24 +14,23 @@ Exact error distance comes in two interchangeable flavors:
 
 * ``enumerate`` scans all q^k message polynomials (budget capped; the cap
   raises BudgetExceededError rather than ever truncating the scan);
-* ``agreement`` interpolates every k-subset of the first n coordinates and
-  maximizes codeword agreement, which is exact for any received word and
-  stays cheap when q^k explodes.
+* ``agreement`` maximizes codeword agreement over the interpolants of the
+  k-subsets of D, which is exact for any word and stays cheap when q^k
+  explodes (its budget counts C(length, k+1) pairs).
 
 Codewords come by span doubling, span_(i+1) = span_i + F_q * row_i from
 span_0 = {0}. ``enumerate`` scans span_k; the brute-force minimum distance
 scans each row_i + span_i, one codeword per projective point, and never
 builds span_k. Both budgets still count q^k codewords.
 
-Agreement is one batched kernel over a slab: rows whose codes share the
-field, n and k, each with its words. The Lagrange tensor T[S, s, i] =
-L_{S,s}(x_i), over the k-subsets S in lexicographic order, with the x^(k-1)
-coefficient of L_{S,s} as an extra column for projective codes, is built by
-table gathers on a difference table, once per distinct code and in one call
-for a group of codes. The words then get every interpolant's values in k
-gathers. Working memory stays under a fixed cap, ``_AGREEMENT_BYTES``
-(8 MiB), by building and scoring in runs of subsets; a code alone in its
-slab (the per-code method) keeps its tensor cached when it fits half the cap.
+Agreement scores each k-subset S of D only at the coordinates after max(S),
+the projective one last: a word's agreement with the code is k plus the best
+count of i > max(S) where it equals the interpolant through S (proved at
+``agreement_distances``). The tail tensor T[S + (i,), s] = L_{S,s}(x_i) has
+a row per (k+1)-subset of coordinates, built once per distinct code of a
+slab (rows whose codes share the field, n and k) in runs under
+``_AGREEMENT_BYTES`` (8 MiB); a code alone in its slab keeps it when it fits
+half the cap. It and the MDS scan share one subset-index shape cache.
 
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
@@ -41,7 +40,6 @@ replaced, and the spans against the digit-by-digit q^k build they replaced.
 from __future__ import annotations
 
 import math
-from itertools import combinations, islice
 
 import numpy as np
 
@@ -51,9 +49,11 @@ from .matrix import Matrix, column_minors
 
 DEFAULT_MESSAGE_BUDGET = 10**6
 DEFAULT_DISTANCE_BUDGET = 10**8
-# bytes of agreement working memory: a cached Lagrange tensor takes at most
-# half, and one run of subsets with its scoring scratch the other half
+# bytes of agreement working memory: a cached tail tensor takes at most
+# half, and one run of pairs with its scoring scratch the other half
 _AGREEMENT_BYTES = 1 << 23
+_INDEX_BYTES = 1 << 22  # the shape cache of subset indexes holds at most this
+_indexes: dict = {}  # (N, m) -> _subset_index(N, m), least recently used first
 
 
 class BudgetExceededError(RuntimeError):
@@ -224,9 +224,9 @@ class _EvaluationCode:
     ) -> int:
         """Exact minimum Hamming distance from the word to the code.
 
-        ``enumerate`` scans all q^k codewords and honors the budget;
-        ``agreement`` maximizes agreement over interpolants of k-subsets
-        of the first n coordinates (exact, no budget needed).
+        ``enumerate`` scans all q^k codewords; ``agreement`` maximizes agreement
+        over interpolants of k-subsets of D, checking C(length, k+1) pairs. Both
+        refuse a count above the budget before anything is built.
         """
         if not _codes_compatible(word.code, self):
             raise ValueError("word belongs to a different code")
@@ -236,6 +236,8 @@ class _EvaluationCode:
             target = np.array(word.encs, dtype=np.int16)
             return int((cw != target).sum(axis=1).min())
         if method == "agreement":
+            if (pairs := math.comb(self.length, self.k + 1)) > budget:
+                raise BudgetExceededError(f"C(length, k+1) = {pairs} agreement pairs exceed budget {budget}")
             return self.agreement_distances([word])[0]
         raise ValueError(f"unknown error-distance method {method!r}")
 
@@ -280,93 +282,122 @@ def _minor_tables(codes) -> np.ndarray:
 def agreement_distances(codes, words) -> np.ndarray:
     """Exact error distances by agreement of words[r, j] to codes[r], as (rows, words).
 
-    The codes share the field, n and k, and may repeat. The interpolant of a word
-    w through a k-subset S takes the value sum_s w[S_s] * T[S, s, i] at coordinate i
-    (``_lagrange_tensor``); the distance is length minus the best count of entries
-    where it equals w. A group of rows stops at the first run of subsets after
-    which every word in it is a codeword.
+    The codes share the field, n and k, and may repeat. A k-subset S of D scores the
+    i > max(S) where the word w equals the interpolant through S, sum_s w[S_s] *
+    T[S + (i,), s] (``_tail_tensor``), and the agreement is k plus the best score: the
+    first k points S of a best agreement set A lie in D, so interp_S matches w on A minus
+    S, all past max(S), and no S scores past its interpolant's agreement. A group of rows
+    stops at the first run of pairs after which every word in it is a codeword.
     """
     f, k, top = codes[0].field, codes[0].k, codes[0].length
     w = np.asarray(words, dtype=np.intp).reshape(len(codes), -1, top)
     best = np.zeros(w.shape[:2], dtype=np.intp)
-    # scoring scratch per row and subset: an index copy of its tensor rows, and
-    # per word the products, sums and comparisons over every coordinate
-    for rows, runs in _lagrange_runs(codes, top * (8 + 8 * w.shape[1])):
-        wr = w[rows]
-        for subsets, T in runs:
-            vals = f.mul_table[np.take(wr, subsets[:, 0], axis=2)[..., None], T[:, None, :, 0]]
+    # scoring scratch per row and pair: its tensor row's index copy, and per word a few gathers
+    for rows, runs in _tail_runs(codes, 2 * k + 40 * w.shape[1]):
+        wr, carry = w[rows], 0
+        for pairs, T in runs:
+            terms = f.mul_table[np.take(wr, pairs[:, :k], axis=2), T[:, None]]
+            vals = terms[..., 0]
             for s in range(1, k):
-                ws = np.take(wr, subsets[:, s], axis=2)[..., None]
-                vals = f.add_table[vals, f.mul_table[ws, T[:, None, :, s]]]
-            best[rows] = np.maximum(best[rows], (vals == wr[:, :, None]).sum(axis=3).max(axis=2))
-            if (best[rows] == top).all():
+                vals = f.add_table[vals, terms[..., s]]
+            hits = np.add.reduceat(vals == np.take(wr, pairs[:, k], axis=2), _tail_starts(pairs),
+                                   axis=2, dtype=np.intp)
+            hits[..., 0] += carry  # the pairs of an S that the last run ended inside
+            carry = hits[..., -1] if pairs[-1, k] < top - 1 else 0
+            best[rows] = np.maximum(best[rows], hits.max(axis=2))
+            if (best[rows] == top - k).all():
                 break
-    return top - best
+    return top - k - best
 
 
-def _lagrange_runs(codes, scratch: int):
-    """(rows, runs) per group of distinct codes, with all their rows. A run is (subsets, T):
-    the next k-subsets S in lexicographic order and T[r, S], code ``rows[r]``'s tensor rows
-    on them, built when reached. A run's tensor rows, their build temporaries and ``scratch``
-    bytes per row and subset fit half of ``_AGREEMENT_BYTES``. A code alone in its slab
-    keeps its whole tensor cached when building it fits that half."""
-    code, half = codes[0], _AGREEMENT_BYTES // 2
-    n, k, total = len(code._d_encs), code.k, math.comb(len(code._d_encs), code.k)
-    build = k * (2 * code.length + 8) + 48 * n  # bytes per code and subset
+def _tail_runs(codes, scratch: int):
+    """(rows, runs) per group of distinct codes, with all their rows. A run is (pairs, T): the
+    next pairs S + (i,), the (k+1)-subsets of range(length) in lexicographic order, and T[r, pair],
+    code ``rows[r]``'s tensor rows on them, built when reached. A run's index, tensor rows, their
+    build temporaries and ``scratch`` bytes per row and pair fit half of ``_AGREEMENT_BYTES``. A
+    code alone in its slab keeps its whole tensor cached when building it fits that half."""
+    code, k, top, half = codes[0], codes[0].k, codes[0].length, _AGREEMENT_BYTES // 2
+    total, build = math.comb(top, k + 1), 16 * k * (k + 2)  # bytes per code and pair
     uniq, index = _distinct(codes)
     per_code = build + int(np.bincount(index).max()) * scratch  # a code and its rows
     group = max(1, half // (total * per_code))  # distinct codes per group
-    step = max(1, half // (group * per_code))  # subsets per run
+    step = max(1, half // (group * per_code + 48 * (k + 1)))  # pairs per run, with their index
+    runs = [(a, min(a + step, total)) for a in range(0, total, step)]
     if len(uniq) == 1 and total * build <= half:
         if getattr(code, "_lagrange_cache", None) is None:
-            subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
-            code._lagrange_cache = (subsets, _lagrange_tensor([code], subsets)[0])
-        subsets, T = code._lagrange_cache
-        yield slice(None), [(subsets[a : a + step], T[None, a : a + step]) for a in range(0, total, step)]
+            code._lagrange_cache = _tail_tensor([code], _subset_index(top, k + 1)[0])[0]
+        pairs, T = _subset_index(top, k + 1)[0], code._lagrange_cache
+        yield slice(None), [(pairs[a:b], T[None, a:b]) for a, b in runs]
         return
+    whole = total * 16 * (k + 1) <= _INDEX_BYTES
     for g in range(0, len(uniq), group):
         rows = np.flatnonzero(index // group == g // group)
-        yield rows, _tensor_runs(uniq[g : g + group], index[rows] - g, step)
+        pairs = (_subset_index(top, k + 1)[0][a:b] if whole else _subsets(top, k + 1, a, b)
+                 for a, b in runs)
+        yield rows, ((p, _tail_tensor(uniq[g : g + group], p)[index[rows] - g]) for p in pairs)
 
 
-def _tensor_runs(codes, at: np.ndarray, step: int):
-    """(subsets, T) for runs of ``step`` k-subsets, T of the codes taken per row by ``at``."""
-    runs = combinations(range(len(codes[0]._d_encs)), codes[0].k)
-    while run := list(islice(runs, step)):
-        subsets = np.array(run, dtype=np.intp)
-        yield subsets, _lagrange_tensor(codes, subsets)[at]
+def _tail_starts(pairs: np.ndarray) -> np.ndarray:
+    """Where each S's pairs S + (i,) start in a run of them: at i = max(S) + 1, and at 0."""
+    first = pairs[:, -1] == pairs[:, -2] + 1
+    first[0] = True
+    return np.flatnonzero(first)
 
 
-def _lagrange_tensor(codes, subsets: np.ndarray) -> np.ndarray:
-    """T[c, S, s, i] = L_{S,s}(x_i) on the points of codes[c], for the rows S of ``subsets``.
+def _tail_tensor(codes, pairs: np.ndarray) -> np.ndarray:
+    """T[c, A, s] = L_{S,s}(x_i) on the points of codes[c], for each row A = S + (i,) of ``pairs``.
 
-    L_{S,s} is the Lagrange basis polynomial of S that is 1 at x_{S_s} and
-    0 on the rest of S. Off S it is P_S(x_i) / (x_i - x_{S_s}) times
-    c = 1 / prod_{t != s} (x_{S_s} - x_{S_t}), with P_S = prod_t (x - x_{S_t});
-    c is its x^(k-1) coefficient, which projective codes keep as column n.
+    L_{S,s}(x) = prod_{t != s} (x - x_{S_t}) / (x_{S_s} - x_{S_t}) is the Lagrange basis
+    polynomial of S that is 1 at x_{S_s}. At the projective coordinate i = n each
+    x - x_{S_t} counts as 1, which leaves the x^(k-1) coefficient.
     """
     f = codes[0].field
-    add, mul = f.add_table, f.mul_table
     x = np.array([code._d_encs for code in codes], dtype=np.intp)
-    n = x.shape[1]
-    m, k = subsets.shape
-    diff = add[x[:, None, :], f.neg_table[x][:, :, None]]  # diff[c, j, i] = x_i - x_j
-    inv_diff = f.inv_table[diff]  # 0 on the diagonal
-    pair = inv_diff[:, subsets[:, :, None], subsets[:, None, :]]  # 1 / (x_{S_u} - x_{S_t})
-    prod = np.take(diff, subsets[:, 0], axis=1)
+    n, k = x.shape[1], pairs.shape[1] - 1
+    diff = np.ones((len(codes), n, n + 1), dtype=np.intp)  # diff[c, j, i] = x_i - x_j, 1 at i = n
+    diff[:, :, :n] = f.add_table[x[:, None, :], f.neg_table[x][:, :, None]]
+    S = pairs[:, :k]
+    # M[c, A, t, s] = (x_i - x_{S_t}) / (x_{S_s} - x_{S_t}), and 1 at t = s
+    M = f.mul_table[diff[:, S, pairs[:, k:]][..., None], f.inv_table[diff[:, S[:, :, None], S[:, None, :]]]]
+    M[:, :, np.arange(k), np.arange(k)] = 1
+    T = M[:, :, 0]
     for t in range(1, k):
-        prod = mul[prod, np.take(diff, subsets[:, t], axis=1)]  # P_S(x_i), 0 on S
-    T = np.zeros((len(codes), m, k, codes[0].length), dtype=np.uint16)
-    for s in range(k):
-        c = np.ones((len(codes), m), dtype=np.intp)
-        for t in range(k):
-            if t != s:
-                c = mul[c, pair[:, :, t, s]]
-        T[:, :, s, :n] = mul[mul[prod, np.take(inv_diff, subsets[:, s], axis=1)], c[:, :, None]]
-        T[:, np.arange(m), s, subsets[:, s]] = 1
-        if codes[0]._projective:
-            T[:, :, s, n] = c
-    return T
+        T = f.mul_table[T, M[:, :, t]]
+    return T.astype(np.uint16)
+
+
+def _binom(N: int, m: int) -> np.ndarray:
+    """C(b, j) for b < N and j <= m, as an (N, m + 1) table."""
+    return np.array([[math.comb(b, j) for j in range(m + 1)] for b in range(N)], dtype=np.int64)
+
+
+def _subsets(N: int, m: int, start: int, stop: int) -> np.ndarray:
+    """The m-subsets of range(N) of lexicographic ranks start..stop-1, as rows, unranked
+    by the combinatorial number system: rank = C(N, m) - 1 - sum_j C(N - 1 - a_j, m - j)."""
+    binom = _binom(N, m)
+    rest = math.comb(N, m) - 1 - np.arange(start, stop, dtype=np.int64)
+    out = np.empty((len(rest), m), dtype=np.intp)
+    for j in range(m):
+        b = np.searchsorted(binom[:, m - j], rest, side="right") - 1  # the largest C(b, m-j) <= rest
+        out[:, j] = N - 1 - b
+        rest -= binom[b, m - j]
+    return out
+
+
+def _subset_index(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-subsets A of range(N) in lexicographic order, and per column j the rank of A minus
+    A_j among the (m-1)-subsets, from a shape cache of at most ``_INDEX_BYTES`` (LRU)."""
+    index = _indexes.pop((N, m), None)
+    if index is None:
+        subsets, binom, at = _subsets(N, m, 0, math.comb(N, m)), _binom(N, m), np.arange(m)
+        lo, hi = binom[N - 1 - subsets, m - 1 - at], binom[N - 1 - subsets, m - at]  # a_i before, after A_j
+        ranks = (lo.cumsum(axis=1) - lo) + (hi.sum(axis=1)[:, None] - hi.cumsum(axis=1))
+        index = subsets, math.comb(N, m - 1) - 1 - ranks
+        while _indexes and sum(2 * a.nbytes for a, _ in _indexes.values()) + 2 * subsets.nbytes > _INDEX_BYTES:
+            del _indexes[next(iter(_indexes))]
+    if 2 * index[0].nbytes <= _INDEX_BYTES:
+        _indexes[N, m] = index
+    return index
 
 
 def parse_excluded(text: str) -> list[int]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -48,7 +47,7 @@ from .galois import FieldElement, FiniteField, lucas_binom
 from .polynomial import Polynomial
 from .matrix import det_enc, first_singular_column_subset
 from .codes import _AGREEMENT_BYTES, DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord
-from .codes import _generator_stack, _minor_tables
+from .codes import _generator_stack, _minor_tables, _subset_index
 
 CRITERION_METHODS = ("thm14", "thm15")
 
@@ -200,7 +199,7 @@ def mds_extension_verdicts(codes, words) -> list[list[DeepHoleVerdict]]:
     if table > half:
         return [[is_deep_hole_mds_extension(c, c.word(x)) for x in xs] for c, xs in zip(codes, w.tolist())]
     add, mul, neg = code.field.add_table, code.field.mul_table, code.field.neg_table
-    subsets, ranks = _cofactor_index(n, k)
+    subsets, ranks = _subset_index(n, k + 1)
     first = np.full(w.shape[:2], -1)
     group = half // table
     for start in range(0, len(codes), group):
@@ -220,16 +219,6 @@ def mds_extension_verdicts(codes, words) -> list[list[DeepHoleVerdict]]:
                 break
     return [[DeepHoleVerdict(i < 0, "mds_extension", None if i < 0 else tuple(subsets[i].tolist()))
              for i in row] for row in first.tolist()]
-
-
-@lru_cache(maxsize=16)
-def _cofactor_index(length: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (k+1)-subsets S of range(length), and per column j the rank of S minus S_j
-    among the k-subsets, both in lexicographic order."""
-    rank = {T: i for i, T in enumerate(combinations(range(length), k))}
-    subsets = list(combinations(range(length), k + 1))
-    ranks = [[rank[S[:j] + S[j + 1 :]] for j in range(k + 1)] for S in subsets]
-    return np.array(subsets, dtype=np.intp), np.array(ranks, dtype=np.intp)
 
 
 def _require_odd(field: FiniteField):

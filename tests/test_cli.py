@@ -93,6 +93,17 @@ def test_code_exclude_option_parses_like_the_spec_key(capsys):
     assert data["generator"] == [list(r) for r in code.generator.row_encodings()]
 
 
+def test_distance_agreement_budget_exit(capsys):
+    # C(29, 15) = 77558760 agreement pairs: refused before any index or tensor is built
+    status, out, err = run_cli(
+        capsys, "distance", "--code", "q=29;exclude=0;k=14", "--word", ",".join(["1"] * 29),
+        "--method", "agreement", "--budget", "10",
+    )
+    assert status == 2
+    assert out == ""
+    assert "budget" in err and "77558760" in err
+
+
 def test_distance_budget_exit(capsys):
     code, _, err = run_cli(
         capsys,

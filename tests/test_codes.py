@@ -13,6 +13,9 @@ from gprs.codes import (
     BudgetExceededError,
     GprsCode,
     GrsCode,
+    _subset_index,
+    _subsets,
+    _tail_starts,
     agreement_distances,
     hamming_distance,
 )
@@ -20,6 +23,7 @@ from gprs.deepholes import WordFamilySpec, build_family_word
 from gprs.galois import field, field_of_order
 from gprs.matrix import mds_generator_check
 from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
+from gprs.verify import SweepConfig, run_sweep
 
 
 # -- independent oracle: plain-int message enumeration --------------------------
@@ -387,8 +391,8 @@ def test_agreement_kernel_on_a_slab_matches_loop(monkeypatch, q):
             continue
         words = [[w.encs for w in _kernel_words(code, rng, count=0)] for code in slab]
         expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
-        build = math.comb(n, k) * (k * (2 * top + 8) + 48 * n)
-        scored = build + math.comb(n, k) * top * (8 + 8 * len(words[0]))
+        build = math.comb(top, k + 1) * 16 * k * (k + 2)
+        scored = build + math.comb(top, k + 1) * (2 * k + 40 * len(words[0]))
         for cap in [default, 4 * scored, 2 * build] + [1] * (i < 4):
             monkeypatch.setattr(codes_module, "_AGREEMENT_BYTES", cap)
             assert agreement_distances(slab, words).tolist() == expected, slab[0].spec_string()
@@ -445,14 +449,16 @@ def test_agreement_chunk_boundaries(monkeypatch, cap):
 
 
 def test_agreement_tensor_is_cached_when_it_fits():
+    # one row per pair (S, i): a 5-subset S of D and a later coordinate i, the
+    # projective one included, C(10, 6) + C(10, 5) = C(11, 6) rows of 5 entries
     code = GprsCode(field_of_order(11), [0], 5)
     rng = random.Random(11)
     code.agreement_distances(_kernel_words(code, rng))
-    subsets, T = code._lagrange_cache
-    assert T.shape == (math.comb(10, 5), 5, 11)
-    assert [tuple(r) for r in subsets] == list(combinations(range(10), 5))
+    T = code._lagrange_cache
+    assert T.shape == (math.comb(10, 6) + math.comb(10, 5), 5) == (math.comb(11, 6), 5)
+    assert [tuple(r) for r in _subset_index(11, 6)[0]] == list(combinations(range(11), 6))
     code.agreement_distances(_kernel_words(code, rng))
-    assert code._lagrange_cache[1] is T
+    assert code._lagrange_cache is T
 
 
 @pytest.mark.parametrize("cap", [300_000, 1_300_000])
@@ -466,13 +472,13 @@ def test_agreement_cached_tensor_scored_in_runs(monkeypatch, cap):
 
 
 def test_agreement_memory_stays_under_the_cap():
-    # GF(19), n = 18, k = 9: the whole tensor is C(18, 9) * 9 * 19 uint16, about 16.6 MB
-    code = GprsCode(field_of_order(19), [0], 9)
+    # GF(23), n = 22, k = 11: the whole tail tensor is C(23, 12) * 11 uint16, about 30 MB
+    code = GprsCode(field_of_order(23), [0], 11)
     cap = codes_module._AGREEMENT_BYTES
-    assert math.comb(18, 9) * 9 * code.length * 2 > cap
-    codeword = code.word_from_poly(Polynomial(code.field, range(1, 10)))
+    assert math.comb(23, 12) * 11 * 2 > 3 * cap
+    codeword = code.word_from_poly(Polynomial(code.field, range(1, 12)))
     changed = list(codeword.encs)
-    changed[4] = (changed[4] + 1) % 19
+    changed[4] = (changed[4] + 1) % 23
     near = code.word(changed)
     tracemalloc.start()
     try:
@@ -483,6 +489,124 @@ def test_agreement_memory_stays_under_the_cap():
     assert distances == ([0], [1])
     assert peak < cap
     assert not hasattr(code, "_lagrange_cache")
+
+
+def test_agreement_budget_counts_pairs_before_building():
+    # the agreement route prices a call at C(length, k+1) pairs: C(n, k+1) on D
+    # and C(n, k) at the projective coordinate
+    code = GprsCode(field(7), [0], 3)  # n = 6, length 7
+    word = code.word([1, 2, 3, 4, 5, 6, 0])
+    pairs = math.comb(6, 4) + math.comb(6, 3)
+    assert pairs == math.comb(7, 4) == 35
+    refused = "^C\\(length, k\\+1\\) = 35 agreement pairs exceed budget 34$"
+    with pytest.raises(BudgetExceededError, match=refused):
+        code.error_distance(word, method="agreement", budget=34)
+    assert not hasattr(code, "_lagrange_cache")
+    assert code.error_distance(word, method="agreement", budget=35) == code.error_distance(word)
+    grs = GrsCode(field(7), range(6), 3)
+    with pytest.raises(BudgetExceededError):
+        grs.error_distance(grs.word([0] * 6), method="agreement", budget=math.comb(6, 4) - 1)
+    assert grs.error_distance(grs.word([0] * 6), method="agreement", budget=math.comb(6, 4)) == 0
+
+
+def test_refused_agreement_call_builds_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built after the budget refused the call")
+
+    for name in ("_subsets", "_subset_index", "_tail_tensor", "_tail_runs"):
+        monkeypatch.setattr(codes_module, name, refuse)
+    code = GprsCode(field_of_order(29), [0], 14)
+    shapes = list(codes_module._indexes)
+    with pytest.raises(BudgetExceededError, match="77558760"):
+        code.error_distance(code.word([1] * 29), method="agreement", budget=10)
+    assert not hasattr(code, "_lagrange_cache")
+    assert list(codes_module._indexes) == shapes
+
+
+def _tail_walk(length, k):
+    # the pairs S + (i,) of every k-subset S and each later coordinate i, and
+    # where each S's pairs start, by an itertools walk
+    pairs, starts = [], []
+    for S in combinations(range(length), k):
+        if S[-1] < length - 1:
+            starts.append(len(pairs))
+        pairs += [S + (i,) for i in range(S[-1] + 1, length)]
+    return pairs, starts
+
+
+def test_tail_pair_index_matches_a_combinations_walk():
+    for length in range(2, 15):
+        for k in range(1, length):
+            pairs = _subset_index(length, k + 1)[0]
+            walk, starts = _tail_walk(length, k)
+            assert pairs.tolist() == [list(p) for p in walk], (length, k)
+            assert _tail_starts(pairs).tolist() == starts, (length, k)
+            # runs of any size, built from the cached index or unranked on their own,
+            # start each S's pairs in place and open with the pair they start at
+            for step in (1, 4, 13) if length < 10 else (13, 64):
+                for a in range(0, len(walk), step):
+                    b = min(a + step, len(walk))
+                    run = _subsets(length, k + 1, a, b)
+                    assert run.tolist() == pairs[a:b].tolist(), (length, k, a)
+                    assert _tail_starts(run).tolist() == sorted({0} | {p - a for p in starts if a <= p < b})
+
+
+def test_subset_indexes_holds_a_sweep_pass_within_its_bound(monkeypatch):
+    # every (length, k) shape of a sampled GF(11) deep-hole pass stays cached, so a
+    # second pass builds no index; and the cache never holds more than its bound
+    codes_module._indexes.clear()
+    config = SweepConfig(claims=("thm14", "thm15"), q_list=(11,), max_exclusion_sets_per_q=8,
+                         words_per_config=1)
+    run_sweep(config)
+    shapes = set(codes_module._indexes)
+    assert len(shapes) >= 35
+    built = []
+    real = codes_module._subsets
+    monkeypatch.setattr(codes_module, "_subsets", lambda *a: built.append(a) or real(*a))
+    run_sweep(config)
+    assert built == [] and set(codes_module._indexes) == shapes
+    for N in range(14, 24):
+        for m in range(2, N - 1):
+            if math.comb(N, m) * m * 16 <= codes_module._INDEX_BYTES:
+                _subset_index(N, m)
+            held = sum(a.nbytes + r.nbytes for a, r in codes_module._indexes.values())
+            assert held <= codes_module._INDEX_BYTES
+    # the least recently used shapes went first, the last one stays
+    assert (23, 21) in codes_module._indexes and (14, 2) not in codes_module._indexes
+
+
+def test_agreement_distance_profile_on_every_code():
+    # per code, a word at each distance 0..rho built as a codeword plus an error of
+    # weight t, and both family words: the tail kernel, enumeration and the
+    # per-subset loop agree on each
+    rng = random.Random(13)
+    for q in (5, 7):
+        for code in _every_code(q):
+            f, rho = code.field, code.covering_radius("formula")
+            words = []
+            for t in range(rho + 1):
+                cw = code.word_from_poly(Polynomial(f, [rng.randrange(q) for _ in range(code.k)]))
+                encs = list(cw.encs)
+                for pos in rng.sample(range(code.length), t):
+                    encs[pos] = f.add_enc(encs[pos], rng.randrange(1, q))
+                words.append(code.word(encs))
+            words += _kernel_words(code, rng, count=0)[2:]
+            kernel = code.agreement_distances(words)
+            assert kernel == [code.error_distance(w) for w in words], code.spec_string()
+            assert kernel == [_loop_agreement_distance(code, w.encs) for w in words]
+            assert kernel[0] == 0 and max(kernel) <= rho
+    # GRS codes whose k-subsets ending at the last point have no tail: k = 1 and k = n - 1
+    for q in (5, 7):
+        f = field_of_order(q)
+        for points in (range(q), sorted(rng.sample(range(q), q - 1))):
+            for k in (1, len(points) - 1):
+                code = GrsCode(f, points, k)
+                words = [code.word([rng.randrange(q) for _ in points]) for _ in range(12)]
+                words.append(code.word_from_poly(Polynomial(f, [rng.randrange(q) for _ in range(k)])))
+                kernel = code.agreement_distances(words)
+                assert kernel == [code.error_distance(w) for w in words], (q, k)
+                assert kernel == [_loop_agreement_distance(code, w.encs) for w in words]
+                assert kernel[-1] == 0
 
 
 # -- is_codeword ----------------------------------------------------------------------

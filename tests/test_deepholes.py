@@ -2,17 +2,17 @@ import math
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gprs.deepholes as deepholes
-from gprs.codes import BudgetExceededError, GprsCode, _generator_stack
+from gprs.codes import BudgetExceededError, GprsCode, _generator_stack, _subset_index
 from gprs.deepholes import (
     DeepHoleVerdict,
     HypothesisError,
     WordFamilySpec,
-    _cofactor_index,
     _family_bases,
     binom_mod_p,
     build_family_word,
@@ -672,9 +672,28 @@ def test_mds_extension_verdicts_of_a_slab_match_scalar_scan(monkeypatch, q):
     assert outcomes == {True, False}
 
 
+def _cofactor_index(length, k):
+    # the dict-built index the rank-built one replaced: the (k+1)-subsets S of
+    # range(length), and per column j the rank of S minus S_j among the k-subsets
+    rank = {T: i for i, T in enumerate(combinations(range(length), k))}
+    subsets = list(combinations(range(length), k + 1))
+    ranks = [[rank[S[:j] + S[j + 1 :]] for j in range(k + 1)] for S in subsets]
+    return np.array(subsets, dtype=np.intp), np.array(ranks, dtype=np.intp)
+
+
+def test_rank_built_index_matches_the_dict_built_one():
+    for length in range(2, 15):
+        for k in range(1, length):
+            subsets, ranks = _subset_index(length, k + 1)
+            expected = _cofactor_index(length, k)
+            assert subsets.tolist() == expected[0].tolist(), (length, k)
+            assert ranks.tolist() == expected[1].tolist(), (length, k)
+            assert subsets.dtype == ranks.dtype == np.intp
+
+
 @pytest.mark.parametrize("length,k", [(4, 2), (7, 3), (9, 5), (12, 2)])
 def test_cofactor_index_deletes_each_column(length, k):
-    subsets, ranks = _cofactor_index(length, k)
+    subsets, ranks = _subset_index(length, k + 1)
     k_subsets = list(combinations(range(length), k))
     assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(length), k + 1))
     for s, r in zip(subsets.tolist(), ranks.tolist()):
