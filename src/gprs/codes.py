@@ -28,9 +28,9 @@ the projective one last: a word's agreement with the code is k plus the best
 count of i > max(S) where it equals the interpolant through S (proved at
 ``agreement_distances``). The tail tensor T[S + (i,), s] = L_{S,s}(x_i) has
 a row per (k+1)-subset of coordinates, built once per distinct code of a
-slab (rows whose codes share the field, n and k) in runs under
-``_AGREEMENT_BYTES`` (8 MiB); a code alone in its slab keeps it when it fits
-half the cap. It and the MDS scan share one subset-index shape cache.
+slab (rows whose codes share the field, n and k), in the runs of subsets that
+``matrix.subset_runs`` hands every batched scan under its one 4 MiB cap. A
+code caches nothing but its generator rows.
 
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
@@ -45,15 +45,11 @@ import numpy as np
 
 from .galois import FieldElement, FiniteField, field_from_spec
 from .polynomial import Polynomial, _eval_enc, _interp_enc
-from .matrix import Matrix, column_minors
+from . import matrix
+from .matrix import Matrix, column_minors, subset_runs
 
 DEFAULT_MESSAGE_BUDGET = 10**6
 DEFAULT_DISTANCE_BUDGET = 10**8
-# bytes of agreement working memory: a cached tail tensor takes at most
-# half, and one run of pairs with its scoring scratch the other half
-_AGREEMENT_BYTES = 1 << 23
-_INDEX_BYTES = 1 << 22  # the shape cache of subset indexes holds at most this
-_indexes: dict = {}  # (N, m) -> _subset_index(N, m), least recently used first
 
 
 class BudgetExceededError(RuntimeError):
@@ -186,10 +182,10 @@ class _EvaluationCode:
         through = self._evaluate(_interp_enc(f, self._d_encs[:k], encs[:k]))
         return [f.sub_enc(w, c) for w, c in zip(encs[k:], through[k:])]
 
-    # -- codeword enumeration (numpy, cached) --------------------------------
+    # -- codeword enumeration (numpy) -----------------------------------------
 
     def _check_message_budget(self, budget: int) -> None:
-        """Refuse q^k > budget before any codeword is built or a cached one used."""
+        """Refuse q^k > budget before any codeword is built."""
         count = self.field.q**self.k
         if count > budget:
             raise BudgetExceededError(f"q^k = {count} codewords exceed budget {budget}")
@@ -208,11 +204,9 @@ class _EvaluationCode:
             yield span
 
     def _codeword_matrix(self) -> np.ndarray:
-        """All q^k codewords as int16 rows, in message-index order: span_k, cached."""
-        if getattr(self, "_cw_cache", None) is None:
-            *_, span = self._spans(np.array(self._generator_rows()))
-            self._cw_cache = span.view(np.int16)
-        return self._cw_cache
+        """All q^k codewords as int16 rows, in message-index order: span_k."""
+        *_, span = self._spans(np.array(self._generator_rows()))
+        return span.view(np.int16)
 
     # -- exact error distance -------------------------------------------------
 
@@ -311,30 +305,19 @@ def agreement_distances(codes, words) -> np.ndarray:
 
 
 def _tail_runs(codes, scratch: int):
-    """(rows, runs) per group of distinct codes, with all their rows. A run is (pairs, T): the
-    next pairs S + (i,), the (k+1)-subsets of range(length) in lexicographic order, and T[r, pair],
-    code ``rows[r]``'s tensor rows on them, built when reached. A run's index, tensor rows, their
-    build temporaries and ``scratch`` bytes per row and pair fit half of ``_AGREEMENT_BYTES``. A
-    code alone in its slab keeps its whole tensor cached when building it fits that half."""
-    code, k, top, half = codes[0], codes[0].k, codes[0].length, _AGREEMENT_BYTES // 2
-    total, build = math.comb(top, k + 1), 16 * k * (k + 2)  # bytes per code and pair
+    """(rows, runs) per group of distinct codes, with all their rows. A run is (pairs, T): the next
+    (k+1)-subsets S + (i,) of range(length) from ``subset_runs``, and T[r, pair], code ``rows[r]``'s
+    tensor rows on them, built when reached. A run's index, tensor rows, build temporaries and
+    ``scratch`` bytes per row and pair fit the run cap; a group is as many codes as fit one run."""
+    k, top = codes[0].k, codes[0].length
+    total, build, pair_index = math.comb(top, k + 1), 16 * k * (k + 2), 48 * (k + 1)  # bytes per pair
     uniq, index = _distinct(codes)
     per_code = build + int(np.bincount(index).max()) * scratch  # a code and its rows
-    group = max(1, half // (total * per_code))  # distinct codes per group
-    step = max(1, half // (group * per_code + 48 * (k + 1)))  # pairs per run, with their index
-    runs = [(a, min(a + step, total)) for a in range(0, total, step)]
-    if len(uniq) == 1 and total * build <= half:
-        if getattr(code, "_lagrange_cache", None) is None:
-            code._lagrange_cache = _tail_tensor([code], _subset_index(top, k + 1)[0])[0]
-        pairs, T = _subset_index(top, k + 1)[0], code._lagrange_cache
-        yield slice(None), [(pairs[a:b], T[None, a:b]) for a, b in runs]
-        return
-    whole = total * 16 * (k + 1) <= _INDEX_BYTES
+    group = max(1, min(len(uniq), (matrix._RUN_BYTES // total - pair_index) // per_code))
     for g in range(0, len(uniq), group):
         rows = np.flatnonzero(index // group == g // group)
-        pairs = (_subset_index(top, k + 1)[0][a:b] if whole else _subsets(top, k + 1, a, b)
-                 for a, b in runs)
-        yield rows, ((p, _tail_tensor(uniq[g : g + group], p)[index[rows] - g]) for p in pairs)
+        runs = subset_runs(top, k + 1, group * per_code + pair_index)
+        yield rows, ((p, _tail_tensor(uniq[g : g + group], p)[index[rows] - g]) for _, p in runs)
 
 
 def _tail_starts(pairs: np.ndarray) -> np.ndarray:
@@ -364,40 +347,6 @@ def _tail_tensor(codes, pairs: np.ndarray) -> np.ndarray:
     for t in range(1, k):
         T = f.mul_table[T, M[:, :, t]]
     return T.astype(np.uint16)
-
-
-def _binom(N: int, m: int) -> np.ndarray:
-    """C(b, j) for b < N and j <= m, as an (N, m + 1) table."""
-    return np.array([[math.comb(b, j) for j in range(m + 1)] for b in range(N)], dtype=np.int64)
-
-
-def _subsets(N: int, m: int, start: int, stop: int) -> np.ndarray:
-    """The m-subsets of range(N) of lexicographic ranks start..stop-1, as rows, unranked
-    by the combinatorial number system: rank = C(N, m) - 1 - sum_j C(N - 1 - a_j, m - j)."""
-    binom = _binom(N, m)
-    rest = math.comb(N, m) - 1 - np.arange(start, stop, dtype=np.int64)
-    out = np.empty((len(rest), m), dtype=np.intp)
-    for j in range(m):
-        b = np.searchsorted(binom[:, m - j], rest, side="right") - 1  # the largest C(b, m-j) <= rest
-        out[:, j] = N - 1 - b
-        rest -= binom[b, m - j]
-    return out
-
-
-def _subset_index(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-subsets A of range(N) in lexicographic order, and per column j the rank of A minus
-    A_j among the (m-1)-subsets, from a shape cache of at most ``_INDEX_BYTES`` (LRU)."""
-    index = _indexes.pop((N, m), None)
-    if index is None:
-        subsets, binom, at = _subsets(N, m, 0, math.comb(N, m)), _binom(N, m), np.arange(m)
-        lo, hi = binom[N - 1 - subsets, m - 1 - at], binom[N - 1 - subsets, m - at]  # a_i before, after A_j
-        ranks = (lo.cumsum(axis=1) - lo) + (hi.sum(axis=1)[:, None] - hi.cumsum(axis=1))
-        index = subsets, math.comb(N, m - 1) - 1 - ranks
-        while _indexes and sum(2 * a.nbytes for a, _ in _indexes.values()) + 2 * subsets.nbytes > _INDEX_BYTES:
-            del _indexes[next(iter(_indexes))]
-    if 2 * index[0].nbytes <= _INDEX_BYTES:
-        _indexes[N, m] = index
-    return index
 
 
 def parse_excluded(text: str) -> list[int]:

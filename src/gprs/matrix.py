@@ -1,22 +1,28 @@
-"""Dense matrices over a finite field, exact determinants, MDS minor scans.
+"""Dense matrices over a finite field, exact determinants, and subset scans.
 
 Determinants come from Gaussian elimination, one grid at a time (``det_enc``)
 or a stack at a time by table gathers (``det_stack``, fed runs of column
 subsets by ``column_minors``). Column subsets are always enumerated in
 lexicographic order of their index tuples, which makes the first failing
-minor a reproducible witness.
+minor a reproducible witness. Every batched subset scan (these minors, the
+agreement kernel in ``codes``, the MDS-extension verdicts in ``deepholes``)
+takes them from ``subset_runs`` in runs of about ``_RUN_BYTES``, sliced from
+one shape cache of subset indexes (``_subset_index``) or unranked past it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
 from .galois import FieldElement, FiniteField, _field_of
 
-_RUN_BYTES = 1 << 22  # about the bytes of one run of minors in column_minors
+_RUN_BYTES = 1 << 22  # about the bytes of one run of any batched subset scan
+_INDEX_BYTES = 1 << 22  # the shape cache of subset indexes holds at most this
+_indexes: dict = {}  # (N, m) -> _subset_index(N, m), least recently used first
 
 
 class Matrix:
@@ -108,14 +114,55 @@ def det_stack(field: FiniteField, stack) -> np.ndarray:
 
 def column_minors(field: FiniteField, rows, size: int):
     """(subsets, dets) for runs of the size-column minors of a grid with ``size`` rows, or of
-    each grid of a stack, the subsets in lexicographic order; a run takes about ``_RUN_BYTES``."""
+    each grid of a stack, the subsets in lexicographic order (``subset_runs``)."""
     g = np.array(rows, dtype=np.intp)
     grids = g[..., 0, 0].size
-    subsets = combinations(range(g.shape[-1]), size)
-    while run := list(islice(subsets, max(1, _RUN_BYTES // (32 * size * size * grids)))):
-        cols = np.array(run, dtype=np.intp)
+    for _, cols in subset_runs(g.shape[-1], size, 32 * size * size * grids):
         stack = np.moveaxis(g[..., cols], -2, -3)  # (grids..., run, size, size)
         yield cols, det_stack(field, stack.reshape(-1, size, size)).reshape(stack.shape[:-2])
+
+
+def subset_runs(N: int, m: int, unit: int):
+    """(a, subsets) per run of the m-subsets of range(N) in lexicographic order from rank a, a run
+    about ``_RUN_BYTES`` at ``unit`` bytes a subset: slices of the cached index, or unranked past it."""
+    total, step = math.comb(N, m), max(1, _RUN_BYTES // unit)
+    index = _subset_index(N, m)[0] if 16 * m * total <= _INDEX_BYTES else None
+    for a in range(0, total, step):
+        yield a, _subsets(N, m, a, min(a + step, total)) if index is None else index[a : a + step]
+
+
+def _binom(N: int, m: int) -> np.ndarray:
+    """C(b, j) for b < N and j <= m, as an (N, m + 1) table."""
+    return np.array([[math.comb(b, j) for j in range(m + 1)] for b in range(N)], dtype=np.int64)
+
+
+def _subsets(N: int, m: int, start: int, stop: int) -> np.ndarray:
+    """The m-subsets of range(N) of lexicographic ranks start..stop-1, as rows, unranked
+    by the combinatorial number system: rank = C(N, m) - 1 - sum_j C(N - 1 - a_j, m - j)."""
+    binom = _binom(N, m)
+    rest = math.comb(N, m) - 1 - np.arange(start, stop, dtype=np.int64)
+    out = np.empty((len(rest), m), dtype=np.intp)
+    for j in range(m):
+        b = np.searchsorted(binom[:, m - j], rest, side="right") - 1  # the largest C(b, m-j) <= rest
+        out[:, j] = N - 1 - b
+        rest -= binom[b, m - j]
+    return out
+
+
+def _subset_index(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-subsets A of range(N) in lexicographic order, and per column j the rank of A minus
+    A_j among the (m-1)-subsets, from a shape cache of at most ``_INDEX_BYTES`` (LRU)."""
+    index = _indexes.pop((N, m), None)
+    if index is None:
+        subsets, binom, at = _subsets(N, m, 0, math.comb(N, m)), _binom(N, m), np.arange(m)
+        lo, hi = binom[N - 1 - subsets, m - 1 - at], binom[N - 1 - subsets, m - at]  # a_i before, after A_j
+        ranks = (lo.cumsum(axis=1) - lo) + (hi.sum(axis=1)[:, None] - hi.cumsum(axis=1))
+        index = subsets, math.comb(N, m - 1) - 1 - ranks
+        while _indexes and sum(2 * a.nbytes for a, _ in _indexes.values()) + 2 * subsets.nbytes > _INDEX_BYTES:
+            del _indexes[next(iter(_indexes))]
+    if 2 * index[0].nbytes <= _INDEX_BYTES:
+        _indexes[N, m] = index
+    return index
 
 
 def first_singular_column_subset(field: FiniteField, rows, size: int):

@@ -9,19 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gprs.codes as codes_module
+import gprs.deepholes as deepholes
+import gprs.matrix as matrix_module
 from gprs.codes import (
     BudgetExceededError,
     GprsCode,
     GrsCode,
-    _subset_index,
-    _subsets,
     _tail_starts,
+    _tail_tensor,
     agreement_distances,
     hamming_distance,
 )
-from gprs.deepholes import WordFamilySpec, build_family_word
+from gprs.deepholes import WordFamilySpec, build_family_word, mds_extension_verdicts
 from gprs.galois import field, field_of_order
-from gprs.matrix import mds_generator_check
+from gprs.matrix import _subset_index, _subsets, mds_generator_check
 from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
 from gprs.verify import SweepConfig, run_sweep
 
@@ -379,12 +380,12 @@ def _slabs(q, rng):
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_agreement_kernel_on_a_slab_matches_loop(monkeypatch, q):
-    # at the default cap; with a cap that takes a slab two rows at a time, and one
+    # at the default cap; with a cap that takes a slab a row or two at a time, and one
     # that leaves a row alone and scores its tensor in runs; and at a cap so small
     # that each distinct code builds its tensor one subset at a time. The loop
     # takes seconds per slab past a few hundred subsets, so those shapes are left out.
     rng = random.Random(q)
-    default = codes_module._AGREEMENT_BYTES
+    default = matrix_module._RUN_BYTES
     for i, slab in enumerate(_slabs(q, rng)):
         n, k, top = len(slab[0].evaluation_encodings()), slab[0].k, slab[0].length
         if math.comb(n, k) > 330:
@@ -393,12 +394,9 @@ def test_agreement_kernel_on_a_slab_matches_loop(monkeypatch, q):
         expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
         build = math.comb(top, k + 1) * 16 * k * (k + 2)
         scored = build + math.comb(top, k + 1) * (2 * k + 40 * len(words[0]))
-        for cap in [default, 4 * scored, 2 * build] + [1] * (i < 4):
-            monkeypatch.setattr(codes_module, "_AGREEMENT_BYTES", cap)
+        for cap in [default, 2 * scored, build] + [1] * (i < 4):
+            monkeypatch.setattr(matrix_module, "_RUN_BYTES", cap)
             assert agreement_distances(slab, words).tolist() == expected, slab[0].spec_string()
-        # only a code alone in its slab keeps its tensor
-        lone = all(code is slab[0] for code in slab)
-        assert [hasattr(code, "_lagrange_cache") for code in slab] == [lone] * len(slab)
 
 
 @pytest.mark.parametrize("q", [8, 9])
@@ -436,45 +434,97 @@ def test_agreement_kernel_matches_grs_loop():
             _assert_kernel_matches_loop(code, words)
 
 
-@pytest.mark.parametrize("cap", [1, 6000, 12000])
-def test_agreement_chunk_boundaries(monkeypatch, cap):
-    # a small cap splits the subsets into uncached runs of 1 or a few
-    monkeypatch.setattr(codes_module, "_AGREEMENT_BYTES", cap)
-    rng = random.Random(cap)
+@pytest.mark.parametrize("two_runs", [1, 6000, 12000])
+def test_agreement_chunk_boundaries(monkeypatch, two_runs):
+    # a run cap of half of ``two_runs`` splits the pairs into runs of 1 or a few
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", two_runs // 2)
+    rng = random.Random(two_runs)
     for q, excl, k in ((7, (0,), 3), (11, (0, 5), 4), (9, (2,), 5)):
         code = GprsCode(field_of_order(q), excl, k)
         words = _kernel_words(code, rng)
         _assert_kernel_matches_loop(code, words)
-        assert not hasattr(code, "_lagrange_cache")
 
 
 def test_agreement_tensor_is_cached_when_it_fits():
     # one row per pair (S, i): a 5-subset S of D and a later coordinate i, the
-    # projective one included, C(10, 6) + C(10, 5) = C(11, 6) rows of 5 entries
+    # projective one included, C(10, 6) + C(10, 5) = C(11, 6) rows of 5 entries;
+    # the pair index fits the shape cache and stays there
     code = GprsCode(field_of_order(11), [0], 5)
-    rng = random.Random(11)
-    code.agreement_distances(_kernel_words(code, rng))
-    T = code._lagrange_cache
+    pairs = _subset_index(11, 6)[0]
+    T = _tail_tensor([code], pairs)[0]
     assert T.shape == (math.comb(10, 6) + math.comb(10, 5), 5) == (math.comb(11, 6), 5)
-    assert [tuple(r) for r in _subset_index(11, 6)[0]] == list(combinations(range(11), 6))
-    code.agreement_distances(_kernel_words(code, rng))
-    assert code._lagrange_cache is T
+    assert [tuple(r) for r in pairs] == list(combinations(range(11), 6))
+    assert _subset_index(11, 6)[0] is pairs
 
 
-@pytest.mark.parametrize("cap", [300_000, 1_300_000])
-def test_agreement_cached_tensor_scored_in_runs(monkeypatch, cap):
-    # the tensor fits the cap and is cached, but scoring all 3125 words in
-    # one batch takes its 6 subsets in runs of 1, or of 5 and 1
-    monkeypatch.setattr(codes_module, "_AGREEMENT_BYTES", cap)
+@pytest.mark.parametrize("two_runs", [300_000, 1_300_000])
+def test_agreement_cached_tensor_scored_in_runs(monkeypatch, two_runs):
+    # the whole tensor fits a run of half of ``two_runs``, but scoring all 3125 words
+    # in one batch takes its 10 pairs in runs of 1, or of 5 and 5
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", two_runs // 2)
     code = GprsCode(field(5), [4], 2)
     _assert_kernel_matches_loop(code, [code.word(w) for w in product(range(5), repeat=5)])
-    assert hasattr(code, "_lagrange_cache")
+
+
+def _recorded_runs(monkeypatch):
+    """Log the length of each run that ``matrix.subset_runs`` hands any batched scan,
+    one list per scan, and each ``_tail_tensor`` build as (codes, pairs)."""
+    scans, builds, runs, tensor = [], [], matrix_module.subset_runs, codes_module._tail_tensor
+
+    def subset_runs(*args):
+        scans.append([])
+        for a, run in runs(*args):
+            scans[-1].append(len(run))
+            yield a, run
+
+    for module in (matrix_module, codes_module, deepholes):
+        monkeypatch.setattr(module, "subset_runs", subset_runs)
+    monkeypatch.setattr(codes_module, "_tail_tensor", lambda c, p: builds.append((len(c), len(p))) or tensor(c, p))
+    return scans, builds
+
+
+def test_agreement_slab_that_fits_scores_in_one_run(monkeypatch):
+    # C(7, 4) = 35 pairs: one word of one code, and a slab of two codes, each build
+    # their tail tensor once and score it in one run at the default cap
+    scans, builds = _recorded_runs(monkeypatch)
+    code = GprsCode(field(7), [0], 3)
+    word = code.word([1, 2, 3, 4, 5, 6, 1])
+    assert code.error_distance(word, method="agreement") == code.error_distance(word)
+    assert (scans, builds) == ([[35]], [(1, 35)])
+    scans.clear()
+    builds.clear()
+    slab = [code, GprsCode(field(7), [6], 3)]
+    words = [[_kernel_words(c, random.Random(7))[0].encs] for c in slab]
+    expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
+    assert agreement_distances(slab, words).tolist() == expected
+    assert (scans, builds) == ([[35]], [(2, 35)])
+
+
+def test_one_small_run_cap_splits_every_batched_scan(monkeypatch):
+    # the agreement kernel, the MDS-extension verdicts and the all-minors check, on a
+    # slab of two GF(4) codes and every word of F_4^4, give the results of the default
+    # cap in runs of a few subsets under a 300-byte cap
+    slab = [GprsCode(field(2, 2), [e], 2) for e in (0, 1)]
+    words = [list(product(range(4), repeat=4))] * 2
+
+    def scan():
+        return (agreement_distances(slab, words).tolist(), mds_extension_verdicts(slab, words),
+                [mds_generator_check(code.generator, 2) for code in slab])
+
+    expected = scan()
+    assert {v.is_deep_hole for row in expected[1] for v in row} == {True, False}
+    scans, _ = _recorded_runs(monkeypatch)
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", 300)
+    assert scan() == expected
+    counts = [len(runs) for runs in scans]
+    # per code: an agreement group, an MDS-extension group and its minor table, a generator
+    assert len(counts) == 8 and min(counts) > 1
 
 
 def test_agreement_memory_stays_under_the_cap():
     # GF(23), n = 22, k = 11: the whole tail tensor is C(23, 12) * 11 uint16, about 30 MB
     code = GprsCode(field_of_order(23), [0], 11)
-    cap = codes_module._AGREEMENT_BYTES
+    cap = 8 * 2**20
     assert math.comb(23, 12) * 11 * 2 > 3 * cap
     codeword = code.word_from_poly(Polynomial(code.field, range(1, 12)))
     changed = list(codeword.encs)
@@ -488,7 +538,6 @@ def test_agreement_memory_stays_under_the_cap():
         tracemalloc.stop()
     assert distances == ([0], [1])
     assert peak < cap
-    assert not hasattr(code, "_lagrange_cache")
 
 
 def test_agreement_budget_counts_pairs_before_building():
@@ -501,7 +550,6 @@ def test_agreement_budget_counts_pairs_before_building():
     refused = "^C\\(length, k\\+1\\) = 35 agreement pairs exceed budget 34$"
     with pytest.raises(BudgetExceededError, match=refused):
         code.error_distance(word, method="agreement", budget=34)
-    assert not hasattr(code, "_lagrange_cache")
     assert code.error_distance(word, method="agreement", budget=35) == code.error_distance(word)
     grs = GrsCode(field(7), range(6), 3)
     with pytest.raises(BudgetExceededError):
@@ -513,14 +561,15 @@ def test_refused_agreement_call_builds_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("built after the budget refused the call")
 
-    for name in ("_subsets", "_subset_index", "_tail_tensor", "_tail_runs"):
+    for name in ("_subsets", "_subset_index", "subset_runs"):
+        monkeypatch.setattr(matrix_module, name, refuse)
+    for name in ("subset_runs", "_tail_tensor", "_tail_runs"):
         monkeypatch.setattr(codes_module, name, refuse)
     code = GprsCode(field_of_order(29), [0], 14)
-    shapes = list(codes_module._indexes)
+    shapes = list(matrix_module._indexes)
     with pytest.raises(BudgetExceededError, match="77558760"):
         code.error_distance(code.word([1] * 29), method="agreement", budget=10)
-    assert not hasattr(code, "_lagrange_cache")
-    assert list(codes_module._indexes) == shapes
+    assert list(matrix_module._indexes) == shapes
 
 
 def _tail_walk(length, k):
@@ -554,25 +603,25 @@ def test_tail_pair_index_matches_a_combinations_walk():
 def test_subset_indexes_holds_a_sweep_pass_within_its_bound(monkeypatch):
     # every (length, k) shape of a sampled GF(11) deep-hole pass stays cached, so a
     # second pass builds no index; and the cache never holds more than its bound
-    codes_module._indexes.clear()
+    matrix_module._indexes.clear()
     config = SweepConfig(claims=("thm14", "thm15"), q_list=(11,), max_exclusion_sets_per_q=8,
                          words_per_config=1)
     run_sweep(config)
-    shapes = set(codes_module._indexes)
+    shapes = set(matrix_module._indexes)
     assert len(shapes) >= 35
     built = []
-    real = codes_module._subsets
-    monkeypatch.setattr(codes_module, "_subsets", lambda *a: built.append(a) or real(*a))
+    real = matrix_module._subsets
+    monkeypatch.setattr(matrix_module, "_subsets", lambda *a: built.append(a) or real(*a))
     run_sweep(config)
-    assert built == [] and set(codes_module._indexes) == shapes
+    assert built == [] and set(matrix_module._indexes) == shapes
     for N in range(14, 24):
         for m in range(2, N - 1):
-            if math.comb(N, m) * m * 16 <= codes_module._INDEX_BYTES:
+            if math.comb(N, m) * m * 16 <= matrix_module._INDEX_BYTES:
                 _subset_index(N, m)
-            held = sum(a.nbytes + r.nbytes for a, r in codes_module._indexes.values())
-            assert held <= codes_module._INDEX_BYTES
+            held = sum(a.nbytes + r.nbytes for a, r in matrix_module._indexes.values())
+            assert held <= matrix_module._INDEX_BYTES
     # the least recently used shapes went first, the last one stays
-    assert (23, 21) in codes_module._indexes and (14, 2) not in codes_module._indexes
+    assert (23, 21) in matrix_module._indexes and (14, 2) not in matrix_module._indexes
 
 
 def test_agreement_distance_profile_on_every_code():
@@ -706,7 +755,6 @@ def test_projective_minimum_distance_work_and_memory():
         tracemalloc.stop()
     assert d == 3
     assert peak < 2 * 2**20
-    assert not hasattr(code, "_cw_cache")
     assert GprsCode(field(3, 2), [0], 7).minimum_distance("bruteforce", budget=10**7) == 3
 
 

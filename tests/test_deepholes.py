@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gprs.deepholes as deepholes
-from gprs.codes import BudgetExceededError, GprsCode, _generator_stack, _subset_index
+import gprs.matrix as matrix_module
+from gprs.codes import BudgetExceededError, GprsCode, _generator_stack
+from gprs.matrix import _subset_index
 from gprs.deepholes import (
     DeepHoleVerdict,
     HypothesisError,
@@ -575,7 +577,7 @@ def test_mds_extension_verdicts_fall_back_past_the_cap(monkeypatch):
     calls = _counted_scalar_route(monkeypatch)
     assert [_verdicts(c, words) for c, words in cases] == expected
     assert calls[0] == 0
-    monkeypatch.setattr(deepholes, "_AGREEMENT_BYTES", 1)
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", 1)
     assert [_verdicts(c, words) for c, words in cases] == expected
     assert calls[0] == sum(len(words) for _, words in cases)
 
@@ -589,7 +591,7 @@ def test_mds_extension_verdicts_in_runs(monkeypatch, slack):
         words = _mds_words(code, rng) * 2
         expected = [is_deep_hole_mds_extension(code, w) for w in words]
         n = code.length
-        monkeypatch.setattr(deepholes, "_AGREEMENT_BYTES", 2 * slack * math.comb(n, k) * (n - k) * 24)
+        monkeypatch.setattr(matrix_module, "_RUN_BYTES", slack * math.comb(n, k) * (n - k) * 24)
         calls = _counted_scalar_route(monkeypatch)
         assert _verdicts(code, words) == expected
         assert calls[0] == 0
@@ -655,16 +657,16 @@ def test_mds_extension_verdicts_of_a_slab_match_scalar_scan(monkeypatch, q):
     # at the default cap; with a cap of about two rows' cofactor tables, so a slab
     # goes in groups scanned in short runs; and past the cap, word by word
     rng = random.Random(q)
-    outcomes, default = set(), deepholes._AGREEMENT_BYTES
+    outcomes, default = set(), matrix_module._RUN_BYTES
     for i, slab in enumerate(_slabs(q, rng)):
         words = [_mds_words(code, rng) for code in slab]
         expected = [[is_deep_hole_mds_extension(c, w) for w in row] for c, row in zip(slab, words)]
         encs = [[w.encs for w in row] for row in words]
         n, k = slab[0].length, slab[0].k
         table = math.comb(n, k) * (n - k) * 24
-        caps = [default, 4 * table + 1] + [1] * (i < 3)
+        caps = [default, 2 * table] + [1] * (i < 3)
         for cap in caps:
-            monkeypatch.setattr(deepholes, "_AGREEMENT_BYTES", cap)
+            monkeypatch.setattr(matrix_module, "_RUN_BYTES", cap)
             calls = _counted_scalar_route(monkeypatch)
             assert mds_extension_verdicts(slab, encs) == expected
             assert calls[0] == (len(slab) * len(words[0]) if cap == 1 else 0)

@@ -14,6 +14,7 @@ from gprs.matrix import (
     det_stack,
     first_singular_column_subset,
     mds_generator_check,
+    subset_runs,
     vandermonde_det,
 )
 
@@ -235,6 +236,23 @@ def test_code_minor_table_matches_det_enc_on_sampled_codes(monkeypatch, q):
         l = rng.randrange(1, q - 2)
         code = GprsCode(f, rng.sample(range(q), l), rng.randrange(2, q - l))
         _assert_minors_match_det_enc(code, monkeypatch)
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_subset_runs_match_a_combinations_walk(monkeypatch, cached):
+    # slices of the cached index, or, when no index fits the cache, runs unranked
+    # on their own: the m-subsets in lexicographic order, each run opening at its rank
+    monkeypatch.setattr(matrix_module, "_indexes", {})
+    if not cached:
+        monkeypatch.setattr(matrix_module, "_INDEX_BYTES", 0)
+    for N in range(1, 10):
+        for m in range(1, N + 1):
+            walk = list(combinations(range(N), m))
+            for unit, step in ((matrix_module._RUN_BYTES, 1), (matrix_module._RUN_BYTES // 4, 4), (1, len(walk))):
+                runs = list(subset_runs(N, m, unit))
+                assert [a for a, _ in runs] == list(range(0, len(walk), step)), (N, m, step)
+                assert [tuple(s) for _, run in runs for s in run.tolist()] == walk, (N, m, step)
+    assert (9, 4) in matrix_module._indexes if cached else not matrix_module._indexes
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 9])
