@@ -258,9 +258,10 @@ def _generator_stack(codes) -> np.ndarray:
     gathers, and for projective codes the column of the x^(k-1) coefficient."""
     f, k, n = codes[0].field, codes[0].k, len(codes[0]._d_encs)
     g = np.zeros((len(codes), k, codes[0].length), dtype=np.intp)
+    d = np.array([code._d_encs for code in codes], dtype=np.intp)
     g[:, 0, :n] = 1
     for i in range(1, k):
-        g[:, i, :n] = f.mul_table[g[:, i - 1, :n], [code._d_encs for code in codes]]
+        g[:, i, :n] = f.mul_table[g[:, i - 1, :n], d]
     g[:, k - 1, n:] = 1
     return g
 

@@ -41,18 +41,10 @@ from array import array
 import numpy as np
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    try:
+        return prime_power_decomposition(n) == (n, 1)
+    except (TypeError, ValueError):
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:

@@ -11,7 +11,7 @@ Each claim tag names one verifiable statement about GPRS codes:
 * ``lemma25``  minimum distance q-l-k+2 == brute force; generator passes
                the all-minors MDS check
 * ``lemma26``  covering radius q-l+1-k == largest coset-leader weight (syndrome BFS)
-* ``lemma28``  constructive zero-sum subsets of every size 2..q-3
+* ``lemma28``  the constructed zero-sum subset of every size 2..q-3 validates
 * ``lemma29``  v_p(C(q-2, t-1)) == v_p(t), against big-integer binomials
 * ``thm11``  random non-codewords respect n - deg u <= d(u, GRS) <= n - k
 

@@ -32,6 +32,7 @@ from gprs.deepholes import (
 )
 from gprs.galois import field, field_of_order
 from gprs.polynomial import Polynomial, _eval_enc, _shifted_power_enc, expand_shifted_power
+from gprs.verify import SweepConfig, run_sweep
 
 
 def x_squared(f):
@@ -758,6 +759,51 @@ def test_zero_sum_valid_for_all_sizes(q):
             acc = f.add_enc(acc, e)
         assert acc == 0
         assert encs == sorted(encs)
+
+
+def _zero_sum_by_characteristic(f, k):
+    """Reference for zero_sum_subset's one rule, by characteristic: the triple
+    1, 2, -3 for p >= 7, and 1, z, -(1 + z) with z the first encoding past
+    the blocked points +-1 (and +-2 for p = 5) for p in {3, 5}."""
+    pairs = [(e, f.neg_enc(e)) for e in range(1, f.q) if e < f.neg_enc(e)]
+    if k % 2 == 0:
+        return sorted(e for pair in pairs[: k // 2] for e in pair)
+    if f.p >= 7:
+        triple = (1, 2, f.neg_enc(3))
+    else:
+        blocked = {1, f.neg_enc(1)}
+        if f.p == 5:
+            blocked |= {2, f.neg_enc(2)}
+        z = next(e for e in range(1, f.q) if e not in blocked)
+        triple = (1, z, f.neg_enc(f.add_enc(1, z)))
+    blocked = set(triple) | {f.neg_enc(e) for e in triple}
+    chosen = list(triple)
+    for pair in pairs:
+        if len(chosen) == k:
+            break
+        if pair[0] not in blocked and pair[1] not in blocked:
+            chosen.extend(pair)
+    return sorted(chosen)
+
+
+def test_zero_sum_matches_per_characteristic_reference():
+    cases = 0
+    for q in range(3, 126, 2):
+        try:
+            f = field_of_order(q)
+        except ValueError:  # not a prime power
+            continue
+        for k in range(2, q - 2):
+            assert [e.encoding for e in zero_sum_subset(f, k)] == _zero_sum_by_characteristic(f, k), (q, k)
+            cases += 1
+    assert cases == 1885
+
+
+def test_zero_sum_claims_survive_a_failing_check(monkeypatch):
+    # the construction checks nothing itself: lemma28 and thm16 validate the subset
+    monkeypatch.setattr(deepholes, "validate_verdict", lambda *args, **kwargs: False)
+    rep = run_sweep(SweepConfig(claims=("lemma28", "thm16"), q_list=(7,)))
+    assert rep.summary == {"total": 6, "agreed": 6, "refuted": 0, "skipped": 0}
 
 
 def test_zero_sum_errors():

@@ -101,7 +101,7 @@ def test_explicit_modulus_accepted_and_checked():
         FiniteField(3, 2, (1, 0, 2))  # not monic
 
 
-@pytest.mark.parametrize("bad_p", [0, 1, 4, 6, 9, 15])
+@pytest.mark.parametrize("bad_p", [0, 1, 4, 6, 9, 15, 2.5])
 def test_nonprime_characteristic_rejected(bad_p):
     with pytest.raises(ValueError):
         FiniteField(bad_p)
@@ -355,6 +355,9 @@ def test_encoding_is_base_p_digit_value():
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     assert {n for n in range(50) if is_prime(n)} == primes
+    # a plain trial division, independent of prime_power_decomposition
+    reference = {n for n in range(2, 5000) if all(n % d for d in range(2, math.isqrt(n) + 1))}
+    assert {n for n in range(-3, 5000) if is_prime(n)} == reference
 
 
 def test_prime_power_decomposition():

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import json
 import math
 import random
 import sys
@@ -9,8 +10,9 @@ from itertools import combinations
 import pytest
 
 import gprs.verify as verify
+from gprs.cli import main
 from gprs.codes import GprsCode
-from gprs.deepholes import DeepHoleVerdict, WordFamilySpec, build_family_word, family_words
+from gprs.deepholes import DeepHoleVerdict, WordFamilySpec, build_family_word, family_words, zero_sum_subset
 from gprs.galois import field_of_order
 from gprs.matrix import MdsCheckResult
 from gprs.polynomial import Polynomial
@@ -380,6 +382,18 @@ def test_refutation_channel(monkeypatch, case):
     r = bad[0]
     assert (r.excluded, r.k, r.aj, r.oracle, r.witness) == first
     assert r.detail == detail
+
+
+def test_lemma28_refutation_exits_one_with_its_subsets(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "validate_verdict", _always(False)(verify.validate_verdict))
+    rep = run_sweep(SweepConfig(claims=("lemma28",), q_list=(7,)))
+    f = field_of_order(7)
+    assert [(r.k, r.status, r.witness) for r in rep.rows] == [
+        (str(k), "refuted", ",".join(str(e.encoding) for e in zero_sum_subset(f, k))) for k in (2, 3, 4)
+    ]
+    assert main(["sweep", "--claims", "lemma28", "--q-list", "7"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["summary"] == {"total": 3, "agreed": 0, "refuted": 3, "skipped": 0}
 
 
 def test_check_liwan_bounds():
