@@ -27,14 +27,24 @@ Agreement scores each k-subset S of D only at the coordinates after max(S),
 the projective one last: a word's agreement with the code is k plus the best
 count of i > max(S) where it equals the interpolant through S (proved at
 ``agreement_distances``). The tail tensor T[S + (i,), s] = L_{S,s}(x_i) has
-a row per (k+1)-subset of coordinates, built once per distinct code of a
-slab (rows whose codes share the field, n and k), in the runs of subsets that
-``matrix.subset_runs`` hands every batched scan under its one 4 MiB cap. A
-code caches nothing but its generator rows.
+a row per (k+1)-subset of coordinates.
+
+Every code over F_q takes its coordinates from one frame: the q points of F_q
+in encoding order, then the projective point q. Its generator is the frame
+generator on those columns, and the map keeps subset order. So the k-minor
+table that the MDS-extension verdicts expand and the tail tensor depend only
+on (field, k): each is built once for the frame (``_frame_minors``,
+``_frame_tails``), kept in the shape cache of ``gprs.matrix``, and a code's
+rows are gathered from it by rank. A frame whose build would pass one run of
+``matrix._RUN_BYTES`` is never built; its codes build their own rows, once per
+distinct code of a slab (rows whose codes share the field, n and k), in the
+runs of subsets that ``matrix.subset_runs`` hands every batched scan. A code
+caches nothing but its generator rows.
 
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
-replaced, and the spans against the digit-by-digit q^k build they replaced.
+replaced, the frame tables against the per-code builds on every small code,
+and the spans against the digit-by-digit q^k build they replaced.
 """
 
 from __future__ import annotations
@@ -46,10 +56,12 @@ import numpy as np
 from .galois import FieldElement, FiniteField, field_from_spec
 from .polynomial import Polynomial, _eval_enc, _interp_enc
 from . import matrix
-from .matrix import Matrix, column_minors, subset_runs
+from .matrix import Matrix, column_minors, det_stack, subset_runs
 
 DEFAULT_MESSAGE_BUDGET = 10**6
 DEFAULT_DISTANCE_BUDGET = 10**8
+# bytes per point of a tail pair: per code a tensor build or a frame gather, and the subset index
+_TAIL_BUILD, _TAIL_GATHER, _TAIL_INDEX = 24, 16, 48
 
 
 class BudgetExceededError(RuntimeError):
@@ -253,25 +265,78 @@ def _distinct(codes) -> tuple[list, np.ndarray]:
     return list(uniq.values()), np.array([rank[id(code)] for code in codes], dtype=np.intp)
 
 
-def _generator_stack(codes) -> np.ndarray:
-    """Each code's generator rows, (codes, k, length): x^i on D by repeated mul_table
-    gathers, and for projective codes the column of the x^(k-1) coefficient."""
-    f, k, n = codes[0].field, codes[0].k, len(codes[0]._d_encs)
-    g = np.zeros((len(codes), k, codes[0].length), dtype=np.intp)
-    d = np.array([code._d_encs for code in codes], dtype=np.intp)
-    g[:, 0, :n] = 1
+def _frame_generator(f: FiniteField, k: int) -> np.ndarray:
+    """The frame's generator rows, (k, q + 1): x^i at the q points of F_q by repeated mul_table
+    gathers, and at the projective point q the column of the x^(k-1) coefficient. Every code's
+    generator is this one on the code's frame points (``_columns``)."""
+    g = np.zeros((k, f.q + 1), dtype=np.intp)
+    g[0, : f.q] = 1
     for i in range(1, k):
-        g[:, i, :n] = f.mul_table[g[:, i - 1, :n], d]
-    g[:, k - 1, n:] = 1
+        g[i, : f.q] = f.mul_table[g[i - 1, : f.q], np.arange(f.q)]
+    g[k - 1, f.q] = 1
     return g
 
 
+def _columns(codes) -> np.ndarray:
+    """Each code's coordinates as frame points, (codes, length): D, then q if projective. The map
+    is increasing, so it keeps the lexicographic order of subsets."""
+    q = codes[0].field.q
+    return np.array([code._d_encs + (q,) * code._projective for code in codes], dtype=np.intp)
+
+
+def _generator_stack(codes) -> np.ndarray:
+    """Each code's generator rows, (codes, k, length): the frame generator on its columns."""
+    return np.moveaxis(_frame_generator(codes[0].field, codes[0].k)[:, _columns(codes)], 0, 1)
+
+
+def _frame(kind: str, f: FiniteField, k: int, m: int, unit: int, build):
+    """(table, binom): ``build`` on the m-subsets of the q + 1 frame points in lexicographic
+    order, and the binomials that rank them. Built once per (kind, field, k) and kept in the
+    shape cache; None when the build at ``unit`` bytes a subset would pass one run."""
+    N, total = f.q + 1, math.comb(f.q + 1, m)
+    if total * unit > matrix._RUN_BYTES:
+        return None
+    return matrix._cached((kind, f, k), lambda: (build(matrix._subsets(N, m, 0, total)), matrix._binom(N, m)))
+
+
+def _frame_minors(f: FiniteField, k: int):
+    """The frame's k-minor table: det of the frame generator on each k-subset, by ``det_stack``
+    at the bytes a subset that ``column_minors`` counts."""
+    def build(cols):
+        return det_stack(f, np.moveaxis(_frame_generator(f, k)[:, cols], 0, 1)).astype(np.uint16)
+
+    return _frame("minors", f, k, k, 32 * k * k, build)
+
+
+def _frame_tails(f: FiniteField, k: int):
+    """The frame's tail tensor, ``_tail_tensor`` on every (k+1)-subset of the frame points: those
+    of the GRS code on all of F_q, index q read as the projective point."""
+    return _frame("tails", f, k, k + 1, (_TAIL_BUILD + _TAIL_INDEX) * (k + 1),
+                  lambda pairs: _tail_tensor([GrsCode(f, range(f.q), k)], pairs)[0])
+
+
+def _gather(frame, points: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Each code's rows of a frame table at the m-subsets of its coordinates, (codes, subsets):
+    ``points`` maps them to frame points, and the frame subset a is ranked as ``matrix._subsets``
+    unranks, rank = C(N, m) - 1 - sum_j C(N - 1 - a_j, m - j), one column j at a time."""
+    table, binom = frame
+    N, m = len(binom), subsets.shape[-1]
+    rank = math.comb(N, m) - 1
+    for j in range(m):
+        rank = rank - binom[N - 1 - points[:, subsets[:, j]], m - j]
+    return table[rank]
+
+
 def _minor_tables(codes) -> np.ndarray:
-    """det G_T of each row's code for every k-column subset T, in lexicographic order,
-    as (codes, C(length, k)): one column_minors pass over the distinct codes."""
+    """det G_T of each row's code for every k-column subset T, in lexicographic order, as
+    (codes, C(length, k)): gathered from the frame table, or past one run one column_minors
+    pass over the distinct codes."""
     uniq, index = _distinct(codes)
-    runs = column_minors(uniq[0].field, _generator_stack(uniq), uniq[0].k)
-    return np.concatenate([dets for _, dets in runs], axis=1)[index]
+    f, k = uniq[0].field, uniq[0].k
+    if (frame := _frame_minors(f, k)) is None:
+        runs = column_minors(f, _generator_stack(uniq), k)
+        return np.concatenate([dets for _, dets in runs], axis=1)[index]
+    return _gather(frame, _columns(uniq), matrix._subset_index(uniq[0].length, k)[0])[index]
 
 
 def agreement_distances(codes, words) -> np.ndarray:
@@ -308,17 +373,25 @@ def agreement_distances(codes, words) -> np.ndarray:
 def _tail_runs(codes, scratch: int):
     """(rows, runs) per group of distinct codes, with all their rows. A run is (pairs, T): the next
     (k+1)-subsets S + (i,) of range(length) from ``subset_runs``, and T[r, pair], code ``rows[r]``'s
-    tensor rows on them, built when reached. A run's index, tensor rows, build temporaries and
-    ``scratch`` bytes per row and pair fit the run cap; a group is as many codes as fit one run."""
+    tensor rows on them, gathered from the frame tensor (``_frame_tails``) or else built, when
+    reached. A run's index, tensor rows, gather or build temporaries and ``scratch`` bytes per row
+    and pair fit the run cap; a group is as many codes as fit one run."""
     k, top = codes[0].k, codes[0].length
-    total, build, pair_index = math.comb(top, k + 1), 16 * k * (k + 2), 48 * (k + 1)  # bytes per pair
+    frame = _frame_tails(codes[0].field, k)
+    total, pair_index = math.comb(top, k + 1), _TAIL_INDEX * (k + 1)  # bytes per pair
     uniq, index = _distinct(codes)
-    per_code = build + int(np.bincount(index).max()) * scratch  # a code and its rows
+    per_point = _TAIL_BUILD if frame is None else _TAIL_GATHER
+    per_code = per_point * (k + 1) + int(np.bincount(index).max()) * scratch  # a code and its rows
     group = max(1, min(len(uniq), (matrix._RUN_BYTES // total - pair_index) // per_code))
     for g in range(0, len(uniq), group):
-        rows = np.flatnonzero(index // group == g // group)
+        rows, part = np.flatnonzero(index // group == g // group), uniq[g : g + group]
         runs = subset_runs(top, k + 1, group * per_code + pair_index)
-        yield rows, ((p, _tail_tensor(uniq[g : g + group], p)[index[rows] - g]) for _, p in runs)
+        yield rows, ((p, _tails(part, frame, p)[index[rows] - g]) for _, p in runs)
+
+
+def _tails(codes, frame, pairs: np.ndarray) -> np.ndarray:
+    """The codes' tensor rows on the pairs: gathered from the frame tensor, or built without one."""
+    return _tail_tensor(codes, pairs) if frame is None else _gather(frame, _columns(codes), pairs)
 
 
 def _tail_starts(pairs: np.ndarray) -> np.ndarray:
@@ -332,22 +405,29 @@ def _tail_tensor(codes, pairs: np.ndarray) -> np.ndarray:
     """T[c, A, s] = L_{S,s}(x_i) on the points of codes[c], for each row A = S + (i,) of ``pairs``.
 
     L_{S,s}(x) = prod_{t != s} (x - x_{S_t}) / (x_{S_s} - x_{S_t}) is the Lagrange basis
-    polynomial of S that is 1 at x_{S_s}. At the projective coordinate i = n each
-    x - x_{S_t} counts as 1, which leaves the x^(k-1) coefficient.
+    polynomial of S that is 1 at x_{S_s}. Its numerator at x_i is P_i / (x_i - x_{S_s}), with
+    P_i = prod_t (x_i - x_{S_t}) nonzero as i is not in S, and its denominators are built once
+    per S of the run. At the projective coordinate i = n each x_i - x_{S_t} counts as 1, which
+    leaves the x^(k-1) coefficient.
     """
     f = codes[0].field
+    mul, inv = f.mul_table, f.inv_table
     x = np.array([code._d_encs for code in codes], dtype=np.intp)
     n, k = x.shape[1], pairs.shape[1] - 1
-    diff = np.ones((len(codes), n, n + 1), dtype=np.intp)  # diff[c, j, i] = x_i - x_j, 1 at i = n
+    diff = np.ones((len(codes), n, n + 1), dtype=np.intp)  # diff[c, j, i] = x_i - x_j, 1 at i = n or j
     diff[:, :, :n] = f.add_table[x[:, None, :], f.neg_table[x][:, :, None]]
-    S = pairs[:, :k]
-    # M[c, A, t, s] = (x_i - x_{S_t}) / (x_{S_s} - x_{S_t}), and 1 at t = s
-    M = f.mul_table[diff[:, S, pairs[:, k:]][..., None], f.inv_table[diff[:, S[:, :, None], S[:, None, :]]]]
-    M[:, :, np.arange(k), np.arange(k)] = 1
-    T = M[:, :, 0]
+    diff[:, np.arange(n), np.arange(n)] = 1
+    S, i = pairs[:, :k], pairs[:, k]
+    new = np.ones(len(pairs), dtype=bool)
+    new[1:] = (S[1:] != S[:-1]).any(axis=1)
+    first, owner = np.flatnonzero(new), np.cumsum(new) - 1  # each S once, and each pair's S
+    den = diff[:, S[first, :1], S[first]]  # prod_t (x_{S_s} - x_{S_t}), the factor t = s being 1
+    num = diff[:, S[:, :1], i[:, None]]  # prod_t (x_i - x_{S_t})
     for t in range(1, k):
-        T = f.mul_table[T, M[:, :, t]]
-    return T.astype(np.uint16)
+        den = mul[den, diff[:, S[first, t : t + 1], S[first]]]
+        num = mul[num, diff[:, S[:, t : t + 1], i[:, None]]]
+    num = mul[num, inv[diff[:, S, i[:, None]]]]
+    return mul[num, inv[den][:, owner]].astype(np.uint16)
 
 
 def parse_excluded(text: str) -> list[int]:

@@ -6,7 +6,8 @@ covering radius q - l + 1 - k. Four routes produce a verdict:
 * ``oracle``: compare the exact error distance against the covering radius;
 * ``mds_extension``: stack the word under the generator matrix and demand
   every (k+1)-column minor be nonsingular (a slab of words expands them over
-  each code's k-minors in ``matrix.subset_runs`` runs, ``mds_extension_verdicts``);
+  each code's k-minors, gathered from the frame table of its field and k, in
+  ``matrix.subset_runs`` runs, ``mds_extension_verdicts``);
 * ``thm14``: closed form for words whose interpolant has degree exactly k;
   such a word is a deep hole iff no k-subset of D sums to zero;
 * ``thm15``: closed form for the family lam*(x - a_j)^(q-2) + nu*x^(k-1)

@@ -8,6 +8,8 @@ minor a reproducible witness. Every batched subset scan (these minors, the
 agreement kernel in ``codes``, the MDS-extension verdicts in ``deepholes``)
 takes them from ``subset_runs`` in runs of about ``_RUN_BYTES``, sliced from
 one shape cache of subset indexes (``_subset_index``) or unranked past it.
+The same cache holds the frame tables of ``codes``, and ``_cached`` keeps all
+of it under ``_INDEX_BYTES``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from .galois import FieldElement, FiniteField, _field_of
 
 _RUN_BYTES = 1 << 22  # about the bytes of one run of any batched subset scan
-_INDEX_BYTES = 1 << 22  # the shape cache of subset indexes holds at most this
-_indexes: dict = {}  # (N, m) -> _subset_index(N, m), least recently used first
+_INDEX_BYTES = 1 << 22  # the shape cache holds at most this
+_indexes: dict = {}  # the shape cache (``_cached``), least recently used first
 
 
 class Matrix:
@@ -151,18 +153,31 @@ def _subsets(N: int, m: int, start: int, stop: int) -> np.ndarray:
 
 def _subset_index(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-subsets A of range(N) in lexicographic order, and per column j the rank of A minus
-    A_j among the (m-1)-subsets, from a shape cache of at most ``_INDEX_BYTES`` (LRU)."""
-    index = _indexes.pop((N, m), None)
-    if index is None:
+    A_j among the (m-1)-subsets, from the shape cache (``_cached``)."""
+
+    def build():
         subsets, binom, at = _subsets(N, m, 0, math.comb(N, m)), _binom(N, m), np.arange(m)
         lo, hi = binom[N - 1 - subsets, m - 1 - at], binom[N - 1 - subsets, m - at]  # a_i before, after A_j
         ranks = (lo.cumsum(axis=1) - lo) + (hi.sum(axis=1)[:, None] - hi.cumsum(axis=1))
-        index = subsets, math.comb(N, m - 1) - 1 - ranks
-        while _indexes and sum(2 * a.nbytes for a, _ in _indexes.values()) + 2 * subsets.nbytes > _INDEX_BYTES:
+        return subsets, math.comb(N, m - 1) - 1 - ranks
+
+    return _cached((N, m), build)
+
+
+def _cached(key, build) -> tuple[np.ndarray, ...]:
+    """The arrays under ``key`` in the shape cache, from ``build()`` on a miss. The cache keeps
+    subset indexes and the frame tables of ``codes``, at most ``_INDEX_BYTES`` of them together,
+    and drops the least recently used first."""
+    entry = _indexes.pop(key, None)
+    if entry is None:
+        entry = build()
+        size = sum(a.nbytes for a in entry)
+        if size > _INDEX_BYTES:
+            return entry
+        while sum(a.nbytes for held in _indexes.values() for a in held) + size > _INDEX_BYTES:
             del _indexes[next(iter(_indexes))]
-    if 2 * index[0].nbytes <= _INDEX_BYTES:
-        _indexes[N, m] = index
-    return index
+    _indexes[key] = entry
+    return entry
 
 
 def first_singular_column_subset(field: FiniteField, rows, size: int):

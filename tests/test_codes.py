@@ -15,6 +15,7 @@ from gprs.codes import (
     BudgetExceededError,
     GprsCode,
     GrsCode,
+    _generator_stack,
     _tail_starts,
     _tail_tensor,
     agreement_distances,
@@ -22,7 +23,7 @@ from gprs.codes import (
 )
 from gprs.deepholes import WordFamilySpec, build_family_word, mds_extension_verdicts
 from gprs.galois import field, field_of_order
-from gprs.matrix import _subset_index, _subsets, mds_generator_check
+from gprs.matrix import _subset_index, _subsets, column_minors, mds_generator_check
 from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
 from gprs.verify import SweepConfig, run_sweep
 
@@ -457,6 +458,67 @@ def test_agreement_tensor_is_cached_when_it_fits():
     assert _subset_index(11, 6)[0] is pairs
 
 
+def _tail_tensor_reference(codes, pairs):
+    # T[c, A, s] = L_{S,s}(x_i) for each row A = S + (i,) of pairs, from a k x k matrix
+    # per pair: M[t, s] = (x_i - x_{S_t}) / (x_{S_s} - x_{S_t}), 1 at t = s, multiplied
+    # down its rows; every x_i - x_{S_t} is 1 at the projective i = n
+    f = codes[0].field
+    x = np.array([code.evaluation_encodings() for code in codes], dtype=np.intp)
+    n, k = x.shape[1], pairs.shape[1] - 1
+    diff = np.ones((len(codes), n, n + 1), dtype=np.intp)
+    diff[:, :, :n] = f.add_table[x[:, None, :], f.neg_table[x][:, :, None]]
+    S = pairs[:, :k]
+    M = f.mul_table[diff[:, S, pairs[:, k:]][..., None], f.inv_table[diff[:, S[:, :, None], S[:, None, :]]]]
+    M[:, :, np.arange(k), np.arange(k)] = 1
+    T = M[:, :, 0]
+    for t in range(1, k):
+        T = f.mul_table[T, M[:, :, t]]
+    return T.astype(np.uint16)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_tail_tensor_matches_the_per_pair_reference(q):
+    # the tensor with its denominators built once per S equals the per-pair k x k build
+    # entry for entry, on every pair and on runs that start and end inside an S
+    rng = random.Random(q)
+    f = field_of_order(q)
+    for _ in range(6):
+        l = rng.randrange(1, q - 2)
+        slab = [GprsCode(f, rng.sample(range(q), l), k) for k in [rng.randrange(2, q - l)] for _ in range(3)]
+        grs = GrsCode(f, rng.sample(range(q), q - l), slab[0].k - 1)
+        for codes in (slab, [grs]):
+            pairs = _subsets(codes[0].length, codes[0].k + 1, 0, math.comb(codes[0].length, codes[0].k + 1))
+            assert (_tail_tensor(codes, pairs) == _tail_tensor_reference(codes, pairs)).all()
+            for a, b in sorted(rng.sample(range(len(pairs) + 1), 2) for _ in range(4)):
+                assert (_tail_tensor(codes, pairs[a:b]) == _tail_tensor_reference(codes, pairs[a:b])).all()
+
+
+def _every_grs_code(q):
+    f = field_of_order(q)
+    for n in range(2, q + 1):
+        for pts in combinations(range(q), n):
+            for k in range(1, n):
+                yield GrsCode(f, pts, k)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_frame_tables_match_the_per_code_builds_on_every_code(q):
+    # on every GPRS and GRS code over F_q, stacked per (length, k): the minor table and the
+    # tail tensor gathered from the frame equal the ones built from the code alone
+    by_shape = {}
+    for code in [*_every_code(q), *_every_grs_code(q)]:
+        by_shape.setdefault((type(code), code.length, code.k), []).append(code)
+    assert any(k == 1 for _, _, k in by_shape)
+    for (_, length, k), codes in by_shape.items():
+        f = codes[0].field
+        minors, tails = codes_module._frame_minors(f, k), codes_module._frame_tails(f, k)
+        assert minors is not None and tails is not None
+        built = np.concatenate([d for _, d in column_minors(f, _generator_stack(codes), k)], axis=1)
+        assert (codes_module._minor_tables(codes) == built).all(), (length, k)
+        pairs = _subset_index(length, k + 1)[0]
+        assert (codes_module._tails(codes, tails, pairs) == _tail_tensor(codes, pairs)).all(), (length, k)
+
+
 @pytest.mark.parametrize("two_runs", [300_000, 1_300_000])
 def test_agreement_cached_tensor_scored_in_runs(monkeypatch, two_runs):
     # the whole tensor fits a run of half of ``two_runs``, but scoring all 3125 words
@@ -484,20 +546,22 @@ def _recorded_runs(monkeypatch):
 
 
 def test_agreement_slab_that_fits_scores_in_one_run(monkeypatch):
-    # C(7, 4) = 35 pairs: one word of one code, and a slab of two codes, each build
-    # their tail tensor once and score it in one run at the default cap
+    # C(7, 4) = 35 pairs: one word of one code builds the GF(7), k = 3 frame tensor once,
+    # on its C(8, 4) = 70 pairs, and scores in one run at the default cap; a slab of two
+    # codes then gathers from that frame, builds nothing, and scores in one run
+    monkeypatch.setattr(matrix_module, "_indexes", {})
     scans, builds = _recorded_runs(monkeypatch)
     code = GprsCode(field(7), [0], 3)
     word = code.word([1, 2, 3, 4, 5, 6, 1])
     assert code.error_distance(word, method="agreement") == code.error_distance(word)
-    assert (scans, builds) == ([[35]], [(1, 35)])
+    assert (scans, builds) == ([[35]], [(1, 70)])
     scans.clear()
     builds.clear()
     slab = [code, GprsCode(field(7), [6], 3)]
     words = [[_kernel_words(c, random.Random(7))[0].encs] for c in slab]
     expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
     assert agreement_distances(slab, words).tolist() == expected
-    assert (scans, builds) == ([[35]], [(2, 35)])
+    assert (scans, builds) == ([[35]], [])
 
 
 def test_one_small_run_cap_splits_every_batched_scan(monkeypatch):
@@ -622,6 +686,77 @@ def test_subset_indexes_holds_a_sweep_pass_within_its_bound(monkeypatch):
             assert held <= matrix_module._INDEX_BYTES
     # the least recently used shapes went first, the last one stays
     assert (23, 21) in matrix_module._indexes and (14, 2) not in matrix_module._indexes
+
+
+def _frame_keys():
+    return {key for key in matrix_module._indexes if key[0] in ("minors", "tails")}
+
+
+def test_second_sweep_pass_builds_no_frame_table(monkeypatch):
+    # a sampled GF(11) deep-hole pass builds each frame table once and nothing per code;
+    # a second pass gathers every table from the shape cache and builds none
+    matrix_module._indexes.clear()
+    builds = []
+    for name in ("_tail_tensor", "det_stack", "column_minors"):
+        real = getattr(codes_module, name)
+        monkeypatch.setattr(codes_module, name, lambda *a, real=real: builds.append(a) or real(*a))
+    config = SweepConfig(claims=("thm14", "thm15"), q_list=(11,), max_exclusion_sets_per_q=8,
+                         words_per_config=1)
+    run_sweep(config)
+    f = field_of_order(11)
+    frames = {("minors", f, k) for k in range(2, 9)} | {("tails", f, k) for k in range(2, 10)}
+    assert _frame_keys() == frames and len(builds) == len(frames)
+    builds.clear()
+    run_sweep(config)
+    assert builds == [] and _frame_keys() == frames
+
+
+def test_shape_cache_holds_indexes_and_frames_within_its_bound(monkeypatch):
+    # subset indexes and frame tables of many fields share the one bound; the least
+    # recently used go first and the last one stays
+    monkeypatch.setattr(matrix_module, "_indexes", {})
+    last = None
+    for q in (7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+        f = field_of_order(q)
+        for k in range(1, q - 1):
+            if codes_module._frame_minors(f, k) is not None:
+                last = ("minors", f, k)
+            if codes_module._frame_tails(f, k) is not None:
+                last = ("tails", f, k)
+            if math.comb(q, k) * k * 16 <= matrix_module._INDEX_BYTES:
+                _subset_index(q, k)
+                last = (q, k)
+            held = sum(a.nbytes for entry in matrix_module._indexes.values() for a in entry)
+            assert held <= matrix_module._INDEX_BYTES
+    assert ("tails", field_of_order(7), 2) not in matrix_module._indexes
+    assert list(matrix_module._indexes)[-1] == last
+
+
+def test_frame_route_is_chosen_by_the_size_of_its_build(monkeypatch):
+    # GF(7), k = 3: the frame tensor is C(8, 4) = 70 pairs of 72 * 4 bytes and the frame
+    # minors C(8, 3) = 56 subsets of 32 * 9 bytes; one byte less than its build and a
+    # table is built per code. GF(23), k = 11 never builds a frame, and is decided
+    # before anything is built.
+    monkeypatch.setattr(matrix_module, "_indexes", {})
+    f = field(7)
+    for cap, route in ((70 * 72 * 4, True), (70 * 72 * 4 - 1, False)):
+        monkeypatch.setattr(matrix_module, "_RUN_BYTES", cap)
+        assert (codes_module._frame_tails(f, 3) is not None) == route
+    for cap, route in ((56 * 32 * 9, True), (56 * 32 * 9 - 1, False)):
+        monkeypatch.setattr(matrix_module, "_RUN_BYTES", cap)
+        assert (codes_module._frame_minors(f, 3) is not None) == route
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("built a frame past one run")
+
+    for name in ("_tail_tensor", "det_stack", "column_minors"):
+        monkeypatch.setattr(codes_module, name, refuse)
+    monkeypatch.setattr(matrix_module, "_subsets", refuse)
+    shapes = list(matrix_module._indexes)
+    f = field_of_order(23)
+    assert codes_module._frame_tails(f, 11) is None and codes_module._frame_minors(f, 11) is None
+    assert list(matrix_module._indexes) == shapes
 
 
 def test_agreement_distance_profile_on_every_code():
