@@ -528,8 +528,10 @@ class GprsCode(_EvaluationCode):
         ``syndrome`` returns the largest coset-leader weight, which is the
         depth of a breadth-first search over the q^(length-k) syndromes from
         zero, one step per scalar multiple of a parity-check column (Cohen,
-        Honkala, Litsyn & Lobstein, *Covering Codes*, 1997, ch. 2). The budget
-        caps its work, states x generators = q^(length-k) * length * (q-1).
+        Honkala, Litsyn & Lobstein, *Covering Codes*, 1997, ch. 2); each level
+        is expanded a block of states at a time, one gather per digit of each
+        group of columns with the same support (``_syndrome_bfs_depth``). The
+        budget caps its work, states x generators = q^(length-k) * length * (q-1).
         """
         if mode == "formula":
             return self.field.q - self.l + 1 - self.k
@@ -544,38 +546,53 @@ class GprsCode(_EvaluationCode):
         raise ValueError(f"unknown covering-radius mode {mode!r}")
 
     def _parity_columns(self) -> list[list[int]]:
-        """Columns of H = [-A^T | I]: the syndromes of the unit words."""
-        return [
-            self._syndrome([int(j == i) for j in range(self.length)])
-            for i in range(self.length)
-        ]
+        """Columns of H = [-A^T | I]: the syndromes of the unit words. Only the first k need an
+        interpolation; a unit word past the information set is its own syndrome, a unit column."""
+        r = self.length - self.k
+        head = [self._syndrome([int(j == i) for j in range(self.length)]) for i in range(self.k)]
+        return head + [[int(t == i) for t in range(r)] for i in range(r)]
 
 
 def _syndrome_bfs_depth(f: FiniteField, columns: list[list[int]]) -> int:
     """Largest BFS depth over F_q^r, stepping by c * column for every c != 0.
 
-    A syndrome is the integer sum_t s_t q^t; adding g moves digit t from d
-    to add(d, g_t), which shifts the integer by step[t, d, g_t].
+    A syndrome is the integer sum_t s_t q^t; adding g moves digit t from d to add(d, g_t),
+    which shifts the integer by step[t, d, g_t]. The generators are grouped by support, the
+    digits they move: for H = [-A^T | I] of an MDS code the k dense columns of -A^T make one
+    group and each unit column one more. A group steps a block of frontier states by all its
+    generators g_j at once, one gather per digit t from shift[d, j] = step[t, d, g_j[t]]. A
+    block is a run of ``matrix._RUN_BYTES`` / (8 * generators) states, so its (states,
+    generators) shifts fit one run.
     """
     q, r = f.q, len(columns[0])
     size = q**r
     place = q ** np.arange(r, dtype=np.int64)
     step = (f.add_table.astype(np.int64) - np.arange(q)[:, None]) * place[:, None, None]
-    # every c * column for c = 1..q-1
-    gens = f.mul_table[np.arange(1, q)[:, None, None], np.array(columns)[None]].reshape(-1, r)
+    supports: dict[tuple, list] = {}
+    for col in columns:
+        supports.setdefault(tuple(t for t in range(r) if col[t]), []).append(col)
+    groups = []  # per support, (digit, shift table) over its generators c * column, c = 1..q-1
+    for support, cols in supports.items():
+        if support:  # a zero column steps nowhere
+            gens = f.mul_table[np.arange(1, q)[:, None, None], np.array(cols)[None]].reshape(-1, r)
+            groups.append([(t, step[t][:, gens[:, t]]) for t in support])
+    run = max(1, matrix._RUN_BYTES // (8 * (q - 1) * len(columns)))
     seen = np.zeros(size, dtype=bool)
     seen[0] = True
     unseen = size - 1
     frontier = np.zeros(1, dtype=np.int64)
     depth = 0
     while unseen > 0:
-        digits = frontier[:, None] // place % q
         reached = np.zeros(size, dtype=bool)
-        for g in gens:
-            nxt = frontier.copy()
-            for t in np.flatnonzero(g):
-                nxt += step[t, digits[:, t], g[t]]
-            reached[nxt] = True
+        for start in range(0, frontier.size, run):
+            block = frontier[start : start + run]
+            digits = block // place[:, None] % q
+            for (t, shift), *rest in groups:
+                nxt = shift[digits[t]]
+                nxt += block[:, None]
+                for t, shift in rest:
+                    nxt += shift[digits[t]]
+                reached[nxt] = True
         reached &= ~seen
         seen |= reached
         frontier = np.flatnonzero(reached)

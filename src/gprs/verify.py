@@ -41,6 +41,8 @@ import random
 import sys
 from dataclasses import dataclass, field as dc_field, fields
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 import numpy as np
 
@@ -128,6 +130,19 @@ class SweepRow:
 
 # the report columns, in CSV order: every SweepRow field but the sort key
 ROW_FIELDS = tuple(f.name for f in fields(SweepRow) if f.compare)
+# SweepReport.to_json fills these templates: a row's fields in key order at the depth of the rows
+_ROW_VALUES = attrgetter(*sorted(ROW_FIELDS))
+_ROW_JSON = "    {{\n" + ",\n".join(f'      "{name}": {{}}' for name in sorted(ROW_FIELDS)) + "\n    }}"
+_REPORT_JSON = '{{\n  "config": {},\n  "rows": {},\n  "summary": {}\n}}\n'
+
+
+def _json_value(value) -> str:
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+
+
+def _nested_json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) one level deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
 @dataclass
@@ -151,7 +166,11 @@ class SweepReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n": the rows go through a fixed
+        template and the C string encoder, as the indent encoder is pure Python."""
+        rows = ",\n".join(_ROW_JSON.format(*map(_json_value, _ROW_VALUES(row))) for row in self.rows)
+        return _REPORT_JSON.format(_nested_json(self.config.to_dict()),
+                                   f"[\n{rows}\n  ]" if rows else "[]", _nested_json(self.summary))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -1025,6 +1025,105 @@ def test_parity_columns_annihilate_generator(q):
                 assert acc == 0, code.spec_string()
 
 
+def _syndrome_bfs_depth_reference(f, columns):
+    # the BFS one generator c * column at a time: a syndrome is sum_t s_t q^t, and adding
+    # g moves digit t from d to add(d, g_t), shifting the integer by step[t, d, g_t]
+    q, r = f.q, len(columns[0])
+    size = q**r
+    place = q ** np.arange(r, dtype=np.int64)
+    step = (f.add_table.astype(np.int64) - np.arange(q)[:, None]) * place[:, None, None]
+    # every c * column for c = 1..q-1
+    gens = f.mul_table[np.arange(1, q)[:, None, None], np.array(columns)[None]].reshape(-1, r)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    unseen = size - 1
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while unseen > 0:
+        digits = frontier[:, None] // place % q
+        reached = np.zeros(size, dtype=bool)
+        for g in gens:
+            nxt = frontier.copy()
+            for t in np.flatnonzero(g):
+                nxt += step[t, digits[:, t], g[t]]
+            reached[nxt] = True
+        reached &= ~seen
+        seen |= reached
+        frontier = np.flatnonzero(reached)
+        if not frontier.size:
+            raise ValueError("the columns do not span the syndrome space")
+        unseen -= frontier.size
+        depth += 1
+    return depth
+
+
+def _bfs_outcome(bfs, f, columns):
+    # the depth, or the message of the ValueError raised on columns that do not span
+    try:
+        return bfs(f, columns)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_syndrome_bfs_matches_the_per_generator_reference(q):
+    f = field_of_order(q)
+    for code in _pinned_covering_codes(q):
+        columns = code._parity_columns()
+        assert codes_module._syndrome_bfs_depth(f, columns) == _syndrome_bfs_depth_reference(f, columns), (
+            code.spec_string()
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_syndrome_bfs_matches_the_reference_on_any_columns(data):
+    # any columns: parallel, zero (a support with no digit steps nowhere) or not spanning
+    q = data.draw(st.sampled_from([4, 5, 9]))
+    f, r = field_of_order(q), data.draw(st.integers(1, 3))
+    column = st.lists(st.integers(0, q - 1), min_size=r, max_size=r)
+    columns = data.draw(st.lists(column, min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        c = data.draw(st.integers(1, q - 1))
+        columns += [[0] * r, [f.mul_enc(c, x) for x in columns[0]]]
+    outcome = _bfs_outcome(codes_module._syndrome_bfs_depth, f, columns)
+    assert outcome == _bfs_outcome(_syndrome_bfs_depth_reference, f, columns)
+
+
+def test_syndrome_bfs_matches_the_reference_when_a_level_spans_several_runs(monkeypatch):
+    # a run of b frontier states is capped at 8 * b * (q - 1) * length bytes
+    cases = [(field_of_order(q), GprsCode(field_of_order(q), range(l), 2)._parity_columns())
+             for q, l in ((5, 1), (7, 2), (8, 3), (9, 4))]
+    cases.append((field_of_order(4), [[1, 0, 0], [0, 0, 0], [1, 1, 0], [2, 3, 1], [0, 0, 1]]))
+    expected = [_syndrome_bfs_depth_reference(f, columns) for f, columns in cases]
+    for states in (1, 2, 7):
+        for (f, columns), depth in zip(cases, expected):
+            monkeypatch.setattr(matrix_module, "_RUN_BYTES", 8 * states * (f.q - 1) * len(columns))
+            assert codes_module._syndrome_bfs_depth(f, columns) == depth
+
+
+def test_syndrome_bfs_memory_stays_within_one_run_and_the_state_masks():
+    # GF(8), l = 2, k = 2: r = 5, q^r = 32768 syndromes, 7 * 7 = 49 generators. A run of b
+    # states holds its digits (8 r b bytes) and, while a group of g generators steps it, the
+    # block and one gathered shift (2 * 8 b g); the widest group is the k(q-1) = 14 dense
+    # columns, and r + 2 * 14 <= 49, so a run's temporaries fit the 8 * 49 * b = _RUN_BYTES
+    # it is cut to. Per state: the seen and reached masks, the negated mask, and 8 bytes of
+    # frontier (the frontiers of two levels are disjoint). Tables stay under 64 KiB.
+    code = GprsCode(field(2, 3), [0, 1], 2)
+    columns = code._parity_columns()
+    q, r = code.field.q, code.length - code.k
+    assert (q - 1) * len(columns) == 49 and r + 2 * code.k * (q - 1) <= 49
+    bound = matrix_module._RUN_BYTES + 11 * q**r + 64 * 1024
+    tracemalloc.start()
+    try:
+        depth = codes_module._syndrome_bfs_depth(code.field, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert depth == code.covering_radius("formula") == 5
+    assert peak <= bound, (peak, bound)
+
+
 def _hamming_columns(f, r):
     # one nonzero column per projective point of F_q^r: leading entry 1
     cols = []

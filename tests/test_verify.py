@@ -291,6 +291,28 @@ def test_json_shape():
     assert set(data["rows"][0]) == set(ROW_FIELDS)
 
 
+def _indent_encoder_json(rep):
+    return json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_is_the_indent_encoder_bytes():
+    # real sweeps with skipped rows, an empty report, and rows refuted by hand whose
+    # detail and witness hold quotes, backslashes, control and non-ASCII characters
+    skipped = run_sweep(SweepConfig(claims=("lemma26", "thm16"), q_list=(4, 5), distance_budget=10**3))
+    assert skipped.summary["skipped"] > 0
+    mixed = run_sweep(SweepConfig(claims=("lemma25", "lemma29", "thm14"), q_list=(7, 8), words_per_config=2))
+    cfg = SweepConfig(claims=("thm14",), q_list=(5,), max_exclusion_sets_per_q=1)
+    empty = verify.SweepReport(cfg, [], {"total": 0, "agreed": 0, "refuted": 0, "skipped": 0})
+    rows = [
+        verify.SweepRow("thm14", 5, excluded="0,1", k="2", agree="false", status="refuted",
+                        witness='{"word": [1, 2]}', detail='a "quoted" C:\\path\ttab'),
+        verify.SweepRow("lemma29", 9, status="skipped", detail="ρ ≥ q − k, naïve \u2028 \U0001d53d"),
+    ]
+    refuted = verify.SweepReport(cfg, rows, {"total": 2, "agreed": 0, "refuted": 1, "skipped": 1})
+    for rep in (skipped, mixed, empty, refuted):
+        assert rep.to_json() == _indent_encoder_json(rep)
+
+
 def _negated(real):
     # the criterion's verdict flipped, with no witness to re-validate
     return lambda *args: DeepHoleVerdict(not real(*args).is_deep_hole, "liar")
