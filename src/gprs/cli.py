@@ -26,12 +26,12 @@ import sys
 
 from .galois import field_from_spec
 from .polynomial import Polynomial
-from .matrix import mds_generator_check
 from .codes import (
     BudgetExceededError,
     DEFAULT_DISTANCE_BUDGET,
     DEFAULT_MESSAGE_BUDGET,
     GprsCode,
+    mds_checks,
     parse_excluded,
 )
 from .deepholes import (
@@ -189,9 +189,8 @@ def _cmd_field(args) -> int:
 def _cmd_code(args) -> int:
     f = field_from_spec(args.q, args.mod)
     code = GprsCode(f, parse_excluded(args.exclude), args.k)
-    generator = code.generator
-    mds = mds_generator_check(generator, code.k)
-    gen_rows = [list(r) for r in generator.row_encodings()]
+    mds = mds_checks([code])[0]
+    gen_rows = [list(r) for r in code._generator_rows()]
     record = {
         "spec": code.spec_string(),
         "q": f.q,

@@ -19,9 +19,12 @@ Exact error distance comes in two interchangeable flavors:
   explodes (its budget counts C(length, k+1) pairs).
 
 Codewords come by span doubling, span_(i+1) = span_i + F_q * row_i from
-span_0 = {0}. ``enumerate`` scans span_k; the brute-force minimum distance
-scans each row_i + span_i, one codeword per projective point, and never
-builds span_k. Both budgets still count q^k codewords.
+span_0 = {0}, kept a coordinate per row with a code axis (``_spans``).
+``enumerate`` scans span_k of one code. The brute-force minimum distance
+(``minimum_distances``) scans each row_i + span_i, one codeword per
+projective point, and never builds span_k; it walks the spans of a slab's
+codes a group at a time, as many as fit one run of ``matrix._RUN_BYTES``.
+Both budgets still count q^k codewords.
 
 Agreement scores each k-subset S of D only at the coordinates after max(S),
 the projective one last: a word's agreement with the code is k plus the best
@@ -32,10 +35,11 @@ a row per (k+1)-subset of coordinates.
 Every code over F_q takes its coordinates from one frame: the q points of F_q
 in encoding order, then the projective point q. Its generator is the frame
 generator on those columns, and the map keeps subset order. So the k-minor
-table that the MDS-extension verdicts expand and the tail tensor depend only
-on (field, k): each is built once for the frame (``_frame_minors``,
-``_frame_tails``), kept in the shape cache of ``gprs.matrix``, and a code's
-rows are gathered from it by rank. A frame whose build would pass one run of
+table, which the MDS-extension verdicts expand and the all-minors MDS check
+(``mds_checks``) reads, and the tail tensor depend only on (field, k): each
+is built once for the frame (``_frame_minors``, ``_frame_tails``), kept in
+the shape cache of ``gprs.matrix``, and a code's rows are gathered from it
+by rank. A frame whose build would pass one run of
 ``matrix._RUN_BYTES`` is never built; its codes build their own rows, once per
 distinct code of a slab (rows whose codes share the field, n and k), in the
 runs of subsets that ``matrix.subset_runs`` hands every batched scan. A code
@@ -44,7 +48,8 @@ caches nothing but its generator rows.
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
 replaced, the frame tables against the per-code builds on every small code,
-and the spans against the digit-by-digit q^k build they replaced.
+the spans against the digit-by-digit q^k build they replaced, and the slab
+minimum distances and MDS checks against the per-code walk and minor scan.
 """
 
 from __future__ import annotations
@@ -56,10 +61,14 @@ import numpy as np
 from .galois import FieldElement, FiniteField, field_from_spec
 from .polynomial import Polynomial, _eval_enc, _interp_enc
 from . import matrix
-from .matrix import Matrix, column_minors, det_stack, subset_runs
+from .matrix import Matrix, MdsCheckResult, column_minors, det_stack, subset_runs
 
 DEFAULT_MESSAGE_BUDGET = 10**6
 DEFAULT_DISTANCE_BUDGET = 10**8
+# bytes per coordinate of a codeword of span_(k-1) in the brute-force walk: its uint16 entry and
+# its compare mask; with the codeword's int64 weight this also covers the gather that builds it,
+# span_(k-2) and that span's intp index copy, 10 / q bytes a coordinate
+_SPAN_BYTES = 3
 # bytes per point of a tail pair: per code a tensor build or a frame gather, and the subset index
 _TAIL_BUILD, _TAIL_GATHER, _TAIL_INDEX = 24, 16, 48
 
@@ -179,11 +188,9 @@ class _EvaluationCode:
         return encs
 
     def _generator_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Generator rows: the words of 1, x, ..., x^(k-1)."""
-        cached = getattr(self, "_rows_cache", None)
-        if cached is None:
-            cached = self._rows_cache = tuple(map(tuple, _generator_stack([self])[0].tolist()))
-        return cached
+        """Generator rows: the words of 1, x, ..., x^(k-1), cached by ``_cache_rows``."""
+        _cache_rows([self])
+        return self._rows_cache
 
     def _syndrome(self, encs) -> list[int]:
         """H·w for H = [-A^T | I], the parity check of the systematic generator [I | A].
@@ -202,23 +209,10 @@ class _EvaluationCode:
         if count > budget:
             raise BudgetExceededError(f"q^k = {count} codewords exceed budget {budget}")
 
-    def _spans(self, rows: np.ndarray):
-        """span_0 = {0}, then span_(i+1) = span_i + F_q * rows[i], each as uint16 rows.
-
-        Row c * q^i + j of span_(i+1) is row j of span_i plus c * rows[i]: message-index order.
-        """
-        f = self.field
-        scalars = np.arange(f.q)[:, None, None]
-        span = np.zeros((1, self.length), dtype=np.uint16)
-        yield span
-        for row in rows:
-            span = f.add_table[f.mul_table[scalars, row], span].reshape(-1, self.length)
-            yield span
-
     def _codeword_matrix(self) -> np.ndarray:
         """All q^k codewords as int16 rows, in message-index order: span_k."""
-        *_, span = self._spans(np.array(self._generator_rows()))
-        return span.view(np.int16)
+        *_, span = _spans(self.field, np.array([self._generator_rows()]))
+        return span[0].T.view(np.int16)
 
     # -- exact error distance -------------------------------------------------
 
@@ -289,6 +283,13 @@ def _generator_stack(codes) -> np.ndarray:
     return np.moveaxis(_frame_generator(codes[0].field, codes[0].k)[:, _columns(codes)], 0, 1)
 
 
+def _cache_rows(codes) -> None:
+    """Cache the generator rows of each code that has none, from one ``_generator_stack``."""
+    new = [code for code in codes if getattr(code, "_rows_cache", None) is None]
+    for code, rows in zip(new, _generator_stack(new).tolist() if new else ()):
+        code._rows_cache = tuple(map(tuple, rows))
+
+
 def _frame(kind: str, f: FiniteField, k: int, m: int, unit: int, build):
     """(table, binom): ``build`` on the m-subsets of the q + 1 frame points in lexicographic
     order, and the binomials that rank them. Built once per (kind, field, k) and kept in the
@@ -337,6 +338,53 @@ def _minor_tables(codes) -> np.ndarray:
         runs = column_minors(f, _generator_stack(uniq), k)
         return np.concatenate([dets for _, dets in runs], axis=1)[index]
     return _gather(frame, _columns(uniq), matrix._subset_index(uniq[0].length, k)[0])[index]
+
+
+def mds_checks(codes) -> list[MdsCheckResult]:
+    """The all-minors MDS test of each code, read from the slab's k-minor tables
+    (``_minor_tables``): on failure the witness is the first k-column tuple in lexicographic
+    order with a zero minor, the one ``matrix.mds_generator_check`` returns."""
+    singular = _minor_tables(codes) == 0
+    length, k = codes[0].length, codes[0].k
+    return [MdsCheckResult(False, tuple(matrix._subsets(length, k, r, r + 1)[0].tolist()))
+            if row[r] else MdsCheckResult(True) for row, r in zip(singular, singular.argmax(axis=1))]
+
+
+def minimum_distances(codes, budget: int = DEFAULT_MESSAGE_BUDGET) -> list[int]:
+    """Brute-force minimum distance of each code: the least weight of row_i + span_i over i,
+    one codeword per projective point, exhaustive since scaling keeps weight.
+
+    The codes share the field, n and k; q^k above the budget is refused before anything is
+    built. A group of codes walks its spans at once, with a code axis (``_spans``); a group is
+    as many codes as fit one run of ``matrix._RUN_BYTES`` at ``_SPAN_BYTES`` a coordinate of
+    span_(k-1) and 8 bytes a codeword for its weights.
+    """
+    codes[0]._check_message_budget(budget)
+    f, k, length = codes[0].field, codes[0].k, codes[0].length
+    group = max(1, matrix._RUN_BYTES // (f.q ** (k - 1) * (_SPAN_BYTES * length + 8)))
+    _cache_rows(codes)
+    best = []
+    for g in range(0, len(codes), group):
+        rows = np.array([code._rows_cache for code in codes[g : g + group]])
+        negs = f.neg_table[rows]
+        # row_i + span_i is nonzero where span_i differs from -row_i
+        best += np.min([(span != negs[:, i, :, None]).sum(axis=1).min(axis=1)
+                        for i, span in enumerate(_spans(f, rows[:, :-1]))], axis=0).tolist()
+    return best
+
+
+def _spans(f: FiniteField, rows: np.ndarray):
+    """span_0 = {0}, then span_(i+1) = span_i + F_q * rows[:, i], per code as uint16 columns:
+    (codes, length, q^i) for rows (codes, i, length), so a codeword's weight sums length rows.
+    Column c * q^i + j of span_(i+1) is column j of span_i plus c * rows[:, i]: message-index
+    order."""
+    scalars = np.arange(f.q)[:, None]
+    span = np.zeros((*rows.shape[::2], 1), dtype=np.uint16)
+    yield span
+    for i in range(rows.shape[1]):
+        step = f.mul_table[scalars, rows[:, i, :, None, None]]  # (codes, length, q, 1)
+        span = f.add_table[step, span[:, :, None]].reshape(*span.shape[:2], -1)
+        yield span
 
 
 def agreement_distances(codes, words) -> np.ndarray:
@@ -505,19 +553,12 @@ class GprsCode(_EvaluationCode):
     def minimum_distance(
         self, mode: str = "formula", budget: int = DEFAULT_MESSAGE_BUDGET
     ) -> int:
-        """Minimum distance q - l - k + 2, or its brute-force confirmation.
-
-        ``bruteforce`` takes the least weight of row_i + span_i over i: one
-        codeword per projective point, exhaustive since scaling keeps weight.
-        """
+        """Minimum distance q - l - k + 2, or its brute-force confirmation,
+        ``minimum_distances`` on this code alone."""
         if mode == "formula":
             return self.field.q - self.l - self.k + 2
         if mode == "bruteforce":
-            self._check_message_budget(budget)
-            rows = np.array(self._generator_rows())
-            # row_i + span_i is nonzero where span_i differs from -row_i
-            return min(int((span != neg).sum(axis=1).min())
-                       for span, neg in zip(self._spans(rows[:-1]), self.field.neg_table[rows]))
+            return minimum_distances([self], budget)[0]
         raise ValueError(f"unknown minimum-distance mode {mode!r}")
 
     def covering_radius(

@@ -9,7 +9,7 @@ Each claim tag names one verifiable statement about GPRS codes:
 * ``thm17``  shifted-power words over the primitive projective code are
              always deep holes
 * ``lemma25``  minimum distance q-l-k+2 == brute force; generator passes
-               the all-minors MDS check
+               the all-minors MDS check, both decided one (l, k) slab at a time
 * ``lemma26``  covering radius q-l+1-k == largest coset-leader weight (syndrome BFS)
 * ``lemma28``  the constructed zero-sum subset of every size 2..q-3 validates
 * ``lemma29``  v_p(C(q-2, t-1)) == v_p(t), against big-integer binomials
@@ -47,13 +47,14 @@ from operator import attrgetter
 import numpy as np
 
 from .galois import FiniteField, field_of_order, prime_power_decomposition
-from .matrix import mds_generator_check
 from .codes import (
     DEFAULT_DISTANCE_BUDGET,
     DEFAULT_MESSAGE_BUDGET,
     GprsCode,
     GrsCode,
     agreement_distances,
+    mds_checks,
+    minimum_distances,
 )
 from .deepholes import (
     DeepHoleVerdict,
@@ -428,21 +429,20 @@ def _thm17_row(f: FiniteField, k: int, config: SweepConfig):
 
 def _lemma25_rows(f: FiniteField, config: SweepConfig):
     rows = []
-    for code in (c for slab in _code_grid(f, config, "lemma25") for c in slab):
-        formula = code.minimum_distance("formula")
-        ok, cols = None, {"predicted": str(formula)}
-        count = f.q**code.k
-        if count > config.message_budget:
-            cols["detail"] = f"q^k = {count} exceeds message budget"
-        else:
-            brute = code.minimum_distance("bruteforce", budget=config.message_budget)
-            mds = mds_generator_check(code.generator, code.k)
-            ok = formula == brute and mds.is_mds
-            cols["oracle"] = str(brute)
+    for slab in _code_grid(f, config, "lemma25"):
+        k, formula = slab[0].k, slab[0].minimum_distance("formula")
+        if (count := f.q**k) > config.message_budget:
+            detail = f"q^k = {count} exceeds message budget"
+            rows.extend(_row("lemma25", f, c.excluded, k, -1, None, predicted=str(formula), detail=detail)
+                        for c in slab)
+            continue
+        brutes = minimum_distances(slab, config.message_budget)
+        for code, brute, mds in zip(slab, brutes, mds_checks(slab)):
+            cols = {"predicted": str(formula), "oracle": str(brute)}
             if not mds.is_mds:
                 cols["witness"] = "cols:" + _encs_str(mds.witness)
                 cols["detail"] = "generator failed the MDS minor scan"
-        rows.append(_row("lemma25", f, code.excluded, code.k, -1, ok, **cols))
+            rows.append(_row("lemma25", f, code.excluded, k, -1, brute == formula and mds.is_mds, **cols))
     return rows
 
 

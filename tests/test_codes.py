@@ -20,6 +20,8 @@ from gprs.codes import (
     _tail_tensor,
     agreement_distances,
     hamming_distance,
+    mds_checks,
+    minimum_distances,
 )
 from gprs.deepholes import WordFamilySpec, build_family_word, mds_extension_verdicts
 from gprs.galois import field, field_of_order
@@ -711,6 +713,19 @@ def test_second_sweep_pass_builds_no_frame_table(monkeypatch):
     assert builds == [] and _frame_keys() == frames
 
 
+def test_second_lemma25_sweep_eliminates_no_minors(monkeypatch):
+    # with the shape cache warm, lemma25 reads every code's k-minors from the frame tables,
+    # so a second GF(7) sweep makes no det_stack call
+    config = SweepConfig(claims=("lemma25",), q_list=(7,))
+    run_sweep(config)
+    calls = []
+    for module in (matrix_module, codes_module):
+        real = module.det_stack
+        monkeypatch.setattr(module, "det_stack", lambda *a, real=real: calls.append(a) or real(*a))
+    rep = run_sweep(config)
+    assert calls == [] and rep.summary["agreed"] == rep.summary["total"] > 0
+
+
 def test_shape_cache_holds_indexes_and_frames_within_its_bound(monkeypatch):
     # subset indexes and frame tables of many fields share the one bound; the least
     # recently used go first and the last one stays
@@ -925,6 +940,107 @@ def test_every_generator_is_mds_and_formula_matches_bruteforce_q_le_9():
                         assert code.minimum_distance("formula") == code.minimum_distance(
                             "bruteforce"
                         )
+
+
+def _minimum_distance_reference(code):
+    # the per-code span walk: span_(i+1) = span_i + F_q * row_i as rows in message-index
+    # order, one code at a time, and the least weight of row_i + span_i over i
+    f = code.field
+    rows = np.array(code._generator_rows())
+    scalars = np.arange(f.q)[:, None, None]
+    spans = [np.zeros((1, code.length), dtype=np.uint16)]
+    for row in rows[:-1]:
+        spans.append(f.add_table[f.mul_table[scalars, row], spans[-1]].reshape(-1, code.length))
+    return min(int((span != neg).sum(axis=1).min()) for span, neg in zip(spans, f.neg_table[rows]))
+
+
+def _grid_slabs(q, messages=None):
+    # every code over F_q, with q^k at most ``messages`` if given, one list per (l, k)
+    slabs = {}
+    for code in _every_code(q):
+        if messages is None or q**code.k <= messages:
+            slabs.setdefault((code.l, code.k), []).append(code)
+    return slabs
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_slab_minimum_distances_match_the_per_code_walk(monkeypatch, q):
+    # on every slab of codes with q^k <= 10^4: the per-code walk, the least nonzero weight of
+    # the codeword matrix, and the slab walk in groups of several codes, then of one code
+    slabs = list(_grid_slabs(q, PINNED_MESSAGES).values())
+    expected = []
+    for slab in slabs:
+        expected.append([_minimum_distance_reference(code) for code in slab])
+        weights = [int((code._codeword_matrix() != 0).sum(axis=1)[1:].min()) for code in slab]
+        assert expected[-1] == weights
+    groups, spans = [], codes_module._spans
+    monkeypatch.setattr(codes_module, "_spans", lambda f, rows: groups.append(len(rows)) or spans(f, rows))
+    assert [minimum_distances(slab) for slab in slabs] == expected
+    assert max(groups) > 1
+    groups.clear()
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", 1)
+    assert [minimum_distances(slab) for slab in slabs] == expected
+    assert set(groups) == {1}
+
+
+def test_slab_minimum_distance_memory_stays_within_one_code_and_one_run():
+    # GF(9), l = 1, k = 6: span_5 holds 9^5 codewords of length 9. Per codeword the walk holds
+    # its uint16 entries and compare mask (3 bytes a coordinate) and an int64 weight, so one
+    # code's walk is 9^5 * (3 * 9 + 8) = 2,066,715 bytes and a group of 2 codes fits one
+    # run. A group never passes one run unless it is a single code, so the peak stays within
+    # one code's walk plus a run, and a margin for the tables and reduction buffers; the
+    # nine spans at once would pass that bound on their own.
+    slab = [GprsCode(field(3, 2), [e], 6) for e in range(9)]
+    walk = 9**5 * (3 * 9 + 8)
+    assert walk == 2_066_715 and matrix_module._RUN_BYTES // walk == 2
+    bound = walk + matrix_module._RUN_BYTES + 256 * 1024
+    assert 9 * 9**5 * 9 * 2 > bound
+    tracemalloc.start()
+    try:
+        distances = minimum_distances(slab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distances == [9 - 1 - 6 + 2] * 9
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_slab_mds_checks_match_the_per_code_scan(monkeypatch, q):
+    # on every slab of the grid, by the frame minor tables and, under a run cap below every
+    # frame build, by one column_minors pass per slab
+    f, slabs = field_of_order(q), _grid_slabs(q)
+    expected = {shape: [mds_generator_check(code.generator, code.k) for code in slab]
+                for shape, slab in slabs.items()}
+    for cap, framed in ((matrix_module._RUN_BYTES, True), (1024, False)):
+        monkeypatch.setattr(matrix_module, "_RUN_BYTES", cap)
+        assert {codes_module._frame_minors(f, k) is not None for _, k in slabs} == {framed}
+        assert {shape: mds_checks(slab) for shape, slab in slabs.items()} == expected
+
+
+def test_a_zero_planted_in_the_frame_minors_refutes_lemma25(monkeypatch):
+    # GF(5), k = 2: zero the frame minor at frame points (1, 2). Every k = 2 code whose D
+    # holds both points is refuted, its witness the columns of those points; no other row is
+    monkeypatch.setattr(matrix_module, "_indexes", {})
+    f = field(5)
+    table, binom = codes_module._frame_minors(f, 2)
+    planted = table.copy()
+    planted[_subset_index(6, 2)[0].tolist().index([1, 2])] = 0
+    matrix_module._indexes[("minors", f, 2)] = (planted, binom)
+    rep = run_sweep(SweepConfig(claims=("lemma25",), q_list=(5,)))
+    refuted = {}
+    for row in rep.rows:
+        D = [e for e in range(5) if str(e) not in row.excluded.split(",")]
+        if row.k == "2" and {1, 2} <= set(D):
+            refuted[row.excluded] = f"cols:{D.index(1)},{D.index(2)}"
+    assert len(refuted) == 6 and rep.summary["refuted"] == 6
+    for row in rep.rows:
+        if row.excluded in refuted and row.k == "2":
+            assert (row.status, row.witness) == ("refuted", refuted[row.excluded])
+            assert row.detail == "generator failed the MDS minor scan"
+            assert row.oracle == row.predicted
+        else:
+            assert (row.status, row.witness) == ("agreed", "")
 
 
 def _bruteforce_covering_radius(code):

@@ -323,7 +323,8 @@ def _always(value):
 
 
 def _non_mds(real):
-    return lambda g, k: MdsCheckResult(False, tuple(range(k)))
+    # every code of the slab fails, each with the witness (0, ..., k-1)
+    return lambda codes: [MdsCheckResult(False, tuple(range(codes[0].k)))] * len(codes)
 
 
 _DEEP = _always(DeepHoleVerdict(True, "liar"))
@@ -361,7 +362,7 @@ REFUTATIONS = {
         "criterion rejected the shifted family",
     ),
     "lemma25": (
-        ("mds_generator_check", _non_mds, "lemma25", (5,), 6, 6),
+        ("mds_checks", _non_mds, "lemma25", (5,), 6, 6),
         {"generator failed the MDS minor scan"},
         ("0,4", "2", "", "3", "cols:0,1"),
         "generator failed the MDS minor scan",
