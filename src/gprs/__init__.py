@@ -11,8 +11,8 @@ from .galois import (
     field_from_spec,
     field_of_order,
 )
-from .polynomial import Polynomial, expand_shifted_power, lagrange_interpolate
-from .matrix import Matrix, MdsCheckResult, mds_generator_check, vandermonde_det
+from .polynomial import Polynomial
+from .matrix import Matrix, MdsCheckResult
 from .codes import (
     BudgetExceededError,
     DEFAULT_DISTANCE_BUDGET,
@@ -20,13 +20,11 @@ from .codes import (
     GprsCode,
     GrsCode,
     ReceivedWord,
-    hamming_distance,
 )
 from .deepholes import (
     DeepHoleVerdict,
     HypothesisError,
     WordFamilySpec,
-    binom_mod_p,
     build_family_word,
     is_deep_hole_mds_extension,
     is_deep_hole_oracle,
@@ -36,7 +34,7 @@ from .deepholes import (
     vp_binomial,
     zero_sum_subset,
 )
-from .verify import SweepConfig, SweepReport, check_liwan_bounds, run_sweep
+from .verify import SweepConfig, SweepReport, run_sweep
 
 __version__ = "0.1.0"
 
@@ -47,23 +45,17 @@ __all__ = [
     "field_from_spec",
     "field_of_order",
     "Polynomial",
-    "expand_shifted_power",
-    "lagrange_interpolate",
     "Matrix",
     "MdsCheckResult",
-    "mds_generator_check",
-    "vandermonde_det",
     "BudgetExceededError",
     "DEFAULT_DISTANCE_BUDGET",
     "DEFAULT_MESSAGE_BUDGET",
     "GprsCode",
     "GrsCode",
     "ReceivedWord",
-    "hamming_distance",
     "DeepHoleVerdict",
     "HypothesisError",
     "WordFamilySpec",
-    "binom_mod_p",
     "build_family_word",
     "is_deep_hole_mds_extension",
     "is_deep_hole_oracle",
@@ -74,7 +66,6 @@ __all__ = [
     "zero_sum_subset",
     "SweepConfig",
     "SweepReport",
-    "check_liwan_bounds",
     "run_sweep",
     "__version__",
 ]

@@ -127,12 +127,6 @@ def _check_same_code(u: ReceivedWord, v: ReceivedWord):
         raise ValueError("words belong to different codes")
 
 
-def hamming_distance(u: ReceivedWord, v: ReceivedWord) -> int:
-    """Number of coordinates where the two words differ."""
-    _check_same_code(u, v)
-    return sum(a != b for a, b in zip(u.encs, v.encs))
-
-
 class _EvaluationCode:
     """Shared machinery for GRS/GPRS codes (evaluation set + exact scans)."""
 
@@ -238,15 +232,8 @@ class _EvaluationCode:
         if method == "agreement":
             if (pairs := math.comb(self.length, self.k + 1)) > budget:
                 raise BudgetExceededError(f"C(length, k+1) = {pairs} agreement pairs exceed budget {budget}")
-            return self.agreement_distances([word])[0]
+            return int(agreement_distances([self], [[word.encs]])[0, 0])
         raise ValueError(f"unknown error-distance method {method!r}")
-
-    def agreement_distances(self, words) -> list[int]:
-        """Exact error distances of the words by agreement: the slab of this code alone."""
-        for word in words:
-            if not _codes_compatible(word.code, self):
-                raise ValueError("word belongs to a different code")
-        return agreement_distances([self], [[word.encs for word in words]])[0].tolist()
 
     def is_codeword(self, word: ReceivedWord) -> bool:
         return not any(self._syndrome(word.encs))
@@ -343,7 +330,7 @@ def _minor_tables(codes) -> np.ndarray:
 def mds_checks(codes) -> list[MdsCheckResult]:
     """The all-minors MDS test of each code, read from the slab's k-minor tables
     (``_minor_tables``): on failure the witness is the first k-column tuple in lexicographic
-    order with a zero minor, the one ``matrix.mds_generator_check`` returns."""
+    order with a zero minor."""
     singular = _minor_tables(codes) == 0
     length, k = codes[0].length, codes[0].k
     return [MdsCheckResult(False, tuple(matrix._subsets(length, k, r, r + 1)[0].tolist()))

@@ -366,13 +366,6 @@ def vp_binomial(q: int, t: int) -> int:
     return v
 
 
-def binom_mod_p(m: int, r: int, field: FiniteField) -> FieldElement:
-    """C(m, r) reduced into the prime subfield via base-p digit products."""
-    if r < 0 or r > m:
-        raise ValueError(f"binomial C({m}, {r}) outside 0 <= r <= m")
-    return field.element(lucas_binom(m, r, field.p))
-
-
 def word_in_degree_k_family(code: GprsCode, word: ReceivedWord) -> bool:
     """Is the word (u(D), c_{k-1}(u)) for some u of degree exactly k?"""
     return _in_family(code, word, "deg_k", None)

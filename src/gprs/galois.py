@@ -15,7 +15,9 @@ operations (``add_enc``, ``mul_enc``, ...) are plain lookups in ``array('H')``
 row copies of the tables; batched callers index the numpy arrays
 ``add_table``, ``mul_table``, ``neg_table`` and ``inv_table`` directly. Each
 q x q table costs 4 * q^2 bytes (numpy array plus row copies), about 19 MB at
-q = 2187.
+q = 2187. An order above ``_MAX_ORDER`` = 4096, whose two tables would pass
+128 MiB, is refused before anything is factored, powered or allocated
+(``_check_order``).
 
 Values enter the encoding currency in one place, ``FiniteField.encodings``.
 It takes elements of the field and integers 0..q-1 (through
@@ -39,6 +41,21 @@ import operator
 from array import array
 
 import numpy as np
+
+_MAX_ORDER = 1 << 12  # the largest q: its two tables take 8 * q^2 bytes, 128 MiB
+
+
+def _check_order(p, s) -> None:
+    """Refuse GF(p^s) for p^s > ``_MAX_ORDER``, naming the order p^s, before p is factored or
+    p^s computed. Other values pass through to the checks of their callers."""
+    if not (isinstance(p, int) and isinstance(s, int) and p > 1 and s > 0):
+        return
+    # p >= 2 and s >= 13 give p^s > 4096, so p^s is only computed when it is small
+    if p > _MAX_ORDER or s >= _MAX_ORDER.bit_length() or p**s > _MAX_ORDER:
+        order = p if s == 1 else f"{p}^{s}"
+        raise ValueError(f"GF({order}) is too large: orders above {_MAX_ORDER} are refused, "
+                         f"as a field's tables take 8*q^2 bytes")
+
 
 def is_prime(n: int) -> bool:
     try:
@@ -175,6 +192,7 @@ class FiniteField:
     """
 
     def __init__(self, p: int, s: int = 1, modulus=None):
+        _check_order(p, s)
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"characteristic {p!r} is not prime")
         if not isinstance(s, int) or s < 1:
@@ -182,8 +200,6 @@ class FiniteField:
         self.p = p
         self.s = s
         self.q = p**s
-        if self.q > 1 << 16:
-            raise ValueError(f"GF({self.q}) is too large: encodings index uint16 tables")
         if s == 1:
             if modulus is not None:
                 raise ValueError("prime fields take no reduction modulus")
@@ -257,16 +273,6 @@ class FiniteField:
     def element(self, encoding) -> "FieldElement":
         return FieldElement(self, *self.encodings((encoding,)))
 
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        cs = list(_prime_coeffs(coeffs, self.p))
-        if len(cs) > self.s:
-            raise ValueError(f"coefficient vector longer than degree {self.s}")
-        cs += [0] * (self.s - len(cs))
-        enc = 0
-        for c in reversed(cs):
-            enc = enc * self.p + c
-        return FieldElement(self, enc)
-
     @property
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -275,10 +281,9 @@ class FiniteField:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
-    def elements(self, nonzero_only: bool = False) -> list["FieldElement"]:
+    def elements(self) -> list["FieldElement"]:
         """All field elements in ascending canonical-encoding order."""
-        start = 1 if nonzero_only else 0
-        return [FieldElement(self, e) for e in range(start, self.q)]
+        return [FieldElement(self, e) for e in range(self.q)]
 
     def coeffs_of(self, encoding: int) -> tuple[int, ...]:
         return tuple(_digits(encoding, self.p, self.s))
@@ -413,14 +418,6 @@ class FieldElement:
         return f"{self.field!r}:{self.encoding}"
 
 
-def _field_of(items) -> FiniteField:
-    """The field of the first FieldElement among items, which may mix in encodings."""
-    for item in items:
-        if isinstance(item, FieldElement):
-            return item.field
-    raise ValueError("no FieldElement among the inputs names the field")
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_field(p: int, s: int, modulus) -> FiniteField:
     return FiniteField(p, s, modulus)
@@ -428,12 +425,14 @@ def _cached_field(p: int, s: int, modulus) -> FiniteField:
 
 def field(p: int, s: int = 1, modulus=None) -> FiniteField:
     """Shared-instance field constructor (tables get reused across callers)."""
+    _check_order(p, s)
     # FiniteField rejects a p that is not prime before it reads the modulus
     key = None if modulus is None or not is_prime(p) else _prime_coeffs(modulus, p)
     return _cached_field(p, s, key)
 
 
 def field_of_order(q: int, modulus=None) -> FiniteField:
+    _check_order(q, 1)
     p, s = prime_power_decomposition(q)
     return field(p, s, modulus)
 
@@ -444,6 +443,7 @@ def parse_field_spec(text: str) -> tuple[int, int]:
     try:
         if len(parts) == 1:
             q = int(parts[0])
+            _check_order(q, 1)
             return prime_power_decomposition(q)
         if len(parts) == 2:
             return int(parts[0]), int(parts[1])

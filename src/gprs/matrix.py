@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .galois import FieldElement, FiniteField, _field_of
+from .galois import FieldElement, FiniteField
 
 _RUN_BYTES = 1 << 22  # about the bytes of one run of any batched subset scan
 _INDEX_BYTES = 1 << 22  # the shape cache holds at most this
@@ -195,38 +195,7 @@ def first_singular_column_subset(field: FiniteField, rows, size: int):
     return None
 
 
-def vandermonde_det(points) -> FieldElement:
-    """prod_{i<j} (points[j] - points[i]) in the field of the first FieldElement."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("vandermonde_det needs at least one point")
-    field = _field_of(pts)
-    encs = field.encodings(pts)
-    out = 1
-    for i in range(len(encs)):
-        for j in range(i + 1, len(encs)):
-            out = field.mul_enc(out, field.sub_enc(encs[j], encs[i]))
-            if out == 0:
-                return field.zero
-    return field.element(out)
-
-
 @dataclass(frozen=True)
 class MdsCheckResult:
     is_mds: bool
     witness: tuple[int, ...] | None = None
-
-
-def mds_generator_check(g: Matrix, k: int) -> MdsCheckResult:
-    """All-minors MDS test: every k columns of g must be independent.
-
-    On failure the witness is the lexicographically first singular
-    k-column index tuple.
-    """
-    if g.nrows != k:
-        raise ValueError(f"generator has {g.nrows} rows, expected k = {k}")
-    if g.ncols < k:
-        raise ValueError("generator needs at least k columns")
-    runs = column_minors(g.field, g.row_encodings(), k)
-    witness = next((tuple(cols[dets == 0][0].tolist()) for cols, dets in runs if 0 in dets), None)
-    return MdsCheckResult(witness is None, witness)

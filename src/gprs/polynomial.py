@@ -8,7 +8,7 @@ special case).
 
 from __future__ import annotations
 
-from .galois import FieldElement, FiniteField, _field_of, lucas_binom
+from .galois import FieldElement, FiniteField
 
 NEG_INF = float("-inf")
 
@@ -34,11 +34,6 @@ class Polynomial:
     def zero(cls, field: FiniteField) -> "Polynomial":
         return cls(field, ())
 
-    @classmethod
-    def x_power(cls, field: FiniteField, n: int, scale=None) -> "Polynomial":
-        """The monomial x^n, optionally scaled by an element or its encoding."""
-        return cls(field, [0] * n + [1 if scale is None else scale])
-
     @property
     def degree(self):
         """Degree as an int, or -inf for the zero polynomial."""
@@ -54,9 +49,6 @@ class Polynomial:
             raise ValueError("coefficient index must be nonnegative")
         enc = self.coeffs[i] if i < len(self.coeffs) else 0
         return self.field.element(enc)
-
-    def to_encodings(self) -> tuple[int, ...]:
-        return self.coeffs
 
     def __call__(self, x) -> FieldElement:
         (enc,) = self.field.encodings((x,))
@@ -121,48 +113,7 @@ class Polynomial:
         return f"Polynomial({self.field!r}, [{self.to_text()}])"
 
 
-def lagrange_interpolate(nodes, values) -> Polynomial:
-    """The unique polynomial of degree < len(nodes) through the given points.
-
-    Computed by the explicit product formula
-    sum_i y_i * prod_{j != i} (x - x_j) / (x_i - x_j). Nodes and values may be
-    encodings; the field is that of the first FieldElement among them.
-    """
-    nodes = list(nodes)
-    values = list(values)
-    if not nodes:
-        raise ValueError("interpolation needs at least one node")
-    if len(nodes) != len(values):
-        raise ValueError("node and value counts differ")
-    f = _field_of(nodes + values)
-    xs = f.encodings(nodes)
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be pairwise distinct")
-    return Polynomial(f, _interp_enc(f, xs, f.encodings(values)))
-
-
-def expand_shifted_power(field: FiniteField, a, m: int) -> Polynomial:
-    """Full expansion of (x - a)^m via the binomial theorem.
-
-    Coefficient of x^i is C(m, i) * (-a)^(m-i), with the binomial reduced
-    into the prime subfield by base-p digits.
-    """
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
-    (enc,) = field.encodings((a,))
-    return Polynomial(field, _shifted_power_enc(field, enc, m))
-
-
-# -- encoding-level kernels (shared with gprs.codes and gprs.deepholes) --
-
-
-def _shifted_power_enc(field: FiniteField, a: int, m: int) -> list[int]:
-    neg_a = field.neg_enc(a)
-    out = []
-    for i in range(m + 1):
-        binom = lucas_binom(m, i, field.p)
-        out.append(field.mul_enc(binom, field.pow_enc(neg_a, m - i)) if binom else 0)
-    return out
+# -- encoding-level kernels (shared with gprs.codes) --
 
 
 def _eval_enc(field: FiniteField, coeffs, x: int) -> int:

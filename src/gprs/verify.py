@@ -46,7 +46,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .galois import FiniteField, field_of_order, prime_power_decomposition
+from .galois import FiniteField, _check_order, field_of_order, prime_power_decomposition
 from .codes import (
     DEFAULT_DISTANCE_BUDGET,
     DEFAULT_MESSAGE_BUDGET,
@@ -84,6 +84,7 @@ class SweepConfig:
         if unknown:
             raise ValueError(f"unknown claims {unknown}; expected {list(KNOWN_CLAIMS)}")
         for q in self.q_list:
+            _check_order(q, 1)
             prime_power_decomposition(q)
         if not self.claims or not self.q_list:
             raise ValueError("a sweep needs at least one claim and one q")
@@ -489,22 +490,16 @@ def _lemma29_rows(q: int, config: SweepConfig):
     return rows
 
 
-def check_liwan_bounds(
-    q: int,
-    trials: int,
-    seed: int,
-    message_budget: int = DEFAULT_MESSAGE_BUDGET,
-) -> list[SweepRow]:
-    """Random GRS non-codewords must satisfy n - deg u <= d(u, C) <= n - k."""
-    if q < 3:
-        raise ValueError(f"thm11 needs GRS codes of length >= 3, so q >= 3; got q = {q}")
-    f = field_of_order(q)
-    rng = random.Random(f"{seed}/thm11/{q}")
+def _thm11_rows(f: FiniteField, config: SweepConfig):
+    """Random GRS non-codewords must satisfy n - deg u <= d(u, C) <= n - k, for lengths n drawn
+    from 3..q, which the claim table's smallest q = 3 keeps nonempty."""
+    q = f.q
+    rng = _rng(config, "thm11", q)
     kmax_global = 1
-    while q ** (kmax_global + 1) <= message_budget:
+    while q ** (kmax_global + 1) <= config.message_budget:
         kmax_global += 1
     rows = []
-    for trial in range(trials):
+    for trial in range(config.words_per_config):
         n = rng.randrange(3, q + 1)
         pts = sorted(rng.sample(range(q), n))
         kmax = min(n - 1, kmax_global)
@@ -514,7 +509,7 @@ def check_liwan_bounds(
             word = code.word([rng.randrange(q) for _ in range(n)])
             if not code.is_codeword(word):
                 break
-        d = code.error_distance(word, method="enumerate", budget=message_budget)
+        d = code.error_distance(word, method="enumerate", budget=config.message_budget)
         deg = code.interpolant(word).degree
         ok = (n - deg) <= d <= (n - k)
         excluded = tuple(e for e in range(q) if e not in set(pts))
@@ -526,12 +521,6 @@ def check_liwan_bounds(
         )
         rows.append(_row("thm11", f, excluded, k, trial, ok, **cols))
     return rows
-
-
-def _thm11_rows(f: FiniteField, config: SweepConfig):
-    return check_liwan_bounds(
-        f.q, config.words_per_config, config.seed, config.message_budget
-    )
 
 
 # claim -> (function making its rows, smallest q, odd characteristic required)

@@ -1,0 +1,70 @@
+"""Independent references that the tests compare library code against.
+
+None of these is on a library path. Each is the slow, textbook form of
+something the library computes another way:
+
+* ``vandermonde_det``: the closed-form Vandermonde product, against the
+  eliminations ``matrix.det_enc`` and ``matrix.det_stack``;
+* ``expand_shifted_power`` and ``_shifted_power_enc``: (x - a)^m by the
+  binomial theorem, against the base words of ``deepholes._family_bases``;
+* ``mds_generator_check``: the all-minors MDS test of one generator by a
+  ``matrix.column_minors`` walk, against ``codes.mds_checks``.
+"""
+
+from gprs.galois import FieldElement, FiniteField, lucas_binom
+from gprs.matrix import Matrix, MdsCheckResult, column_minors
+from gprs.polynomial import Polynomial
+
+
+def vandermonde_det(points) -> FieldElement:
+    """prod_{i<j} (points[j] - points[i]) in the field of the first FieldElement."""
+    pts = list(points)
+    if not pts:
+        raise ValueError("vandermonde_det needs at least one point")
+    field = next((p.field for p in pts if isinstance(p, FieldElement)), None)
+    if field is None:
+        raise ValueError("no FieldElement among the inputs names the field")
+    encs = field.encodings(pts)
+    out = 1
+    for i in range(len(encs)):
+        for j in range(i + 1, len(encs)):
+            out = field.mul_enc(out, field.sub_enc(encs[j], encs[i]))
+            if out == 0:
+                return field.zero
+    return field.element(out)
+
+
+def expand_shifted_power(field: FiniteField, a, m: int) -> Polynomial:
+    """Full expansion of (x - a)^m via the binomial theorem.
+
+    Coefficient of x^i is C(m, i) * (-a)^(m-i), with the binomial reduced
+    into the prime subfield by base-p digits.
+    """
+    if m < 0:
+        raise ValueError("exponent must be nonnegative")
+    (enc,) = field.encodings((a,))
+    return Polynomial(field, _shifted_power_enc(field, enc, m))
+
+
+def _shifted_power_enc(field: FiniteField, a: int, m: int) -> list[int]:
+    neg_a = field.neg_enc(a)
+    out = []
+    for i in range(m + 1):
+        binom = lucas_binom(m, i, field.p)
+        out.append(field.mul_enc(binom, field.pow_enc(neg_a, m - i)) if binom else 0)
+    return out
+
+
+def mds_generator_check(g: Matrix, k: int) -> MdsCheckResult:
+    """All-minors MDS test: every k columns of g must be independent.
+
+    On failure the witness is the lexicographically first singular
+    k-column index tuple.
+    """
+    if g.nrows != k:
+        raise ValueError(f"generator has {g.nrows} rows, expected k = {k}")
+    if g.ncols < k:
+        raise ValueError("generator needs at least k columns")
+    runs = column_minors(g.field, g.row_encodings(), k)
+    witness = next((tuple(cols[dets == 0][0].tolist()) for cols, dets in runs if 0 in dets), None)
+    return MdsCheckResult(witness is None, witness)

@@ -12,7 +12,7 @@ import random
 from contextlib import contextmanager
 from itertools import combinations
 
-from gprs.codes import GprsCode
+from gprs.codes import GprsCode, agreement_distances
 from gprs.deepholes import (
     DeepHoleVerdict,
     validate_verdict,
@@ -20,8 +20,9 @@ from gprs.deepholes import (
 )
 from gprs.galois import field_of_order, prime_power_decomposition
 from gprs.matrix import det_enc
-from gprs.polynomial import Polynomial, expand_shifted_power
-from gprs.verify import SweepConfig, check_liwan_bounds, run_sweep
+from gprs.polynomial import Polynomial
+from gprs.verify import SweepConfig, _thm11_rows, run_sweep
+from references import expand_shifted_power
 
 SEED = 108
 
@@ -242,7 +243,8 @@ def test_criterion_09_stacked_determinant_identities():
 def test_criterion_10_grs_distance_bounds():
     with criterion("criterion 10 (GRS bounds n-deg u <= d <= n-k, 100 words per q)"):
         for q in (5, 7, 9):
-            rows = check_liwan_bounds(q, trials=100, seed=SEED)
+            config = SweepConfig(claims=("thm11",), q_list=(q,), words_per_config=100, seed=SEED)
+            rows = _thm11_rows(field_of_order(q), config)
             assert len(rows) == 100
             assert all(r.status == "agreed" for r in rows)
 
@@ -276,7 +278,7 @@ def _invariance_trials(code, trials):
         )
         scaled = v * lam + low
         words += [u, u + u0, code.word_from_poly(scaled), code.word_from_poly(v)]
-    d = code.agreement_distances(words)
+    d = agreement_distances([code], [[w.encs for w in words]])[0].tolist()
     # per trial d(u) == d(u + u0) and d(lam * v + low) == d(v)
     assert d[0::4] == d[1::4]
     assert d[2::4] == d[3::4]

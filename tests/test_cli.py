@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+import gprs.galois as galois
+import gprs.verify as verify
 from gprs.cli import main
 from gprs.codes import GprsCode
 from gprs.polynomial import Polynomial
@@ -304,6 +306,25 @@ def test_usage_errors(capsys):
         ("--claims", "thm14", "--q-list", "5", "--max-sets", "-4"),
     ):
         assert run_cli(capsys, "sweep", *flags)[0] == 2
+
+
+@pytest.mark.parametrize("argv,order", [
+    (("field", "--q", "65521"), "GF(65521)"),
+    (("field", "--q", "2305843009213693951"), "GF(2305843009213693951)"),
+    (("field", "--q", "3^1000000000"), "GF(3^1000000000)"),
+    (("distance", "--code", "q=3^1000000000;exclude=0;k=2", "--word", "0"), "GF(3^1000000000)"),
+    (("sweep", "--claims", "thm14", "--q-list", "999999999989"), "GF(999999999989)"),
+])
+def test_oversized_order_is_a_usage_error(capsys, monkeypatch, argv, order):
+    def refuse(*args):
+        raise AssertionError("an oversized order was factored or its tables built")
+
+    for name in ("prime_power_decomposition", "is_prime", "_tables"):
+        monkeypatch.setattr(galois, name, refuse)
+    monkeypatch.setattr(verify, "prime_power_decomposition", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{order} is too large" in err
 
 
 def test_code_spec_with_unknown_or_repeated_key_is_a_usage_error(capsys):

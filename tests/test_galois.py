@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gprs.galois as galois
 from gprs.codes import GprsCode, GrsCode
 from gprs.deepholes import (
     DeepHoleVerdict,
@@ -25,8 +27,9 @@ from gprs.galois import (
     parse_field_spec,
     prime_power_decomposition,
 )
-from gprs.matrix import Matrix, vandermonde_det
-from gprs.polynomial import Polynomial, expand_shifted_power, lagrange_interpolate
+from gprs.matrix import Matrix
+from gprs.polynomial import Polynomial
+from references import expand_shifted_power, vandermonde_det
 
 
 # -- independent oracles -------------------------------------------------------
@@ -129,8 +132,8 @@ def test_inverse_of_two_in_f5():
 
 def test_gf9_square_of_one_plus_x():
     f = field(3, 2)
-    e = f.from_coeffs([1, 1])
-    assert (e * e) == f.from_coeffs([0, 2])
+    e = f.element(1 + 1 * 3)
+    assert (e * e).coeffs == (0, 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 13, 25, 27])
@@ -326,26 +329,22 @@ def test_enumerate_elements_order_and_roundtrip():
     f = field(3, 2)
     elems = f.elements()
     assert [e.encoding for e in elems] == list(range(9))
-    assert [e.encoding for e in f.elements(nonzero_only=True)] == list(range(1, 9))
     for e in elems:
-        assert f.from_coeffs(e.coeffs) == e
+        assert f.element(sum(c * 3**i for i, c in enumerate(e.coeffs))) == e
 
 
 def test_prime_coefficients_are_integers_never_truncated():
     with pytest.raises(TypeError):
-        field(5).from_coeffs([2.7])
-    with pytest.raises(TypeError):
         field(3, 2, (1.9, 0, 1.2))
     with pytest.raises(TypeError):
         FiniteField(3, 2, (1.9, 0, 1.2))
-    assert field(5).from_coeffs([np.int64(7)]) == field(5).element(2)
     assert field(3, 2, (np.int64(2), 2, 1)) == field(3, 2, (2, 2, 1))
     assert field(3, 2, (-1, 5, 4)).modulus == (2, 2, 1)
 
 
 def test_encoding_is_base_p_digit_value():
     f = field(3, 2)
-    assert f.from_coeffs([2, 1]).encoding == 2 + 1 * 3
+    assert f.element(2 + 1 * 3).coeffs == (2, 1)
     assert f.element(7).coeffs == (1, 2)
 
 
@@ -389,11 +388,56 @@ def test_field_spec_parsing():
             field_from_spec(bad)
 
 
+# -- the order bound ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_field_work(monkeypatch):
+    """Factoring, primality tests and table builds fail, so a refusal must come before them."""
+    def refuse(*args):
+        raise AssertionError("an oversized order was factored or its tables built")
+
+    for name in ("prime_power_decomposition", "is_prime", "_tables"):
+        monkeypatch.setattr(galois, name, refuse)
+
+
+OVERSIZED = {
+    "GF(2305843009213693951)": lambda: field_of_order(2**61 - 1),
+    "GF(100000000000031)": lambda: field_of_order(10**14 + 31),
+    "GF(4099)": lambda: field_of_order(4099),  # the smallest prime past 4096
+    "GF(65521)": lambda: FiniteField(65521),
+    "GF(3^100000)": lambda: FiniteField(3, 10**5),
+    "GF(3^1000000000)": lambda: field(3, 10**9, (2, 0, 1)),
+    "GF(2^13)": lambda: field_from_spec("2^13"),
+    "GF(8191)": lambda: field_from_spec("8191"),
+}
+
+
+@pytest.mark.parametrize("order", sorted(OVERSIZED))
+def test_oversized_orders_are_refused_before_any_work(no_field_work, order):
+    with pytest.raises(ValueError, match=re.escape(order) + " is too large"):
+        OVERSIZED[order]()
+
+
+def test_order_bound_admits_every_order_up_to_4096(no_field_work):
+    for p, s in ((2, 12), (3, 7), (4093, 1), (1, 20), (4, 1)):
+        galois._check_order(p, s)  # small enough, or not a prime power for FiniteField to refuse
+    for p, s in ((2, 13), (4099, 1), (4097, 1), (3, 8)):
+        with pytest.raises(ValueError, match="is too large"):
+            galois._check_order(p, s)
+
+
 # -- where values enter the encoding currency ------------------------------------------
 
 _F7 = field(7)
 _CODE = GprsCode(_F7, [0, 3], 2)  # excluded points 0 and 3, D = {1, 2, 4, 5, 6}
 _E = _F7.element
+
+
+def _interpolant(nodes, values):
+    """Lagrange interpolation as the library does it: a code's interpolant over its evaluation set."""
+    code = GrsCode(_F7, nodes, 1)
+    return code.interpolant(code.word(values))
 
 # Each entry puts one caller value v into a field-value slot; v = 3 is valid in all.
 VALUE_ENTRIES = {
@@ -406,11 +450,9 @@ VALUE_ENTRIES = {
     "Polynomial.from_encodings": lambda v: Polynomial.from_encodings(_F7, [1, v]),
     "Polynomial.__call__": lambda v: Polynomial(_F7, [1, 1])(v),
     "Matrix": lambda v: Matrix(_F7, [[1, v], [0, 1]]),
-    "lagrange_interpolate nodes": lambda v: lagrange_interpolate([_E(1), v], [_E(1), _E(2)]),
-    "lagrange_interpolate values": lambda v: lagrange_interpolate([_E(1), _E(2)], [_E(1), v]),
-    "lagrange_interpolate first node": lambda v: lagrange_interpolate(
-        [v, _E(1)], [_E(1), _E(2)]
-    ),
+    "lagrange_interpolate nodes": lambda v: _interpolant([_E(1), v], [_E(1), _E(2)]),
+    "lagrange_interpolate values": lambda v: _interpolant([_E(1), _E(2)], [_E(1), v]),
+    "lagrange_interpolate first node": lambda v: _interpolant([v, _E(1)], [_E(1), _E(2)]),
     "vandermonde_det": lambda v: vandermonde_det([_E(1), v]),
     "vandermonde_det first point": lambda v: vandermonde_det([v, _E(1)]),
     "expand_shifted_power": lambda v: expand_shifted_power(_F7, v, 3),
@@ -456,5 +498,3 @@ def test_field_values_enter_through_encodings(entry, value, error):
 def test_all_encoding_inputs_name_no_field():
     with pytest.raises(ValueError, match="names the field"):
         vandermonde_det([1, 2])
-    with pytest.raises(ValueError, match="names the field"):
-        lagrange_interpolate([1, 2], [1, 2])

@@ -13,10 +13,9 @@ from gprs.matrix import (
     det_enc,
     det_stack,
     first_singular_column_subset,
-    mds_generator_check,
     subset_runs,
-    vandermonde_det,
 )
+from references import expand_shifted_power, mds_generator_check, vandermonde_det
 
 
 # -- independent oracle: cofactor expansion ------------------------------------
@@ -274,9 +273,6 @@ def test_mds_check_matches_scalar_scan(q):
 
 
 def _identity_row_checks(code, a_j=None):
-    from gprs.matrix import det_enc
-    from gprs.polynomial import expand_shifted_power
-
     f = code.field
     d = code.evaluation_encodings()
     gen = [list(r) for r in code.generator.row_encodings()]

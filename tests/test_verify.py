@@ -20,7 +20,7 @@ from gprs.verify import (
     KNOWN_CLAIMS,
     ROW_FIELDS,
     SweepConfig,
-    check_liwan_bounds,
+    _thm11_rows,
     run_sweep,
 )
 
@@ -30,6 +30,8 @@ def test_config_validation():
         SweepConfig(claims=("thm99",), q_list=(5,))
     with pytest.raises(ValueError):
         SweepConfig(claims=("thm14",), q_list=(6,))  # not a prime power
+    with pytest.raises(ValueError, match=r"GF\(999999999989\) is too large"):
+        SweepConfig(claims=("thm14",), q_list=(7, 999999999989))  # refused before the sweep
     cfg = SweepConfig(claims=("thm14",), q_list=(5,))
     assert cfg.to_dict()["budgets"]["messages"] == 10**6
     # sweeps that would check nothing
@@ -420,11 +422,12 @@ def test_lemma28_refutation_exits_one_with_its_subsets(monkeypatch, capsys):
 
 
 def test_check_liwan_bounds():
-    rows = check_liwan_bounds(7, trials=40, seed=5)
+    config = SweepConfig(claims=("thm11",), q_list=(7,), words_per_config=40, seed=5)
+    rows = _thm11_rows(field_of_order(7), config)
     assert len(rows) == 40
     assert all(r.status == "agreed" for r in rows)
-    rows9 = check_liwan_bounds(9, trials=10, seed=5)
-    assert all(r.status == "agreed" for r in rows9)
+    config9 = SweepConfig(claims=("thm11",), q_list=(9,), words_per_config=10, seed=5)
+    assert all(r.status == "agreed" for r in _thm11_rows(field_of_order(9), config9))
 
 
 def test_thm11_sweep_rows():
@@ -433,11 +436,12 @@ def test_thm11_sweep_rows():
 
 
 def test_check_liwan_bounds_rejects_fields_below_three():
-    # GRS codes of length >= 3 need three distinct points
-    for q in (2, 1):
-        with pytest.raises(ValueError, match="q >= 3"):
-            check_liwan_bounds(q, trials=3, seed=0)
-    assert len(check_liwan_bounds(3, trials=3, seed=0)) == 3
+    # GRS codes of length >= 3 need three distinct points: the claim table skips q = 2
+    rep = run_sweep(SweepConfig(claims=("thm11",), q_list=(2, 3), words_per_config=3))
+    assert [(r.q, r.status, r.detail) for r in rep.rows if r.q == 2] == [(2, "skipped", "q >= 3 required")]
+    assert [r.status for r in rep.rows if r.q == 3] == ["agreed"] * 3
+    with pytest.raises(ValueError):
+        SweepConfig(claims=("thm11",), q_list=(1,))  # not a prime power
 
 
 def test_deephole_sweep_oracle_interpolates_no_subsets(monkeypatch):
