@@ -35,7 +35,7 @@ a row per (k+1)-subset of coordinates.
 Every code over F_q takes its coordinates from one frame: the q points of F_q
 in encoding order, then the projective point q. Its generator is the frame
 generator on those columns, and the map keeps subset order. So the k-minor
-table, which the MDS-extension verdicts expand and the all-minors MDS check
+table, which ``mds_extension_zeros`` expands and the all-minors MDS check
 (``mds_checks``) reads, and the tail tensor depend only on (field, k): each
 is built once for the frame (``_frame_minors``, ``_frame_tails``), kept in
 the shape cache of ``gprs.matrix``, and a code's rows are gathered from it
@@ -49,12 +49,13 @@ The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
 replaced, the frame tables against the per-code builds on every small code,
 the spans against the digit-by-digit q^k build they replaced, and the slab
-minimum distances and MDS checks against the per-code walk and minor scan.
+minimum distances, MDS checks and MDS-extension zeros against per-code scans.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -324,7 +325,7 @@ def _minor_tables(codes) -> np.ndarray:
     if (frame := _frame_minors(f, k)) is None:
         runs = column_minors(f, _generator_stack(uniq), k)
         return np.concatenate([dets for _, dets in runs], axis=1)[index]
-    return _gather(frame, _columns(uniq), matrix._subset_index(uniq[0].length, k)[0])[index]
+    return _gather(frame, _columns(uniq), matrix._subset_index(uniq[0].length, k))[index]
 
 
 def mds_checks(codes) -> list[MdsCheckResult]:
@@ -335,6 +336,37 @@ def mds_checks(codes) -> list[MdsCheckResult]:
     length, k = codes[0].length, codes[0].k
     return [MdsCheckResult(False, tuple(matrix._subsets(length, k, r, r + 1)[0].tolist()))
             if row[r] else MdsCheckResult(True) for row, r in zip(singular, singular.argmax(axis=1))]
+
+
+def mds_extension_zeros(codes, words) -> np.ndarray:
+    """Per words[r, j] and codes[r], as (rows, words): the rank of the first (k+1)-subset T of
+    range(length) in lexicographic order with det[G_T; w_T] = 0, or -1 for none, a deep hole (Dür).
+
+    Up to sign, det[G_T; w_T] = sum_j (-1)^j w_(T_j) det G_(T minus T_j): k+1 gathers per run of
+    subsets (``subset_runs``) from a group of rows' k-minor tables (``_minor_tables``), at the
+    ranks of ``matrix._drop_ranks``, until each word of the group has a zero. A group is as many
+    rows as fit one run at 8 bytes a k-minor.
+    """
+    f, n, k = codes[0].field, codes[0].length, codes[0].k
+    w = np.asarray(words, dtype=np.intp).reshape(len(codes), -1, n)
+    first = np.full(w.shape[:2], -1)
+    group = max(1, matrix._RUN_BYTES // (8 * math.comb(n, k)))
+    for start in range(0, len(codes), group):
+        minors = _minor_tables(codes[start : start + group])
+        wr, fr = w[start : start + group], first[start : start + group]
+        # a subset's drop ranks and their temporaries; per row a cofactor, per word a point and term
+        for a, run in subset_runs(n, k + 1, 8 * (k + 1) * (6 + 2 * (wr.shape[1] + 1) * len(wr))):
+            cof = minors[:, matrix._drop_ranks(n, run)]
+            cof[..., 1::2] = f.neg_table[cof[..., 1::2]]
+            terms = f.mul_table[wr[:, :, run], cof[:, None]]
+            vals = terms[..., 0]
+            for j in range(1, k + 1):
+                vals = f.add_table[vals, terms[..., j]]
+            found = (fr < 0) & (zero := vals == 0).any(axis=2)
+            fr[found] = a + zero[found].argmax(axis=1)
+            if (fr >= 0).all():
+                break
+    return first
 
 
 def minimum_distances(codes, budget: int = DEFAULT_MESSAGE_BUDGET) -> list[int]:
@@ -470,6 +502,14 @@ def parse_excluded(text: str) -> list[int]:
     return [int(e) for e in text.split(",") if e != ""]
 
 
+def _dimension(k, low: int, high: int, where: str = "") -> int:
+    """k by ``operator.index`` (a TypeError for a non-integer), or a ValueError naming low..high."""
+    k = operator.index(k)
+    if not low <= k <= high:
+        raise ValueError(f"dimension k = {k} outside {low}..{high}{where}")
+    return k
+
+
 class GprsCode(_EvaluationCode):
     """Generalized projective Reed-Solomon code over F_q.
 
@@ -490,12 +530,8 @@ class GprsCode(_EvaluationCode):
         if len(set(excl)) != len(excl):
             raise ValueError("excluded points must be distinct")
         l = len(excl)
-        if not isinstance(k, int) or not 2 <= k <= field.q - l - 1:
-            raise ValueError(
-                f"dimension k = {k!r} outside 2..{field.q - l - 1} for l = {l}"
-            )
         self.field = field
-        self.k = k
+        self.k = _dimension(k, 2, field.q - l - 1, f" for l = {l}")
         self.excluded = tuple(FieldElement(field, e) for e in excl)
         self.l = l
         excl_set = set(excl)
@@ -641,10 +677,10 @@ class GrsCode(_EvaluationCode):
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be distinct")
         n = len(pts)
-        if not 1 <= k < n:
-            raise ValueError(f"dimension k = {k!r} outside 1..{n - 1}")
+        if n < 2:
+            raise ValueError(f"a GRS code needs at least two evaluation points, got {n}")
         self.field = field
-        self.k = k
+        self.k = _dimension(k, 1, n - 1)
         self._d_encs = tuple(pts)
         self.n = n
         self.length = n

@@ -5,9 +5,8 @@ covering radius q - l + 1 - k. Four routes produce a verdict:
 
 * ``oracle``: compare the exact error distance against the covering radius;
 * ``mds_extension``: stack the word under the generator matrix and demand
-  every (k+1)-column minor be nonsingular (a slab of words expands them over
-  each code's k-minors, gathered from the frame table of its field and k, in
-  ``matrix.subset_runs`` runs, ``mds_extension_verdicts``);
+  every (k+1)-column minor be nonsingular (one word here; a slab of words
+  goes through ``codes.mds_extension_zeros``);
 * ``thm14``: closed form for words whose interpolant has degree exactly k;
   such a word is a deep hole iff no k-subset of D sums to zero;
 * ``thm15``: closed form for the family lam*(x - a_j)^(q-2) + nu*x^(k-1)
@@ -37,7 +36,6 @@ thm15 validation therefore also requires a_j to be an excluded point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -46,9 +44,8 @@ import numpy as np
 
 from .galois import FieldElement, FiniteField, lucas_binom, prime_power_decomposition
 from .polynomial import Polynomial
-from . import matrix
-from .matrix import _subset_index, det_enc, first_singular_column_subset, subset_runs
-from .codes import DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord, _generator_stack, _minor_tables
+from .matrix import det_enc, first_singular_column_subset
+from .codes import DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord, _generator_stack
 
 
 class HypothesisError(ValueError):
@@ -182,41 +179,6 @@ def is_deep_hole_mds_extension(code: GprsCode, word: ReceivedWord) -> DeepHoleVe
     test = _mds_test(code, word)
     witness = first_singular_column_subset(code.field, test.rows, test.size)
     return DeepHoleVerdict(witness is None, "mds_extension", witness)
-
-
-def mds_extension_verdicts(codes, words) -> list[list[DeepHoleVerdict]]:
-    """``is_deep_hole_mds_extension`` of words[r, j] against codes[r], as (rows, words).
-
-    det[G_S; w_S] = sum_j (-1)^(k+j) w_(S_j) det G_(S minus S_j), k+1 gathers per run of subsets S
-    (``subset_runs``) over a group of rows' k-minor tables, up to the first run that leaves each
-    word of the group a zero. Past ``matrix._RUN_BYTES`` per row's table each word scans alone.
-    """
-    code, n, k = codes[0], codes[0].length, codes[0].k
-    w = np.asarray(words, dtype=np.intp).reshape(len(codes), -1, n)
-    # the cofactor table below has C(n, k+1) * (k+1) = C(n, k) * (n-k) entries per row
-    table = math.comb(n, k) * (n - k) * 24
-    if table > matrix._RUN_BYTES:
-        return [[is_deep_hole_mds_extension(c, c.word(x)) for x in xs] for c, xs in zip(codes, w.tolist())]
-    add, mul, neg = code.field.add_table, code.field.mul_table, code.field.neg_table
-    subsets, ranks = _subset_index(n, k + 1)
-    first = np.full(w.shape[:2], -1)
-    group = matrix._RUN_BYTES // table
-    for start in range(0, len(codes), group):
-        cof = _minor_tables(codes[start : start + group])[:, ranks]
-        cof[..., (k + 1) % 2 :: 2] = neg[cof[..., (k + 1) % 2 :: 2]]  # the sign (-1)^(k+j)
-        wr, fr = w[start : start + group], first[start : start + group]
-        for a, run in subset_runs(n, k + 1, 16 * (k + 1) * (wr.shape[1] + 1) * len(wr)):
-            terms = mul[wr[:, :, run], cof[:, None, a : a + len(run)]]
-            vals = terms[..., 0]
-            for j in range(1, k + 1):
-                vals = add[vals, terms[..., j]]
-            zero = vals == 0
-            found = (fr < 0) & zero.any(axis=2)
-            fr[found] = a + zero[found].argmax(axis=1)
-            if (fr >= 0).all():
-                break
-    return [[DeepHoleVerdict(i < 0, "mds_extension", None if i < 0 else tuple(subsets[i].tolist()))
-             for i in row] for row in first.tolist()]
 
 
 def _require_odd(field: FiniteField):

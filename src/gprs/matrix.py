@@ -4,12 +4,12 @@ Determinants come from Gaussian elimination, one grid at a time (``det_enc``)
 or a stack at a time by table gathers (``det_stack``, fed runs of column
 subsets by ``column_minors``). Column subsets are always enumerated in
 lexicographic order of their index tuples, which makes the first failing
-minor a reproducible witness. Every batched subset scan (these minors, the
-agreement kernel in ``codes``, the MDS-extension verdicts in ``deepholes``)
-takes them from ``subset_runs`` in runs of about ``_RUN_BYTES``, sliced from
-one shape cache of subset indexes (``_subset_index``) or unranked past it.
-The same cache holds the frame tables of ``codes``, and ``_cached`` keeps all
-of it under ``_INDEX_BYTES``.
+minor a reproducible witness. Every batched subset scan (these minors, and in
+``codes`` agreement and the MDS-extension zeros) takes them from ``subset_runs``
+in runs of about ``_RUN_BYTES``, sliced from one shape cache of subset indexes
+(``_subset_index``) or unranked past it, and ``_drop_ranks`` ranks each with a
+point deleted. The cache also holds the frame tables of ``codes``; ``_cached``
+keeps it under ``_INDEX_BYTES``. Only ``matrix`` and ``codes`` use these names.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def subset_runs(N: int, m: int, unit: int):
     """(a, subsets) per run of the m-subsets of range(N) in lexicographic order from rank a, a run
     about ``_RUN_BYTES`` at ``unit`` bytes a subset: slices of the cached index, or unranked past it."""
     total, step = math.comb(N, m), max(1, _RUN_BYTES // unit)
-    index = _subset_index(N, m)[0] if 16 * m * total <= _INDEX_BYTES else None
+    index = _subset_index(N, m) if 8 * m * total <= _INDEX_BYTES else None
     for a in range(0, total, step):
         yield a, _subsets(N, m, a, min(a + step, total)) if index is None else index[a : a + step]
 
@@ -151,17 +151,18 @@ def _subsets(N: int, m: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _subset_index(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-subsets A of range(N) in lexicographic order, and per column j the rank of A minus
-    A_j among the (m-1)-subsets, from the shape cache (``_cached``)."""
+def _subset_index(N: int, m: int) -> np.ndarray:
+    """The m-subsets of range(N) in lexicographic order, from the shape cache (``_cached``)."""
+    return _cached((N, m), lambda: (_subsets(N, m, 0, math.comb(N, m)),))[0]
 
-    def build():
-        subsets, binom, at = _subsets(N, m, 0, math.comb(N, m)), _binom(N, m), np.arange(m)
-        lo, hi = binom[N - 1 - subsets, m - 1 - at], binom[N - 1 - subsets, m - at]  # a_i before, after A_j
-        ranks = (lo.cumsum(axis=1) - lo) + (hi.sum(axis=1)[:, None] - hi.cumsum(axis=1))
-        return subsets, math.comb(N, m - 1) - 1 - ranks
 
-    return _cached((N, m), build)
+def _drop_ranks(N: int, subsets: np.ndarray) -> np.ndarray:
+    """Per m-subset A of range(N) and j, the rank of A minus A_j among the (m-1)-subsets: in the
+    sum of ``_subsets``, C(N-1-a_i, m-1-i) per a_i before A_j and C(N-1-a_i, m-i) per one after."""
+    m, binom = subsets.shape[1], _binom(N, subsets.shape[1])
+    lo, hi = (binom[N - 1 - subsets, m - d - np.arange(m)] for d in (1, 0))
+    ranks = (lo.cumsum(axis=1) - lo) + (hi.sum(axis=1)[:, None] - hi.cumsum(axis=1))
+    return math.comb(N, m - 1) - 1 - ranks
 
 
 def _cached(key, build) -> tuple[np.ndarray, ...]:

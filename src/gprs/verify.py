@@ -54,12 +54,12 @@ from .codes import (
     GrsCode,
     agreement_distances,
     mds_checks,
+    mds_extension_zeros,
     minimum_distances,
 )
 from .deepholes import (
     DeepHoleVerdict,
     family_words,
-    mds_extension_verdicts,
     thm14_criterion,
     thm15_criterion,
     validate_verdict,
@@ -331,7 +331,7 @@ def _scored_rows(built, mds: bool = False) -> list[SweepRow]:
         deep = dist == codes[0].covering_radius("formula")
         checked = deep
         if mds:
-            checked = np.array([[v.is_deep_hole for v in vs] for vs in mds_extension_verdicts(codes, words)])
+            checked = mds_extension_zeros(codes, words) < 0
         want = np.array(expected)[:, None]
         bad = (deep != want) | (checked != want)
         for r, (cols, draw) in enumerate(drawn):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gprs.codes as codes_module
-import gprs.deepholes as deepholes
 import gprs.matrix as matrix_module
 from gprs.codes import (
     BudgetExceededError,
@@ -20,9 +19,10 @@ from gprs.codes import (
     _tail_tensor,
     agreement_distances,
     mds_checks,
+    mds_extension_zeros,
     minimum_distances,
 )
-from gprs.deepholes import WordFamilySpec, build_family_word, mds_extension_verdicts
+from gprs.deepholes import WordFamilySpec, build_family_word
 from gprs.galois import field, field_of_order
 from gprs.matrix import _subset_index, _subsets, column_minors
 from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
@@ -84,6 +84,29 @@ def test_dimension_bounds():
     with pytest.raises(ValueError):
         GprsCode(f, [4], 4)  # k <= q - l - 1 = 3
     GprsCode(f, [4], 3)
+
+
+def test_dimension_is_an_integer_index_in_its_range():
+    # one check for both codes: k by operator.index, so a numpy integer is a dimension
+    # and a float is not, and a range that names its ends
+    f = field(5)
+    code = GprsCode(f, [0], np.int64(2))
+    assert code.k == 2 and type(code.k) is int
+    assert GrsCode(f, [0, 1, 2], np.int64(2)).k == 2
+    with pytest.raises(ValueError, match=r"^dimension k = 4 outside 2\.\.3 for l = 1$"):
+        GprsCode(f, [0], 4)
+    with pytest.raises(ValueError, match=r"^dimension k = 3 outside 1\.\.2$"):
+        GrsCode(f, [0, 1, 2], 3)
+    with pytest.raises(TypeError):
+        GrsCode(f, [0, 1, 2], 1.0)
+    with pytest.raises(TypeError):
+        GprsCode(f, [0], 2.0)
+
+
+@pytest.mark.parametrize("points", [[], [2]])
+def test_grs_code_needs_two_points(points):
+    with pytest.raises(ValueError, match=f"^a GRS code needs at least two evaluation points, got {len(points)}$"):
+        GrsCode(field(5), points, 1)
 
 
 def test_small_field_rejected():
@@ -450,11 +473,11 @@ def test_agreement_tensor_is_cached_when_it_fits():
     # projective one included, C(10, 6) + C(10, 5) = C(11, 6) rows of 5 entries;
     # the pair index fits the shape cache and stays there
     code = GprsCode(field_of_order(11), [0], 5)
-    pairs = _subset_index(11, 6)[0]
+    pairs = _subset_index(11, 6)
     T = _tail_tensor([code], pairs)[0]
     assert T.shape == (math.comb(10, 6) + math.comb(10, 5), 5) == (math.comb(11, 6), 5)
     assert [tuple(r) for r in pairs] == list(combinations(range(11), 6))
-    assert _subset_index(11, 6)[0] is pairs
+    assert _subset_index(11, 6) is pairs
 
 
 def _tail_tensor_reference(codes, pairs):
@@ -514,7 +537,7 @@ def test_frame_tables_match_the_per_code_builds_on_every_code(q):
         assert minors is not None and tails is not None
         built = np.concatenate([d for _, d in column_minors(f, _generator_stack(codes), k)], axis=1)
         assert (codes_module._minor_tables(codes) == built).all(), (length, k)
-        pairs = _subset_index(length, k + 1)[0]
+        pairs = _subset_index(length, k + 1)
         assert (codes_module._tails(codes, tails, pairs) == _tail_tensor(codes, pairs)).all(), (length, k)
 
 
@@ -538,7 +561,7 @@ def _recorded_runs(monkeypatch):
             scans[-1].append(len(run))
             yield a, run
 
-    for module in (matrix_module, codes_module, deepholes):
+    for module in (matrix_module, codes_module):
         monkeypatch.setattr(module, "subset_runs", subset_runs)
     monkeypatch.setattr(codes_module, "_tail_tensor", lambda c, p: builds.append((len(c), len(p))) or tensor(c, p))
     return scans, builds
@@ -571,17 +594,18 @@ def test_one_small_run_cap_splits_every_batched_scan(monkeypatch):
     words = [list(product(range(4), repeat=4))] * 2
 
     def scan():
-        return (agreement_distances(slab, words).tolist(), mds_extension_verdicts(slab, words),
+        return (agreement_distances(slab, words).tolist(), mds_extension_zeros(slab, words).tolist(),
                 [mds_generator_check(code.generator, 2) for code in slab])
 
     expected = scan()
-    assert {v.is_deep_hole for row in expected[1] for v in row} == {True, False}
+    assert {r < 0 for row in expected[1] for r in row} == {True, False}
     scans, _ = _recorded_runs(monkeypatch)
     monkeypatch.setattr(matrix_module, "_RUN_BYTES", 300)
     assert scan() == expected
     counts = [len(runs) for runs in scans]
-    # per code: an agreement group, an MDS-extension group and its minor table, a generator
-    assert len(counts) == 8 and min(counts) > 1
+    # per code an agreement group; the MDS-extension zeros' minor tables and their one group
+    # of both codes, as a k-minor table takes 48 bytes; per code a generator
+    assert len(counts) == 6 and min(counts) > 1
 
 
 def test_agreement_memory_stays_under_the_cap():
@@ -601,6 +625,24 @@ def test_agreement_memory_stays_under_the_cap():
         tracemalloc.stop()
     assert distances == ([0], [1])
     assert peak < cap
+
+
+def test_mds_extension_zeros_memory_stays_under_the_cap():
+    # GF(17), n = 16, k = 8: the cofactors of every 9-subset would be C(17, 9) * 9 * 24 bytes,
+    # about 5 MB, past one run. Two words of the shifted family at a_j = 0 are deep holes
+    # (thm17), so every subset is scanned, a run of subsets at a time.
+    code = GprsCode(field_of_order(17), [0], 8)
+    assert math.comb(17, 9) * 9 * 24 > matrix_module._RUN_BYTES
+    words = [build_family_word(code, WordFamilySpec("shifted_qminus2", lam, nu, 0)).encs
+             for lam, nu in ((1, 0), (3, 5))]
+    tracemalloc.start()
+    try:
+        zeros = mds_extension_zeros([code], [words])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zeros.tolist() == [[-1, -1]]
+    assert peak < 3 * matrix_module._RUN_BYTES
 
 
 def test_agreement_budget_counts_pairs_before_building():
@@ -649,7 +691,7 @@ def _tail_walk(length, k):
 def test_tail_pair_index_matches_a_combinations_walk():
     for length in range(2, 15):
         for k in range(1, length):
-            pairs = _subset_index(length, k + 1)[0]
+            pairs = _subset_index(length, k + 1)
             walk, starts = _tail_walk(length, k)
             assert pairs.tolist() == [list(p) for p in walk], (length, k)
             assert _tail_starts(pairs).tolist() == starts, (length, k)
@@ -679,9 +721,9 @@ def test_subset_indexes_holds_a_sweep_pass_within_its_bound(monkeypatch):
     assert built == [] and set(matrix_module._indexes) == shapes
     for N in range(14, 24):
         for m in range(2, N - 1):
-            if math.comb(N, m) * m * 16 <= matrix_module._INDEX_BYTES:
+            if math.comb(N, m) * m * 8 <= matrix_module._INDEX_BYTES:
                 _subset_index(N, m)
-            held = sum(a.nbytes + r.nbytes for a, r in matrix_module._indexes.values())
+            held = sum(a.nbytes for entry in matrix_module._indexes.values() for a in entry)
             assert held <= matrix_module._INDEX_BYTES
     # the least recently used shapes went first, the last one stays
     assert (23, 21) in matrix_module._indexes and (14, 2) not in matrix_module._indexes
@@ -735,7 +777,7 @@ def test_shape_cache_holds_indexes_and_frames_within_its_bound(monkeypatch):
                 last = ("minors", f, k)
             if codes_module._frame_tails(f, k) is not None:
                 last = ("tails", f, k)
-            if math.comb(q, k) * k * 16 <= matrix_module._INDEX_BYTES:
+            if math.comb(q, k) * k * 8 <= matrix_module._INDEX_BYTES:
                 _subset_index(q, k)
                 last = (q, k)
             held = sum(a.nbytes for entry in matrix_module._indexes.values() for a in entry)
@@ -1022,7 +1064,7 @@ def test_a_zero_planted_in_the_frame_minors_refutes_lemma25(monkeypatch):
     f = field(5)
     table, binom = codes_module._frame_minors(f, 2)
     planted = table.copy()
-    planted[_subset_index(6, 2)[0].tolist().index([1, 2])] = 0
+    planted[_subset_index(6, 2).tolist().index([1, 2])] = 0
     matrix_module._indexes[("minors", f, 2)] = (planted, binom)
     rep = run_sweep(SweepConfig(claims=("lemma25",), q_list=(5,)))
     refuted = {}

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gprs.codes as codes_module
 import gprs.deepholes as deepholes
 import gprs.matrix as matrix_module
-from gprs.codes import BudgetExceededError, GprsCode, _generator_stack
-from gprs.matrix import _subset_index
+from gprs.codes import BudgetExceededError, GprsCode, _generator_stack, mds_extension_zeros
+from gprs.matrix import _drop_ranks, _subset_index, _subsets
 from gprs.deepholes import (
     DeepHoleVerdict,
     HypothesisError,
@@ -20,7 +21,6 @@ from gprs.deepholes import (
     family_words,
     is_deep_hole_mds_extension,
     is_deep_hole_oracle,
-    mds_extension_verdicts,
     thm14_criterion,
     thm15_criterion,
     validate_verdict,
@@ -538,9 +538,21 @@ def _mds_words(code, rng):
     return words
 
 
+def _witnesses(codes, words):
+    """Each word's first zero from ``mds_extension_zeros``, as the columns that
+    ``is_deep_hole_mds_extension`` reports: None for a deep hole."""
+    length, m = codes[0].length, codes[0].k + 1
+    return [[None if r < 0 else tuple(_subsets(length, m, r, r + 1)[0].tolist()) for r in row]
+            for row in mds_extension_zeros(codes, words).tolist()]
+
+
 def _verdicts(code, words):
     # the slab of one code
-    return mds_extension_verdicts([code], [[w.encs for w in words]])[0]
+    return _witnesses([code], [[w.encs for w in words]])[0]
+
+
+def _scalar_witnesses(code, words):
+    return [is_deep_hole_mds_extension(code, w).witness for w in words]
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
@@ -551,48 +563,53 @@ def test_mds_extension_verdicts_match_scalar_scan(q):
     for _ in range(40):
         code = _random_code(f, rng)
         words = _mds_words(code, rng)
-        verdicts = _verdicts(code, words)
-        assert verdicts == [is_deep_hole_mds_extension(code, w) for w in words]
-        outcomes.update(v.is_deep_hole for v in verdicts)
+        witnesses = _verdicts(code, words)
+        assert witnesses == _scalar_witnesses(code, words)
+        outcomes.update(w is None for w in witnesses)
     assert outcomes == {True, False}
 
 
 def _counted_scalar_route(monkeypatch):
+    # every call of the one-word scan or its eliminations, in any module that holds one
     calls = [0]
-    real = deepholes.is_deep_hole_mds_extension
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    def counted(real):
+        def call(*args):
+            calls[0] += 1
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(deepholes, "is_deep_hole_mds_extension", counted)
+    for module in (deepholes, codes_module, matrix_module):
+        for name in ("is_deep_hole_mds_extension", "first_singular_column_subset", "det_enc"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
     return calls
 
 
-def test_mds_extension_verdicts_fall_back_past_the_cap(monkeypatch):
+def test_mds_extension_zeros_scan_no_word_alone_at_any_cap(monkeypatch):
+    # at the default cap and at a cap of one byte, below every k-minor table, the slab
+    # route gives the scalar route's first witnesses and makes no scalar call
     rng = random.Random(61)
     cases = [(code, _mds_words(code, rng)) for code in
              (GprsCode(field(7), [0], 3), GprsCode(field(2, 3), [1, 5], 2),
               GprsCode(field(11), [0, 5], 4))]
-    expected = [[is_deep_hole_mds_extension(c, w) for w in words] for c, words in cases]
+    expected = [_scalar_witnesses(c, words) for c, words in cases]
     calls = _counted_scalar_route(monkeypatch)
     assert [_verdicts(c, words) for c, words in cases] == expected
-    assert calls[0] == 0
     monkeypatch.setattr(matrix_module, "_RUN_BYTES", 1)
     assert [_verdicts(c, words) for c, words in cases] == expected
-    assert calls[0] == sum(len(words) for _, words in cases)
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("slack", [1, 2, 8])
 def test_mds_extension_verdicts_in_runs(monkeypatch, slack):
-    # a cap just above the cofactor table scores the subsets in short runs
+    # a cap of a few k-minor tables scores the subsets in short runs
     rng = random.Random(slack)
     for q, excl, k in ((7, (0,), 3), (9, (2, 4), 4), (11, (0, 5), 2), (13, (1,), 5)):
         code = GprsCode(field_of_order(q), excl, k)
         words = _mds_words(code, rng) * 2
-        expected = [is_deep_hole_mds_extension(code, w) for w in words]
-        n = code.length
-        monkeypatch.setattr(matrix_module, "_RUN_BYTES", slack * math.comb(n, k) * (n - k) * 24)
+        expected = _scalar_witnesses(code, words)
+        monkeypatch.setattr(matrix_module, "_RUN_BYTES", slack * 8 * math.comb(code.length, k))
         calls = _counted_scalar_route(monkeypatch)
         assert _verdicts(code, words) == expected
         assert calls[0] == 0
@@ -655,23 +672,23 @@ def test_family_words_of_a_slab_match_scalar_words(q):
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_mds_extension_verdicts_of_a_slab_match_scalar_scan(monkeypatch, q):
-    # at the default cap; with a cap of about two rows' cofactor tables, so a slab
-    # goes in groups scanned in short runs; and past the cap, word by word
+    # at the default cap; with a cap of two rows' k-minor tables, so a slab goes in
+    # groups scanned in short runs; and at a cap of one byte, a row at a time in runs
+    # of one subset. No cap scans a word alone.
     rng = random.Random(q)
     outcomes, default = set(), matrix_module._RUN_BYTES
     for i, slab in enumerate(_slabs(q, rng)):
         words = [_mds_words(code, rng) for code in slab]
-        expected = [[is_deep_hole_mds_extension(c, w) for w in row] for c, row in zip(slab, words)]
+        expected = [_scalar_witnesses(c, row) for c, row in zip(slab, words)]
         encs = [[w.encs for w in row] for row in words]
-        n, k = slab[0].length, slab[0].k
-        table = math.comb(n, k) * (n - k) * 24
-        caps = [default, 2 * table] + [1] * (i < 3)
+        caps = [default, 2 * 8 * math.comb(slab[0].length, slab[0].k)] + [1] * (i < 3)
         for cap in caps:
             monkeypatch.setattr(matrix_module, "_RUN_BYTES", cap)
             calls = _counted_scalar_route(monkeypatch)
-            assert mds_extension_verdicts(slab, encs) == expected
-            assert calls[0] == (len(slab) * len(words[0]) if cap == 1 else 0)
-        outcomes.update(v.is_deep_hole for row in expected for v in row)
+            assert _witnesses(slab, encs) == expected
+            assert calls[0] == 0
+            monkeypatch.undo()
+        outcomes.update(w is None for row in expected for w in row)
     assert outcomes == {True, False}
 
 
@@ -687,7 +704,8 @@ def _cofactor_index(length, k):
 def test_rank_built_index_matches_the_dict_built_one():
     for length in range(2, 15):
         for k in range(1, length):
-            subsets, ranks = _subset_index(length, k + 1)
+            subsets = _subset_index(length, k + 1)
+            ranks = _drop_ranks(length, subsets)
             expected = _cofactor_index(length, k)
             assert subsets.tolist() == expected[0].tolist(), (length, k)
             assert ranks.tolist() == expected[1].tolist(), (length, k)
@@ -696,7 +714,8 @@ def test_rank_built_index_matches_the_dict_built_one():
 
 @pytest.mark.parametrize("length,k", [(4, 2), (7, 3), (9, 5), (12, 2)])
 def test_cofactor_index_deletes_each_column(length, k):
-    subsets, ranks = _subset_index(length, k + 1)
+    subsets = _subset_index(length, k + 1)
+    ranks = _drop_ranks(length, subsets)
     k_subsets = list(combinations(range(length), k))
     assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(length), k + 1))
     for s, r in zip(subsets.tolist(), ranks.tolist()):

@@ -8,7 +8,8 @@ Code that only the tests use gets deleted. So:
 * ``gprs.__all__`` is the list in the README's "Public API" section;
 * each other public name, module-level or a method, has a caller in
   ``src/gprs`` or in the benchmark (``perfbench/``, its tests aside), or is a
-  thin member of the API edge on ``API_EDGE``.
+  thin member of the API edge on ``API_EDGE``;
+* only ``matrix`` and ``codes`` read the subset layer (``SUBSET_LAYER``).
 
 Uses are matched by name (loads, attributes and imported names), so a caller
 of any attribute of the same name counts. The re-exports of ``gprs/__init__``
@@ -104,6 +105,17 @@ def _qualified(owner, name):
 def test_every_private_name_is_used_by_the_library():
     trees = _parse(SRC.glob("*.py"))
     assert _unused(trees, _uses_by_name(trees), lambda owner, name: _is_private(name)) == []
+
+
+# the subset layer: run sizing, the shape cache and subset ranks, read by the scans beside it
+SUBSET_LAYER = {"_RUN_BYTES", "_INDEX_BYTES", "subset_runs", "_subset_index", "_drop_ranks"}
+
+
+def test_only_matrix_and_codes_read_the_subset_layer():
+    trees = _parse(p for p in SRC.glob("*.py") if p.name not in ("matrix.py", "codes.py"))
+    reads = [f"{path.name}:{line} {name}" for path, tree in trees.items()
+             for name, line in _uses(tree) if name in SUBSET_LAYER]
+    assert reads == []
 
 
 def _readme_api():

@@ -7,6 +7,7 @@ import random
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import gprs.verify as verify
@@ -329,12 +330,19 @@ def _non_mds(real):
     return lambda codes: [MdsCheckResult(False, tuple(range(codes[0].k)))] * len(codes)
 
 
+def _zero_everywhere(real):
+    # every word's MDS extension has a zero minor, at the first subset
+    return lambda codes, words: np.zeros(np.shape(words)[:2], dtype=np.intp)
+
+
 _DEEP = _always(DeepHoleVerdict(True, "liar"))
 _NOT_DEEP = _always(DeepHoleVerdict(False, "liar"))
 
 
 # Each case makes one check lie. What the sweep reported was recorded before
-# the claim table replaced the per-claim row functions. A case gives the name
+# the claim table replaced the per-claim row functions; thm14-mds, the one case
+# where only the MDS oracle lies, was recorded while that kernel still lived in
+# gprs.deepholes and returned verdicts. A case gives the name
 # patched in gprs.verify, the lie, the claim, q_list and the total and refuted
 # row counts; then every refuted detail up to its first "="; then the first
 # refuted row's excluded, k, aj, oracle and witness; then its detail.
@@ -380,6 +388,12 @@ REFUTATIONS = {
         {"criterion witness failed re-validation"},
         ("0,1", "2", "1", "", "2,4"),
         "criterion witness failed re-validation",
+    ),
+    "thm14-mds": (
+        ("mds_extension_zeros", _zero_everywhere, "thm14", (5,), 4, 1),
+        {"word"},
+        ("2,4", "2", "", "true", ""),
+        "word=0,4,3,3 oracle=true mds=false criterion=true",
     ),
     "thm16-zero-sum": (
         ("validate_verdict", _always(False), "thm16", (5,), 1, 1),
