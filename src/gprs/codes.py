@@ -32,6 +32,13 @@ count of i > max(S) where it equals the interpolant through S (proved at
 ``agreement_distances``). The tail tensor T[S + (i,), s] = L_{S,s}(x_i) has
 a row per (k+1)-subset of coordinates.
 
+The exact covering radius is the depth of a breadth-first search over the
+q^r syndromes, r = length - k, from zero (``_syndrome_bfs_depth``): a level
+steps each unit column of H by one ``any`` over the state cube and each wider
+column support by gathers. Once r-1 levels have reached more than q^(r-1)
+syndromes and left one unseen, the columns span and the depth is the
+redundancy bound r, so the last level is never expanded.
+
 Every code over F_q takes its coordinates from one frame: the q points of F_q
 in encoding order, then the projective point q. Its generator is the frame
 generator on those columns, and the map keeps subset order. So the k-minor
@@ -49,7 +56,8 @@ The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
 replaced, the frame tables against the per-code builds on every small code,
 the spans against the digit-by-digit q^k build they replaced, and the slab
-minimum distances, MDS checks and MDS-extension zeros against per-code scans.
+minimum distances, MDS checks and MDS-extension zeros against per-code scans,
+and the syndrome BFS against a BFS that steps one generator at a time.
 """
 
 from __future__ import annotations
@@ -593,9 +601,13 @@ class GprsCode(_EvaluationCode):
         depth of a breadth-first search over the q^(length-k) syndromes from
         zero, one step per scalar multiple of a parity-check column (Cohen,
         Honkala, Litsyn & Lobstein, *Covering Codes*, 1997, ch. 2); each level
-        is expanded a block of states at a time, one gather per digit of each
-        group of columns with the same support (``_syndrome_bfs_depth``). The
-        budget caps its work, states x generators = q^(length-k) * length * (q-1).
+        steps a unit column by one ``any`` over the frontier and every other
+        group of columns with the same support a block of states at a time, one
+        gather per digit (``_syndrome_bfs_depth``). The search stops at the
+        redundancy bound: when r-1 levels, r = length - k, leave a syndrome
+        unseen but reach more than q^(r-1), the radius is r, so a GPRS code's
+        last level is never expanded. The budget prices the full search, states
+        x generators = q^(length-k) * length * (q-1), an upper bound on its work.
         """
         if mode == "formula":
             return self.field.q - self.l + 1 - self.k
@@ -623,10 +635,22 @@ def _syndrome_bfs_depth(f: FiniteField, columns: list[list[int]]) -> int:
     A syndrome is the integer sum_t s_t q^t; adding g moves digit t from d to add(d, g_t),
     which shifts the integer by step[t, d, g_t]. The generators are grouped by support, the
     digits they move: for H = [-A^T | I] of an MDS code the k dense columns of -A^T make one
-    group and each unit column one more. A group steps a block of frontier states by all its
-    generators g_j at once, one gather per digit t from shift[d, j] = step[t, d, g_j[t]]. A
-    block is a run of ``matrix._RUN_BYTES`` / (8 * generators) states, so its (states,
-    generators) shifts fit one run.
+    group and each unit column one more. A unit column on digit t steps a state to every
+    state that differs from it in digit t alone, so its level is one ``any`` of the frontier
+    mask over axis r-1-t of the (q,)*r state cube. A wider group steps a block of frontier
+    states by all its generators g_j at once, one gather per digit t from
+    shift[d, j] = step[t, d, g_j[t]]. A block is a run of ``matrix._RUN_BYTES`` /
+    (8 * generators) states, so its (states, generators) shifts fit one run.
+
+    The search stops at the redundancy bound: if more than q^(r-1) syndromes are reached
+    after r-1 levels and some are still unseen, the depth is r.
+    - Every reached state lies in the span W of the columns. More than q^(r-1) of them means
+      W = F_q^r, so some r columns are independent, and every syndrome is a combination of
+      those r columns: the depth is at most r.
+    - A state still unseen after r-1 levels has weight at least r: the depth is at least r.
+    - Columns that do not span reach at most q^(r-1) states, so they never stop early; their
+      frontier still empties and they still raise.
+    - At r = 1 the one state reached at level 0 is q^0, so the single level still runs.
     """
     q, r = f.q, len(columns[0])
     size = q**r
@@ -635,19 +659,26 @@ def _syndrome_bfs_depth(f: FiniteField, columns: list[list[int]]) -> int:
     supports: dict[tuple, list] = {}
     for col in columns:
         supports.setdefault(tuple(t for t in range(r) if col[t]), []).append(col)
-    groups = []  # per support, (digit, shift table) over its generators c * column, c = 1..q-1
+    # a unit column steps by one ``any`` over its digit's axis, a zero column nowhere
+    units = [support[0] for support in supports if len(support) == 1]
+    groups = []  # per wider support, (digit, shift table) over its c * column, c = 1..q-1
     for support, cols in supports.items():
-        if support:  # a zero column steps nowhere
+        if len(support) > 1:
             gens = f.mul_table[np.arange(1, q)[:, None, None], np.array(cols)[None]].reshape(-1, r)
             groups.append([(t, step[t][:, gens[:, t]]) for t in support])
     run = max(1, matrix._RUN_BYTES // (8 * (q - 1) * len(columns)))
     seen = np.zeros(size, dtype=bool)
     seen[0] = True
     unseen = size - 1
-    frontier = np.zeros(1, dtype=np.int64)
+    frontier, mask = np.zeros(1, dtype=np.int64), seen  # level 0's frontier is the zero state
     depth = 0
     while unseen > 0:
+        if depth == r - 1 and size - unseen > q ** (r - 1):
+            return r
         reached = np.zeros(size, dtype=bool)
+        cube = reached.reshape((q,) * r)
+        for t in units:
+            cube |= mask.reshape((q,) * r).any(axis=r - 1 - t, keepdims=True)
         for start in range(0, frontier.size, run):
             block = frontier[start : start + run]
             digits = block // place[:, None] % q
@@ -659,7 +690,7 @@ def _syndrome_bfs_depth(f: FiniteField, columns: list[list[int]]) -> int:
                 reached[nxt] = True
         reached &= ~seen
         seen |= reached
-        frontier = np.flatnonzero(reached)
+        frontier, mask = np.flatnonzero(reached), reached
         if not frontier.size:
             raise ValueError("the columns do not span the syndrome space")
         unseen -= frontier.size

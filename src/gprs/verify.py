@@ -10,7 +10,8 @@ Each claim tag names one verifiable statement about GPRS codes:
              always deep holes
 * ``lemma25``  minimum distance q-l-k+2 == brute force; generator passes
                the all-minors MDS check, both decided one (l, k) slab at a time
-* ``lemma26``  covering radius q-l+1-k == largest coset-leader weight (syndrome BFS)
+* ``lemma26``  covering radius q-l+1-k == largest coset-leader weight (syndrome BFS),
+               admitted one (l, k) slab at a time
 * ``lemma28``  the constructed zero-sum subset of every size 2..q-3 validates
 * ``lemma29``  v_p(C(q-2, t-1)) == v_p(t), against big-integer binomials
 * ``thm11``  random non-codewords respect n - deg u <= d(u, GRS) <= n - k
@@ -449,19 +450,19 @@ def _lemma25_rows(f: FiniteField, config: SweepConfig):
 
 def _lemma26_rows(f: FiniteField, config: SweepConfig):
     rows = []
-    for code in (c for slab in _code_grid(f, config, "lemma26") for c in slab):
-        formula = code.covering_radius("formula")
-        ok, cols = None, {"predicted": str(formula)}
-        evals = f.q**code.length * f.q**code.k
-        if evals > config.distance_budget:
-            cols["detail"] = f"{evals} distance evaluations exceed budget"
-        else:
+    for slab in _code_grid(f, config, "lemma26"):
+        k, formula = slab[0].k, slab[0].covering_radius("formula")
+        if (evals := f.q**slab[0].length * f.q**k) > config.distance_budget:
+            detail = f"{evals} distance evaluations exceed budget"
+            rows.extend(_row("lemma26", f, c.excluded, k, -1, None, predicted=str(formula), detail=detail)
+                        for c in slab)
+            continue
+        for code in slab:
             oracle = code.covering_radius("syndrome", budget=config.distance_budget)
-            ok = formula == oracle
-            cols["oracle"] = str(oracle)
-            if not ok:
+            cols = {"predicted": str(formula), "oracle": str(oracle)}
+            if oracle != formula:
                 cols["detail"] = "covering radius mismatch"
-        rows.append(_row("lemma26", f, code.excluded, code.k, -1, ok, **cols))
+            rows.append(_row("lemma26", f, code.excluded, k, -1, oracle == formula, **cols))
     return rows
 
 

@@ -1310,6 +1310,59 @@ def test_syndrome_bfs_rejects_columns_that_do_not_span():
         codes_module._syndrome_bfs_depth(field(5), [[1, 0], [2, 0]])
 
 
+_SPAN = "the columns do not span the syndrome space"
+
+
+@pytest.mark.parametrize(
+    "p,columns,outcome",
+    [
+        # a hyperplane of GF(5)^3, filled in exactly r - 1 = 2 levels: q^(r-1) states reached
+        (5, [[1, 0, 0], [0, 1, 0]], _SPAN),
+        (5, [[1, 1, 0], [0, 1, 1]], _SPAN),
+        # r = 1: level 0 has reached q^0 states, so the one level still runs
+        (5, [[0]], _SPAN),
+        (5, [[3]], 1),
+        # spanning, with depth exactly r - 1 = 2: the ternary repetition code [4, 1]
+        (3, [[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], 2),
+        # spanning, with a state unseen after r - 1 levels: stopped there at depth r
+        (5, [[1, 0], [0, 1]], 2),
+        (7, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], 3),
+        # unit columns on digits 0 and 1 beside (0, 1, 1): digit t is axis r-1-t of the state
+        # cube, and with those axes swapped the columns would not span
+        (5, [[1, 0, 0], [0, 1, 0], [0, 1, 1]], 3),
+    ],
+)
+def test_syndrome_bfs_stops_at_the_redundancy_bound_with_the_reference_outcome(p, columns, outcome):
+    f = field(p)
+    assert _bfs_outcome(_syndrome_bfs_depth_reference, f, columns) == outcome
+    assert _bfs_outcome(codes_module._syndrome_bfs_depth, f, columns) == outcome
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_syndrome_bfs_steps_unit_columns_like_the_reference(data):
+    # H = [B | I]: a unit column of B repeats a support of I, and B also holds zero, dense and
+    # parallel columns; at the default run, and at runs of 1 and 7 states. Some draws keep only
+    # part of I: over all of I, stepping digit r-1-t in place of t would give the same level.
+    q = data.draw(st.sampled_from([4, 5, 7]))
+    f, r = field_of_order(q), data.draw(st.integers(1, 4))
+    digit, scalar = st.integers(0, r - 1), st.integers(1, q - 1)
+    unit = st.builds(lambda t, c: [c * (u == t) for u in range(r)], digit, scalar)
+    dense = st.lists(st.integers(0, q - 1), min_size=r, max_size=r)
+    columns = data.draw(st.lists(st.one_of(unit, dense, st.just([0] * r)), max_size=5))
+    if columns and data.draw(st.booleans()):
+        c = data.draw(scalar)
+        columns.append([f.mul_enc(c, x) for x in data.draw(st.sampled_from(columns))])
+    identity = range(r) if data.draw(st.booleans()) else sorted(data.draw(st.sets(digit, min_size=1)))
+    columns += [[int(t == u) for u in range(r)] for t in identity]
+    outcome = _bfs_outcome(_syndrome_bfs_depth_reference, f, columns)
+    assert _bfs_outcome(codes_module._syndrome_bfs_depth, f, columns) == outcome
+    for states in (1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix_module, "_RUN_BYTES", 8 * states * (q - 1) * len(columns))
+            assert _bfs_outcome(codes_module._syndrome_bfs_depth, f, columns) == outcome
+
+
 def test_covering_radius_budget():
     code = GprsCode(field(7), [0], 2)
     work = 7 ** (7 - 2) * 7 * 6  # q^(length-k) states x length * (q-1) generators
