@@ -6,7 +6,7 @@ named "p^s" with an optional reduction-modulus override. Exit codes:
 
 * 0  success, or the checked claim holds
 * 1  claim refuted (a counterexample was emitted on the data stream)
-* 2  usage error or an exhausted work budget
+* 2  usage error, an exhausted work budget, or an --out file that cannot be written
 
 Diagnostics go to stderr only; stdout carries just the data stream, and
 identical invocations produce byte-identical stdout.
@@ -14,7 +14,7 @@ identical invocations produce byte-identical stdout.
 The parser is built once, at import, and declares each shared option once;
 ``main`` only parses, and reads ``GPRS_BUDGET`` afresh on every call. Every
 usage error a handler finds is a ``ValueError`` that ``main`` reports as
-``error: ...`` on stderr, with exit 2.
+``error: ...`` on stderr, with exit 2; so is an ``OSError`` from writing --out.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (HypothesisError, ValueError, ZeroDivisionError) as exc:
+    except (HypothesisError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -46,11 +46,10 @@ table, which ``mds_extension_zeros`` expands and the all-minors MDS check
 (``mds_checks``) reads, and the tail tensor depend only on (field, k): each
 is built once for the frame (``_frame_minors``, ``_frame_tails``), kept in
 the shape cache of ``gprs.matrix``, and a code's rows are gathered from it
-by rank. A frame whose build would pass one run of
-``matrix._RUN_BYTES`` is never built; its codes build their own rows, once per
-distinct code of a slab (rows whose codes share the field, n and k), in the
-runs of subsets that ``matrix.subset_runs`` hands every batched scan. A code
-caches nothing but its generator rows.
+by rank. A frame whose build would pass one run of ``matrix._RUN_BYTES`` is
+never built; the same builders (``_minors``, ``_tail_tensor``) then run on the
+distinct codes of a group of a slab's rows, in the runs of subsets that
+``matrix.subset_runs`` hands every batched scan. A code caches nothing.
 
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
@@ -70,7 +69,7 @@ import numpy as np
 from .galois import FieldElement, FiniteField, field_from_spec
 from .polynomial import Polynomial, _eval_enc, _interp_enc
 from . import matrix
-from .matrix import Matrix, MdsCheckResult, column_minors, det_stack, subset_runs
+from .matrix import Matrix, MdsCheckResult, det_stack, subset_runs
 
 DEFAULT_MESSAGE_BUDGET = 10**6
 DEFAULT_DISTANCE_BUDGET = 10**8
@@ -191,9 +190,8 @@ class _EvaluationCode:
         return encs
 
     def _generator_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Generator rows: the words of 1, x, ..., x^(k-1), cached by ``_cache_rows``."""
-        _cache_rows([self])
-        return self._rows_cache
+        """Generator rows: the words of 1, x, ..., x^(k-1)."""
+        return tuple(map(tuple, _generator_stack([self])[0].tolist()))
 
     def _syndrome(self, encs) -> list[int]:
         """H·w for H = [-A^T | I], the parity check of the systematic generator [I | A].
@@ -214,7 +212,7 @@ class _EvaluationCode:
 
     def _codeword_matrix(self) -> np.ndarray:
         """All q^k codewords as int16 rows, in message-index order: span_k."""
-        *_, span = _spans(self.field, np.array([self._generator_rows()]))
+        *_, span = _spans(self.field, _generator_stack([self]))
         return span[0].T.view(np.int16)
 
     # -- exact error distance -------------------------------------------------
@@ -279,13 +277,6 @@ def _generator_stack(codes) -> np.ndarray:
     return np.moveaxis(_frame_generator(codes[0].field, codes[0].k)[:, _columns(codes)], 0, 1)
 
 
-def _cache_rows(codes) -> None:
-    """Cache the generator rows of each code that has none, from one ``_generator_stack``."""
-    new = [code for code in codes if getattr(code, "_rows_cache", None) is None]
-    for code, rows in zip(new, _generator_stack(new).tolist() if new else ()):
-        code._rows_cache = tuple(map(tuple, rows))
-
-
 def _frame(kind: str, f: FiniteField, k: int, m: int, unit: int, build):
     """(table, binom): ``build`` on the m-subsets of the q + 1 frame points in lexicographic
     order, and the binomials that rank them. Built once per (kind, field, k) and kept in the
@@ -296,20 +287,22 @@ def _frame(kind: str, f: FiniteField, k: int, m: int, unit: int, build):
     return matrix._cached((kind, f, k), lambda: (build(matrix._subsets(N, m, 0, total)), matrix._binom(N, m)))
 
 
-def _frame_minors(f: FiniteField, k: int):
-    """The frame's k-minor table: det of the frame generator on each k-subset, by ``det_stack``
-    at the bytes a subset that ``column_minors`` counts."""
-    def build(cols):
-        return det_stack(f, np.moveaxis(_frame_generator(f, k)[:, cols], 0, 1)).astype(np.uint16)
+def _minors(f: FiniteField, k: int, points: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """``det_stack`` of the frame generator at points[r, T] per row r and k-subset T of ``subsets``."""
+    grids = np.moveaxis(_frame_generator(f, k)[:, points[:, subsets]], 0, -2)  # (rows, subsets, k, k)
+    return det_stack(f, grids.reshape(-1, k, k)).reshape(grids.shape[:2])
 
-    return _frame("minors", f, k, k, 32 * k * k, build)
+
+def _frame_minors(f: FiniteField, k: int):
+    """The frame's k-minor table, ``_minors`` on every k-subset of the frame points."""
+    return _frame("minors", f, k, k, 32 * k * k,
+                  lambda subsets: _minors(f, k, np.arange(f.q + 1)[None], subsets)[0].astype(np.uint16))
 
 
 def _frame_tails(f: FiniteField, k: int):
-    """The frame's tail tensor, ``_tail_tensor`` on every (k+1)-subset of the frame points: those
-    of the GRS code on all of F_q, index q read as the projective point."""
+    """The frame's tail tensor: ``_tail_tensor`` at D = F_q, n = q, on every (k+1)-subset."""
     return _frame("tails", f, k, k + 1, (_TAIL_BUILD + _TAIL_INDEX) * (k + 1),
-                  lambda pairs: _tail_tensor([GrsCode(f, range(f.q), k)], pairs)[0])
+                  lambda pairs: _tail_tensor(f, np.arange(f.q)[None], pairs)[0])
 
 
 def _gather(frame, points: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -326,14 +319,15 @@ def _gather(frame, points: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 def _minor_tables(codes) -> np.ndarray:
     """det G_T of each row's code for every k-column subset T, in lexicographic order, as
-    (codes, C(length, k)): gathered from the frame table, or past one run one column_minors
-    pass over the distinct codes."""
+    (codes, C(length, k)): gathered from the frame table, or else ``_minors`` of the distinct
+    codes per run of subsets (``subset_runs``), at 32 k^2 bytes a subset and code."""
     uniq, index = _distinct(codes)
-    f, k = uniq[0].field, uniq[0].k
+    f, k, length = uniq[0].field, uniq[0].k, uniq[0].length
+    points = _columns(uniq)
     if (frame := _frame_minors(f, k)) is None:
-        runs = column_minors(f, _generator_stack(uniq), k)
-        return np.concatenate([dets for _, dets in runs], axis=1)[index]
-    return _gather(frame, _columns(uniq), matrix._subset_index(uniq[0].length, k))[index]
+        runs = subset_runs(length, k, 32 * k * k * len(uniq))
+        return np.concatenate([_minors(f, k, points, subsets) for _, subsets in runs], axis=1)[index]
+    return _gather(frame, points, matrix._subset_index(length, k))[index]
 
 
 def mds_checks(codes) -> list[MdsCheckResult]:
@@ -389,10 +383,9 @@ def minimum_distances(codes, budget: int = DEFAULT_MESSAGE_BUDGET) -> list[int]:
     codes[0]._check_message_budget(budget)
     f, k, length = codes[0].field, codes[0].k, codes[0].length
     group = max(1, matrix._RUN_BYTES // (f.q ** (k - 1) * (_SPAN_BYTES * length + 8)))
-    _cache_rows(codes)
     best = []
     for g in range(0, len(codes), group):
-        rows = np.array([code._rows_cache for code in codes[g : g + group]])
+        rows = _generator_stack(codes[g : g + group])
         negs = f.neg_table[rows]
         # row_i + span_i is nonzero where span_i differs from -row_i
         best += np.min([(span != negs[:, i, :, None]).sum(axis=1).min(axis=1)
@@ -421,16 +414,24 @@ def agreement_distances(codes, words) -> np.ndarray:
     i > max(S) where the word w equals the interpolant through S, sum_s w[S_s] *
     T[S + (i,), s] (``_tail_tensor``), and the agreement is k plus the best score: the
     first k points S of a best agreement set A lie in D, so interp_S matches w on A minus
-    S, all past max(S), and no S scores past its interpolant's agreement. A group of rows
-    stops at the first run of pairs after which every word in it is a codeword.
+    S, all past max(S), and no S scores past its interpolant's agreement. A group of rows,
+    as many as fit one run, takes the pairs S + (i,) a run at a time (``subset_runs``),
+    gathers (``_frame_tails``) or builds its distinct codes' tensor rows once per run, and
+    stops at the first run after which every word in it is a codeword.
     """
-    f, k, top = codes[0].field, codes[0].k, codes[0].length
+    f, n, k, top = codes[0].field, codes[0].n, codes[0].k, codes[0].length
     w = np.asarray(words, dtype=np.intp).reshape(len(codes), -1, top)
     best = np.zeros(w.shape[:2], dtype=np.intp)
-    # scoring scratch per row and pair: its tensor row's index copy, and per word a few gathers
-    for rows, runs in _tail_runs(codes, 2 * k + 40 * w.shape[1]):
-        wr, carry = w[rows], 0
-        for pairs, T in runs:
+    frame, pair_index = _frame_tails(f, k), _TAIL_INDEX * (k + 1)
+    # per row and pair: its tensor row's build or gather, its index copy, and per word a few gathers
+    unit = (_TAIL_BUILD if frame is None else _TAIL_GATHER) * (k + 1) + 2 * k + 40 * w.shape[1]
+    group = max(1, (matrix._RUN_BYTES // math.comb(top, k + 1) - pair_index) // unit)
+    for start in range(0, len(codes), group):
+        uniq, index = _distinct(codes[start : start + group])
+        points = _columns(uniq)
+        wr, br, carry = w[start : start + group], best[start : start + group], 0
+        for _, pairs in subset_runs(top, k + 1, len(wr) * unit + pair_index):
+            T = (_tail_tensor(f, points[:, :n], pairs) if frame is None else _gather(frame, points, pairs))[index]
             terms = f.mul_table[np.take(wr, pairs[:, :k], axis=2), T[:, None]]
             vals = terms[..., 0]
             for s in range(1, k):
@@ -439,34 +440,10 @@ def agreement_distances(codes, words) -> np.ndarray:
                                    axis=2, dtype=np.intp)
             hits[..., 0] += carry  # the pairs of an S that the last run ended inside
             carry = hits[..., -1] if pairs[-1, k] < top - 1 else 0
-            best[rows] = np.maximum(best[rows], hits.max(axis=2))
-            if (best[rows] == top - k).all():
+            np.maximum(br, hits.max(axis=2), out=br)
+            if (br == top - k).all():
                 break
     return top - k - best
-
-
-def _tail_runs(codes, scratch: int):
-    """(rows, runs) per group of distinct codes, with all their rows. A run is (pairs, T): the next
-    (k+1)-subsets S + (i,) of range(length) from ``subset_runs``, and T[r, pair], code ``rows[r]``'s
-    tensor rows on them, gathered from the frame tensor (``_frame_tails``) or else built, when
-    reached. A run's index, tensor rows, gather or build temporaries and ``scratch`` bytes per row
-    and pair fit the run cap; a group is as many codes as fit one run."""
-    k, top = codes[0].k, codes[0].length
-    frame = _frame_tails(codes[0].field, k)
-    total, pair_index = math.comb(top, k + 1), _TAIL_INDEX * (k + 1)  # bytes per pair
-    uniq, index = _distinct(codes)
-    per_point = _TAIL_BUILD if frame is None else _TAIL_GATHER
-    per_code = per_point * (k + 1) + int(np.bincount(index).max()) * scratch  # a code and its rows
-    group = max(1, min(len(uniq), (matrix._RUN_BYTES // total - pair_index) // per_code))
-    for g in range(0, len(uniq), group):
-        rows, part = np.flatnonzero(index // group == g // group), uniq[g : g + group]
-        runs = subset_runs(top, k + 1, group * per_code + pair_index)
-        yield rows, ((p, _tails(part, frame, p)[index[rows] - g]) for _, p in runs)
-
-
-def _tails(codes, frame, pairs: np.ndarray) -> np.ndarray:
-    """The codes' tensor rows on the pairs: gathered from the frame tensor, or built without one."""
-    return _tail_tensor(codes, pairs) if frame is None else _gather(frame, _columns(codes), pairs)
 
 
 def _tail_starts(pairs: np.ndarray) -> np.ndarray:
@@ -476,8 +453,9 @@ def _tail_starts(pairs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _tail_tensor(codes, pairs: np.ndarray) -> np.ndarray:
-    """T[c, A, s] = L_{S,s}(x_i) on the points of codes[c], for each row A = S + (i,) of ``pairs``.
+def _tail_tensor(f: FiniteField, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """T[c, A, s] = L_{S,s}(x_i) on the points x[c] of D, (codes, n), for each row A = S + (i,)
+    of ``pairs``.
 
     L_{S,s}(x) = prod_{t != s} (x - x_{S_t}) / (x_{S_s} - x_{S_t}) is the Lagrange basis
     polynomial of S that is 1 at x_{S_s}. Its numerator at x_i is P_i / (x_i - x_{S_s}), with
@@ -485,11 +463,9 @@ def _tail_tensor(codes, pairs: np.ndarray) -> np.ndarray:
     per S of the run. At the projective coordinate i = n each x_i - x_{S_t} counts as 1, which
     leaves the x^(k-1) coefficient.
     """
-    f = codes[0].field
     mul, inv = f.mul_table, f.inv_table
-    x = np.array([code._d_encs for code in codes], dtype=np.intp)
     n, k = x.shape[1], pairs.shape[1] - 1
-    diff = np.ones((len(codes), n, n + 1), dtype=np.intp)  # diff[c, j, i] = x_i - x_j, 1 at i = n or j
+    diff = np.ones((len(x), n, n + 1), dtype=np.intp)  # diff[c, j, i] = x_i - x_j, 1 at i = n or j
     diff[:, :, :n] = f.add_table[x[:, None, :], f.neg_table[x][:, :, None]]
     diff[:, np.arange(n), np.arange(n)] = 1
     S, i = pairs[:, :k], pairs[:, k]

@@ -1,15 +1,15 @@
 """Dense matrices over a finite field, exact determinants, and subset scans.
 
 Determinants come from Gaussian elimination, one grid at a time (``det_enc``)
-or a stack at a time by table gathers (``det_stack``, fed runs of column
-subsets by ``column_minors``). Column subsets are always enumerated in
-lexicographic order of their index tuples, which makes the first failing
-minor a reproducible witness. Every batched subset scan (these minors, and in
-``codes`` agreement and the MDS-extension zeros) takes them from ``subset_runs``
-in runs of about ``_RUN_BYTES``, sliced from one shape cache of subset indexes
-(``_subset_index``) or unranked past it, and ``_drop_ranks`` ranks each with a
-point deleted. The cache also holds the frame tables of ``codes``; ``_cached``
-keeps it under ``_INDEX_BYTES``. Only ``matrix`` and ``codes`` use these names.
+or a stack at a time by table gathers (``det_stack``). Column subsets are
+always enumerated in lexicographic order of their index tuples, which makes
+the first failing minor a reproducible witness. Every batched subset scan (in
+``codes`` the k-minors, agreement and the MDS-extension zeros) takes them from
+``subset_runs`` in runs of about ``_RUN_BYTES``, sliced from one shape cache of
+subset indexes (``_subset_index``) or unranked past it, and ``_drop_ranks``
+ranks each with a point deleted. The cache also holds the frame tables of
+``codes``; ``_cached`` keeps it under ``_INDEX_BYTES``. Only ``matrix`` and
+``codes`` use these names.
 """
 
 from __future__ import annotations
@@ -112,16 +112,6 @@ def det_stack(field: FiniteField, stack) -> np.ndarray:
         scale = mul[a[:, c + 1 :, c], inv[top[:, c]][:, None]]
         a[:, c + 1 :, c:] = add[a[:, c + 1 :, c:], neg[mul[scale[:, :, None], top[:, None, c:]]]]
     return det
-
-
-def column_minors(field: FiniteField, rows, size: int):
-    """(subsets, dets) for runs of the size-column minors of a grid with ``size`` rows, or of
-    each grid of a stack, the subsets in lexicographic order (``subset_runs``)."""
-    g = np.array(rows, dtype=np.intp)
-    grids = g[..., 0, 0].size
-    for _, cols in subset_runs(g.shape[-1], size, 32 * size * size * grids):
-        stack = np.moveaxis(g[..., cols], -2, -3)  # (grids..., run, size, size)
-        yield cols, det_stack(field, stack.reshape(-1, size, size)).reshape(stack.shape[:-2])
 
 
 def subset_runs(N: int, m: int, unit: int):

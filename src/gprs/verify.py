@@ -43,7 +43,7 @@ import sys
 from dataclasses import dataclass, field as dc_field, fields
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, index
 
 import numpy as np
 
@@ -79,8 +79,13 @@ class SweepConfig:
     distance_budget: int = DEFAULT_DISTANCE_BUDGET
 
     def __post_init__(self):
+        # integers by ``operator.index``: numpy integers are stored as plain ints, and floats
+        # and strings raise TypeError; a None cap stays None
         object.__setattr__(self, "claims", tuple(self.claims))
-        object.__setattr__(self, "q_list", tuple(int(q) for q in self.q_list))
+        object.__setattr__(self, "q_list", tuple(map(index, self.q_list)))
+        for name in ("words_per_config", "seed", "message_budget", "distance_budget", "max_exclusion_sets_per_q"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, index(value))
         unknown = sorted(set(self.claims) - set(KNOWN_CLAIMS))
         if unknown:
             raise ValueError(f"unknown claims {unknown}; expected {list(KNOWN_CLAIMS)}")
@@ -493,8 +498,12 @@ def _lemma29_rows(q: int, config: SweepConfig):
 
 def _thm11_rows(f: FiniteField, config: SweepConfig):
     """Random GRS non-codewords must satisfy n - deg u <= d(u, C) <= n - k, for lengths n drawn
-    from 3..q, which the claim table's smallest q = 3 keeps nonempty."""
+    from 3..q, which the claim table's smallest q = 3 keeps nonempty. A q above the message
+    budget cannot enumerate even k = 1: it gives one skipped row and draws nothing."""
     q = f.q
+    if q > config.message_budget:
+        detail = f"q^k = {q} codewords at k = 1 exceed message budget {config.message_budget}"
+        return [_row("thm11", f, (), -1, -1, None, detail=detail)]
     rng = _rng(config, "thm11", q)
     kmax_global = 1
     while q ** (kmax_global + 1) <= config.message_budget:

@@ -8,11 +8,14 @@ something the library computes another way:
 * ``expand_shifted_power`` and ``_shifted_power_enc``: (x - a)^m by the
   binomial theorem, against the base words of ``deepholes._family_bases``;
 * ``mds_generator_check``: the all-minors MDS test of one generator by a
-  ``matrix.column_minors`` walk, against ``codes.mds_checks``.
+  ``column_minors`` walk, which eliminates every k-column grid of the
+  generator itself, against ``codes.mds_checks`` and the frame minor tables.
 """
 
+import numpy as np
+
 from gprs.galois import FieldElement, FiniteField, lucas_binom
-from gprs.matrix import Matrix, MdsCheckResult, column_minors
+from gprs.matrix import Matrix, MdsCheckResult, det_stack, subset_runs
 from gprs.polynomial import Polynomial
 
 
@@ -68,3 +71,13 @@ def mds_generator_check(g: Matrix, k: int) -> MdsCheckResult:
     runs = column_minors(g.field, g.row_encodings(), k)
     witness = next((tuple(cols[dets == 0][0].tolist()) for cols, dets in runs if 0 in dets), None)
     return MdsCheckResult(witness is None, witness)
+
+
+def column_minors(field: FiniteField, rows, size: int):
+    """(subsets, dets) for runs of the size-column minors of a grid with ``size`` rows, or of
+    each grid of a stack, the subsets in lexicographic order (``subset_runs``)."""
+    g = np.array(rows, dtype=np.intp)
+    grids = g[..., 0, 0].size
+    for _, cols in subset_runs(g.shape[-1], size, 32 * size * size * grids):
+        stack = np.moveaxis(g[..., cols], -2, -3)  # (grids..., run, size, size)
+        yield cols, det_stack(field, stack.reshape(-1, size, size)).reshape(stack.shape[:-2])

@@ -287,6 +287,12 @@ def test_sweep_out_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["summary"]["refuted"] == 0
+    # a file that cannot be opened is a usage error, exit 2, not 1 ("claim refuted")
+    missing = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "sweep", "--claims", "lemma29", "--q-list", "5", "--out", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_errors(capsys):

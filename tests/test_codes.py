@@ -24,10 +24,11 @@ from gprs.codes import (
 )
 from gprs.deepholes import WordFamilySpec, build_family_word
 from gprs.galois import field, field_of_order
-from gprs.matrix import _subset_index, _subsets, column_minors
+from gprs.matrix import _subset_index, _subsets
 from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
 from gprs.verify import SweepConfig, run_sweep
-from references import mds_generator_check
+import references
+from references import column_minors, mds_generator_check
 
 
 # -- independent oracle: plain-int message enumeration --------------------------
@@ -474,7 +475,7 @@ def test_agreement_tensor_is_cached_when_it_fits():
     # the pair index fits the shape cache and stays there
     code = GprsCode(field_of_order(11), [0], 5)
     pairs = _subset_index(11, 6)
-    T = _tail_tensor([code], pairs)[0]
+    T = _tail_tensor(code.field, np.array([code.evaluation_encodings()]), pairs)[0]
     assert T.shape == (math.comb(10, 6) + math.comb(10, 5), 5) == (math.comb(11, 6), 5)
     assert [tuple(r) for r in pairs] == list(combinations(range(11), 6))
     assert _subset_index(11, 6) is pairs
@@ -509,10 +510,11 @@ def test_tail_tensor_matches_the_per_pair_reference(q):
         slab = [GprsCode(f, rng.sample(range(q), l), k) for k in [rng.randrange(2, q - l)] for _ in range(3)]
         grs = GrsCode(f, rng.sample(range(q), q - l), slab[0].k - 1)
         for codes in (slab, [grs]):
+            x = np.array([code.evaluation_encodings() for code in codes])
             pairs = _subsets(codes[0].length, codes[0].k + 1, 0, math.comb(codes[0].length, codes[0].k + 1))
-            assert (_tail_tensor(codes, pairs) == _tail_tensor_reference(codes, pairs)).all()
+            assert (_tail_tensor(f, x, pairs) == _tail_tensor_reference(codes, pairs)).all()
             for a, b in sorted(rng.sample(range(len(pairs) + 1), 2) for _ in range(4)):
-                assert (_tail_tensor(codes, pairs[a:b]) == _tail_tensor_reference(codes, pairs[a:b])).all()
+                assert (_tail_tensor(f, x, pairs[a:b]) == _tail_tensor_reference(codes, pairs[a:b])).all()
 
 
 def _every_grs_code(q):
@@ -538,7 +540,9 @@ def test_frame_tables_match_the_per_code_builds_on_every_code(q):
         built = np.concatenate([d for _, d in column_minors(f, _generator_stack(codes), k)], axis=1)
         assert (codes_module._minor_tables(codes) == built).all(), (length, k)
         pairs = _subset_index(length, k + 1)
-        assert (codes_module._tails(codes, tails, pairs) == _tail_tensor(codes, pairs)).all(), (length, k)
+        x = np.array([code.evaluation_encodings() for code in codes])
+        gathered = codes_module._gather(tails, codes_module._columns(codes), pairs)
+        assert (gathered == _tail_tensor(f, x, pairs)).all(), (length, k)
 
 
 @pytest.mark.parametrize("two_runs", [300_000, 1_300_000])
@@ -551,8 +555,8 @@ def test_agreement_cached_tensor_scored_in_runs(monkeypatch, two_runs):
 
 
 def _recorded_runs(monkeypatch):
-    """Log the length of each run that ``matrix.subset_runs`` hands any batched scan,
-    one list per scan, and each ``_tail_tensor`` build as (codes, pairs)."""
+    """Log the length of each run that ``matrix.subset_runs`` hands any batched scan, the
+    references' included, one list per scan, and each ``_tail_tensor`` build as (codes, pairs)."""
     scans, builds, runs, tensor = [], [], matrix_module.subset_runs, codes_module._tail_tensor
 
     def subset_runs(*args):
@@ -561,9 +565,10 @@ def _recorded_runs(monkeypatch):
             scans[-1].append(len(run))
             yield a, run
 
-    for module in (matrix_module, codes_module):
+    for module in (matrix_module, codes_module, references):
         monkeypatch.setattr(module, "subset_runs", subset_runs)
-    monkeypatch.setattr(codes_module, "_tail_tensor", lambda c, p: builds.append((len(c), len(p))) or tensor(c, p))
+    monkeypatch.setattr(codes_module, "_tail_tensor",
+                        lambda f, x, p: builds.append((len(x), len(p))) or tensor(f, x, p))
     return scans, builds
 
 
@@ -584,6 +589,41 @@ def test_agreement_slab_that_fits_scores_in_one_run(monkeypatch):
     expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
     assert agreement_distances(slab, words).tolist() == expected
     assert (scans, builds) == ([[35]], [])
+
+
+def test_agreement_builds_each_groups_distinct_codes_once_a_run(monkeypatch):
+    # no frame tensor under a cap of 17500 bytes (GF(7), k = 3 needs C(8, 4) * 72 * 4 = 20160),
+    # so each code builds its own rows; a row and pair take 24 * 4 + 2 * 3 + 40 = 142 bytes
+    # with one word, so a group is (17500 // 35 - 48 * 4) // 142 = 2 rows, whose 35 pairs fit
+    # one run. The slab [A, B, A, A, B] is scored as [A, B], [A, A], [B]: one build per
+    # group, on its distinct codes only.
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", 17500)
+    a, b = GprsCode(field(7), [0], 3), GprsCode(field(7), [6], 3)
+    assert codes_module._frame_tails(a.field, 3) is None
+    built, tensor = [], codes_module._tail_tensor
+    monkeypatch.setattr(codes_module, "_tail_tensor", lambda f, x, p: built.append(x.tolist()) or tensor(f, x, p))
+    slab = [a, b, a, a, b]
+    rng = random.Random(17)
+    words = [[w.encs] for code in slab for w in _kernel_words(code, rng, count=1)[:1]]
+    expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
+    assert agreement_distances(slab, words).tolist() == expected
+    x_a, x_b = list(a.evaluation_encodings()), list(b.evaluation_encodings())
+    assert built == [[x_a, x_b], [x_a], [x_b]]
+
+
+def test_a_code_caches_nothing():
+    # every route reads a code's generator and points afresh, so no call leaves state on it
+    for code in (GprsCode(field(7), [0], 3), GrsCode(field(7), range(6), 3)):
+        word = code.word([1, 2, 3, 4, 5, 6, 1][: code.length])
+        before = dict(vars(code))
+        code._generator_rows()
+        code.error_distance(word)
+        code.error_distance(word, method="agreement")
+        minimum_distances([code, code])
+        mds_checks([code])
+        mds_extension_zeros([code], [[word.encs]])
+        agreement_distances([code], [[word.encs]])
+        assert vars(code) == before
 
 
 def test_one_small_run_cap_splits_every_batched_scan(monkeypatch):
@@ -668,7 +708,7 @@ def test_refused_agreement_call_builds_nothing(monkeypatch):
 
     for name in ("_subsets", "_subset_index", "subset_runs"):
         monkeypatch.setattr(matrix_module, name, refuse)
-    for name in ("subset_runs", "_tail_tensor", "_tail_runs"):
+    for name in ("subset_runs", "_tail_tensor"):
         monkeypatch.setattr(codes_module, name, refuse)
     code = GprsCode(field_of_order(29), [0], 14)
     shapes = list(matrix_module._indexes)
@@ -738,7 +778,7 @@ def test_second_sweep_pass_builds_no_frame_table(monkeypatch):
     # a second pass gathers every table from the shape cache and builds none
     matrix_module._indexes.clear()
     builds = []
-    for name in ("_tail_tensor", "det_stack", "column_minors"):
+    for name in ("_tail_tensor", "det_stack"):
         real = getattr(codes_module, name)
         monkeypatch.setattr(codes_module, name, lambda *a, real=real: builds.append(a) or real(*a))
     config = SweepConfig(claims=("thm14", "thm15"), q_list=(11,), max_exclusion_sets_per_q=8,
@@ -804,7 +844,7 @@ def test_frame_route_is_chosen_by_the_size_of_its_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a frame past one run")
 
-    for name in ("_tail_tensor", "det_stack", "column_minors"):
+    for name in ("_tail_tensor", "det_stack"):
         monkeypatch.setattr(codes_module, name, refuse)
     monkeypatch.setattr(matrix_module, "_subsets", refuse)
     shapes = list(matrix_module._indexes)
@@ -921,13 +961,13 @@ def test_codeword_spans_property(data):
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
-def test_minimum_distance_scans_every_level(i):
+def test_minimum_distance_scans_every_level(monkeypatch, i):
     # a generator whose one weight-1 codeword has its top nonzero message
     # coefficient at row i; every other nonzero codeword weighs at least 2
     code = GprsCode(field(5), [0], 3)
     rows = [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, 1, 4, 4, 1]]
     rows[i] = [0, 0, 0, 0, 1]
-    code._rows_cache = tuple(map(tuple, rows))
+    monkeypatch.setattr(codes_module, "_generator_stack", lambda codes: np.array([rows] * len(codes)))
     assert (_digit_codeword_matrix(code) != 0).sum(axis=1)[1:].min() == 1
     assert code.minimum_distance("bruteforce") == 1
 
@@ -1047,7 +1087,7 @@ def test_slab_minimum_distance_memory_stays_within_one_code_and_one_run():
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_slab_mds_checks_match_the_per_code_scan(monkeypatch, q):
     # on every slab of the grid, by the frame minor tables and, under a run cap below every
-    # frame build, by one column_minors pass per slab
+    # frame build, by the per-code minors of each slab's distinct codes
     f, slabs = field_of_order(q), _grid_slabs(q)
     expected = {shape: [mds_generator_check(code.generator, code.k) for code in slab]
                 for shape, slab in slabs.items()}

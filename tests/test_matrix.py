@@ -9,13 +9,12 @@ from gprs.galois import field, field_of_order
 from gprs.matrix import (
     Matrix,
     MdsCheckResult,
-    column_minors,
     det_enc,
     det_stack,
     first_singular_column_subset,
     subset_runs,
 )
-from references import expand_shifted_power, mds_generator_check, vandermonde_det
+from references import column_minors, expand_shifted_power, mds_generator_check, vandermonde_det
 
 
 # -- independent oracle: cofactor expansion ------------------------------------

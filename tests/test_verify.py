@@ -47,6 +47,24 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             SweepConfig(**bad)
+    # integer fields go through operator.index: floats and strings are refused before any
+    # field is built, and numpy integers are stored as plain ints
+    for bad in (
+        dict(claims=("thm14",), q_list=(7.9,)),
+        dict(claims=("thm14",), q_list=("7",)),
+        dict(claims=("thm14",), q_list=(5,), words_per_config=2.5),
+        dict(claims=("thm14",), q_list=(5,), max_exclusion_sets_per_q=3.0),
+        dict(claims=("thm14",), q_list=(5,), message_budget=1e6),
+        dict(claims=("thm14",), q_list=(5,), distance_budget="100"),
+    ):
+        with pytest.raises(TypeError):
+            SweepConfig(**bad)
+    cfg = SweepConfig(claims=("lemma29",), q_list=(np.int64(5),), words_per_config=np.int64(3),
+                      max_exclusion_sets_per_q=np.int32(2), message_budget=np.int64(10**6),
+                      distance_budget=np.int16(1000))
+    assert all(type(v) is int for v in (*cfg.q_list, cfg.words_per_config, cfg.max_exclusion_sets_per_q,
+                                        cfg.message_budget, cfg.distance_budget))
+    json.loads(run_sweep(cfg).to_json())
 
 
 def test_reports_are_deterministic():
@@ -442,6 +460,17 @@ def test_check_liwan_bounds():
     assert all(r.status == "agreed" for r in rows)
     config9 = SweepConfig(claims=("thm11",), q_list=(9,), words_per_config=10, seed=5)
     assert all(r.status == "agreed" for r in _thm11_rows(field_of_order(9), config9))
+
+
+def test_thm11_past_the_message_budget_is_one_skipped_row(capsys):
+    # q = 7 codewords at k = 1 exceed a budget of 5: thm11 skips the q, as lemma25 skips its
+    # slabs, and the sweep still reports every row
+    rep = run_sweep(SweepConfig(claims=("lemma25", "thm11"), q_list=(7,), message_budget=5))
+    assert rep.summary["skipped"] == rep.summary["total"] > 1
+    (row,) = [r for r in rep.rows if r.claim == "thm11"]
+    assert row.detail == "q^k = 7 codewords at k = 1 exceed message budget 5" and row.k == ""
+    assert main(["sweep", "--claims", "thm11", "--q-list", "7", "--budget", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["skipped"] == 1
 
 
 def test_thm11_sweep_rows():
