@@ -14,7 +14,8 @@ identical invocations produce byte-identical stdout.
 The parser is built once, at import, and declares each shared option once;
 ``main`` only parses, and reads ``GPRS_BUDGET`` afresh on every call. Every
 usage error a handler finds is a ``ValueError`` that ``main`` reports as
-``error: ...`` on stderr, with exit 2; so is an ``OSError`` from writing --out.
+``error: ...`` on stderr, with exit 2; so is an ``OSError`` from --out, whose
+path is opened before the sweep runs.
 """
 
 from __future__ import annotations
@@ -292,8 +293,16 @@ def _cmd_sweep(args) -> int:
         message_budget=args.budget,
         distance_budget=args.distance_budget,
     )
-    report = run_sweep(config)
-    payload = report.to_json() if args.format == "json" else report.to_csv()
+    created = bool(args.out) and not os.path.exists(args.out)
+    if args.out:
+        open(args.out, "a").close()  # refuse an unwritable path before the sweep, truncating nothing
+    try:
+        report = run_sweep(config)
+        payload = report.to_json() if args.format == "json" else report.to_csv()
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(payload)

@@ -33,11 +33,11 @@ count of i > max(S) where it equals the interpolant through S (proved at
 a row per (k+1)-subset of coordinates.
 
 The exact covering radius is the depth of a breadth-first search over the
-q^r syndromes, r = length - k, from zero (``_syndrome_bfs_depth``): a level
-steps each unit column of H by one ``any`` over the state cube and each wider
-column support by gathers. Once r-1 levels have reached more than q^(r-1)
-syndromes and left one unseen, the columns span and the depth is the
-redundancy bound r, so the last level is never expanded.
+q^r syndromes, r = length - k, from zero (``_syndrome_bfs_depth``), stepping by
+the columns of H = [-A^T | I]: a level steps the unit columns by one ``any``
+per axis of the state cube and the k columns of -A^T by gathers. The unit
+columns alone reach every syndrome within r steps, so a syndrome unseen after
+r-1 levels has weight r, and the last level is never expanded.
 
 Every code over F_q takes its coordinates from one frame: the q points of F_q
 in encoding order, then the projective point q. Its generator is the frame
@@ -100,9 +100,8 @@ class ReceivedWord:
         self.encs = encs
 
     def __add__(self, other: "ReceivedWord") -> "ReceivedWord":
-        _check_same_code(self, other)
-        f = self.code.field
-        return ReceivedWord(self.code, [f.add_enc(a, b) for a, b in zip(self.encs, other.encs)])
+        f, encs = self.code.field, self.code._encs_of(other)
+        return ReceivedWord(self.code, [f.add_enc(a, b) for a, b in zip(self.encs, encs)])
 
     def __eq__(self, other):
         if not isinstance(other, ReceivedWord):
@@ -128,13 +127,6 @@ def _codes_compatible(cu, cv) -> bool:
     )
 
 
-def _check_same_code(u: ReceivedWord, v: ReceivedWord):
-    if len(u.encs) != len(v.encs):
-        raise ValueError("words of different lengths")
-    if not _codes_compatible(u.code, v.code):
-        raise ValueError("words belong to different codes")
-
-
 class _EvaluationCode:
     """Shared machinery for GRS/GPRS codes (evaluation set + exact scans)."""
 
@@ -151,6 +143,12 @@ class _EvaluationCode:
     def D(self) -> tuple[FieldElement, ...]:
         return tuple(self.field.element(e) for e in self._d_encs)
 
+    def _encs_of(self, word: ReceivedWord) -> tuple[int, ...]:
+        """The word's encodings, or a ValueError for a word of another code."""
+        if not _codes_compatible(word.code, self):
+            raise ValueError("word belongs to a different code")
+        return word.encs
+
     def word(self, coords) -> ReceivedWord:
         """Build a received word from elements or canonical encodings."""
         return ReceivedWord(self, coords)
@@ -161,7 +159,7 @@ class _EvaluationCode:
     def interpolant(self, word: ReceivedWord) -> Polynomial:
         """Lagrange interpolant of the first n coordinates over D."""
         n = len(self._d_encs)
-        return Polynomial(self.field, _interp_enc(self.field, self._d_encs, word.encs[:n]))
+        return Polynomial(self.field, _interp_enc(self.field, self._d_encs, self._encs_of(word)[:n]))
 
     def encode(self, f: Polynomial) -> ReceivedWord:
         """Codeword of a message polynomial of degree <= k-1."""
@@ -229,21 +227,29 @@ class _EvaluationCode:
         over interpolants of k-subsets of D, checking C(length, k+1) pairs. Both
         refuse a count above the budget before anything is built.
         """
-        if not _codes_compatible(word.code, self):
-            raise ValueError("word belongs to a different code")
+        encs = self._encs_of(word)
         if method == "enumerate":
             self._check_message_budget(budget)
             cw = self._codeword_matrix()
-            target = np.array(word.encs, dtype=np.int16)
+            target = np.array(encs, dtype=np.int16)
             return int((cw != target).sum(axis=1).min())
         if method == "agreement":
             if (pairs := math.comb(self.length, self.k + 1)) > budget:
                 raise BudgetExceededError(f"C(length, k+1) = {pairs} agreement pairs exceed budget {budget}")
-            return int(agreement_distances([self], [[word.encs]])[0, 0])
+            return int(agreement_distances([self], [[encs]])[0, 0])
         raise ValueError(f"unknown error-distance method {method!r}")
 
     def is_codeword(self, word: ReceivedWord) -> bool:
-        return not any(self._syndrome(word.encs))
+        return not any(self._syndrome(self._encs_of(word)))
+
+
+def _dot(f: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] * b[..., j] over the last axis, by table gathers."""
+    terms = f.mul_table[a, b]
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = f.add_table[total, terms[..., j]]
+    return total
 
 
 def _distinct(codes) -> tuple[list, np.ndarray]:
@@ -360,11 +366,7 @@ def mds_extension_zeros(codes, words) -> np.ndarray:
         for a, run in subset_runs(n, k + 1, 8 * (k + 1) * (6 + 2 * (wr.shape[1] + 1) * len(wr))):
             cof = minors[:, matrix._drop_ranks(n, run)]
             cof[..., 1::2] = f.neg_table[cof[..., 1::2]]
-            terms = f.mul_table[wr[:, :, run], cof[:, None]]
-            vals = terms[..., 0]
-            for j in range(1, k + 1):
-                vals = f.add_table[vals, terms[..., j]]
-            found = (fr < 0) & (zero := vals == 0).any(axis=2)
+            found = (fr < 0) & (zero := _dot(f, wr[:, :, run], cof[:, None]) == 0).any(axis=2)
             fr[found] = a + zero[found].argmax(axis=1)
             if (fr >= 0).all():
                 break
@@ -432,10 +434,7 @@ def agreement_distances(codes, words) -> np.ndarray:
         wr, br, carry = w[start : start + group], best[start : start + group], 0
         for _, pairs in subset_runs(top, k + 1, len(wr) * unit + pair_index):
             T = (_tail_tensor(f, points[:, :n], pairs) if frame is None else _gather(frame, points, pairs))[index]
-            terms = f.mul_table[np.take(wr, pairs[:, :k], axis=2), T[:, None]]
-            vals = terms[..., 0]
-            for s in range(1, k):
-                vals = f.add_table[vals, terms[..., s]]
+            vals = _dot(f, np.take(wr, pairs[:, :k], axis=2), T[:, None])
             hits = np.add.reduceat(vals == np.take(wr, pairs[:, k], axis=2), _tail_starts(pairs),
                                    axis=2, dtype=np.intp)
             hits[..., 0] += carry  # the pairs of an S that the last run ended inside
@@ -575,15 +574,15 @@ class GprsCode(_EvaluationCode):
 
         ``syndrome`` returns the largest coset-leader weight, which is the
         depth of a breadth-first search over the q^(length-k) syndromes from
-        zero, one step per scalar multiple of a parity-check column (Cohen,
-        Honkala, Litsyn & Lobstein, *Covering Codes*, 1997, ch. 2); each level
-        steps a unit column by one ``any`` over the frontier and every other
-        group of columns with the same support a block of states at a time, one
-        gather per digit (``_syndrome_bfs_depth``). The search stops at the
-        redundancy bound: when r-1 levels, r = length - k, leave a syndrome
-        unseen but reach more than q^(r-1), the radius is r, so a GPRS code's
-        last level is never expanded. The budget prices the full search, states
-        x generators = q^(length-k) * length * (q-1), an upper bound on its work.
+        zero, one step per scalar multiple of a column of H = [-A^T | I]
+        (Cohen, Honkala, Litsyn & Lobstein, *Covering Codes*, 1997, ch. 2);
+        each level steps the unit columns by one ``any`` per axis of the state
+        cube and the k columns of -A^T a block of states at a time, one gather
+        per digit (``_syndrome_bfs_depth``). The unit columns alone reach every
+        syndrome within r = length - k steps, so a syndrome unseen after r-1
+        levels has weight r and a GPRS code's last level is never expanded. The
+        budget prices the full search, states x generators = q^(length-k) *
+        length * (q-1), an upper bound on its work.
         """
         if mode == "formula":
             return self.field.q - self.l + 1 - self.k
@@ -598,80 +597,54 @@ class GprsCode(_EvaluationCode):
         raise ValueError(f"unknown covering-radius mode {mode!r}")
 
     def _parity_columns(self) -> list[list[int]]:
-        """Columns of H = [-A^T | I]: the syndromes of the unit words. Only the first k need an
-        interpolation; a unit word past the information set is its own syndrome, a unit column."""
-        r = self.length - self.k
-        head = [self._syndrome([int(j == i) for j in range(self.length)]) for i in range(self.k)]
-        return head + [[int(t == i) for t in range(r)] for i in range(r)]
+        """The columns of -A^T in H = [-A^T | I]: the syndromes of the first k unit words."""
+        return [self._syndrome([int(j == i) for j in range(self.length)]) for i in range(self.k)]
 
 
-def _syndrome_bfs_depth(f: FiniteField, columns: list[list[int]]) -> int:
-    """Largest BFS depth over F_q^r, stepping by c * column for every c != 0.
+def _syndrome_bfs_depth(f: FiniteField, dense: list[list[int]]) -> int:
+    """Largest BFS depth over F_q^r from zero, stepping by c * column for every c != 0 and
+    every column of H = [B | I], B = ``dense`` (k columns of length r).
 
     A syndrome is the integer sum_t s_t q^t; adding g moves digit t from d to add(d, g_t),
-    which shifts the integer by step[t, d, g_t]. The generators are grouped by support, the
-    digits they move: for H = [-A^T | I] of an MDS code the k dense columns of -A^T make one
-    group and each unit column one more. A unit column on digit t steps a state to every
-    state that differs from it in digit t alone, so its level is one ``any`` of the frontier
-    mask over axis r-1-t of the (q,)*r state cube. A wider group steps a block of frontier
-    states by all its generators g_j at once, one gather per digit t from
+    which shifts the integer by step[t, d, g_t]. The unit column on digit t steps a state to
+    every state that differs from it in digit t alone, so each level is one ``any`` of the
+    frontier mask over every axis of the (q,)*r state cube. The (q-1)k multiples g_j of B
+    step a block of frontier states at once, one gather per digit t from
     shift[d, j] = step[t, d, g_j[t]]. A block is a run of ``matrix._RUN_BYTES`` /
-    (8 * generators) states, so its (states, generators) shifts fit one run.
+    (8 * (q-1) * (k+r)) states, so its shifts fit one run.
 
-    The search stops at the redundancy bound: if more than q^(r-1) syndromes are reached
-    after r-1 levels and some are still unseen, the depth is r.
-    - Every reached state lies in the span W of the columns. More than q^(r-1) of them means
-      W = F_q^r, so some r columns are independent, and every syndrome is a combination of
-      those r columns: the depth is at most r.
-    - A state still unseen after r-1 levels has weight at least r: the depth is at least r.
-    - Columns that do not span reach at most q^(r-1) states, so they never stop early; their
-      frontier still empties and they still raise.
-    - At r = 1 the one state reached at level 0 is q^0, so the single level still runs.
+    The unit columns alone reach every syndrome within r steps, so a syndrome still unseen
+    after r-1 levels has weight exactly r, and the search returns r there.
     """
-    q, r = f.q, len(columns[0])
-    size = q**r
+    q, r = f.q, len(dense[0])
+    cube = (q,) * r
     place = q ** np.arange(r, dtype=np.int64)
     step = (f.add_table.astype(np.int64) - np.arange(q)[:, None]) * place[:, None, None]
-    supports: dict[tuple, list] = {}
-    for col in columns:
-        supports.setdefault(tuple(t for t in range(r) if col[t]), []).append(col)
-    # a unit column steps by one ``any`` over its digit's axis, a zero column nowhere
-    units = [support[0] for support in supports if len(support) == 1]
-    groups = []  # per wider support, (digit, shift table) over its c * column, c = 1..q-1
-    for support, cols in supports.items():
-        if len(support) > 1:
-            gens = f.mul_table[np.arange(1, q)[:, None, None], np.array(cols)[None]].reshape(-1, r)
-            groups.append([(t, step[t][:, gens[:, t]]) for t in support])
-    run = max(1, matrix._RUN_BYTES // (8 * (q - 1) * len(columns)))
-    seen = np.zeros(size, dtype=bool)
+    gens = f.mul_table[np.arange(1, q)[:, None, None], np.array(dense)[None]].reshape(-1, r)
+    shifts = [step[t][:, gens[:, t]] for t in range(r)]
+    run = max(1, matrix._RUN_BYTES // (8 * (q - 1) * (len(dense) + r)))
+    seen = np.zeros(q**r, dtype=bool)
     seen[0] = True
-    unseen = size - 1
     frontier, mask = np.zeros(1, dtype=np.int64), seen  # level 0's frontier is the zero state
-    depth = 0
-    while unseen > 0:
-        if depth == r - 1 and size - unseen > q ** (r - 1):
-            return r
-        reached = np.zeros(size, dtype=bool)
-        cube = reached.reshape((q,) * r)
-        for t in units:
-            cube |= mask.reshape((q,) * r).any(axis=r - 1 - t, keepdims=True)
+    for depth in range(1, r):
+        reached = np.zeros_like(seen)
+        states = reached.reshape(cube)
+        for axis in range(r):
+            states |= mask.reshape(cube).any(axis=axis, keepdims=True)
         for start in range(0, frontier.size, run):
             block = frontier[start : start + run]
             digits = block // place[:, None] % q
-            for (t, shift), *rest in groups:
-                nxt = shift[digits[t]]
-                nxt += block[:, None]
-                for t, shift in rest:
-                    nxt += shift[digits[t]]
-                reached[nxt] = True
+            nxt = shifts[0][digits[0]]
+            nxt += block[:, None]
+            for t in range(1, r):
+                nxt += shifts[t][digits[t]]
+            reached[nxt] = True
         reached &= ~seen
         seen |= reached
+        if seen.all():
+            return depth
         frontier, mask = np.flatnonzero(reached), reached
-        if not frontier.size:
-            raise ValueError("the columns do not span the syndrome space")
-        unseen -= frontier.size
-        depth += 1
-    return depth
+    return r
 
 
 class GrsCode(_EvaluationCode):

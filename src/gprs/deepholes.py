@@ -45,7 +45,7 @@ import numpy as np
 from .galois import FieldElement, FiniteField, lucas_binom, prime_power_decomposition
 from .polynomial import Polynomial
 from .matrix import det_enc, first_singular_column_subset
-from .codes import DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord, _generator_stack
+from .codes import DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord, _dot, _generator_stack
 
 
 class HypothesisError(ValueError):
@@ -113,16 +113,14 @@ def build_family_word(code: GprsCode, spec: WordFamilySpec) -> ReceivedWord:
 
 def family_words(codes, kind: str, lams, tails, a_js) -> np.ndarray:
     """Words lam * base + sum_i t_i * G_i of each code, (codes, words, length), for the
-    family's base word and the generator rows G_i: one gather per term. G_(k-1) carries
+    family's base word and the generator rows G_i (``codes._dot``). G_(k-1) carries
     t_(k-1) into the projective coordinate. ``lams`` is (codes, words), ``tails`` is
     (codes, words, k), and ``a_js`` one a_j per code (read by the shifted family)."""
     f = codes[0].field
     base = _family_bases(codes, kind, a_js)
     words = f.mul_table[np.asarray(lams, dtype=np.intp)[:, :, None], base[:, None]]
-    tails = np.moveaxis(np.asarray(tails, dtype=np.intp), 2, 0)
-    for t, row in zip(tails, np.moveaxis(_generator_stack(codes), 1, 0)):
-        words = f.add_table[words, f.mul_table[t[:, :, None], row[:, None]]]
-    return words
+    tails = np.asarray(tails, dtype=np.intp)[:, :, None]
+    return f.add_table[words, _dot(f, tails, np.moveaxis(_generator_stack(codes), 1, 2)[:, None])]
 
 
 def _family_bases(codes, kind: str, a_js) -> np.ndarray:
@@ -278,7 +276,7 @@ def _thm15_test(code: GprsCode, a_j) -> _WitnessTest:
 
 
 def _mds_test(code: GprsCode, word: ReceivedWord) -> _WitnessTest:
-    rows = code._generator_rows() + (word.encs,)
+    rows = code._generator_rows() + (code._encs_of(word),)
 
     def minor(cols):
         return det_enc(code.field, [[row[j] for j in cols] for row in rows])
@@ -347,7 +345,7 @@ def _in_family(code: GprsCode, word: ReceivedWord, kind: str, a_j) -> bool:
     """
     f = code.field
     base = _family_bases([code], kind, [a_j])[0].tolist()
-    s_word, s_base = code._syndrome(word.encs), code._syndrome(base)
+    s_word, s_base = code._syndrome(code._encs_of(word)), code._syndrome(base)
     t = next(i for i, b in enumerate(s_base) if b)
     lam = f.div_enc(s_word[t], s_base[t])
     return lam != 0 and all(w == f.mul_enc(lam, b) for w, b in zip(s_word, s_base))

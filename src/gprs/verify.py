@@ -522,7 +522,7 @@ def _thm11_rows(f: FiniteField, config: SweepConfig):
         d = code.error_distance(word, method="enumerate", budget=config.message_budget)
         deg = code.interpolant(word).degree
         ok = (n - deg) <= d <= (n - k)
-        excluded = tuple(e for e in range(q) if e not in set(pts))
+        excluded = tuple(sorted(set(range(q)).difference(pts)))
         cols = dict(
             predicted=f"{n - deg}..{n - k}",
             oracle=str(d),

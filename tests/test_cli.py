@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import gprs.cli as cli
 import gprs.galois as galois
 import gprs.verify as verify
 from gprs.cli import main
@@ -293,6 +294,25 @@ def test_sweep_out_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_sweep_out_path_is_opened_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise ValueError("the sweep failed")
+
+    monkeypatch.setattr(cli, "run_sweep", fail)
+    argv = ("sweep", "--claims", "lemma29", "--q-list", "5", "--out")
+    # an unwritable path is refused without running the sweep
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "report.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno") and "the sweep failed" not in err
+    # a sweep that fails removes the file it created, and leaves an existing report whole
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("report")
+    for target in (fresh, kept):
+        code, out, err = run_cli(capsys, *argv, str(target))
+        assert (code, out, err) == (2, "", "error: the sweep failed\n")
+    assert not fresh.exists() and kept.read_text() == "report"
 
 
 def test_usage_errors(capsys):

@@ -1211,7 +1211,7 @@ def test_parity_columns_annihilate_generator(q):
     # H = [-A^T | I] must satisfy G H^T = 0 for the generator rows 1, x, ..., x^(k-1)
     f = field_of_order(q)
     for code in _pinned_covering_codes(q):
-        cols = code._parity_columns()
+        cols = _with_identity(code._parity_columns())
         for g in code._generator_rows():
             for t in range(code.length - code.k):
                 acc = 0
@@ -1252,66 +1252,65 @@ def _syndrome_bfs_depth_reference(f, columns):
     return depth
 
 
-def _bfs_outcome(bfs, f, columns):
-    # the depth, or the message of the ValueError raised on columns that do not span
-    try:
-        return bfs(f, columns)
-    except ValueError as err:
-        return str(err)
+def _with_identity(dense):
+    # the columns of H = [B | I] for the columns B of length r
+    r = len(dense[0])
+    return dense + [[int(t == u) for u in range(r)] for t in range(r)]
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_syndrome_bfs_matches_the_per_generator_reference(q):
     f = field_of_order(q)
     for code in _pinned_covering_codes(q):
-        columns = code._parity_columns()
-        assert codes_module._syndrome_bfs_depth(f, columns) == _syndrome_bfs_depth_reference(f, columns), (
-            code.spec_string()
-        )
+        dense = code._parity_columns()
+        assert codes_module._syndrome_bfs_depth(f, dense) == _syndrome_bfs_depth_reference(
+            f, _with_identity(dense)
+        ), code.spec_string()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_syndrome_bfs_matches_the_reference_on_any_columns(data):
-    # any columns: parallel, zero (a support with no digit steps nowhere) or not spanning
+    # any B: parallel and zero columns among dense ones
     q = data.draw(st.sampled_from([4, 5, 9]))
     f, r = field_of_order(q), data.draw(st.integers(1, 3))
     column = st.lists(st.integers(0, q - 1), min_size=r, max_size=r)
-    columns = data.draw(st.lists(column, min_size=1, max_size=6))
+    dense = data.draw(st.lists(column, min_size=1, max_size=6))
     if data.draw(st.booleans()):
         c = data.draw(st.integers(1, q - 1))
-        columns += [[0] * r, [f.mul_enc(c, x) for x in columns[0]]]
-    outcome = _bfs_outcome(codes_module._syndrome_bfs_depth, f, columns)
-    assert outcome == _bfs_outcome(_syndrome_bfs_depth_reference, f, columns)
+        dense += [[0] * r, [f.mul_enc(c, x) for x in dense[0]]]
+    depth = codes_module._syndrome_bfs_depth(f, dense)
+    assert depth == _syndrome_bfs_depth_reference(f, _with_identity(dense))
 
 
 def test_syndrome_bfs_matches_the_reference_when_a_level_spans_several_runs(monkeypatch):
-    # a run of b frontier states is capped at 8 * b * (q - 1) * length bytes
+    # a run of b frontier states is capped at 8 * b * (q - 1) * (k + r) bytes
     cases = [(field_of_order(q), GprsCode(field_of_order(q), range(l), 2)._parity_columns())
              for q, l in ((5, 1), (7, 2), (8, 3), (9, 4))]
     cases.append((field_of_order(4), [[1, 0, 0], [0, 0, 0], [1, 1, 0], [2, 3, 1], [0, 0, 1]]))
-    expected = [_syndrome_bfs_depth_reference(f, columns) for f, columns in cases]
+    expected = [_syndrome_bfs_depth_reference(f, _with_identity(dense)) for f, dense in cases]
     for states in (1, 2, 7):
-        for (f, columns), depth in zip(cases, expected):
-            monkeypatch.setattr(matrix_module, "_RUN_BYTES", 8 * states * (f.q - 1) * len(columns))
-            assert codes_module._syndrome_bfs_depth(f, columns) == depth
+        for (f, dense), depth in zip(cases, expected):
+            columns = len(dense) + len(dense[0])
+            monkeypatch.setattr(matrix_module, "_RUN_BYTES", 8 * states * (f.q - 1) * columns)
+            assert codes_module._syndrome_bfs_depth(f, dense) == depth
 
 
 def test_syndrome_bfs_memory_stays_within_one_run_and_the_state_masks():
     # GF(8), l = 2, k = 2: r = 5, q^r = 32768 syndromes, 7 * 7 = 49 generators. A run of b
-    # states holds its digits (8 r b bytes) and, while a group of g generators steps it, the
-    # block and one gathered shift (2 * 8 b g); the widest group is the k(q-1) = 14 dense
-    # columns, and r + 2 * 14 <= 49, so a run's temporaries fit the 8 * 49 * b = _RUN_BYTES
-    # it is cut to. Per state: the seen and reached masks, the negated mask, and 8 bytes of
-    # frontier (the frontiers of two levels are disjoint). Tables stay under 64 KiB.
+    # states holds its digits (8 r b bytes) and, while the k(q-1) = 14 multiples of the dense
+    # columns step it, their sums and one gathered shift (2 * 8 b * 14); r + 2 * 14 <= 49, so a
+    # run's temporaries fit the 8 * 49 * b = _RUN_BYTES it is cut to. Per state: the seen and
+    # reached masks, the negated mask, and 8 bytes of frontier (the frontiers of two levels are
+    # disjoint). Tables stay under 64 KiB.
     code = GprsCode(field(2, 3), [0, 1], 2)
-    columns = code._parity_columns()
+    dense = code._parity_columns()
     q, r = code.field.q, code.length - code.k
-    assert (q - 1) * len(columns) == 49 and r + 2 * code.k * (q - 1) <= 49
+    assert (q - 1) * (len(dense) + r) == 49 and r + 2 * code.k * (q - 1) <= 49
     bound = matrix_module._RUN_BYTES + 11 * q**r + 64 * 1024
     tracemalloc.start()
     try:
-        depth = codes_module._syndrome_bfs_depth(code.field, columns)
+        depth = codes_module._syndrome_bfs_depth(code.field, dense)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1345,62 +1344,46 @@ def test_syndrome_bfs_depth_below_redundancy(p, s, columns, depth):
     assert codes_module._syndrome_bfs_depth(field(p, s), columns) == depth
 
 
-def test_syndrome_bfs_rejects_columns_that_do_not_span():
-    with pytest.raises(ValueError, match="do not span"):
-        codes_module._syndrome_bfs_depth(field(5), [[1, 0], [2, 0]])
-
-
-_SPAN = "the columns do not span the syndrome space"
-
-
 @pytest.mark.parametrize(
-    "p,columns,outcome",
+    "p,columns,depth",
     [
-        # a hyperplane of GF(5)^3, filled in exactly r - 1 = 2 levels: q^(r-1) states reached
-        (5, [[1, 0, 0], [0, 1, 0]], _SPAN),
-        (5, [[1, 1, 0], [0, 1, 1]], _SPAN),
-        # r = 1: level 0 has reached q^0 states, so the one level still runs
-        (5, [[0]], _SPAN),
+        # r = 1: the one level runs
         (5, [[3]], 1),
-        # spanning, with depth exactly r - 1 = 2: the ternary repetition code [4, 1]
-        (3, [[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], 2),
-        # spanning, with a state unseen after r - 1 levels: stopped there at depth r
-        (5, [[1, 0], [0, 1]], 2),
-        (7, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], 3),
-        # unit columns on digits 0 and 1 beside (0, 1, 1): digit t is axis r-1-t of the state
-        # cube, and with those axes swapped the columns would not span
-        (5, [[1, 0, 0], [0, 1, 0], [0, 1, 1]], 3),
+        # depth exactly r - 1 = 2: the ternary repetition code [4, 1]
+        (3, [[1, 1, 1]], 2),
+        # a state unseen after r - 1 levels: stopped there at depth r
+        (5, [[0, 0]], 2),
+        (7, [[1, 1, 0]], 3),
+        # every state seen before r - 1 levels: the binary Hamming code [7, 4], r = 3
+        (2, [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]], 1),
     ],
 )
-def test_syndrome_bfs_stops_at_the_redundancy_bound_with_the_reference_outcome(p, columns, outcome):
+def test_syndrome_bfs_stops_at_the_redundancy_bound_with_the_reference_outcome(p, columns, depth):
     f = field(p)
-    assert _bfs_outcome(_syndrome_bfs_depth_reference, f, columns) == outcome
-    assert _bfs_outcome(codes_module._syndrome_bfs_depth, f, columns) == outcome
+    assert _syndrome_bfs_depth_reference(f, _with_identity(columns)) == depth
+    assert codes_module._syndrome_bfs_depth(f, columns) == depth
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_syndrome_bfs_steps_unit_columns_like_the_reference(data):
     # H = [B | I]: a unit column of B repeats a support of I, and B also holds zero, dense and
-    # parallel columns; at the default run, and at runs of 1 and 7 states. Some draws keep only
-    # part of I: over all of I, stepping digit r-1-t in place of t would give the same level.
+    # parallel columns; at the default run, and at runs of 1 and 7 states
     q = data.draw(st.sampled_from([4, 5, 7]))
     f, r = field_of_order(q), data.draw(st.integers(1, 4))
     digit, scalar = st.integers(0, r - 1), st.integers(1, q - 1)
     unit = st.builds(lambda t, c: [c * (u == t) for u in range(r)], digit, scalar)
-    dense = st.lists(st.integers(0, q - 1), min_size=r, max_size=r)
-    columns = data.draw(st.lists(st.one_of(unit, dense, st.just([0] * r)), max_size=5))
-    if columns and data.draw(st.booleans()):
+    column = st.lists(st.integers(0, q - 1), min_size=r, max_size=r)
+    dense = data.draw(st.lists(st.one_of(unit, column, st.just([0] * r)), min_size=1, max_size=5))
+    if data.draw(st.booleans()):
         c = data.draw(scalar)
-        columns.append([f.mul_enc(c, x) for x in data.draw(st.sampled_from(columns))])
-    identity = range(r) if data.draw(st.booleans()) else sorted(data.draw(st.sets(digit, min_size=1)))
-    columns += [[int(t == u) for u in range(r)] for t in identity]
-    outcome = _bfs_outcome(_syndrome_bfs_depth_reference, f, columns)
-    assert _bfs_outcome(codes_module._syndrome_bfs_depth, f, columns) == outcome
+        dense.append([f.mul_enc(c, x) for x in data.draw(st.sampled_from(dense))])
+    depth = _syndrome_bfs_depth_reference(f, _with_identity(dense))
+    assert codes_module._syndrome_bfs_depth(f, dense) == depth
     for states in (1, 7):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matrix_module, "_RUN_BYTES", 8 * states * (q - 1) * len(columns))
-            assert _bfs_outcome(codes_module._syndrome_bfs_depth, f, columns) == outcome
+            mp.setattr(matrix_module, "_RUN_BYTES", 8 * states * (q - 1) * (len(dense) + r))
+            assert codes_module._syndrome_bfs_depth(f, dense) == depth
 
 
 def test_covering_radius_budget():

@@ -896,3 +896,28 @@ def test_validate_verdict_mds_needs_word():
     v = DeepHoleVerdict(False, "mds_extension", (1, 2, 3))
     with pytest.raises(ValueError):
         validate_verdict(code, v)
+
+
+_WORD_READERS = {
+    "is_codeword": lambda code, w: code.is_codeword(w),
+    "error_distance": lambda code, w: code.error_distance(w),
+    "interpolant": lambda code, w: code.interpolant(w),
+    "mds_extension": is_deep_hole_mds_extension,
+    "degree_k_family": word_in_degree_k_family,
+    "shifted_family": lambda code, w: word_in_shifted_family(code, w, 0),
+    "validate_verdict": lambda code, w: validate_verdict(
+        code, DeepHoleVerdict(False, "mds_extension", (0, 1, 2)), word=w
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_WORD_READERS))
+@pytest.mark.parametrize("excluded", [[1], [0, 1]])
+def test_a_word_of_another_code_is_refused(reader, excluded):
+    # a word of GF(7) minus {1} has the length of the code's, one of GF(7) minus {0, 1} is
+    # shorter; neither may be read as a word of GF(7) minus {0}
+    f = field(7)
+    code, other = GprsCode(f, [0], 2), GprsCode(f, excluded, 2)
+    w = other.word([1] * other.length)
+    with pytest.raises(ValueError, match="word belongs to a different code"):
+        _WORD_READERS[reader](code, w)
