@@ -120,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--words", type=int, default=20, help="random words per row")
     p_sweep.add_argument(
-        "--max-sets", type=int, default=None, help="exclusion-set cap per q"
+        "--max-sets", type=int, default=None, metavar="N",
+        help="exclusion-set cap, split over l: each l in 1..q-3 takes max(1, N // (q-3)) "
+             "of its sets, or all when no more exist (N = 8 at q = 13 takes 10)",
     )
     p_sweep.add_argument(
         "--distance-budget",

@@ -51,12 +51,29 @@ never built; the same builders (``_minors``, ``_tail_tensor``) then run on the
 distinct codes of a group of a slab's rows, in the runs of subsets that
 ``matrix.subset_runs`` hands every batched scan. A code caches nothing.
 
+The paper's families are lam times a base word (x^k, or (x - a)^(q-2)) plus
+a codeword, and neither scaling nor adding a codeword moves the error distance
+or the MDS-extension verdict, so a family is scored by its base word alone
+(``family_verdicts``). Base words are built on a code's points
+(``_base_words``), and on the frame (``_frame_bases``) for two frame tables
+over them, one row per base word and one column per (k+1)-subset of the frame
+points: whether the interpolant through its first k points meets the base word
+at its last (``_frame_hits``, from the tail tensor), and whether the base word
+under the generator has a zero minor there (``_frame_zeros``, from the k-minor
+table).
+``family_verdicts`` also checks that each sampled word is in its family: its
+syndrome (``_syndromes``, from the tail rows of the pairs (0..k-1) + (i,)) is
+lam times the base word's.
+
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
 replaced, the frame tables against the per-code builds on every small code,
 the spans against the digit-by-digit q^k build they replaced, and the slab
 minimum distances, MDS checks and MDS-extension zeros against per-code scans,
-and the syndrome BFS against a BFS that steps one generator at a time.
+and the syndrome BFS against a BFS that steps one generator at a time. It pins
+the batched syndromes to ``_syndrome``, and ``family_verdicts`` to the
+agreement kernel, the MDS-extension zeros and ``_syndrome``, with and without
+the frame tables, on every small code.
 """
 
 from __future__ import annotations
@@ -66,7 +83,7 @@ import operator
 
 import numpy as np
 
-from .galois import FieldElement, FiniteField, field_from_spec
+from .galois import FieldElement, FiniteField, field_from_spec, lucas_binom
 from .polynomial import Polynomial, _eval_enc, _interp_enc
 from . import matrix
 from .matrix import Matrix, MdsCheckResult, det_stack, subset_runs
@@ -252,11 +269,12 @@ def _dot(f: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _distinct(codes) -> tuple[list, np.ndarray]:
-    """The distinct code objects of a slab in first-seen order, and each row's index among them."""
-    uniq = {id(code): code for code in codes}
-    rank = {key: i for i, key in enumerate(uniq)}
-    return list(uniq.values()), np.array([rank[id(code)] for code in codes], dtype=np.intp)
+def _distinct(codes) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes of a slab as frame points (``_columns``) in first-seen order, and each
+    row's index among them. Codes with equal points are one code, whatever their objects."""
+    q, seen = codes[0].field.q, {}
+    index = [seen.setdefault(code._d_encs + (q,) * code._projective, len(seen)) for code in codes]
+    return np.array(list(seen), dtype=np.intp), np.array(index, dtype=np.intp)
 
 
 def _frame_generator(f: FiniteField, k: int) -> np.ndarray:
@@ -312,26 +330,29 @@ def _frame_tails(f: FiniteField, k: int):
 
 
 def _gather(frame, points: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Each code's rows of a frame table at the m-subsets of its coordinates, (codes, subsets):
-    ``points`` maps them to frame points, and the frame subset a is ranked as ``matrix._subsets``
-    unranks, rank = C(N, m) - 1 - sum_j C(N - 1 - a_j, m - j), one column j at a time."""
-    table, binom = frame
+    """Each code's rows of a frame table at the m-subsets of its coordinates, (codes, subsets)."""
+    return frame[0][_ranks(frame[1], points, subsets)]
+
+
+def _ranks(binom: np.ndarray, points: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """The frame rank of each code's m-subsets, (codes, subsets): ``points`` maps them to frame
+    points, and the frame subset a is ranked as ``matrix._subsets`` unranks,
+    rank = C(N, m) - 1 - sum_j C(N - 1 - a_j, m - j), one column j at a time."""
     N, m = len(binom), subsets.shape[-1]
     rank = math.comb(N, m) - 1
     for j in range(m):
         rank = rank - binom[N - 1 - points[:, subsets[:, j]], m - j]
-    return table[rank]
+    return rank
 
 
 def _minor_tables(codes) -> np.ndarray:
     """det G_T of each row's code for every k-column subset T, in lexicographic order, as
     (codes, C(length, k)): gathered from the frame table, or else ``_minors`` of the distinct
     codes per run of subsets (``subset_runs``), at 32 k^2 bytes a subset and code."""
-    uniq, index = _distinct(codes)
-    f, k, length = uniq[0].field, uniq[0].k, uniq[0].length
-    points = _columns(uniq)
+    points, index = _distinct(codes)
+    f, k, length = codes[0].field, codes[0].k, codes[0].length
     if (frame := _frame_minors(f, k)) is None:
-        runs = subset_runs(length, k, 32 * k * k * len(uniq))
+        runs = subset_runs(length, k, 32 * k * k * len(points))
         return np.concatenate([_minors(f, k, points, subsets) for _, subsets in runs], axis=1)[index]
     return _gather(frame, points, matrix._subset_index(length, k))[index]
 
@@ -429,8 +450,7 @@ def agreement_distances(codes, words) -> np.ndarray:
     unit = (_TAIL_BUILD if frame is None else _TAIL_GATHER) * (k + 1) + 2 * k + 40 * w.shape[1]
     group = max(1, (matrix._RUN_BYTES // math.comb(top, k + 1) - pair_index) // unit)
     for start in range(0, len(codes), group):
-        uniq, index = _distinct(codes[start : start + group])
-        points = _columns(uniq)
+        points, index = _distinct(codes[start : start + group])
         wr, br, carry = w[start : start + group], best[start : start + group], 0
         for _, pairs in subset_runs(top, k + 1, len(wr) * unit + pair_index):
             T = (_tail_tensor(f, points[:, :n], pairs) if frame is None else _gather(frame, points, pairs))[index]
@@ -443,6 +463,127 @@ def agreement_distances(codes, words) -> np.ndarray:
             if (br == top - k).all():
                 break
     return top - k - best
+
+
+def _base_words(f: FiniteField, k: int, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The base words of the paper's families at the points x[r] of D, (rows, n + 1): the word of
+    x^k where a[r] = -1, else of (x - a[r])^(q-2), which is 1 / (y - a[r]) at y != a[r], with the
+    x^(k-1) coefficient C(q-2, k-1) * (-a[r])^(q-1-k) as the last coordinate. As k < q - 1, that
+    is C(q-2, k-1) / (-a[r])^k, and 0 at a[r] = 0 (``inv_table`` maps 0 to 0)."""
+    words, deg = np.empty((len(a), x.shape[1] + 1), dtype=np.intp), a < 0
+    if deg.any():
+        power = x
+        for _ in range(1, k):
+            power = f.mul_table[power, x]
+        words[:, :-1], words[:, -1] = power, 0
+    if not deg.all():
+        neg = f.neg_table[np.maximum(a, 0)]
+        power = neg
+        for _ in range(1, k):
+            power = f.mul_table[power, neg]
+        coeff = f.mul_table[lucas_binom(f.q - 2, k - 1, f.p), f.inv_table[power]]
+        np.copyto(words[:, :-1], f.inv_table[f.add_table[x, neg[:, None]]], where=~deg[:, None])
+        np.copyto(words[:, -1], coeff, where=~deg)
+    return words
+
+
+def _frame_bases(f: FiniteField, k: int) -> np.ndarray:
+    """``_base_words`` on the frame, (q + 1, q + 1): row 0 is x^k and row 1 + a is (x - a)^(q-2).
+    Entry (1 + a, a) is never read, as a code of that base word excludes a."""
+    return _base_words(f, k, np.tile(np.arange(f.q), (f.q + 1, 1)), np.arange(-1, f.q))
+
+
+def _frame_hits(f: FiniteField, k: int):
+    """The frame's hits table, (q + 1, C(q + 1, k + 1)) bools: at the pair P = S + (i,) of frame
+    points, does the interpolant through S of base word b (``_frame_bases``) meet it at i? Read
+    from the frame tail tensor one base word at a time; None where that tensor or this build
+    does not fit one run."""
+    if (tails := _frame_tails(f, k)) is None:
+        return None
+
+    def build(pairs):
+        return np.array([_dot(f, word[pairs[:, :k]], tails[0]) == word[pairs[:, k]]
+                         for word in _frame_bases(f, k)])
+
+    return _frame("hits", f, k, k + 1, f.q + 1 + 32 * (k + 1), build)
+
+
+def _frame_zeros(f: FiniteField, k: int):
+    """The frame's zeros table, (q + 1, C(q + 1, k + 1)) bools: is det[G_T; b_T] = 0 at the
+    (k+1)-subset T of frame points for base word b (``_frame_bases``)? Expanded along the word
+    row as in ``mds_extension_zeros``, from the frame k-minor table one base word at a time;
+    None where that table or this build does not fit one run."""
+    if (minors := _frame_minors(f, k)) is None:
+        return None
+
+    def build(subsets):
+        cof = minors[0][matrix._drop_ranks(f.q + 1, subsets)].astype(np.intp)
+        cof[:, 1::2] = f.neg_table[cof[:, 1::2]]
+        return np.array([_dot(f, word[subsets], cof) == 0 for word in _frame_bases(f, k)])
+
+    return _frame("zeros", f, k, k + 1, f.q + 1 + 64 * (k + 1), build)
+
+
+def family_verdicts(codes, a, bases, words, lams, mds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checks of a group of family rows, whose codes share the field, n and k: row r's
+    family is lam times its base word bases[r] plus a codeword of codes[r], and words[r, j] its
+    sampled word of scale lams[r, j]. bases[r] is the word of x^k at a[r] = -1, else of
+    (x - a[r])^(q-2) (``_base_words``). Returns
+
+    * inside, (rows, words): is the syndrome of words[r, j] lams[r, j] times the base word's?
+    * distances, (rows,): the base word's exact error distance to codes[r];
+    * zeros, one per row with mds[r]: the rank of the base word's first (k+1)-subset T with
+      det[G_T; b_T] = 0, or -1 for a deep hole, as ``mds_extension_zeros``.
+
+    The first length - k (k+1)-subsets are the syndrome pairs (0..k-1) + (i,), whose tail rows
+    give the syndromes (``_syndromes``). Where the frame's hits table (and, for mds rows, its
+    zeros table) fits one run, one frame ranking of each distinct code's (k+1)-subsets
+    (``_ranks``) serves all three: the tail rows are read from the frame tail tensor, a distance
+    is a gather of the hits table (``_frame_hits``), one sum per k-subset S of its pairs S + (i,)
+    and a max, as ``agreement_distances`` scores a word, and a zero is the first hit of a gather
+    of the zeros table (``_frame_zeros``). Otherwise the tail rows are built per distinct code
+    (``_tail_tensor``) and the base words go through ``agreement_distances`` and
+    ``mds_extension_zeros``. The rows go a group at a time, as many as fit one run at 64 bytes a
+    ranked subset and 24 bytes a syndrome term.
+    """
+    f, n, k, top = codes[0].field, codes[0].n, codes[0].k, codes[0].length
+    a, mds, rows = np.asarray(a, dtype=np.intp), np.asarray(mds, dtype=bool), np.flatnonzero(mds)
+    w = np.concatenate([np.asarray(words, dtype=np.intp), bases[:, None]], axis=1)
+    lams = np.asarray(lams, dtype=np.intp)[:, :, None]
+    hits, zeros = _frame_hits(f, k), (_frame_zeros(f, k) if rows.size else ())
+    framed = hits is not None and zeros is not None
+    subsets = matrix._subset_index(top, k + 1) if framed else matrix._subsets(top, k + 1, 0, top - k)
+    group = max(1, matrix._RUN_BYTES // (64 * len(subsets) * framed + 24 * w.shape[1] * (top - k) * k))
+    inside, dist = np.empty(lams.shape[:2], dtype=bool), np.empty(len(codes), dtype=np.intp)
+    first = np.full(len(codes), -1)
+    for start in range(0, len(codes), group):
+        part = slice(start, start + group)
+        points, index = _distinct(codes[part])
+        if framed:
+            ranks, b = _ranks(hits[1], points, subsets), a[part, None] + 1
+            T, ranks = _frame_tails(f, k)[0][ranks[:, : top - k]][index], ranks[index]
+            counts = np.add.reduceat(hits[0][b, ranks], _tail_starts(subsets), axis=1, dtype=np.intp)
+            dist[part] = top - k - counts.max(axis=1)
+            if (m := mds[part]).any():
+                zero = zeros[0][b[m], ranks[m]]
+                first[part][m] = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
+        else:
+            T = _tail_tensor(f, points[:, :n], subsets)[index]
+        syn = _syndromes(f, k, w[part], T)
+        inside[part] = (syn[:, :-1] == f.mul_table[lams[part], syn[:, -1:]]).all(axis=2)
+    if not framed:
+        dist = agreement_distances(codes, bases[:, None])[:, 0]
+        if rows.size:
+            first[rows] = mds_extension_zeros([codes[r] for r in rows], bases[rows, None])[:, 0]
+    return inside, dist, first[rows]
+
+
+def _syndromes(f: FiniteField, k: int, words: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """H·w of words[r, j], (rows, words, length - k), equal to ``_syndrome``: w on the last
+    length - k coordinates minus the interpolant through its first k, which at coordinate i is
+    sum_s w_s T[r, i - k, s], the tail rows T of the pairs (0..k-1) + (i,) (``_tail_tensor``)."""
+    through = _dot(f, words[:, :, None, :k], T[:, None])
+    return f.add_table[words[:, :, k:], f.neg_table[through]]
 
 
 def _tail_starts(pairs: np.ndarray) -> np.ndarray:

@@ -18,9 +18,12 @@ covering radius q - l + 1 - k. Four routes produce a verdict:
 Each paper family is one base word plus the code: the word of x^k, or of
 (x - a_j)^(q-2), scaled by lam != 0, plus the codeword of
 nu*x^(k-1) + low. ``family_words`` builds a slab of words that way (rows whose
-codes share the field, n and k), and a word is in a family iff its syndrome is
-a nonzero multiple of the base word's. Base words are table gathers: x^k, and
-(y - a_j)^(q-2) = 1 / (y - a_j) on D, as a_j is excluded.
+codes share the field, n and k) from their base words (``_family_bases``), and
+a word is in a family iff its syndrome is a nonzero multiple of the base
+word's. Base words are table gathers: x^k, and (y - a_j)^(q-2) = 1 / (y - a_j)
+on D, as a_j is excluded. Scaling and adding a codeword move neither the error
+distance nor the MDS-extension verdict, so the base word decides its whole
+family; sweeps score it that way.
 
 The closed-form criteria hard-require their hypotheses (odd characteristic
 included) and raise HypothesisError outside them; the oracles run anywhere.
@@ -45,7 +48,7 @@ import numpy as np
 from .galois import FieldElement, FiniteField, lucas_binom, prime_power_decomposition
 from .polynomial import Polynomial
 from .matrix import det_enc, first_singular_column_subset
-from .codes import DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord, _dot, _generator_stack
+from .codes import DEFAULT_MESSAGE_BUDGET, GprsCode, ReceivedWord, _base_words, _dot, _generator_stack
 
 
 class HypothesisError(ValueError):
@@ -108,39 +111,32 @@ def build_family_word(code: GprsCode, spec: WordFamilySpec) -> ReceivedWord:
     if not low.degree <= code.k - 2:
         raise ValueError(f"low-order part degree {low.degree} exceeds k - 2")
     tail = low.coeffs + (0,) * (code.k - 1 - len(low.coeffs)) + (nu,)
-    return code.word(family_words([code], spec.kind, [[lam]], [[tail]], [spec.a_j])[0, 0].tolist())
+    base = _family_bases([code], spec.kind, [spec.a_j])
+    return code.word(family_words([code], base, [[lam]], [[tail]])[0, 0].tolist())
 
 
-def family_words(codes, kind: str, lams, tails, a_js) -> np.ndarray:
+def family_words(codes, bases, lams, tails) -> np.ndarray:
     """Words lam * base + sum_i t_i * G_i of each code, (codes, words, length), for the
-    family's base word and the generator rows G_i (``codes._dot``). G_(k-1) carries
-    t_(k-1) into the projective coordinate. ``lams`` is (codes, words), ``tails`` is
-    (codes, words, k), and ``a_js`` one a_j per code (read by the shifted family)."""
+    code's base word in ``bases`` (``_family_bases``) and the generator rows G_i
+    (``codes._dot``). G_(k-1) carries t_(k-1) into the projective coordinate. ``lams`` is
+    (codes, words) and ``tails`` is (codes, words, k)."""
     f = codes[0].field
-    base = _family_bases(codes, kind, a_js)
-    words = f.mul_table[np.asarray(lams, dtype=np.intp)[:, :, None], base[:, None]]
+    words = f.mul_table[np.asarray(lams, dtype=np.intp)[:, :, None], np.asarray(bases)[:, None]]
     tails = np.asarray(tails, dtype=np.intp)[:, :, None]
     return f.add_table[words, _dot(f, tails, np.moveaxis(_generator_stack(codes), 1, 2)[:, None])]
 
 
 def _family_bases(codes, kind: str, a_js) -> np.ndarray:
-    """Each code's word of x^k ("deg_k") or of (x - a_j)^(q-2) ("shifted_qminus2"), by
-    table gathers on D: x^k by repeated multiplication, or 1 / (y - a_j) with the x^(k-1)
-    coefficient C(q-2, k-1) * (-a_j)^(q-1-k)."""
-    f, k = codes[0].field, codes[0].k
-    x = np.array([code._d_encs for code in codes], dtype=np.intp)
+    """Each code's word of x^k ("deg_k") or of (x - a_j)^(q-2) ("shifted_qminus2"), a_j one
+    of the code's excluded points, by table gathers on D (``codes._base_words``)."""
     if kind == "deg_k":
-        head, coeff = x, [0] * len(codes)
-        for _ in range(1, k):
-            head = f.mul_table[head, x]
+        a = [-1] * len(codes)
     elif kind == "shifted_qminus2":
-        a = np.array([_excluded_point(code, a_j) for code, a_j in zip(codes, a_js)])
-        head = f.inv_table[f.add_table[x, f.neg_table[a][:, None]]]
-        binom = lucas_binom(f.q - 2, k - 1, f.p)
-        coeff = [f.mul_enc(binom, f.pow_enc(f.neg_enc(e), f.q - 1 - k)) for e in a.tolist()]
+        a = [_excluded_point(code, a_j) for code, a_j in zip(codes, a_js)]
     else:
         raise ValueError(f"unknown family kind {kind!r}")
-    return np.column_stack([head, coeff])
+    x = np.array([code._d_encs for code in codes], dtype=np.intp)
+    return _base_words(codes[0].field, codes[0].k, x, np.array(a, dtype=np.intp))
 
 
 def _excluded_point(code: GprsCode, a_j) -> int:

@@ -16,32 +16,42 @@ Each claim tag names one verifiable statement about GPRS codes:
 * ``lemma29``  v_p(C(q-2, t-1)) == v_p(t), against big-integer binomials
 * ``thm11``  random non-codewords respect n - deg u <= d(u, GRS) <= n - k
 
+thm14..thm17 rows are families lam * base + codeword, decided by the base word
+(x^k, or (x - a_j)^(q-2)), since scaling and adding a codeword move neither the
+error distance nor the MDS-extension verdict: a row covers its whole family.
+Its sampled words are still built and each is class-checked against the base
+word; ``run_sweep`` scores the family rows of one (q, l, k) together.
+
 Each claim is one entry of the claim table ``_CLAIMS``: the function making
-its rows, the smallest q its statement covers, and whether it needs odd
-characteristic. ``run_sweep`` gives every q outside a claim's hypotheses one
+its rows (or, for thm14..thm17, its slabs of family rows), the smallest q its
+statement covers, whether it needs odd characteristic, and whether it is a
+family claim. ``run_sweep`` gives every q outside a claim's hypotheses one
 skipped row that names the failed hypothesis, testing odd characteristic
 first. thm14, thm15, lemma25 and lemma26 share one code grid: every l in
 1..q-3, the exclusion sets of each l, and every k in 2..q-l-1 (thm14 stops at
 q-3).
 
 A sweep is deterministic: equal configs produce byte-identical reports.
-Exclusion sets are enumerated exhaustively when they fit the per-q cap (split
-evenly over the l) and sampled without replacement through a seeded RNG
-otherwise. Rows whose exhaustive check would blow a budget are marked skipped,
-never dropped. Any criterion/oracle disagreement flips the report to
-"refuted" and attaches a machine-readable counterexample to the row.
+A cap of N exclusion sets gives each l in 1..q-3 a quota of max(1, N // (q-3))
+sets: its sets are enumerated exhaustively when they fit the quota and sampled
+without replacement through a seeded RNG otherwise, so one q can take more than
+N sets (N = 8 at q = 13 takes 10). Rows whose exhaustive check would blow a
+budget are marked skipped, never dropped. Any criterion/oracle disagreement
+flips the report to "refuted" and attaches a machine-readable counterexample to
+the row.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 import math
 import random
 import sys
 from dataclasses import dataclass, field as dc_field, fields
-from itertools import combinations
+from itertools import chain, combinations, groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, index
 
@@ -53,9 +63,9 @@ from .codes import (
     DEFAULT_MESSAGE_BUDGET,
     GprsCode,
     GrsCode,
-    agreement_distances,
+    _base_words,
+    family_verdicts,
     mds_checks,
-    mds_extension_zeros,
     minimum_distances,
 )
 from .deepholes import (
@@ -192,8 +202,9 @@ class SweepReport:
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     rows: list[SweepRow] = []
+    families = {}  # q -> per family claim, its slabs of (args, cols, draw) in (l, k) order
     for claim in sorted(set(config.claims)):
-        make_rows, min_q, odd_only = _CLAIMS[claim]
+        make_rows, min_q, odd_only, family = _CLAIMS[claim]
         for q in sorted(set(config.q_list)):
             # lemma29 is a statement about integers: it builds no field
             f = q if claim == "lemma29" else field_of_order(q)
@@ -201,10 +212,17 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 gap = "odd characteristic required"
             elif q < min_q:
                 gap = f"q >= {min_q} required"
+            elif family:
+                families.setdefault(q, []).append(make_rows(f, config))
+                continue
             else:
                 rows.extend(make_rows(f, config))
                 continue
             rows.append(_row(claim, f, (), -1, -1, None, detail=gap))
+    # the family rows of one (q, l, k) share the field, n and k: one scoring pass each
+    for slabs in families.values():
+        for _, group in groupby(heapq.merge(*slabs, key=_slab_key), key=_slab_key):
+            rows.extend(_scored_rows([row for slab in group for row in slab]))
     rows.sort(key=lambda r: r.sort_key)
     summary = {
         "total": len(rows),
@@ -293,8 +311,8 @@ def _unrank_subset(q: int, l: int, rank: int) -> tuple[int, ...]:
 
 
 def _code_grid(f: FiniteField, config: SweepConfig, claim: str, k_cap=None):
-    """The claim's codes, one list per (l, k): every l in 1..q-3, its exclusion sets
-    (the per-q cap is split evenly over the l), and k in 2..q-l-1, at most ``k_cap``."""
+    """The claim's codes, one list per (l, k): every l in 1..q-3, its exclusion sets (at most
+    max(1, cap // (q-3)) of them), and k in 2..q-l-1, at most ``k_cap``."""
     q = f.q
     ls = range(1, q - 2)
     cap = config.max_exclusion_sets_per_q
@@ -307,46 +325,67 @@ def _code_grid(f: FiniteField, config: SweepConfig, claim: str, k_cap=None):
 
 
 def _degree_k_draws(code: GprsCode, rng: random.Random, count: int):
-    """lams and tails of words t(x) + lam*x^k: per word t's k coefficients, then lam."""
+    """Words t(x) + lam*x^k, each as t's k coefficients, then lam, in the order they are drawn."""
     q = code.field.q
-    draws = [[rng.randrange(q) for _ in range(code.k)] + [rng.randrange(1, q)] for _ in range(count)]
-    return [d[-1] for d in draws], [d[:-1] for d in draws]
+    return [[rng.randrange(q) for _ in range(code.k)] + [rng.randrange(1, q)] for _ in range(count)]
 
 
 def _shifted_draws(code: GprsCode, rng: random.Random, count: int):
-    """lams and tails of words lam*(x-a_j)^(q-2) + nu*x^(k-1) + low: per word lam, nu, low's k-1."""
+    """Words lam*(x-a_j)^(q-2) + nu*x^(k-1) + low, each as low's k-1 coefficients, nu, then lam;
+    drawn lam, nu, then low."""
     q = code.field.q
     draws = [[rng.randrange(1, q), rng.randrange(q)] + [rng.randrange(q) for _ in range(code.k - 1)]
              for _ in range(count)]
-    return [d[0] for d in draws], [d[2:] + d[1:2] for d in draws]
+    return [d[2:] + d[1::-1] for d in draws]
 
 
-def _scored_rows(built, mds: bool = False) -> list[SweepRow]:
-    """The rows of one slab, from the (args, cols, draw) of rows whose codes share the field,
-    n and k; ``_row(*args, **cols)`` makes a row. A row with words to score has the draw
-    (code, a_j, lams, tails, expected, miss), a_j None for the degree-k family. The slab's
-    words are built and scored by the oracle and, with ``mds``, the MDS scan, one call
-    each. The oracle column is the last oracle verdict walked; the first word a check
-    rules on differently from ``expected`` refutes the row, with ``miss`` formatted by
-    the word, its distance and the oracle and MDS verdicts as the detail."""
+def _slab_key(slab) -> tuple[int, int]:
+    """(l, k) of a slab of family rows, from its first row's excluded points and k."""
+    _, _, excluded, k, _ = slab[0][0]
+    return len(excluded), k
+
+
+def _scored_rows(built) -> list[SweepRow]:
+    """The rows of one group, from the (args, cols, draw) of family rows whose codes share the
+    field, n and k; ``_row(*args, **cols)`` makes a row. A row with words to score has the draw
+    (code, a_j, words, expected, miss, mds): a_j None for the degree-k family, and per word its
+    tail coefficients t_0..t_(k-1), then lam.
+
+    A family word is lam times its row's base word plus a codeword, and neither scaling by
+    lam != 0 nor adding a codeword moves the error distance or the MDS-extension verdict. So the
+    base word decides the whole family: the group's base words (``_base_words``) get the
+    oracle and, on rows with ``mds``, the MDS scan. Every sampled word is still built
+    (``family_words``) and class-checked; ``family_verdicts`` makes all these checks for the
+    group in one call. The first word outside its row's family, or any word when a base
+    verdict differs from ``expected``, refutes the row: an outside word with a detail that says
+    so, else ``miss`` formatted by the word, the base word's distance and its oracle and MDS
+    verdicts."""
     drawn = [(cols, draw) for _, cols, draw in built if draw]
     if drawn:
-        codes, a_js, lams, tails, expected, _ = zip(*(draw for _, draw in drawn))
-        words = family_words(codes, "deg_k" if a_js[0] is None else "shifted_qminus2", lams, tails, a_js)
-        dist = agreement_distances(codes, words)
+        codes, a_js, draws, expected, misses, mds = zip(*(draw for _, draw in drawn))
+        # (rows, words, k + 1); fromiter reads the nested lists faster than np.array does
+        shape = (len(draws), len(draws[0]), codes[0].k + 1)
+        draws = np.fromiter(chain.from_iterable(chain.from_iterable(draws)), dtype=np.intp,
+                            count=math.prod(shape)).reshape(shape)
+        lams, tails = draws[..., -1], draws[..., :-1]
+        a = np.array([-1 if a_j is None else a_j.encoding for a_j in a_js])
+        bases = _base_words(codes[0].field, codes[0].k, np.array([code._d_encs for code in codes]), a)
+        words = family_words(codes, bases, lams, tails)
+        inside, dist, zeros = family_verdicts(codes, a, bases, words, lams, mds)
         deep = dist == codes[0].covering_radius("formula")
-        checked = deep
-        if mds:
-            checked = mds_extension_zeros(codes, words) < 0
-        want = np.array(expected)[:, None]
+        checked = deep.copy()
+        checked[np.flatnonzero(mds)] = zeros < 0
+        want = np.array(expected)
         bad = (deep != want) | (checked != want)
-        for r, (cols, draw) in enumerate(drawn):
-            j = int(bad[r].argmax()) if bad[r].any() else -1
-            cols["oracle"] = _bool_str(deep[r, j])
-            if j >= 0:
-                word = codes[r].word(words[r, j].tolist()).to_text()
-                cols["ok"], cols["detail"] = False, draw[-1].format(
-                    word=word, oracle=cols["oracle"], mds=_bool_str(checked[r, j]), distance=dist[r, j])
+        oracles = [_bool_str(d) for d in deep.tolist()]
+        for (cols, _), oracle in zip(drawn, oracles):
+            cols["oracle"] = oracle
+        for r in np.flatnonzero(bad | ~inside.all(axis=1)).tolist():
+            j = int((~inside[r] | bad[r]).argmax())
+            word = codes[r].word(words[r, j].tolist()).to_text()
+            drawn[r][0]["ok"], drawn[r][0]["detail"] = False, (
+                f"word={word} is outside its family" if not inside[r, j] else misses[r].format(
+                    word=word, oracle=oracles[r], mds=_bool_str(checked[r]), distance=dist[r]))
     return [_row(*args, **cols) for args, cols, _ in built]
 
 
@@ -354,8 +393,8 @@ def _scored_rows(built, mds: bool = False) -> list[SweepRow]:
 
 
 def _thm14_rows(f: FiniteField, config: SweepConfig):
-    grid = _code_grid(f, config, "thm14", k_cap=f.q - 3)
-    return [row for slab in grid for row in _scored_rows([_thm14_row(c, config) for c in slab], mds=True)]
+    for slab in _code_grid(f, config, "thm14", k_cap=f.q - 3):
+        yield [_thm14_row(c, config) for c in slab]
 
 
 def _thm14_row(code: GprsCode, config: SweepConfig):
@@ -368,15 +407,15 @@ def _thm14_row(code: GprsCode, config: SweepConfig):
         ok, detail = False, "criterion witness failed re-validation"
     rng = _rng(config, "thm14", f.q, _encs_str(excl), code.k)
     miss = "word={word} oracle={oracle} mds={mds} criterion=" + claimed
-    draw = (code, None, *_degree_k_draws(code, rng, config.words_per_config), predicted.is_deep_hole, miss)
+    words = _degree_k_draws(code, rng, config.words_per_config)
+    draw = (code, None, words, predicted.is_deep_hole, miss, True)
     cols = dict(ok=ok, predicted=claimed, witness=_encs_str(predicted.witness or ()), detail=detail)
     return ("thm14", f, excl, code.k, -1), cols, draw
 
 
 def _thm15_rows(f: FiniteField, config: SweepConfig):
-    grid = _code_grid(f, config, "thm15")
-    return [row for slab in grid for row in _scored_rows(
-        [_thm15_row(c, a_j, config) for c in slab for a_j in c.excluded])]
+    for slab in _code_grid(f, config, "thm15"):
+        yield [_thm15_row(c, a_j, config) for c in slab for a_j in c.excluded]
 
 
 def _thm15_row(code: GprsCode, a_j, config: SweepConfig):
@@ -392,13 +431,14 @@ def _thm15_row(code: GprsCode, a_j, config: SweepConfig):
     if ok:
         rng = _rng(config, "thm15", f.q, _encs_str(excl), code.k, a_j.encoding)
         miss = "word={word} oracle={oracle} criterion=" + claimed
-        draw = (code, a_j, *_shifted_draws(code, rng, config.words_per_config), predicted.is_deep_hole, miss)
+        words = _shifted_draws(code, rng, config.words_per_config)
+        draw = (code, a_j, words, predicted.is_deep_hole, miss, False)
     cols = dict(ok=ok, predicted=claimed, witness=_encs_str(predicted.witness or ()), detail=detail)
     return ("thm15", f, excl, code.k, a_j.encoding), cols, draw
 
 
 def _thm16_rows(f: FiniteField, config: SweepConfig):
-    return [row for k in range(2, f.q - 2) for row in _scored_rows([_thm16_row(f, k, config)])]
+    return ([_thm16_row(f, k, config)] for k in range(2, f.q - 2))
 
 
 def _thm16_row(f: FiniteField, k: int, config: SweepConfig):
@@ -413,13 +453,13 @@ def _thm16_row(f: FiniteField, k: int, config: SweepConfig):
     else:
         rng = _rng(config, "thm16", f.q, k)
         draws = _degree_k_draws(code, rng, config.words_per_config)
-        draw = (code, None, *draws, False, "word={word} is a deep hole")
+        draw = (code, None, draws, False, "word={word} is a deep hole", False)
     cols = dict(ok=ok, predicted="false", witness=_encs_str(zs_encs), detail=detail)
     return ("thm16", f, (0,), k, -1), cols, draw
 
 
 def _thm17_rows(f: FiniteField, config: SweepConfig):
-    return [row for k in range(2, f.q - 1) for row in _scored_rows([_thm17_row(f, k, config)])]
+    return ([_thm17_row(f, k, config)] for k in range(2, f.q - 1))
 
 
 def _thm17_row(f: FiniteField, k: int, config: SweepConfig):
@@ -430,7 +470,7 @@ def _thm17_row(f: FiniteField, k: int, config: SweepConfig):
     else:
         rng = _rng(config, "thm17", f.q, k)
         draws = _shifted_draws(code, rng, config.words_per_config)
-        draw = (code, f.zero, *draws, True, "word={word} distance={distance}")
+        draw = (code, f.zero, draws, True, "word={word} distance={distance}", False)
     return ("thm17", f, (0,), k, 0), dict(ok=ok, predicted="true", detail=detail), draw
 
 
@@ -533,16 +573,17 @@ def _thm11_rows(f: FiniteField, config: SweepConfig):
     return rows
 
 
-# claim -> (function making its rows, smallest q, odd characteristic required)
+# claim -> (function making its rows, smallest q, odd characteristic required, whether the
+# function yields slabs of family rows in (l, k) order, which run_sweep scores, or makes rows)
 _CLAIMS = {
-    "thm14": (_thm14_rows, 5, True),
-    "thm15": (_thm15_rows, 4, True),
-    "thm16": (_thm16_rows, 5, True),
-    "thm17": (_thm17_rows, 4, True),
-    "lemma25": (_lemma25_rows, 4, False),
-    "lemma26": (_lemma26_rows, 4, False),
-    "lemma28": (_lemma28_rows, 5, True),
-    "lemma29": (_lemma29_rows, 3, True),
-    "thm11": (_thm11_rows, 3, False),
+    "thm14": (_thm14_rows, 5, True, True),
+    "thm15": (_thm15_rows, 4, True, True),
+    "thm16": (_thm16_rows, 5, True, True),
+    "thm17": (_thm17_rows, 4, True, True),
+    "lemma25": (_lemma25_rows, 4, False, False),
+    "lemma26": (_lemma26_rows, 4, False, False),
+    "lemma28": (_lemma28_rows, 5, True, False),
+    "lemma29": (_lemma29_rows, 3, True, False),
+    "thm11": (_thm11_rows, 3, False, False),
 }
 KNOWN_CLAIMS = tuple(_CLAIMS)

@@ -9,11 +9,17 @@ something the library computes another way:
   binomial theorem, against the base words of ``deepholes._family_bases``;
 * ``mds_generator_check``: the all-minors MDS test of one generator by a
   ``column_minors`` walk, which eliminates every k-column grid of the
-  generator itself, against ``codes.mds_checks`` and the frame minor tables.
+  generator itself, against ``codes.mds_checks`` and the frame minor tables;
+* ``scored_rows_reference``: a sweep's family rows scored word by word, every
+  sampled word through the agreement oracle and the MDS-extension scan,
+  against ``verify._scored_rows``, which scores each row's base word.
 """
 
 import numpy as np
 
+import gprs.codes as codes_module
+from gprs import verify
+from gprs.deepholes import _family_bases, family_words
 from gprs.galois import FieldElement, FiniteField, lucas_binom
 from gprs.matrix import Matrix, MdsCheckResult, det_stack, subset_runs
 from gprs.polynomial import Polynomial
@@ -81,3 +87,34 @@ def column_minors(field: FiniteField, rows, size: int):
     for _, cols in subset_runs(g.shape[-1], size, 32 * size * size * grids):
         stack = np.moveaxis(g[..., cols], -2, -3)  # (grids..., run, size, size)
         yield cols, det_stack(field, stack.reshape(-1, size, size)).reshape(stack.shape[:-2])
+
+
+def scored_rows_reference(built):
+    """``verify._scored_rows`` word by word, as sweeps scored before a base word decided its
+    family: each sampled word gets ``codes.agreement_distances`` and, on rows with mds,
+    ``codes.mds_extension_zeros`` (both read from ``gprs.codes`` at call time). The oracle
+    column is the last oracle verdict walked; the first word a check rules on differently from
+    the row's expectation refutes the row, with the row's miss formatted by that word, its
+    distance and its oracle and MDS verdicts as the detail."""
+    drawn = [(cols, draw) for _, cols, draw in built if draw]
+    if drawn:
+        codes, a_js, draws, expected, misses, mds = zip(*(draw for _, draw in drawn))
+        draws = np.array(draws)
+        bases = np.array([_family_bases([code], "deg_k" if a_j is None else "shifted_qminus2", [a_j])[0]
+                          for code, a_j in zip(codes, a_js)])
+        words = family_words(codes, bases, draws[..., -1], draws[..., :-1])
+        dist = codes_module.agreement_distances(codes, words)
+        deep = dist == codes[0].covering_radius("formula")
+        checked = deep.copy()
+        if rows := [r for r, m in enumerate(mds) if m]:
+            checked[rows] = codes_module.mds_extension_zeros([codes[r] for r in rows], words[rows]) < 0
+        want = np.array(expected)[:, None]
+        bad = (deep != want) | (checked != want)
+        for r, (cols, _) in enumerate(drawn):
+            j = int(bad[r].argmax()) if bad[r].any() else -1
+            cols["oracle"] = verify._bool_str(deep[r, j])
+            if j >= 0:
+                word = codes[r].word(words[r, j].tolist()).to_text()
+                cols["ok"], cols["detail"] = False, misses[r].format(
+                    word=word, oracle=cols["oracle"], mds=verify._bool_str(checked[r, j]), distance=dist[r, j])
+    return [verify._row(*args, **cols) for args, cols, _ in built]

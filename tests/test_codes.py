@@ -18,11 +18,12 @@ from gprs.codes import (
     _tail_starts,
     _tail_tensor,
     agreement_distances,
+    family_verdicts,
     mds_checks,
     mds_extension_zeros,
     minimum_distances,
 )
-from gprs.deepholes import WordFamilySpec, build_family_word
+from gprs.deepholes import WordFamilySpec, _family_bases, build_family_word, family_words
 from gprs.galois import field, field_of_order
 from gprs.matrix import _subset_index, _subsets
 from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
@@ -611,6 +612,73 @@ def test_agreement_builds_each_groups_distinct_codes_once_a_run(monkeypatch):
     assert built == [[x_a, x_b], [x_a], [x_b]]
 
 
+def _base_words(codes, a):
+    return codes_module._base_words(codes[0].field, codes[0].k, np.array([c._d_encs for c in codes]), a)
+
+
+def _family_slabs(q):
+    """Every code over F_q with each base word, x^k (a = -1) and (x - a)^(q-2) per excluded a,
+    as (codes, a, bases) per slab of one (length, k)."""
+    by_shape = {}
+    for code in _every_code(q):
+        for a in (-1, *(e.encoding for e in code.excluded)):
+            by_shape.setdefault((code.length, code.k), []).append((code, a))
+    for rows in by_shape.values():
+        codes, a = [code for code, _ in rows], np.array([a for _, a in rows])
+        yield codes, a, _base_words(codes, a)
+
+
+@pytest.mark.parametrize("framed", [True, False])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_family_verdicts_are_the_per_code_verdicts_of_every_base_word(monkeypatch, q, framed):
+    # on every code and base word: the frame route's gathers, or with no frame table the
+    # per-code route, give the base word the distance of ``agreement_distances`` and the first
+    # zero of ``mds_extension_zeros``; a word lam * base + codeword is inside its family and
+    # the same word with one coordinate moved is outside, as ``_syndrome`` decides
+    if not framed:
+        for name in ("_frame_hits", "_frame_zeros"):
+            monkeypatch.setattr(codes_module, name, lambda f, k: None)
+    rng = random.Random(q)
+    for codes, a, bases in _family_slabs(q):
+        f, n = codes[0].field, codes[0].length
+        kinds = ["deg_k" if e < 0 else "shifted_qminus2" for e in a.tolist()]
+        assert bases.tolist() == [_family_bases([code], kind, [e])[0].tolist()
+                                  for code, kind, e in zip(codes, kinds, a.tolist())]
+        lams = [[rng.randrange(1, q)] * 2 for _ in codes]
+        tails = [[[rng.randrange(q) for _ in range(codes[0].k)]] * 2 for _ in codes]
+        words = family_words(codes, bases, lams, tails)
+        moved = rng.randrange(n)
+        words[:, 1, moved] = f.add_table[words[:, 1, moved], rng.randrange(1, q)]
+        mds = np.arange(len(codes)) % 3 > 0
+        inside, dist, zeros = family_verdicts(codes, a, bases, words, lams, mds)
+        assert dist.tolist() == agreement_distances(codes, bases[:, None])[:, 0].tolist()
+        scan = mds_extension_zeros([c for c, m in zip(codes, mds) if m], bases[mds, None])[:, 0]
+        assert zeros.tolist() == scan.tolist()
+        assert inside[:, 0].all() and not inside[:, 1].any()
+        for code, base, row, lam in zip(codes, bases.tolist(), words.tolist(), lams):
+            scaled = [f.mul_enc(lam[0], s) for s in code._syndrome(base)]
+            assert [code._syndrome(w) == scaled for w in row] == [True, False]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_batched_syndromes_are_the_scalar_syndromes(q):
+    # on every GPRS and GRS code, stacked per (length, k), random words: the syndrome pairs'
+    # tail rows gathered from the frame or built per code give ``_syndrome``
+    rng = random.Random(q)
+    by_shape = {}
+    for code in [*_every_code(q), *_every_grs_code(q)]:
+        by_shape.setdefault((type(code), code.length, code.k), []).append(code)
+    for (_, length, k), codes in by_shape.items():
+        f, n = codes[0].field, codes[0].n
+        words = np.array([[[rng.randrange(q) for _ in range(length)] for _ in range(3)] for _ in codes])
+        pairs = np.column_stack([np.tile(np.arange(k), (length - k, 1)), np.arange(k, length)])
+        points = codes_module._columns(codes)
+        expected = [[code._syndrome(w) for w in row] for code, row in zip(codes, words.tolist())]
+        for T in (codes_module._gather(codes_module._frame_tails(f, k), points, pairs),
+                  _tail_tensor(f, points[:, :n], pairs)):
+            assert codes_module._syndromes(f, k, words, T).tolist() == expected, (length, k)
+
+
 def test_a_code_caches_nothing():
     # every route reads a code's generator and points afresh, so no call leaves state on it
     for code in (GprsCode(field(7), [0], 3), GrsCode(field(7), range(6), 3)):
@@ -754,6 +822,11 @@ def test_subset_indexes_holds_a_sweep_pass_within_its_bound(monkeypatch):
     run_sweep(config)
     shapes = set(matrix_module._indexes)
     assert len(shapes) >= 35
+    # the frame family tables share the cache and its bound
+    f = field_of_order(11)
+    family = {key for key in shapes if key[0] in ("hits", "zeros")}
+    assert {("hits", f, k) for k in range(2, 10)} | {("zeros", f, k) for k in range(2, 9)} <= family
+    assert sum(a.nbytes for entry in matrix_module._indexes.values() for a in entry) <= matrix_module._INDEX_BYTES
     built = []
     real = matrix_module._subsets
     monkeypatch.setattr(matrix_module, "_subsets", lambda *a: built.append(a) or real(*a))
@@ -767,6 +840,62 @@ def test_subset_indexes_holds_a_sweep_pass_within_its_bound(monkeypatch):
             assert held <= matrix_module._INDEX_BYTES
     # the least recently used shapes went first, the last one stays
     assert (23, 21) in matrix_module._indexes and (14, 2) not in matrix_module._indexes
+
+
+def test_frame_family_tables_build_within_one_run_and_never_past_it(monkeypatch):
+    # GF(13), every k: with the tail tensor and k-minor table in the cache, the hits and
+    # zeros tables build one base word at a time within one run. A zeros table comes only
+    # with its minor table (none at k = 7..9, whose minor tables pass one run)
+    monkeypatch.setattr(matrix_module, "_indexes", {})
+    f = field_of_order(13)
+    for k in range(2, 12):
+        tails, minors = codes_module._frame_tails(f, k), codes_module._frame_minors(f, k)
+        tracemalloc.start()
+        try:
+            hits, zeros = codes_module._frame_hits(f, k), codes_module._frame_zeros(f, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tails is not None and hits is not None and (zeros is None) == (minors is None) == (7 <= k <= 9)
+        assert hits[0].shape == (14, math.comb(14, k + 1)) and hits[0].dtype == bool
+        assert peak < matrix_module._RUN_BYTES, k
+    # GF(23), k = 11: no tail tensor and no minor table, so no family table, and nothing built
+    monkeypatch.setattr(matrix_module, "_indexes", {})
+
+    def refuse(*args):
+        raise AssertionError("built past one run")
+
+    for name in ("_tail_tensor", "det_stack"):
+        monkeypatch.setattr(codes_module, name, refuse)
+    monkeypatch.setattr(matrix_module, "_subsets", refuse)
+    f = field_of_order(23)
+    assert codes_module._frame_hits(f, 11) is None and codes_module._frame_zeros(f, 11) is None
+    assert matrix_module._indexes == {}
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_family_verdicts_hold_a_group_of_rows_within_one_run(k):
+    # GF(13), 300 rows of 20 words on one code, every other row with the MDS scan: the rows
+    # go a group at a time, and a call on the frame tables peaks within one run (they are
+    # built first, as they stay in the shape cache). At k = 7..9 there is no zeros table:
+    # the per-code route runs ``mds_extension_zeros`` on the base words, within its own
+    # bound of three runs (``test_mds_extension_zeros_memory_stays_under_the_cap``)
+    f, rng, rows = field_of_order(13), np.random.default_rng(k), 300
+    codes, a = [GprsCode(f, [0], k)] * rows, np.zeros(rows, dtype=np.intp)
+    bases, mds = _base_words(codes, a), np.arange(rows) % 2 == 0
+    lams = rng.integers(1, 13, (rows, 20))
+    words = family_words(codes, bases, lams, rng.integers(0, 13, (rows, 20, k)))
+    words[:, 1, 0] = f.add_table[words[:, 1, 0], 1]
+    family_verdicts(codes[:1], a[:1], bases[:1], words[:1], lams[:1], mds[:1])
+    tracemalloc.start()
+    try:
+        inside, dist, zeros = family_verdicts(codes, a, bases, words, lams, mds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inside[:, 0].all() and not inside[:, 1].any()
+    assert (dist == 13 - k).all() and (zeros == -1).all()  # thm17: every base word is a deep hole
+    assert peak < (3 if 7 <= k <= 9 else 1) * matrix_module._RUN_BYTES, peak
 
 
 def _frame_keys():

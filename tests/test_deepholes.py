@@ -503,7 +503,8 @@ def test_family_words_match_scalar_and_expanded_words(q):
                 _assert_family_word_matches_references(code, spec)
             # a batch of rows is the rows built one at a time
             tails = [_tail(code, s) for s in specs]
-            rows = family_words([code], kind, [[s.lam for s in specs]], [tails], [a_j])[0].tolist()
+            base = _family_bases([code], kind, [a_j])
+            rows = family_words([code], base, [[s.lam for s in specs]], [tails])[0].tolist()
             assert rows == [list(_scalar_family_word(code, s).encs) for s in specs]
 
 
@@ -665,7 +666,7 @@ def test_family_words_of_a_slab_match_scalar_words(q):
             specs = [[_random_spec(code, rng, kind, a_j) for _ in range(3)] for code, a_j in zip(slab, a_js)]
             lams = [[s.lam for s in row] for row in specs]
             tails = [[_tail(code, s) for s in row] for code, row in zip(slab, specs)]
-            assert family_words(slab, kind, lams, tails, a_js).tolist() == [
+            assert family_words(slab, _family_bases(slab, kind, a_js), lams, tails).tolist() == [
                 [list(_scalar_family_word(code, s).encs) for s in row] for code, row in zip(slab, specs)
             ]
 

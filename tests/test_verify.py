@@ -10,10 +10,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import gprs.codes as codes_module
 import gprs.verify as verify
+import references
 from gprs.cli import main
 from gprs.codes import GprsCode
-from gprs.deepholes import DeepHoleVerdict, WordFamilySpec, build_family_word, family_words, zero_sum_subset
+from gprs.deepholes import (
+    DeepHoleVerdict, WordFamilySpec, _family_bases, build_family_word, family_words, zero_sum_subset,
+)
 from gprs.galois import field_of_order
 from gprs.matrix import MdsCheckResult
 from gprs.polynomial import Polynomial
@@ -169,6 +173,16 @@ def test_exclusion_set_cap_is_respected_and_seeded():
     assert all(len(sets) <= 2 for sets in per_l.values())  # 12 // 6 valid l
     rep2 = run_sweep(cfg)
     assert rep.to_json() == rep2.to_json()
+
+
+def test_max_sets_is_a_quota_per_l_as_the_help_says(capsys):
+    # N = 8 at q = 13 gives each of the 10 l a quota of max(1, 8 // 10) = 1 set: 10 sets
+    rep = run_sweep(SweepConfig(claims=("lemma29", "thm14"), q_list=(13,), words_per_config=1,
+                                max_exclusion_sets_per_q=8))
+    sets = {r.excluded for r in rep.rows if r.claim == "thm14"}
+    assert sorted(len(s.split(",")) for s in sets) == list(range(1, 11))
+    assert main(["sweep", "--help"]) == 0
+    assert "max(1, N // (q-3))" in " ".join(capsys.readouterr().out.split())
 
 
 def _materialised_exclusion_sets(q, l, quota, rng):
@@ -349,8 +363,27 @@ def _non_mds(real):
 
 
 def _zero_everywhere(real):
-    # every word's MDS extension has a zero minor, at the first subset
-    return lambda codes, words: np.zeros(np.shape(words)[:2], dtype=np.intp)
+    # every base word's MDS extension has a zero minor, at the first subset; the class
+    # check and the distances are the real ones
+    def lie(*args):
+        inside, distances, zeros = real(*args)
+        return inside, distances, np.zeros_like(zeros)
+
+    return lie
+
+
+def _one_word_moved(real):
+    # the first call's word (0, 1) has its first coordinate moved by one, so that word
+    # leaves its row's family
+    def lie(codes, *args):
+        words = real(codes, *args)
+        if not lie.moved:
+            words[0, 1, 0] = codes[0].field.add_enc(int(words[0, 1, 0]), 1)
+            lie.moved.append(codes[0].word(words[0, 1].tolist()).to_text())
+        return words
+
+    lie.moved = []
+    return lie
 
 
 _DEEP = _always(DeepHoleVerdict(True, "liar"))
@@ -360,7 +393,10 @@ _NOT_DEEP = _always(DeepHoleVerdict(False, "liar"))
 # Each case makes one check lie. What the sweep reported was recorded before
 # the claim table replaced the per-claim row functions; thm14-mds, the one case
 # where only the MDS oracle lies, was recorded while that kernel still lived in
-# gprs.deepholes and returned verdicts. A case gives the name
+# gprs.deepholes and returned verdicts, and kept when the MDS verdict moved to the
+# base word's, read by ``family_verdicts``. thm15-outside, the one case where a
+# sampled word leaves its family, was recorded when the class check came in. A
+# case gives the name
 # patched in gprs.verify, the lie, the claim, q_list and the total and refuted
 # row counts; then every refuted detail up to its first "="; then the first
 # refuted row's excluded, k, aj, oracle and witness; then its detail.
@@ -408,10 +444,16 @@ REFUTATIONS = {
         "criterion witness failed re-validation",
     ),
     "thm14-mds": (
-        ("mds_extension_zeros", _zero_everywhere, "thm14", (5,), 4, 1),
+        ("family_verdicts", _zero_everywhere, "thm14", (5,), 4, 1),
         {"word"},
         ("2,4", "2", "", "true", ""),
         "word=0,4,3,3 oracle=true mds=false criterion=true",
+    ),
+    "thm15-outside": (
+        ("family_words", _one_word_moved, "thm15", (5,), 8, 1),
+        {"word"},
+        ("0", "2", "0", "true", ""),
+        "word=3,1,4,3,0 is outside its family",
     ),
     "thm16-zero-sum": (
         ("validate_verdict", _always(False), "thm16", (5,), 1, 1),
@@ -439,6 +481,71 @@ def test_refutation_channel(monkeypatch, case):
     r = bad[0]
     assert (r.excluded, r.k, r.aj, r.oracle, r.witness) == first
     assert r.detail == detail
+
+
+@pytest.mark.parametrize("claim", ["thm14", "thm15", "thm16", "thm17"])
+def test_the_word_outside_its_family_is_the_one_moved(monkeypatch, claim):
+    # every sampled word is class-checked: the one word moved out of its family refutes
+    # its row alone, and the detail names that word as the sweep built it
+    lie = _one_word_moved(verify.family_words)
+    monkeypatch.setattr(verify, "family_words", lie)
+    rep = run_sweep(SweepConfig(claims=(claim,), q_list=(7,), words_per_config=3, max_exclusion_sets_per_q=4))
+    (moved,) = lie.moved
+    assert [r.detail for r in rep.rows if r.status == "refuted"] == [f"word={moved} is outside its family"]
+
+
+def _per_word_zeros(real):
+    # the thm14-mds lie on the per-word scan the reference calls: every word's MDS extension
+    # has a zero minor, at the first subset
+    return lambda codes, words: np.zeros(np.shape(words)[:2], dtype=np.intp)
+
+
+def _rows(config):
+    rep = run_sweep(config)
+    return [row.to_dict() for row in rep.rows], rep.summary
+
+
+def _assert_scored_as_the_per_word_reference(monkeypatch, config, reference_lies=()):
+    # the rows of the base-word route, field for field, against the per-word scorer with the
+    # lies it needs to see the same checks fail
+    fast = _rows(config)
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_scored_rows", references.scored_rows_reference)
+        for module, name, lie in reference_lies:
+            patched.setattr(module, name, lie(getattr(module, name)))
+        assert fast == _rows(config)
+    return fast
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+def test_base_words_score_as_every_sampled_word(monkeypatch, q):
+    claims = ("thm14", "thm15", "thm16", "thm17")
+    config = SweepConfig(claims=claims, q_list=(q,), words_per_config=3, max_exclusion_sets_per_q=12)
+    rows, summary = _assert_scored_as_the_per_word_reference(monkeypatch, config)
+    assert {row["claim"] for row in rows} == set(claims) and summary["agreed"] == summary["total"]
+
+
+def test_base_words_past_the_frame_score_as_every_sampled_word(monkeypatch):
+    # at q = 19 the hits tables of k = 4..15 pass one run, so those thm16 and thm17 rows take
+    # the per-code route of ``family_verdicts``; k = 2, 3, 16 and 17 keep their tables
+    f = field_of_order(19)
+    framed = [k for k in range(2, 18) if codes_module._frame_hits(f, k) is not None]
+    assert framed == [2, 3, 16, 17]
+    config = SweepConfig(claims=("thm16", "thm17"), q_list=(19,), words_per_config=1)
+    _, summary = _assert_scored_as_the_per_word_reference(monkeypatch, config)
+    assert summary == {"total": 31, "agreed": 31, "refuted": 0, "skipped": 0}
+
+
+@pytest.mark.parametrize("case", [case for case in REFUTATIONS if case != "thm15-outside"])
+def test_every_lie_refutes_as_in_the_per_word_reference(monkeypatch, case):
+    # thm15-outside is left out: only the base-word route class-checks a word; the per-word
+    # reference scores a word moved out of its family by its own distance
+    name, lie, claim, q_list, total, refuted = REFUTATIONS[case][0]
+    monkeypatch.setattr(verify, name, lie(getattr(verify, name)))
+    reference_lies = [(codes_module, "mds_extension_zeros", _per_word_zeros)] if case == "thm14-mds" else []
+    config = SweepConfig(claims=(claim,), q_list=q_list, words_per_config=3, max_exclusion_sets_per_q=4)
+    _, summary = _assert_scored_as_the_per_word_reference(monkeypatch, config, reference_lies)
+    assert (summary["total"], summary["refuted"]) == (total, refuted)
 
 
 def test_lemma28_refutation_exits_one_with_its_subsets(monkeypatch, capsys):
@@ -532,10 +639,9 @@ def _scalar_shifted_words(code, a_j, rng, count):
 
 
 def _sweep_words(code, a_j, draws):
-    # the words a sweep row builds from its draws, as its slab does
-    lams, tails = draws
-    kind = "deg_k" if a_j is None else "shifted_qminus2"
-    return family_words([code], kind, [lams], [tails], [a_j])[0].tolist()
+    # the words a sweep row builds from its draws (per word the tail, then lam), as its group does
+    draws, kind = np.array(draws), "deg_k" if a_j is None else "shifted_qminus2"
+    return family_words([code], _family_bases([code], kind, [a_j]), [draws[:, -1]], [draws[:, :-1]])[0].tolist()
 
 
 @pytest.mark.parametrize("q", [5, 8, 9, 11])
