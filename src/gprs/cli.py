@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from .galois import field_from_spec
+from .galois import field_from_spec, parse_field_spec
 from .polynomial import Polynomial
 from .codes import (
     BudgetExceededError,
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma list from: " + ",".join(KNOWN_CLAIMS),
     )
-    p_sweep.add_argument("--q-list", required=True, help="comma list of prime powers")
+    p_sweep.add_argument("--q-list", required=True, help='comma list of field orders, e.g. "7,3^2"')
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--words", type=int, default=20, help="random words per row")
     p_sweep.add_argument(
@@ -284,8 +284,9 @@ def _cmd_deephole(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # blank entries of either list are skipped; a field order is spelled as for --q
     claims = tuple(c.strip() for c in args.claims.split(",") if c.strip())
-    q_list = tuple(int(q) for q in args.q_list.split(","))
+    q_list = tuple(p**s for p, s in (parse_field_spec(q) for q in args.q_list.split(",") if q.strip()))
     config = SweepConfig(
         claims=claims,
         q_list=q_list,

@@ -345,23 +345,24 @@ def _ranks(binom: np.ndarray, points: np.ndarray, subsets: np.ndarray) -> np.nda
     return rank
 
 
-def _minor_tables(codes) -> np.ndarray:
-    """det G_T of each row's code for every k-column subset T, in lexicographic order, as
-    (codes, C(length, k)): gathered from the frame table, or else ``_minors`` of the distinct
-    codes per run of subsets (``subset_runs``), at 32 k^2 bytes a subset and code."""
+def _minor_tables(codes) -> tuple[np.ndarray, np.ndarray]:
+    """det G_T of each distinct code (``_distinct``) for every k-column subset T in lexicographic
+    order, (distinct codes, C(length, k)), and each row's index among them: gathered from the frame
+    table, or else ``_minors`` per run of subsets (``subset_runs``), at 32 k^2 bytes a subset and code."""
     points, index = _distinct(codes)
     f, k, length = codes[0].field, codes[0].k, codes[0].length
     if (frame := _frame_minors(f, k)) is None:
         runs = subset_runs(length, k, 32 * k * k * len(points))
-        return np.concatenate([_minors(f, k, points, subsets) for _, subsets in runs], axis=1)[index]
-    return _gather(frame, points, matrix._subset_index(length, k))[index]
+        return np.concatenate([_minors(f, k, points, subsets) for _, subsets in runs], axis=1), index
+    return _gather(frame, points, matrix._subset_index(length, k)), index
 
 
 def mds_checks(codes) -> list[MdsCheckResult]:
     """The all-minors MDS test of each code, read from the slab's k-minor tables
     (``_minor_tables``): on failure the witness is the first k-column tuple in lexicographic
     order with a zero minor."""
-    singular = _minor_tables(codes) == 0
+    tables, index = _minor_tables(codes)
+    singular = (tables == 0)[index]
     length, k = codes[0].length, codes[0].k
     return [MdsCheckResult(False, tuple(matrix._subsets(length, k, r, r + 1)[0].tolist()))
             if row[r] else MdsCheckResult(True) for row, r in zip(singular, singular.argmax(axis=1))]
@@ -372,22 +373,22 @@ def mds_extension_zeros(codes, words) -> np.ndarray:
     range(length) in lexicographic order with det[G_T; w_T] = 0, or -1 for none, a deep hole (Dür).
 
     Up to sign, det[G_T; w_T] = sum_j (-1)^j w_(T_j) det G_(T minus T_j): k+1 gathers per run of
-    subsets (``subset_runs``) from a group of rows' k-minor tables (``_minor_tables``), at the
-    ranks of ``matrix._drop_ranks``, until each word of the group has a zero. A group is as many
-    rows as fit one run at 8 bytes a k-minor.
+    subsets (``subset_runs``) from the k-minor table of each distinct code of a group of rows
+    (``_minor_tables``), at the ranks of ``matrix._drop_ranks``, until each word of the group has
+    a zero. A group is as many rows as fit one run at 8 bytes a k-minor.
     """
     f, n, k = codes[0].field, codes[0].length, codes[0].k
     w = np.asarray(words, dtype=np.intp).reshape(len(codes), -1, n)
     first = np.full(w.shape[:2], -1)
     group = max(1, matrix._RUN_BYTES // (8 * math.comb(n, k)))
     for start in range(0, len(codes), group):
-        minors = _minor_tables(codes[start : start + group])
+        minors, index = _minor_tables(codes[start : start + group])
         wr, fr = w[start : start + group], first[start : start + group]
         # a subset's drop ranks and their temporaries; per row a cofactor, per word a point and term
         for a, run in subset_runs(n, k + 1, 8 * (k + 1) * (6 + 2 * (wr.shape[1] + 1) * len(wr))):
             cof = minors[:, matrix._drop_ranks(n, run)]
             cof[..., 1::2] = f.neg_table[cof[..., 1::2]]
-            found = (fr < 0) & (zero := _dot(f, wr[:, :, run], cof[:, None]) == 0).any(axis=2)
+            found = (fr < 0) & (zero := _dot(f, wr[:, :, run], cof[index, None]) == 0).any(axis=2)
             fr[found] = a + zero[found].argmax(axis=1)
             if (fr >= 0).all():
                 break

@@ -438,7 +438,7 @@ def field_of_order(q: int, modulus=None) -> FiniteField:
 
 
 def parse_field_spec(text: str) -> tuple[int, int]:
-    """Parse "p" or "p^s" into (p, s)."""
+    """Parse "p" or "p^s" into (p, s), with p prime and s >= 1."""
     parts = text.strip().split("^")
     try:
         if len(parts) == 1:
@@ -446,7 +446,11 @@ def parse_field_spec(text: str) -> tuple[int, int]:
             _check_order(q, 1)
             return prime_power_decomposition(q)
         if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
+            p, s = int(parts[0]), int(parts[1])
+            _check_order(p, s)
+            if s < 1 or not is_prime(p):
+                raise ValueError("p must be prime and s >= 1")
+            return p, s
     except ValueError as exc:
         raise ValueError(f"bad field spec {text!r}: {exc}") from None
     raise ValueError(f"bad field spec {text!r}")

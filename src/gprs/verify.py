@@ -20,7 +20,10 @@ thm14..thm17 rows are families lam * base + codeword, decided by the base word
 (x^k, or (x - a_j)^(q-2)), since scaling and adding a codeword move neither the
 error distance nor the MDS-extension verdict: a row covers its whole family.
 Its sampled words are still built and each is class-checked against the base
-word; ``run_sweep`` scores the family rows of one (q, l, k) together.
+word; ``run_sweep`` scores the family rows of one (q, l, k) together. The words
+come from one seeded stream per slab (``_draws``): a (claim, q, l, k) slab of
+thm14/thm15 rows, or one thm16/thm17 row, draws all its words before any of its
+criteria run, so a row's words never depend on another row's verdict.
 
 Each claim is one entry of the claim table ``_CLAIMS``: the function making
 its rows (or, for thm14..thm17, its slabs of family rows), the smallest q its
@@ -51,7 +54,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field as dc_field, fields
-from itertools import chain, combinations, groupby
+from itertools import combinations, groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, index
 
@@ -324,19 +327,13 @@ def _code_grid(f: FiniteField, config: SweepConfig, claim: str, k_cap=None):
             yield [GprsCode(f, excl, k) for excl in sets]
 
 
-def _degree_k_draws(code: GprsCode, rng: random.Random, count: int):
-    """Words t(x) + lam*x^k, each as t's k coefficients, then lam, in the order they are drawn."""
-    q = code.field.q
-    return [[rng.randrange(q) for _ in range(code.k)] + [rng.randrange(1, q)] for _ in range(count)]
-
-
-def _shifted_draws(code: GprsCode, rng: random.Random, count: int):
-    """Words lam*(x-a_j)^(q-2) + nu*x^(k-1) + low, each as low's k-1 coefficients, nu, then lam;
-    drawn lam, nu, then low."""
-    q = code.field.q
-    draws = [[rng.randrange(1, q), rng.randrange(q)] + [rng.randrange(q) for _ in range(code.k - 1)]
-             for _ in range(count)]
-    return [d[2:] + d[1::-1] for d in draws]
+def _draws(rng: random.Random, q: int, rows: int, words: int, k: int) -> np.ndarray:
+    """A slab's family draws, (rows, words, k + 1): per word its tail coefficients t_0..t_(k-1),
+    then lam. All the tails come first in one call, then all the scales lam in 1..q-1."""
+    draws = np.empty((rows, words, k + 1), dtype=np.intp)
+    draws[..., :k] = np.reshape(rng.choices(range(q), k=rows * words * k), (rows, words, k))
+    draws[..., k] = np.reshape(rng.choices(range(1, q), k=rows * words), (rows, words))
+    return draws
 
 
 def _slab_key(slab) -> tuple[int, int]:
@@ -348,8 +345,8 @@ def _slab_key(slab) -> tuple[int, int]:
 def _scored_rows(built) -> list[SweepRow]:
     """The rows of one group, from the (args, cols, draw) of family rows whose codes share the
     field, n and k; ``_row(*args, **cols)`` makes a row. A row with words to score has the draw
-    (code, a_j, words, expected, miss, mds): a_j None for the degree-k family, and per word its
-    tail coefficients t_0..t_(k-1), then lam.
+    (code, a_j, words, expected, miss, mds): a_j None for the degree-k family, and ``words`` the
+    row's block of its slab's ``_draws``, per word its tail coefficients t_0..t_(k-1), then lam.
 
     A family word is lam times its row's base word plus a codeword, and neither scaling by
     lam != 0 nor adding a codeword moves the error distance or the MDS-extension verdict. So the
@@ -363,10 +360,7 @@ def _scored_rows(built) -> list[SweepRow]:
     drawn = [(cols, draw) for _, cols, draw in built if draw]
     if drawn:
         codes, a_js, draws, expected, misses, mds = zip(*(draw for _, draw in drawn))
-        # (rows, words, k + 1); fromiter reads the nested lists faster than np.array does
-        shape = (len(draws), len(draws[0]), codes[0].k + 1)
-        draws = np.fromiter(chain.from_iterable(chain.from_iterable(draws)), dtype=np.intp,
-                            count=math.prod(shape)).reshape(shape)
+        draws = np.stack(draws)
         lams, tails = draws[..., -1], draws[..., :-1]
         a = np.array([-1 if a_j is None else a_j.encoding for a_j in a_js])
         bases = _base_words(codes[0].field, codes[0].k, np.array([code._d_encs for code in codes]), a)
@@ -392,12 +386,18 @@ def _scored_rows(built) -> list[SweepRow]:
 # -- claim builders -----------------------------------------------------------
 
 
+def _slab_draws(config: SweepConfig, claim: str, slab, rows: int) -> np.ndarray:
+    """``_draws`` of ``rows`` family rows of a (claim, q, l, k) slab of codes, from its one stream."""
+    q, l, k = slab[0].field.q, len(slab[0].excluded), slab[0].k
+    return _draws(_rng(config, claim, q, l, k), q, rows, config.words_per_config, k)
+
+
 def _thm14_rows(f: FiniteField, config: SweepConfig):
     for slab in _code_grid(f, config, "thm14", k_cap=f.q - 3):
-        yield [_thm14_row(c, config) for c in slab]
+        yield [_thm14_row(c, words) for c, words in zip(slab, _slab_draws(config, "thm14", slab, len(slab)))]
 
 
-def _thm14_row(code: GprsCode, config: SweepConfig):
+def _thm14_row(code: GprsCode, words: np.ndarray):
     f = code.field
     excl = tuple(e.encoding for e in code.excluded)
     predicted = thm14_criterion(code)
@@ -405,9 +405,7 @@ def _thm14_row(code: GprsCode, config: SweepConfig):
     ok, detail = True, ""
     if predicted.witness is not None and not validate_verdict(code, predicted):
         ok, detail = False, "criterion witness failed re-validation"
-    rng = _rng(config, "thm14", f.q, _encs_str(excl), code.k)
     miss = "word={word} oracle={oracle} mds={mds} criterion=" + claimed
-    words = _degree_k_draws(code, rng, config.words_per_config)
     draw = (code, None, words, predicted.is_deep_hole, miss, True)
     cols = dict(ok=ok, predicted=claimed, witness=_encs_str(predicted.witness or ()), detail=detail)
     return ("thm14", f, excl, code.k, -1), cols, draw
@@ -415,10 +413,11 @@ def _thm14_row(code: GprsCode, config: SweepConfig):
 
 def _thm15_rows(f: FiniteField, config: SweepConfig):
     for slab in _code_grid(f, config, "thm15"):
-        yield [_thm15_row(c, a_j, config) for c in slab for a_j in c.excluded]
+        draws = iter(_slab_draws(config, "thm15", slab, len(slab) * len(slab[0].excluded)))
+        yield [_thm15_row(c, a_j, next(draws)) for c in slab for a_j in c.excluded]
 
 
-def _thm15_row(code: GprsCode, a_j, config: SweepConfig):
+def _thm15_row(code: GprsCode, a_j, words: np.ndarray):
     f = code.field
     excl = tuple(e.encoding for e in code.excluded)
     predicted = thm15_criterion(code, a_j)
@@ -429,9 +428,7 @@ def _thm15_row(code: GprsCode, a_j, config: SweepConfig):
     if predicted.witness is not None and not validate_verdict(code, predicted, a_j=a_j):
         ok, detail = False, "criterion witness failed re-validation"
     if ok:
-        rng = _rng(config, "thm15", f.q, _encs_str(excl), code.k, a_j.encoding)
         miss = "word={word} oracle={oracle} criterion=" + claimed
-        words = _shifted_draws(code, rng, config.words_per_config)
         draw = (code, a_j, words, predicted.is_deep_hole, miss, False)
     cols = dict(ok=ok, predicted=claimed, witness=_encs_str(predicted.witness or ()), detail=detail)
     return ("thm15", f, excl, code.k, a_j.encoding), cols, draw
@@ -443,6 +440,7 @@ def _thm16_rows(f: FiniteField, config: SweepConfig):
 
 def _thm16_row(f: FiniteField, k: int, config: SweepConfig):
     code = GprsCode(f, [0], k)
+    (words,) = _draws(_rng(config, "thm16", f.q, k), f.q, 1, config.words_per_config, k)
     predicted = thm14_criterion(code)
     zs_encs = tuple(e.encoding for e in zero_sum_subset(f, k))
     ok, detail, draw = True, "", None
@@ -451,9 +449,7 @@ def _thm16_row(f: FiniteField, k: int, config: SweepConfig):
     elif not validate_verdict(code, DeepHoleVerdict(False, "thm14", zs_encs)):
         ok, detail = False, "constructed zero-sum subset rejected"
     else:
-        rng = _rng(config, "thm16", f.q, k)
-        draws = _degree_k_draws(code, rng, config.words_per_config)
-        draw = (code, None, draws, False, "word={word} is a deep hole", False)
+        draw = (code, None, words, False, "word={word} is a deep hole", False)
     cols = dict(ok=ok, predicted="false", witness=_encs_str(zs_encs), detail=detail)
     return ("thm16", f, (0,), k, -1), cols, draw
 
@@ -464,13 +460,12 @@ def _thm17_rows(f: FiniteField, config: SweepConfig):
 
 def _thm17_row(f: FiniteField, k: int, config: SweepConfig):
     code = GprsCode(f, [0], k)
+    (words,) = _draws(_rng(config, "thm17", f.q, k), f.q, 1, config.words_per_config, k)
     ok, detail, draw = True, "", None
     if not thm15_criterion(code, f.zero).is_deep_hole:
         ok, detail = False, "criterion rejected the shifted family"
     else:
-        rng = _rng(config, "thm17", f.q, k)
-        draws = _shifted_draws(code, rng, config.words_per_config)
-        draw = (code, f.zero, draws, True, "word={word} distance={distance}", False)
+        draw = (code, f.zero, words, True, "word={word} distance={distance}", False)
     return ("thm17", f, (0,), k, 0), dict(ok=ok, predicted="true", detail=detail), draw
 
 

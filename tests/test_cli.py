@@ -272,6 +272,17 @@ def test_sweep_csv_and_determinism(capsys):
     assert out1.splitlines()[0].startswith("claim,q,")
 
 
+def test_sweep_q_list_reads_entries_as_q_does(capsys):
+    # a blank entry is skipped, as --claims skips one, and an entry is a field spec like --q's
+    argv = ("sweep", "--claims", "thm15,lemma29", "--words", "2", "--q-list")
+    assert run_cli(capsys, *argv, "7,") == run_cli(capsys, *argv, "7")
+    nine = run_cli(capsys, *argv, "9")
+    assert nine[0] == 0 and run_cli(capsys, *argv, "3^2") == nine
+    for entry in ("x", "4^2"):
+        code, out, err = run_cli(capsys, *argv, f"7,{entry}")
+        assert (code, out) == (2, "") and f"bad field spec {entry!r}" in err
+
+
 def test_sweep_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, err = run_cli(

@@ -539,7 +539,8 @@ def test_frame_tables_match_the_per_code_builds_on_every_code(q):
         minors, tails = codes_module._frame_minors(f, k), codes_module._frame_tails(f, k)
         assert minors is not None and tails is not None
         built = np.concatenate([d for _, d in column_minors(f, _generator_stack(codes), k)], axis=1)
-        assert (codes_module._minor_tables(codes) == built).all(), (length, k)
+        tables, index = codes_module._minor_tables(codes)
+        assert (tables[index] == built).all(), (length, k)
         pairs = _subset_index(length, k + 1)
         x = np.array([code.evaluation_encodings() for code in codes])
         gathered = codes_module._gather(tails, codes_module._columns(codes), pairs)
@@ -753,6 +754,25 @@ def test_mds_extension_zeros_memory_stays_under_the_cap():
     assert peak < 3 * matrix_module._RUN_BYTES
 
 
+def test_mds_extension_zeros_of_rows_on_one_code_fit_one_run():
+    # GF(13), k = 7, past the frame tables: 150 rows of one code keep one k-minor table. A
+    # copy per row, 150 * C(13, 7) * 8 bytes, would take about half a run by itself, and
+    # with the scan's temporaries pass one
+    f, k, rows = field_of_order(13), 7, 150
+    code = GprsCode(f, [0], k)
+    words = [build_family_word(code, WordFamilySpec("shifted_qminus2", 1 + r % 12, r % 13, 0)).encs
+             for r in range(rows)]
+    mds_extension_zeros([code], [words[:1]])
+    tracemalloc.start()
+    try:
+        zeros = mds_extension_zeros([code] * rows, [[w] for w in words])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (zeros == -1).all()  # thm17: every shifted word at a_j = 0 is a deep hole
+    assert peak < matrix_module._RUN_BYTES, peak
+
+
 def test_agreement_budget_counts_pairs_before_building():
     # the agreement route prices a call at C(length, k+1) pairs: C(n, k+1) on D
     # and C(n, k) at the projective coordinate
@@ -878,8 +898,8 @@ def test_family_verdicts_hold_a_group_of_rows_within_one_run(k):
     # GF(13), 300 rows of 20 words on one code, every other row with the MDS scan: the rows
     # go a group at a time, and a call on the frame tables peaks within one run (they are
     # built first, as they stay in the shape cache). At k = 7..9 there is no zeros table:
-    # the per-code route runs ``mds_extension_zeros`` on the base words, within its own
-    # bound of three runs (``test_mds_extension_zeros_memory_stays_under_the_cap``)
+    # the per-code route runs ``mds_extension_zeros`` on the base words, whose rows of one
+    # code share its minor table (``test_mds_extension_zeros_of_rows_on_one_code_fit_one_run``)
     f, rng, rows = field_of_order(13), np.random.default_rng(k), 300
     codes, a = [GprsCode(f, [0], k)] * rows, np.zeros(rows, dtype=np.intp)
     bases, mds = _base_words(codes, a), np.arange(rows) % 2 == 0
@@ -895,7 +915,7 @@ def test_family_verdicts_hold_a_group_of_rows_within_one_run(k):
         tracemalloc.stop()
     assert inside[:, 0].all() and not inside[:, 1].any()
     assert (dist == 13 - k).all() and (zeros == -1).all()  # thm17: every base word is a deep hole
-    assert peak < (3 if 7 <= k <= 9 else 1) * matrix_module._RUN_BYTES, peak
+    assert peak < matrix_module._RUN_BYTES, peak
 
 
 def _frame_keys():

@@ -383,8 +383,8 @@ def test_field_spec_parsing():
     assert parse_field_spec("7") == (7, 1)
     assert field_from_spec("3^2", "2,2,1").modulus == (2, 2, 1)
     assert field_from_spec("9") == field(3, 2)
-    for bad in ("", "x", "3^", "3^2^2", "6"):
-        with pytest.raises(ValueError):
+    for bad in ("", "x", "3^", "3^2^2", "6", "4^2", "1^3", "7^0", "3^-1"):
+        with pytest.raises(ValueError, match=re.escape(f"bad field spec {bad!r}")):
             field_from_spec(bad)
 
 

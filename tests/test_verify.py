@@ -3,9 +3,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,13 +408,13 @@ REFUTATIONS = {
         ("thm14_criterion", _negated, "thm14", (5,), 4, 4),
         {"word"},
         ("1", "2", "", "false", ""),
-        "word=4,4,1,1,2 oracle=false mds=false criterion=true",
+        "word=2,3,0,3,2 oracle=false mds=false criterion=true",
     ),
     "thm15": (
         ("thm15_criterion", _negated, "thm15", (5, 9), 64, 64),
         {"word", "p | k must force a positive verdict"},
         ("0", "2", "0", "true", ""),
-        "word=4,4,1,1,3 oracle=true criterion=false",
+        "word=1,1,3,3,3 oracle=true criterion=false",
     ),
     "thm16": (
         ("thm14_criterion", _DEEP, "thm16", (5,), 1, 1),
@@ -447,13 +450,13 @@ REFUTATIONS = {
         ("family_verdicts", _zero_everywhere, "thm14", (5,), 4, 1),
         {"word"},
         ("2,4", "2", "", "true", ""),
-        "word=0,4,3,3 oracle=true mds=false criterion=true",
+        "word=2,1,3,0 oracle=true mds=false criterion=true",
     ),
     "thm15-outside": (
         ("family_words", _one_word_moved, "thm15", (5,), 8, 1),
         {"word"},
         ("0", "2", "0", "true", ""),
-        "word=3,1,4,3,0 is outside its family",
+        "word=0,2,3,1,0 is outside its family",
     ),
     "thm16-zero-sum": (
         ("validate_verdict", _always(False), "thm16", (5,), 1, 1),
@@ -616,47 +619,93 @@ def test_deephole_sweep_oracle_interpolates_no_subsets(monkeypatch):
     assert calls[0] <= rep.summary["total"]
 
 
-def _scalar_degree_k_words(code, rng, count):
-    # reference: one polynomial per word, evaluated coordinate by coordinate
-    f = code.field
-    for _ in range(count):
-        encs = [rng.randrange(f.q) for _ in range(code.k)]
-        encs.append(rng.randrange(1, f.q))
-        yield code.word_from_poly(Polynomial(f, encs))
-
-
-def _scalar_shifted_words(code, a_j, rng, count):
-    f = code.field
-    for _ in range(count):
-        spec = WordFamilySpec(
-            kind="shifted_qminus2",
-            lam=rng.randrange(1, f.q),
-            nu=rng.randrange(f.q),
-            a_j=a_j,
-            low=Polynomial(f, [rng.randrange(f.q) for _ in range(code.k - 1)]),
-        )
-        yield build_family_word(code, spec)
-
-
-def _sweep_words(code, a_j, draws):
-    # the words a sweep row builds from its draws (per word the tail, then lam), as its group does
-    draws, kind = np.array(draws), "deg_k" if a_j is None else "shifted_qminus2"
-    return family_words([code], _family_bases([code], kind, [a_j]), [draws[:, -1]], [draws[:, :-1]])[0].tolist()
-
-
 @pytest.mark.parametrize("q", [5, 8, 9, 11])
 def test_sweep_words_match_the_scalar_route_draw_for_draw(q):
-    # the batched family words draw the same values in the same order
+    # each row of a slab's draws, built as its group builds it (``family_words``), is the word
+    # ``build_family_word`` makes of the same lam, nu = t_(k-1) and low = t_0..t_(k-2); a
+    # degree-k word is also the polynomial t(x) + lam x^k evaluated coordinate by coordinate
     f = field_of_order(q)
     rng = random.Random(q)
     for _ in range(10):
         l = rng.randrange(1, q - 2)
         code = GprsCode(f, rng.sample(range(q), l), rng.randrange(2, q - l))
-        a_j = rng.choice(code.excluded)
-        seed = rng.random()
-        assert _sweep_words(code, None, verify._degree_k_draws(code, random.Random(seed), 7)) == [
-            list(w.encs) for w in _scalar_degree_k_words(code, random.Random(seed), 7)
-        ]
-        assert _sweep_words(code, a_j, verify._shifted_draws(code, random.Random(seed), 7)) == [
-            list(w.encs) for w in _scalar_shifted_words(code, a_j, random.Random(seed), 7)
-        ]
+        draws = verify._draws(random.Random(rng.random()), q, 2, 7, code.k)
+        for draw, (kind, a_j) in zip(draws, [("deg_k", None), ("shifted_qminus2", rng.choice(code.excluded))]):
+            built = family_words([code], _family_bases([code], kind, [a_j]), draw[None, :, -1], draw[None, :, :-1])
+            for word, (*low, nu, lam) in zip(built[0].tolist(), draw.tolist()):
+                spec = WordFamilySpec(kind, lam, nu, a_j, Polynomial(f, low))
+                assert word == list(build_family_word(code, spec).encs)
+                if a_j is None:
+                    assert word == list(code.word_from_poly(Polynomial(f, [*low, nu, lam])).encs)
+
+
+@pytest.mark.parametrize("q", [3, 4, 7, 9])
+def test_draws_take_the_tails_then_the_nonzero_scales_from_one_stream(q):
+    draws = verify._draws(random.Random(q), q, 40, 6, 3)
+    assert draws.shape == (40, 6, 4) and draws.dtype == np.intp
+    lams, tails = draws[..., -1], draws[..., :-1]
+    # every tail in 0..q-1 and every lam in 1..q-1, and at these sizes each value turns up
+    assert set(tails.ravel().tolist()) == set(range(q))
+    assert set(lams.ravel().tolist()) == set(range(1, q))
+    # one call for all the tails, in row, word, coefficient order, then one for the scales
+    replay = random.Random(q)
+    assert tails.ravel().tolist() == replay.choices(range(q), k=40 * 6 * 3)
+    assert lams.ravel().tolist() == replay.choices(range(1, q), k=40 * 6)
+
+
+def test_a_sweep_seeds_one_generator_per_slab(monkeypatch):
+    # GF(7): 4 values of l, each with its exclusion sets per claim (8), then one stream per
+    # (claim, l, k) slab: 9 for thm14 (k <= q - 3) and 10 for thm15
+    seeds = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(verify.random, "Random", Counted)
+    rep = run_sweep(SweepConfig(claims=("thm14", "thm15"), q_list=(7,), words_per_config=5))
+    assert rep.summary["total"] == rep.summary["agreed"] == 693
+    assert len(seeds) == 27
+    assert sum("/sets/" in seed for seed in seeds) == 8
+
+
+def _drawn_words(monkeypatch, config):
+    """The report of a sweep and, per family row, the words it drew (None for a row not scored)."""
+    words, real = {}, verify._scored_rows
+
+    def record(built):
+        words.update((args, None if draw is None else draw[2].tolist()) for args, _, draw in built)
+        return real(built)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_scored_rows", record)
+        return run_sweep(config), words
+
+
+def test_a_refuted_row_moves_no_other_rows_words(monkeypatch):
+    # a slab is drawn before its criteria run: witnesses that fail re-validation leave their
+    # rows unscored, and every other row keeps the words it drew in the honest sweep
+    config = SweepConfig(claims=("thm15",), q_list=(7,), words_per_config=3, max_exclusion_sets_per_q=8)
+    honest_rep, honest = _drawn_words(monkeypatch, config)
+    monkeypatch.setattr(verify, "validate_verdict", _always(False)(verify.validate_verdict))
+    lied_rep, lied = _drawn_words(monkeypatch, config)
+    assert honest_rep.summary["refuted"] == 0 and None not in honest.values()
+    refuted = {args for args, words in lied.items() if words is None}
+    assert len(refuted) == lied_rep.summary["refuted"] > 0
+    assert len(honest) - len(refuted) > 0
+    assert {args: w for args, w in lied.items() if w is not None} == {
+        args: w for args, w in honest.items() if args not in refuted}
+
+
+def test_a_sweep_never_imports_numpy_random():
+    # the words come from the standard library's seeded streams: a fresh interpreter that
+    # runs a family sweep never loads numpy's generators
+    script = (
+        "import sys; from gprs.cli import main; "
+        "main(['sweep', '--claims', 'thm14,thm15,thm16,thm17', '--q-list', '7', '--words', '3']); "
+        "sys.stderr.write(str('numpy.random' in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stderr.endswith("False"), run.stderr
