@@ -63,7 +63,11 @@ under the generator has a zero minor there (``_frame_zeros``, from the k-minor
 table).
 ``family_verdicts`` also checks that each sampled word is in its family: its
 syndrome (``_syndromes``, from the tail rows of the pairs (0..k-1) + (i,)) is
-lam times the base word's.
+lam times the base word's. And it finds each row's first witness of the paper
+criterion of its base word in a third frame table, with the same rows and one
+column per k-subset of the frame points: whether the criterion's expression is
+zero there (``_frame_criteria``), built from its closed form, never from the
+other two tables, so that it stays an independent check of them.
 
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
@@ -73,7 +77,8 @@ minimum distances, MDS checks and MDS-extension zeros against per-code scans,
 and the syndrome BFS against a BFS that steps one generator at a time. It pins
 the batched syndromes to ``_syndrome``, and ``family_verdicts`` to the
 agreement kernel, the MDS-extension zeros and ``_syndrome``, with and without
-the frame tables, on every small code.
+the frame tables, on every small code, and its witnesses to the scalar
+criteria on every code of the small sweep grids.
 """
 
 from __future__ import annotations
@@ -296,9 +301,11 @@ def _columns(codes) -> np.ndarray:
     return np.array([code._d_encs + (q,) * code._projective for code in codes], dtype=np.intp)
 
 
-def _generator_stack(codes) -> np.ndarray:
-    """Each code's generator rows, (codes, k, length): the frame generator on its columns."""
-    return np.moveaxis(_frame_generator(codes[0].field, codes[0].k)[:, _columns(codes)], 0, 1)
+def _generator_stack(codes, columns=None) -> np.ndarray:
+    """Each code's generator rows, (codes, k, length): the frame generator on its columns, which
+    are ``_columns(codes)`` unless the caller has them."""
+    columns = _columns(codes) if columns is None else columns
+    return np.moveaxis(_frame_generator(codes[0].field, codes[0].k)[:, columns], 0, 1)
 
 
 def _frame(kind: str, f: FiniteField, k: int, m: int, unit: int, build):
@@ -525,16 +532,53 @@ def _frame_zeros(f: FiniteField, k: int):
     return _frame("zeros", f, k, k + 1, f.q + 1 + 64 * (k + 1), build)
 
 
-def family_verdicts(codes, a, bases, words, lams, mds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _frame_criteria(f: FiniteField, k: int):
+    """The frame's criteria table, (q + 1, C(q + 1, k)) bools: is the expression of a paper
+    criterion zero at the k-subset S of frame points? Rows as ``_frame_bases``: row 0 is thm14's,
+    [sum S = 0], and row 1 + a is thm15's at a, [C(q-2, k-1) * a^(q-1-k) * prod_{y in S} (y - a)
+    + 1 = 0], false where S holds a (a zero factor leaves 1) and everywhere when the constant is
+    0 (a = 0, or p | k). Every row is false where S holds the projective point q. Built from these
+    closed forms by table gathers, one row at a time, and never read from the hits or zeros
+    tables, so that a criterion stays an independent check of the oracles; None where the build
+    would pass one run."""
+    binom = lucas_binom(f.q - 2, k - 1, f.p)
+
+    def build(subsets):
+        table = np.zeros((f.q + 1, len(subsets)), dtype=bool)
+        finite = subsets[:, -1] < f.q  # the projective point is the largest
+        S = subsets[finite]
+        total = S[:, 0]
+        for j in range(1, k):
+            total = f.add_table[total, S[:, j]]
+        table[0, finite] = total == 0
+        for a in range(f.q):
+            if const := f.mul_enc(binom, f.pow_enc(a, f.q - 1 - k)):
+                shifted = f.add_table[S, f.neg_enc(a)]
+                value = np.full(len(S), const)
+                for j in range(k):
+                    value = f.mul_table[value, shifted[:, j]]
+                table[1 + a, finite] = value == f.neg_enc(1)
+        return table
+
+    # per subset: its index row, the finite copy and its shift, a few gathers, and the table
+    return _frame("criteria", f, k, k, 24 * k + 48 + f.q + 1, build)
+
+
+def family_verdicts(codes, a, bases, words, lams, mds, distinct=None) -> tuple:
     """The checks of a group of family rows, whose codes share the field, n and k: row r's
     family is lam times its base word bases[r] plus a codeword of codes[r], and words[r, j] its
     sampled word of scale lams[r, j]. bases[r] is the word of x^k at a[r] = -1, else of
-    (x - a[r])^(q-2) (``_base_words``). Returns
+    (x - a[r])^(q-2) (``_base_words``). ``distinct`` is ``_distinct(codes)``, made here unless the
+    caller has it. Returns
 
     * inside, (rows, words): is the syndrome of words[r, j] lams[r, j] times the base word's?
     * distances, (rows,): the base word's exact error distance to codes[r];
     * zeros, one per row with mds[r]: the rank of the base word's first (k+1)-subset T with
-      det[G_T; b_T] = 0, or -1 for a deep hole, as ``mds_extension_zeros``.
+      det[G_T; b_T] = 0, or -1 for a deep hole, as ``mds_extension_zeros``;
+    * witnesses, per row: the first k-subset of its code's D in lexicographic order at which its
+      paper criterion's expression is zero (row 1 + a[r] of ``_frame_criteria``: thm14's at
+      a[r] = -1, else thm15's at a[r]), as encodings, or () for none; None where that table
+      would pass one run.
 
     The first length - k (k+1)-subsets are the syndrome pairs (0..k-1) + (i,), whose tail rows
     give the syndromes (``_syndromes``). Where the frame's hits table (and, for mds rows, its
@@ -544,39 +588,55 @@ def family_verdicts(codes, a, bases, words, lams, mds) -> tuple[np.ndarray, np.n
     and a max, as ``agreement_distances`` scores a word, and a zero is the first hit of a gather
     of the zeros table (``_frame_zeros``). Otherwise the tail rows are built per distinct code
     (``_tail_tensor``) and the base words go through ``agreement_distances`` and
-    ``mds_extension_zeros``. The rows go a group at a time, as many as fit one run at 64 bytes a
-    ranked subset and 24 bytes a syndrome term.
+    ``mds_extension_zeros``. A witness is the first true column of a gather of the criteria
+    table at the frame ranks of each distinct code's k-subsets of D: D is sorted and the frame
+    map keeps subset order. The rows go a group at a time, as many as fit one run at 64 bytes a
+    ranked (k+1)-subset, 24 bytes a ranked k-subset and 24 bytes a syndrome term.
     """
     f, n, k, top = codes[0].field, codes[0].n, codes[0].k, codes[0].length
     a, mds, rows = np.asarray(a, dtype=np.intp), np.asarray(mds, dtype=bool), np.flatnonzero(mds)
     w = np.concatenate([np.asarray(words, dtype=np.intp), bases[:, None]], axis=1)
     lams = np.asarray(lams, dtype=np.intp)[:, :, None]
     hits, zeros = _frame_hits(f, k), (_frame_zeros(f, k) if rows.size else ())
+    criteria = _frame_criteria(f, k)
     framed = hits is not None and zeros is not None
     subsets = matrix._subset_index(top, k + 1) if framed else matrix._subsets(top, k + 1, 0, top - k)
-    group = max(1, matrix._RUN_BYTES // (64 * len(subsets) * framed + 24 * w.shape[1] * (top - k) * k))
+    dsubsets = () if criteria is None else matrix._subset_index(n, k)  # the k-subsets of D
+    unit = 64 * len(subsets) * framed + 24 * len(dsubsets) + 24 * w.shape[1] * (top - k) * k
+    group = max(1, matrix._RUN_BYTES // unit)
+    points, index = _distinct(codes) if distinct is None else distinct
     inside, dist = np.empty(lams.shape[:2], dtype=bool), np.empty(len(codes), dtype=np.intp)
-    first = np.full(len(codes), -1)
+    first, witness = np.full(len(codes), -1), np.full(len(codes), -1)
     for start in range(0, len(codes), group):
         part = slice(start, start + group)
-        points, index = _distinct(codes[part])
+        used, at = points, index[part]
+        if len(codes) > group:  # a part ranks only the codes its rows use
+            used, at = np.unique(at, return_inverse=True)
+            used = points[used]
         if framed:
-            ranks, b = _ranks(hits[1], points, subsets), a[part, None] + 1
-            T, ranks = _frame_tails(f, k)[0][ranks[:, : top - k]][index], ranks[index]
+            ranks, b = _ranks(hits[1], used, subsets), a[part, None] + 1
+            T, ranks = _frame_tails(f, k)[0][ranks[:, : top - k]][at], ranks[at]
             counts = np.add.reduceat(hits[0][b, ranks], _tail_starts(subsets), axis=1, dtype=np.intp)
             dist[part] = top - k - counts.max(axis=1)
             if (m := mds[part]).any():
                 zero = zeros[0][b[m], ranks[m]]
                 first[part][m] = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
         else:
-            T = _tail_tensor(f, points[:, :n], subsets)[index]
+            T = _tail_tensor(f, used[:, :n], subsets)[at]
+        if criteria is not None:
+            found = criteria[0][a[part, None] + 1, _ranks(criteria[1], used, dsubsets)[at]]
+            witness[part] = np.where(found.any(axis=1), found.argmax(axis=1), -1)
         syn = _syndromes(f, k, w[part], T)
         inside[part] = (syn[:, :-1] == f.mul_table[lams[part], syn[:, -1:]]).all(axis=2)
     if not framed:
         dist = agreement_distances(codes, bases[:, None])[:, 0]
         if rows.size:
             first[rows] = mds_extension_zeros([codes[r] for r in rows], bases[rows, None])[:, 0]
-    return inside, dist, first[rows]
+    witnesses = None
+    if criteria is not None:
+        encs = points[index[:, None], dsubsets[witness]].tolist()
+        witnesses = [tuple(e) if r >= 0 else () for e, r in zip(encs, witness.tolist())]
+    return inside, dist, first[rows], witnesses
 
 
 def _syndromes(f: FiniteField, k: int, words: np.ndarray, T: np.ndarray) -> np.ndarray:

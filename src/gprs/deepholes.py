@@ -33,8 +33,12 @@ order of canonical encodings so reruns agree byte-for-byte.
 thm14, thm15 and mds_extension each define their witnesses once: a ground
 set, a subset size and a field expression that is zero exactly on a
 witness. The criterion scan and ``validate_verdict`` both evaluate that one
-definition, so a witness is re-checked by the definition that found it;
-thm15 validation therefore also requires a_j to be an excluded point.
+definition; thm15 validation therefore also requires a_j to be an excluded
+point. Sweeps find their witnesses another way, as the first true column of a
+gather of the frame criteria table (``codes._frame_criteria``, built from the
+same closed forms), and ``criterion_verdict`` turns that witness into the
+row's verdict; the one definition re-checks every such witness. Where the
+table would pass one run, ``criterion_verdict`` runs the scan here.
 """
 
 from __future__ import annotations
@@ -115,15 +119,17 @@ def build_family_word(code: GprsCode, spec: WordFamilySpec) -> ReceivedWord:
     return code.word(family_words([code], base, [[lam]], [[tail]])[0, 0].tolist())
 
 
-def family_words(codes, bases, lams, tails) -> np.ndarray:
+def family_words(codes, bases, lams, tails, columns=None) -> np.ndarray:
     """Words lam * base + sum_i t_i * G_i of each code, (codes, words, length), for the
     code's base word in ``bases`` (``_family_bases``) and the generator rows G_i
     (``codes._dot``). G_(k-1) carries t_(k-1) into the projective coordinate. ``lams`` is
-    (codes, words) and ``tails`` is (codes, words, k)."""
+    (codes, words) and ``tails`` is (codes, words, k); ``columns``, the codes' frame points
+    (``codes._columns``), is passed by a caller that has them."""
     f = codes[0].field
     words = f.mul_table[np.asarray(lams, dtype=np.intp)[:, :, None], np.asarray(bases)[:, None]]
     tails = np.asarray(tails, dtype=np.intp)[:, :, None]
-    return f.add_table[words, _dot(f, tails, np.moveaxis(_generator_stack(codes), 1, 2)[:, None])]
+    generators = np.moveaxis(_generator_stack(codes, columns), 1, 2)[:, None]
+    return f.add_table[words, _dot(f, tails, generators)]
 
 
 def _family_bases(codes, kind: str, a_js) -> np.ndarray:
@@ -206,6 +212,16 @@ def thm15_criterion(code: GprsCode, a_j) -> DeepHoleVerdict:
     """
     _require_odd(code.field)
     return _criterion("thm15", _thm15_test(code, a_j))
+
+
+def criterion_verdict(code: GprsCode, a_j, witness) -> DeepHoleVerdict:
+    """thm14's verdict on the code (a_j None) or thm15's at a_j, from the lexicographically first
+    witness a batched scan found (``codes.family_verdicts``), () for none; with None, where no
+    batched scan ran, the criterion scans here. Sweeps take their criteria this way, and re-check
+    every witness by ``validate_verdict``."""
+    if witness is None:
+        return thm14_criterion(code) if a_j is None else thm15_criterion(code, a_j)
+    return DeepHoleVerdict(not witness, "thm14" if a_j is None else "thm15", witness or None)
 
 
 class _WitnessTest(NamedTuple):

@@ -20,19 +20,24 @@ thm14..thm17 rows are families lam * base + codeword, decided by the base word
 (x^k, or (x - a_j)^(q-2)), since scaling and adding a codeword move neither the
 error distance nor the MDS-extension verdict: a row covers its whole family.
 Its sampled words are still built and each is class-checked against the base
-word; ``run_sweep`` scores the family rows of one (q, l, k) together. The words
-come from one seeded stream per slab (``_draws``): a (claim, q, l, k) slab of
-thm14/thm15 rows, or one thm16/thm17 row, draws all its words before any of its
-criteria run, so a row's words never depend on another row's verdict.
+word; ``run_sweep`` scores the family rows of one (q, l, k) together, in one
+pass (``_scored_rows``) that also decides their criteria: each row's first
+witness is a gather of the frame criteria table (``codes.family_verdicts``),
+re-checked by its one scalar definition (``validate_verdict``), and a shape
+whose table would pass one run scans each row's criterion instead
+(``criterion_verdict``). The words come from one seeded stream per slab
+(``_draws``): a (claim, q, l, k) slab of thm14/thm15 rows, or one thm16/thm17
+row, draws all its words before any of its criteria are decided, so a row's
+words never depend on another row's verdict.
 
 Each claim is one entry of the claim table ``_CLAIMS``: the function making
-its rows (or, for thm14..thm17, its slabs of family rows), the smallest q its
-statement covers, whether it needs odd characteristic, and whether it is a
-family claim. ``run_sweep`` gives every q outside a claim's hypotheses one
-skipped row that names the failed hypothesis, testing odd characteristic
-first. thm14, thm15, lemma25 and lemma26 share one code grid: every l in
-1..q-3, the exclusion sets of each l, and every k in 2..q-l-1 (thm14 stops at
-q-3).
+its rows (or, for thm14..thm17, its slabs of family row specs), the smallest q
+its statement covers, whether it needs odd characteristic, and for a family
+claim the row function that judges a row's criterion verdict. ``run_sweep``
+gives every q outside a claim's hypotheses one skipped row that names the
+failed hypothesis, testing odd characteristic first. thm14, thm15, lemma25 and
+lemma26 share one code grid: every l in 1..q-3, the exclusion sets of each l,
+and every k in 2..q-l-1 (thm14 stops at q-3).
 
 A sweep is deterministic: equal configs produce byte-identical reports.
 A cap of N exclusion sets gives each l in 1..q-3 a quota of max(1, N // (q-3))
@@ -67,15 +72,15 @@ from .codes import (
     GprsCode,
     GrsCode,
     _base_words,
+    _distinct,
     family_verdicts,
     mds_checks,
     minimum_distances,
 )
 from .deepholes import (
     DeepHoleVerdict,
+    criterion_verdict,
     family_words,
-    thm14_criterion,
-    thm15_criterion,
     validate_verdict,
     vp_binomial,
     zero_sum_subset,
@@ -149,16 +154,21 @@ class SweepRow:
         return {name: getattr(self, name) for name in ROW_FIELDS}
 
 
-# the report columns, in CSV order: every SweepRow field but the sort key
+# the report columns, in CSV order: every SweepRow field but the sort key; q, the second, is the
+# one integer, and the rest are strings
 ROW_FIELDS = tuple(f.name for f in fields(SweepRow) if f.compare)
-# SweepReport.to_json fills these templates: a row's fields in key order at the depth of the rows
-_ROW_VALUES = attrgetter(*sorted(ROW_FIELDS))
-_ROW_JSON = "    {{\n" + ",\n".join(f'      "{name}": {{}}' for name in sorted(ROW_FIELDS)) + "\n    }}"
+_ROW_VALUES = attrgetter(*ROW_FIELDS)
+# SweepReport.to_json fills these templates: a row's fields in key order at the depth of the
+# rows, each slot the field's place in ROW_FIELDS
+_ROW_JSON = "    {{\n" + ",\n".join(f'      "{name}": {{{ROW_FIELDS.index(name)}}}'
+                                   for name in sorted(ROW_FIELDS)) + "\n    }}"
 _REPORT_JSON = '{{\n  "config": {},\n  "rows": {},\n  "summary": {}\n}}\n'
 
 
-def _json_value(value) -> str:
-    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+def _row_json(row: SweepRow) -> str:
+    """The row in ``_ROW_JSON``: its strings by the C string encoder, and q as the integer it is."""
+    claim, q, *strings = _ROW_VALUES(row)
+    return _ROW_JSON.format(encode_basestring_ascii(claim), q, *map(encode_basestring_ascii, strings))
 
 
 def _nested_json(value) -> str:
@@ -189,7 +199,7 @@ class SweepReport:
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n": the rows go through a fixed
         template and the C string encoder, as the indent encoder is pure Python."""
-        rows = ",\n".join(_ROW_JSON.format(*map(_json_value, _ROW_VALUES(row))) for row in self.rows)
+        rows = ",\n".join(map(_row_json, self.rows))
         return _REPORT_JSON.format(_nested_json(self.config.to_dict()),
                                    f"[\n{rows}\n  ]" if rows else "[]", _nested_json(self.summary))
 
@@ -197,17 +207,15 @@ class SweepReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(ROW_FIELDS)
-        for row in self.rows:
-            d = row.to_dict()
-            writer.writerow([d[f] for f in ROW_FIELDS])
+        writer.writerows(map(_ROW_VALUES, self.rows))
         return buf.getvalue()
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     rows: list[SweepRow] = []
-    families = {}  # q -> per family claim, its slabs of (args, cols, draw) in (l, k) order
+    families = {}  # q -> per family claim, its slabs of row specs in (l, k) order
     for claim in sorted(set(config.claims)):
-        make_rows, min_q, odd_only, family = _CLAIMS[claim]
+        make_rows, min_q, odd_only, row_function = _CLAIMS[claim]
         for q in sorted(set(config.q_list)):
             # lemma29 is a statement about integers: it builds no field
             f = q if claim == "lemma29" else field_of_order(q)
@@ -215,7 +223,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 gap = "odd characteristic required"
             elif q < min_q:
                 gap = f"q >= {min_q} required"
-            elif family:
+            elif row_function:
                 families.setdefault(q, []).append(make_rows(f, config))
                 continue
             else:
@@ -337,50 +345,62 @@ def _draws(rng: random.Random, q: int, rows: int, words: int, k: int) -> np.ndar
 
 
 def _slab_key(slab) -> tuple[int, int]:
-    """(l, k) of a slab of family rows, from its first row's excluded points and k."""
-    _, _, excluded, k, _ = slab[0][0]
-    return len(excluded), k
+    """(l, k) of a slab of family rows, from its first row's code."""
+    code = slab[0][1]
+    return code.l, code.k
 
 
-def _scored_rows(built) -> list[SweepRow]:
-    """The rows of one group, from the (args, cols, draw) of family rows whose codes share the
-    field, n and k; ``_row(*args, **cols)`` makes a row. A row with words to score has the draw
-    (code, a_j, words, expected, miss, mds): a_j None for the degree-k family, and ``words`` the
-    row's block of its slab's ``_draws``, per word its tail coefficients t_0..t_(k-1), then lam.
+def _scored_rows(specs) -> list[SweepRow]:
+    """The rows of one group, from the specs (claim, code, a_j, words) of family rows whose codes
+    share the field, n and k: a_j None for the degree-k family, and ``words`` the row's block of
+    its slab's ``_draws``, per word its tail coefficients t_0..t_(k-1), then lam.
 
     A family word is lam times its row's base word plus a codeword, and neither scaling by
     lam != 0 nor adding a codeword moves the error distance or the MDS-extension verdict. So the
-    base word decides the whole family: the group's base words (``_base_words``) get the
-    oracle and, on rows with ``mds``, the MDS scan. Every sampled word is still built
-    (``family_words``) and class-checked; ``family_verdicts`` makes all these checks for the
-    group in one call. The first word outside its row's family, or any word when a base
-    verdict differs from ``expected``, refutes the row: an outside word with a detail that says
-    so, else ``miss`` formatted by the word, the base word's distance and its oracle and MDS
-    verdicts."""
-    drawn = [(cols, draw) for _, cols, draw in built if draw]
-    if drawn:
-        codes, a_js, draws, expected, misses, mds = zip(*(draw for _, draw in drawn))
-        draws = np.stack(draws)
-        lams, tails = draws[..., -1], draws[..., :-1]
-        a = np.array([-1 if a_j is None else a_j.encoding for a_j in a_js])
-        bases = _base_words(codes[0].field, codes[0].k, np.array([code._d_encs for code in codes]), a)
-        words = family_words(codes, bases, lams, tails)
-        inside, dist, zeros = family_verdicts(codes, a, bases, words, lams, mds)
-        deep = dist == codes[0].covering_radius("formula")
-        checked = deep.copy()
-        checked[np.flatnonzero(mds)] = zeros < 0
-        want = np.array(expected)
-        bad = (deep != want) | (checked != want)
-        oracles = [_bool_str(d) for d in deep.tolist()]
-        for (cols, _), oracle in zip(drawn, oracles):
-            cols["oracle"] = oracle
-        for r in np.flatnonzero(bad | ~inside.all(axis=1)).tolist():
-            j = int((~inside[r] | bad[r]).argmax())
-            word = codes[r].word(words[r, j].tolist()).to_text()
-            drawn[r][0]["ok"], drawn[r][0]["detail"] = False, (
-                f"word={word} is outside its family" if not inside[r, j] else misses[r].format(
-                    word=word, oracle=oracles[r], mds=_bool_str(checked[r]), distance=dist[r]))
-    return [_row(*args, **cols) for args, cols, _ in built]
+    base word decides the whole family. One ranking of the group's distinct codes
+    (``_distinct``) serves the base words (``_base_words``), the words (``family_words``: every
+    sampled word is still built and class-checked) and ``family_verdicts``, which gives each
+    base word its oracle and, on thm14 rows, its MDS scan, and finds each row's first criterion
+    witness. ``criterion_verdict`` makes that witness the row's criterion verdict, which its
+    claim's row function (``_thm14_row`` .. ``_thm17_row``) judges. A row judged with an
+    expectation is refuted by the first word outside its family, or by any word when a base
+    verdict differs from it: an outside word with a detail that says so, else the row's miss
+    formatted by the word, the base word's distance and its oracle and MDS verdicts. The rows
+    share their q, modulus and k strings, and each code's excluded string."""
+    claims, codes, a_js, draws = zip(*specs)
+    f, k, n = codes[0].field, codes[0].k, codes[0].n
+    draws = np.stack(draws)
+    lams, a = draws[..., -1], np.array([-1 if a_j is None else a_j.encoding for a_j in a_js])
+    mds = np.array([claim == "thm14" for claim in claims])
+    points, index = _distinct(codes)
+    bases = _base_words(f, k, points[index, :n], a)
+    words = family_words(codes, bases, lams, draws[..., :-1], points[index])
+    inside, dist, zeros, witnesses = family_verdicts(codes, a, bases, words, lams, mds, (points, index))
+    deep = dist == codes[0].covering_radius("formula")
+    checked = deep.copy()
+    checked[mds] = zeros < 0
+    q, modulus, k_text, excluded, rows = f.q, _modulus_str(f), str(k), {}, []
+    for r, ((claim, code, a_j, _), at, aj, d, c, whole) in enumerate(zip(
+            specs, index.tolist(), a.tolist(), deep.tolist(), checked.tolist(), inside.all(axis=1).tolist())):
+        predicted = criterion_verdict(code, a_j, None if witnesses is None else witnesses[r])
+        claimed, witness, detail, expected = _CLAIMS[claim][3](code, a_j, predicted)
+        oracle = ""
+        if expected is not None:
+            want, miss = expected
+            oracle = _bool_str(d)
+            if d != want or c != want or not whole:
+                j = int((~inside[r] | (d != want) | (c != want)).argmax())
+                word = code.word(words[r, j].tolist()).to_text()
+                detail = f"word={word} is outside its family" if not inside[r, j] else miss.format(
+                    word=word, oracle=oracle, mds=_bool_str(c), distance=dist[r])
+        if at not in excluded:
+            excl = tuple(e.encoding for e in code.excluded)
+            excluded[at] = excl, _encs_str(excl)
+        excl, excl_text = excluded[at]
+        agree, status = ("false", "refuted") if detail else ("true", "agreed")
+        rows.append(SweepRow(claim, q, modulus, excl_text, k_text, "" if aj < 0 else str(aj), claimed, oracle,
+                             agree, status, _encs_str(witness), detail, (claim, q, excl, k, aj)))
+    return rows
 
 
 # -- claim builders -----------------------------------------------------------
@@ -394,79 +414,64 @@ def _slab_draws(config: SweepConfig, claim: str, slab, rows: int) -> np.ndarray:
 
 def _thm14_rows(f: FiniteField, config: SweepConfig):
     for slab in _code_grid(f, config, "thm14", k_cap=f.q - 3):
-        yield [_thm14_row(c, words) for c, words in zip(slab, _slab_draws(config, "thm14", slab, len(slab)))]
+        yield [("thm14", c, None, words) for c, words in zip(slab, _slab_draws(config, "thm14", slab, len(slab)))]
 
 
-def _thm14_row(code: GprsCode, words: np.ndarray):
-    f = code.field
-    excl = tuple(e.encoding for e in code.excluded)
-    predicted = thm14_criterion(code)
+def _thm14_row(code: GprsCode, a_j, predicted: DeepHoleVerdict):
+    """A family claim's row function: from the row's code, a_j and criterion verdict, the
+    predicted and witness columns, a detail that refutes the row ("" for none), and the base
+    verdict the row expects with its miss, or None for a row left unscored. thm14 re-validates
+    the witness and checks the verdict against the oracle and the MDS scan."""
     claimed = _bool_str(predicted.is_deep_hole)
-    ok, detail = True, ""
+    detail = ""
     if predicted.witness is not None and not validate_verdict(code, predicted):
-        ok, detail = False, "criterion witness failed re-validation"
+        detail = "criterion witness failed re-validation"
     miss = "word={word} oracle={oracle} mds={mds} criterion=" + claimed
-    draw = (code, None, words, predicted.is_deep_hole, miss, True)
-    cols = dict(ok=ok, predicted=claimed, witness=_encs_str(predicted.witness or ()), detail=detail)
-    return ("thm14", f, excl, code.k, -1), cols, draw
+    return claimed, predicted.witness or (), detail, (predicted.is_deep_hole, miss)
 
 
 def _thm15_rows(f: FiniteField, config: SweepConfig):
     for slab in _code_grid(f, config, "thm15"):
         draws = iter(_slab_draws(config, "thm15", slab, len(slab) * len(slab[0].excluded)))
-        yield [_thm15_row(c, a_j, next(draws)) for c in slab for a_j in c.excluded]
+        yield [("thm15", c, a_j, next(draws)) for c in slab for a_j in c.excluded]
 
 
-def _thm15_row(code: GprsCode, a_j, words: np.ndarray):
-    f = code.field
-    excl = tuple(e.encoding for e in code.excluded)
-    predicted = thm15_criterion(code, a_j)
+def _thm15_row(code: GprsCode, a_j, predicted: DeepHoleVerdict):
     claimed = _bool_str(predicted.is_deep_hole)
-    ok, detail, draw = True, "", None
-    if code.k % f.p == 0 and not predicted.is_deep_hole:
-        ok, detail = False, "p | k must force a positive verdict"
+    detail = ""
+    if code.k % code.field.p == 0 and not predicted.is_deep_hole:
+        detail = "p | k must force a positive verdict"
     if predicted.witness is not None and not validate_verdict(code, predicted, a_j=a_j):
-        ok, detail = False, "criterion witness failed re-validation"
-    if ok:
-        miss = "word={word} oracle={oracle} criterion=" + claimed
-        draw = (code, a_j, words, predicted.is_deep_hole, miss, False)
-    cols = dict(ok=ok, predicted=claimed, witness=_encs_str(predicted.witness or ()), detail=detail)
-    return ("thm15", f, excl, code.k, a_j.encoding), cols, draw
+        detail = "criterion witness failed re-validation"
+    expected = None if detail else (predicted.is_deep_hole, "word={word} oracle={oracle} criterion=" + claimed)
+    return claimed, predicted.witness or (), detail, expected
 
 
 def _thm16_rows(f: FiniteField, config: SweepConfig):
-    return ([_thm16_row(f, k, config)] for k in range(2, f.q - 2))
+    for k in range(2, f.q - 2):
+        (words,) = _draws(_rng(config, "thm16", f.q, k), f.q, 1, config.words_per_config, k)
+        yield [("thm16", GprsCode(f, [0], k), None, words)]
 
 
-def _thm16_row(f: FiniteField, k: int, config: SweepConfig):
-    code = GprsCode(f, [0], k)
-    (words,) = _draws(_rng(config, "thm16", f.q, k), f.q, 1, config.words_per_config, k)
-    predicted = thm14_criterion(code)
-    zs_encs = tuple(e.encoding for e in zero_sum_subset(f, k))
-    ok, detail, draw = True, "", None
+def _thm16_row(code: GprsCode, a_j, predicted: DeepHoleVerdict):
+    zs_encs = tuple(e.encoding for e in zero_sum_subset(code.field, code.k))
+    detail = ""
     if predicted.is_deep_hole:
-        ok, detail = False, "criterion claims a deep hole exists"
+        detail = "criterion claims a deep hole exists"
     elif not validate_verdict(code, DeepHoleVerdict(False, "thm14", zs_encs)):
-        ok, detail = False, "constructed zero-sum subset rejected"
-    else:
-        draw = (code, None, words, False, "word={word} is a deep hole", False)
-    cols = dict(ok=ok, predicted="false", witness=_encs_str(zs_encs), detail=detail)
-    return ("thm16", f, (0,), k, -1), cols, draw
+        detail = "constructed zero-sum subset rejected"
+    return "false", zs_encs, detail, None if detail else (False, "word={word} is a deep hole")
 
 
 def _thm17_rows(f: FiniteField, config: SweepConfig):
-    return ([_thm17_row(f, k, config)] for k in range(2, f.q - 1))
+    for k in range(2, f.q - 1):
+        (words,) = _draws(_rng(config, "thm17", f.q, k), f.q, 1, config.words_per_config, k)
+        yield [("thm17", GprsCode(f, [0], k), f.zero, words)]
 
 
-def _thm17_row(f: FiniteField, k: int, config: SweepConfig):
-    code = GprsCode(f, [0], k)
-    (words,) = _draws(_rng(config, "thm17", f.q, k), f.q, 1, config.words_per_config, k)
-    ok, detail, draw = True, "", None
-    if not thm15_criterion(code, f.zero).is_deep_hole:
-        ok, detail = False, "criterion rejected the shifted family"
-    else:
-        draw = (code, f.zero, words, True, "word={word} distance={distance}", False)
-    return ("thm17", f, (0,), k, 0), dict(ok=ok, predicted="true", detail=detail), draw
+def _thm17_row(code: GprsCode, a_j, predicted: DeepHoleVerdict):
+    detail = "" if predicted.is_deep_hole else "criterion rejected the shifted family"
+    return "true", (), detail, None if detail else (True, "word={word} distance={distance}")
 
 
 def _lemma25_rows(f: FiniteField, config: SweepConfig):
@@ -568,17 +573,18 @@ def _thm11_rows(f: FiniteField, config: SweepConfig):
     return rows
 
 
-# claim -> (function making its rows, smallest q, odd characteristic required, whether the
-# function yields slabs of family rows in (l, k) order, which run_sweep scores, or makes rows)
+# claim -> (function making its rows, smallest q, odd characteristic required, and for a family
+# claim, whose function yields slabs of family row specs in (l, k) order that run_sweep scores,
+# its row function; None for a claim whose function makes its rows)
 _CLAIMS = {
-    "thm14": (_thm14_rows, 5, True, True),
-    "thm15": (_thm15_rows, 4, True, True),
-    "thm16": (_thm16_rows, 5, True, True),
-    "thm17": (_thm17_rows, 4, True, True),
-    "lemma25": (_lemma25_rows, 4, False, False),
-    "lemma26": (_lemma26_rows, 4, False, False),
-    "lemma28": (_lemma28_rows, 5, True, False),
-    "lemma29": (_lemma29_rows, 3, True, False),
-    "thm11": (_thm11_rows, 3, False, False),
+    "thm14": (_thm14_rows, 5, True, _thm14_row),
+    "thm15": (_thm15_rows, 4, True, _thm15_row),
+    "thm16": (_thm16_rows, 5, True, _thm16_row),
+    "thm17": (_thm17_rows, 4, True, _thm17_row),
+    "lemma25": (_lemma25_rows, 4, False, None),
+    "lemma26": (_lemma26_rows, 4, False, None),
+    "lemma28": (_lemma28_rows, 5, True, None),
+    "lemma29": (_lemma29_rows, 3, True, None),
+    "thm11": (_thm11_rows, 3, False, None),
 }
 KNOWN_CLAIMS = tuple(_CLAIMS)

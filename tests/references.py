@@ -89,16 +89,24 @@ def column_minors(field: FiniteField, rows, size: int):
         yield cols, det_stack(field, stack.reshape(-1, size, size)).reshape(stack.shape[:-2])
 
 
-def scored_rows_reference(built):
+def scored_rows_reference(specs):
     """``verify._scored_rows`` word by word, as sweeps scored before a base word decided its
-    family: each sampled word gets ``codes.agreement_distances`` and, on rows with mds,
+    family and before a group found its criterion witnesses: each row's criterion runs its own
+    scan (``verify.criterion_verdict`` with no witness found) and the claim's row function
+    judges it. Each sampled word gets ``codes.agreement_distances`` and, on thm14 rows,
     ``codes.mds_extension_zeros`` (both read from ``gprs.codes`` at call time). The oracle
     column is the last oracle verdict walked; the first word a check rules on differently from
     the row's expectation refutes the row, with the row's miss formatted by that word, its
     distance and its oracle and MDS verdicts as the detail."""
-    drawn = [(cols, draw) for _, cols, draw in built if draw]
+    judged = []
+    for claim, code, a_j, draw in specs:
+        predicted = verify.criterion_verdict(code, a_j, None)
+        claimed, witness, detail, expected = verify._CLAIMS[claim][3](code, a_j, predicted)
+        cols = dict(predicted=claimed, witness=verify._encs_str(witness), detail=detail)
+        judged.append((claim, code, a_j, draw, expected, cols))
+    drawn = [row for row in judged if row[4] is not None]
     if drawn:
-        codes, a_js, draws, expected, misses, mds = zip(*(draw for _, draw in drawn))
+        claims, codes, a_js, draws, expected, _ = zip(*drawn)
         draws = np.array(draws)
         bases = np.array([_family_bases([code], "deg_k" if a_j is None else "shifted_qminus2", [a_j])[0]
                           for code, a_j in zip(codes, a_js)])
@@ -106,15 +114,16 @@ def scored_rows_reference(built):
         dist = codes_module.agreement_distances(codes, words)
         deep = dist == codes[0].covering_radius("formula")
         checked = deep.copy()
-        if rows := [r for r, m in enumerate(mds) if m]:
+        if rows := [r for r, claim in enumerate(claims) if claim == "thm14"]:
             checked[rows] = codes_module.mds_extension_zeros([codes[r] for r in rows], words[rows]) < 0
-        want = np.array(expected)[:, None]
+        want = np.array([want for want, _ in expected])[:, None]
         bad = (deep != want) | (checked != want)
-        for r, (cols, _) in enumerate(drawn):
+        for r, (*_, (_, miss), cols) in enumerate(drawn):
             j = int(bad[r].argmax()) if bad[r].any() else -1
             cols["oracle"] = verify._bool_str(deep[r, j])
             if j >= 0:
                 word = codes[r].word(words[r, j].tolist()).to_text()
-                cols["ok"], cols["detail"] = False, misses[r].format(
+                cols["detail"] = miss.format(
                     word=word, oracle=cols["oracle"], mds=verify._bool_str(checked[r, j]), distance=dist[r, j])
-    return [verify._row(*args, **cols) for args, cols, _ in built]
+    return [verify._row(claim, code.field, code.excluded, code.k, -1 if a_j is None else int(a_j),
+                        not cols["detail"], **cols) for claim, code, a_j, _, _, cols in judged]

@@ -651,7 +651,7 @@ def test_family_verdicts_are_the_per_code_verdicts_of_every_base_word(monkeypatc
         moved = rng.randrange(n)
         words[:, 1, moved] = f.add_table[words[:, 1, moved], rng.randrange(1, q)]
         mds = np.arange(len(codes)) % 3 > 0
-        inside, dist, zeros = family_verdicts(codes, a, bases, words, lams, mds)
+        inside, dist, zeros, _ = family_verdicts(codes, a, bases, words, lams, mds)
         assert dist.tolist() == agreement_distances(codes, bases[:, None])[:, 0].tolist()
         scan = mds_extension_zeros([c for c, m in zip(codes, mds) if m], bases[mds, None])[:, 0]
         assert zeros.tolist() == scan.tolist()
@@ -659,6 +659,24 @@ def test_family_verdicts_are_the_per_code_verdicts_of_every_base_word(monkeypatc
         for code, base, row, lam in zip(codes, bases.tolist(), words.tolist(), lams):
             scaled = [f.mul_enc(lam[0], s) for s in code._syndrome(base)]
             assert [code._syndrome(w) == scaled for w in row] == [True, False]
+
+
+def test_family_verdicts_rank_each_part_of_a_group_by_its_own_codes(monkeypatch):
+    # GF(7), length 6, k = 3: every code with each of its base words, 63 rows of 21 codes. Under
+    # a 25,000-byte run every frame table still builds, and the rows go a part of 12 at a time,
+    # each part ranking only the distinct codes its rows use; every check is as in one part
+    codes, a, bases = next(slab for slab in _family_slabs(7) if (slab[0][0].length, slab[0][0].k) == (6, 3))
+    lams = np.ones((len(codes), 3), dtype=np.intp)
+    words = family_words(codes, bases, lams, np.zeros((len(codes), 3, 3), dtype=np.intp))
+    mds = np.arange(len(codes)) % 2 == 0
+    whole = family_verdicts(codes, a, bases, words, lams, mds)
+    ranked, real = [], codes_module._ranks
+    monkeypatch.setattr(codes_module, "_ranks", lambda binom, points, subsets: ranked.append(len(points))
+                        or real(binom, points, subsets))
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", 25000)
+    parts = family_verdicts(codes, a, bases, words, lams, mds)
+    assert len(codes) == 63 and len(ranked) == 2 * 6 and max(ranked) <= 12
+    assert all(p.tolist() == w.tolist() for p, w in zip(parts[:3], whole[:3])) and parts[3] == whole[3]
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
@@ -844,8 +862,9 @@ def test_subset_indexes_holds_a_sweep_pass_within_its_bound(monkeypatch):
     assert len(shapes) >= 35
     # the frame family tables share the cache and its bound
     f = field_of_order(11)
-    family = {key for key in shapes if key[0] in ("hits", "zeros")}
+    family = {key for key in shapes if key[0] in ("hits", "zeros", "criteria")}
     assert {("hits", f, k) for k in range(2, 10)} | {("zeros", f, k) for k in range(2, 9)} <= family
+    assert {("criteria", f, k) for k in range(2, 10)} <= family
     assert sum(a.nbytes for entry in matrix_module._indexes.values() for a in entry) <= matrix_module._INDEX_BYTES
     built = []
     real = matrix_module._subsets
@@ -893,6 +912,30 @@ def test_frame_family_tables_build_within_one_run_and_never_past_it(monkeypatch)
     assert matrix_module._indexes == {}
 
 
+def test_frame_criteria_build_within_one_run_and_never_past_it(monkeypatch):
+    # GF(13), every k: the criteria table, one row for thm14 and one per a for thm15, builds
+    # within one run. GF(23), k = 11: it would pass one run, so it is None and nothing is built
+    monkeypatch.setattr(matrix_module, "_indexes", {})
+    f = field_of_order(13)
+    for k in range(2, 12):
+        tracemalloc.start()
+        try:
+            table = codes_module._frame_criteria(f, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table[0].shape == (14, math.comb(14, k)) and table[0].dtype == bool
+        assert peak < matrix_module._RUN_BYTES, k
+    monkeypatch.setattr(matrix_module, "_indexes", {})
+
+    def refuse(*args):
+        raise AssertionError("built past one run")
+
+    monkeypatch.setattr(matrix_module, "_subsets", refuse)
+    assert codes_module._frame_criteria(field_of_order(23), 11) is None
+    assert matrix_module._indexes == {}
+
+
 @pytest.mark.parametrize("k", range(2, 12))
 def test_family_verdicts_hold_a_group_of_rows_within_one_run(k):
     # GF(13), 300 rows of 20 words on one code, every other row with the MDS scan: the rows
@@ -909,7 +952,7 @@ def test_family_verdicts_hold_a_group_of_rows_within_one_run(k):
     family_verdicts(codes[:1], a[:1], bases[:1], words[:1], lams[:1], mds[:1])
     tracemalloc.start()
     try:
-        inside, dist, zeros = family_verdicts(codes, a, bases, words, lams, mds)
+        inside, dist, zeros, _ = family_verdicts(codes, a, bases, words, lams, mds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 import gprs.codes as codes_module
+import gprs.deepholes as deepholes
 import gprs.verify as verify
 import references
 from gprs.cli import main
 from gprs.codes import GprsCode
 from gprs.deepholes import (
-    DeepHoleVerdict, WordFamilySpec, _family_bases, build_family_word, family_words, zero_sum_subset,
+    DeepHoleVerdict, WordFamilySpec, _family_bases, build_family_word, family_words, thm14_criterion,
+    thm15_criterion, zero_sum_subset,
 )
 from gprs.galois import field_of_order
 from gprs.matrix import MdsCheckResult
@@ -369,8 +371,8 @@ def _zero_everywhere(real):
     # every base word's MDS extension has a zero minor, at the first subset; the class
     # check and the distances are the real ones
     def lie(*args):
-        inside, distances, zeros = real(*args)
-        return inside, distances, np.zeros_like(zeros)
+        inside, distances, zeros, witnesses = real(*args)
+        return inside, distances, np.zeros_like(zeros), witnesses
 
     return lie
 
@@ -398,32 +400,34 @@ _NOT_DEEP = _always(DeepHoleVerdict(False, "liar"))
 # where only the MDS oracle lies, was recorded while that kernel still lived in
 # gprs.deepholes and returned verdicts, and kept when the MDS verdict moved to the
 # base word's, read by ``family_verdicts``. thm15-outside, the one case where a
-# sampled word leaves its family, was recorded when the class check came in. A
-# case gives the name
+# sampled word leaves its family, was recorded when the class check came in. The
+# criterion lies were recorded on thm14_criterion and thm15_criterion, and kept
+# when a sweep's criteria came to be read from the group's witnesses through
+# ``criterion_verdict``. A case gives the name
 # patched in gprs.verify, the lie, the claim, q_list and the total and refuted
 # row counts; then every refuted detail up to its first "="; then the first
 # refuted row's excluded, k, aj, oracle and witness; then its detail.
 REFUTATIONS = {
     "thm14": (
-        ("thm14_criterion", _negated, "thm14", (5,), 4, 4),
+        ("criterion_verdict", _negated, "thm14", (5,), 4, 4),
         {"word"},
         ("1", "2", "", "false", ""),
         "word=2,3,0,3,2 oracle=false mds=false criterion=true",
     ),
     "thm15": (
-        ("thm15_criterion", _negated, "thm15", (5, 9), 64, 64),
+        ("criterion_verdict", _negated, "thm15", (5, 9), 64, 64),
         {"word", "p | k must force a positive verdict"},
         ("0", "2", "0", "true", ""),
         "word=1,1,3,3,3 oracle=true criterion=false",
     ),
     "thm16": (
-        ("thm14_criterion", _DEEP, "thm16", (5,), 1, 1),
+        ("criterion_verdict", _DEEP, "thm16", (5,), 1, 1),
         {"criterion claims a deep hole exists"},
         ("0", "2", "", "", "1,4"),
         "criterion claims a deep hole exists",
     ),
     "thm17": (
-        ("thm15_criterion", _NOT_DEEP, "thm17", (5,), 2, 2),
+        ("criterion_verdict", _NOT_DEEP, "thm17", (5,), 2, 2),
         {"criterion rejected the shifted family"},
         ("0", "2", "0", "", ""),
         "criterion rejected the shifted family",
@@ -551,6 +555,49 @@ def test_every_lie_refutes_as_in_the_per_word_reference(monkeypatch, case):
     assert (summary["total"], summary["refuted"]) == (total, refuted)
 
 
+@pytest.mark.parametrize("q, cap", [(5, None), (7, None), (9, None), (11, None), (13, 40)])
+def test_group_witnesses_are_the_scalar_criteria(q, cap):
+    # every code, a_j and k of the thm14/thm15 grid (exhaustive below 13): the witness that
+    # ``family_verdicts`` gathers from the frame criteria table makes the verdict the scalar scan
+    # makes, thm14_criterion's or thm15_criterion's, at a_j = 0 and p | k too, where the
+    # expression is the constant 1
+    f = field_of_order(q)
+    config = SweepConfig(claims=("thm15",), q_list=(q,), max_exclusion_sets_per_q=cap)
+    constant, kinds = 0, set()
+    for slab in verify._code_grid(f, config, "thm15"):
+        rows = [(c, a_j) for c in slab for a_j in (None, *c.excluded) if a_j is not None or c.k <= q - 3]
+        codes, a_js = [c for c, _ in rows], [a_j for _, a_j in rows]
+        a = np.array([-1 if a_j is None else int(a_j) for a_j in a_js])
+        shifted = [(c, a_j) for c, a_j in rows if a_j is not None]
+        bases = _family_bases(codes, "deg_k", [None] * len(codes))
+        bases[a >= 0] = _family_bases([c for c, _ in shifted], "shifted_qminus2", [a_j for _, a_j in shifted])
+        mds = np.zeros(len(codes), dtype=bool)
+        *_, witnesses = codes_module.family_verdicts(codes, a, bases, bases[:, None], np.ones((len(codes), 1)), mds)
+        for code, a_j, witness in zip(codes, a_js, witnesses):
+            scalar = thm14_criterion(code) if a_j is None else thm15_criterion(code, a_j)
+            assert verify.criterion_verdict(code, a_j, witness) == scalar, (code.spec_string(), a_j)
+            kinds.add((a_j is None, scalar.is_deep_hole))
+            constant += a_j is not None and (int(a_j) == 0 or code.k % f.p == 0)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)} and constant > 0
+
+
+def test_a_shape_past_one_run_takes_the_scalar_criteria(monkeypatch):
+    # GF(17) has no criteria table at k = 7..12, whose rows scan by thm14_criterion and
+    # thm15_criterion; with no table anywhere the report has the same bytes
+    f, middle = field_of_order(17), range(7, 13)
+    assert [k for k in range(2, 16) if codes_module._frame_criteria(f, k) is None] == list(middle)
+    config = SweepConfig(claims=("thm14", "thm15"), q_list=(17,), words_per_config=1, max_exclusion_sets_per_q=14)
+    scanned = []
+    for name in ("thm14_criterion", "thm15_criterion"):
+        real = getattr(deepholes, name)
+        monkeypatch.setattr(deepholes, name, lambda code, *a, real=real: scanned.append(code.k) or real(code, *a))
+    rep = run_sweep(config)
+    assert rep.summary["agreed"] == rep.summary["total"] and set(scanned) == set(middle)
+    assert len(scanned) == sum(int(row.k) in middle for row in rep.rows)
+    monkeypatch.setattr(codes_module, "_frame_criteria", lambda f, k: None)
+    assert run_sweep(config).to_json() == rep.to_json()
+
+
 def test_lemma28_refutation_exits_one_with_its_subsets(monkeypatch, capsys):
     monkeypatch.setattr(verify, "validate_verdict", _always(False)(verify.validate_verdict))
     rep = run_sweep(SweepConfig(claims=("lemma28",), q_list=(7,)))
@@ -671,12 +718,13 @@ def test_a_sweep_seeds_one_generator_per_slab(monkeypatch):
 
 
 def _drawn_words(monkeypatch, config):
-    """The report of a sweep and, per family row, the words it drew (None for a row not scored)."""
+    """The report of a sweep and, per family row, the words it drew."""
     words, real = {}, verify._scored_rows
 
-    def record(built):
-        words.update((args, None if draw is None else draw[2].tolist()) for args, _, draw in built)
-        return real(built)
+    def record(specs):
+        words.update(((claim, code.spec_string(), None if a_j is None else int(a_j)), draw.tolist())
+                     for claim, code, a_j, draw in specs)
+        return real(specs)
 
     with monkeypatch.context() as patched:
         patched.setattr(verify, "_scored_rows", record)
@@ -684,18 +732,14 @@ def _drawn_words(monkeypatch, config):
 
 
 def test_a_refuted_row_moves_no_other_rows_words(monkeypatch):
-    # a slab is drawn before its criteria run: witnesses that fail re-validation leave their
-    # rows unscored, and every other row keeps the words it drew in the honest sweep
+    # a slab is drawn before its criteria run: witnesses that fail re-validation refute their
+    # rows, and every row keeps the words it drew in the honest sweep
     config = SweepConfig(claims=("thm15",), q_list=(7,), words_per_config=3, max_exclusion_sets_per_q=8)
     honest_rep, honest = _drawn_words(monkeypatch, config)
     monkeypatch.setattr(verify, "validate_verdict", _always(False)(verify.validate_verdict))
     lied_rep, lied = _drawn_words(monkeypatch, config)
-    assert honest_rep.summary["refuted"] == 0 and None not in honest.values()
-    refuted = {args for args, words in lied.items() if words is None}
-    assert len(refuted) == lied_rep.summary["refuted"] > 0
-    assert len(honest) - len(refuted) > 0
-    assert {args: w for args, w in lied.items() if w is not None} == {
-        args: w for args, w in honest.items() if args not in refuted}
+    assert honest_rep.summary["refuted"] == 0 < lied_rep.summary["refuted"] < lied_rep.summary["total"]
+    assert len(lied) == lied_rep.summary["total"] and lied == honest
 
 
 def test_a_sweep_never_imports_numpy_random():
