@@ -55,29 +55,28 @@ The paper's families are lam times a base word (x^k, or (x - a)^(q-2)) plus
 a codeword, and neither scaling nor adding a codeword moves the error distance
 or the MDS-extension verdict, so a family is scored by its base word alone
 (``family_verdicts``). Base words are built on a code's points
-(``_base_words``), and on the frame (``_frame_bases``) for two frame tables
-over them, one row per base word and one column per (k+1)-subset of the frame
-points: whether the interpolant through its first k points meets the base word
-at its last (``_frame_hits``, from the tail tensor), and whether the base word
-under the generator has a zero minor there (``_frame_zeros``, from the k-minor
-table).
-``family_verdicts`` also checks that each sampled word is in its family: its
-syndrome (``_syndromes``, from the tail rows of the pairs (0..k-1) + (i,)) is
-lam times the base word's. And it finds each row's first witness of the paper
-criterion of its base word in a third frame table, with the same rows and one
-column per k-subset of the frame points: whether the criterion's expression is
-zero there (``_frame_criteria``), built from its closed form, never from the
-other two tables, so that it stays an independent check of them.
+(``_base_words``), and on the frame (``_frame_bases``) for the frame's family
+table (``_family_frame``): one row per base word, one column per (k+1)-subset
+of the frame points, and three bits, each from its own build. Bit 1 says that
+the interpolant through the first k points meets the base word at the last
+(from the tail tensor), bit 2 that the base word under the generator has a zero
+minor there (from the k-minor table), and bit 4, on the columns that end at the
+projective point, that the expression of the base word's paper criterion is zero
+at the first k points (from its closed form, never from bits 1 and 2, so that it
+stays an independent check of them). ``family_verdicts`` also checks that each
+sampled word is in its family: its syndrome (``_syndromes``, from the tail rows
+of the pairs (0..k-1) + (i,)) is lam times the base word's.
 
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
-replaced, the frame tables against the per-code builds on every small code,
+replaced, the frame tables against the per-code builds on every small code
+and the bits of the family table against each other and the scalar criteria,
 the spans against the digit-by-digit q^k build they replaced, and the slab
 minimum distances, MDS checks and MDS-extension zeros against per-code scans,
 and the syndrome BFS against a BFS that steps one generator at a time. It pins
 the batched syndromes to ``_syndrome``, and ``family_verdicts`` to the
 agreement kernel, the MDS-extension zeros and ``_syndrome``, with and without
-the frame tables, on every small code, and its witnesses to the scalar
+the family table, on every small code, and its witnesses to the scalar
 criteria on every code of the small sweep grids.
 """
 
@@ -501,67 +500,55 @@ def _frame_bases(f: FiniteField, k: int) -> np.ndarray:
     return _base_words(f, k, np.tile(np.arange(f.q), (f.q + 1, 1)), np.arange(-1, f.q))
 
 
-def _frame_hits(f: FiniteField, k: int):
-    """The frame's hits table, (q + 1, C(q + 1, k + 1)) bools: at the pair P = S + (i,) of frame
-    points, does the interpolant through S of base word b (``_frame_bases``) meet it at i? Read
-    from the frame tail tensor one base word at a time; None where that tensor or this build
-    does not fit one run."""
-    if (tails := _frame_tails(f, k)) is None:
+def _family_frame(f: FiniteField, k: int):
+    """The frame's family table, (q + 1, C(q + 1, k + 1)) uint8, rows as ``_frame_bases``. At the
+    (k+1)-subset T = S + (i,) of frame points, for base word b:
+
+    * bit 1, hits: the interpolant through S of b meets b at i, from the frame tail tensor;
+    * bit 2, zeros: det[G_T; b_T] = 0, expanded along the word row as in ``mds_extension_zeros``,
+      from the frame k-minor table;
+    * bit 4, set only on the projective columns i = q: the expression of b's paper criterion is
+      zero at S. Row 0 is thm14's, [sum S = 0], and row 1 + a is thm15's at a,
+      [C(q-2, k-1) * a^(q-1-k) * prod_{y in S} (y - a) + 1 = 0], unset where S holds a (a zero
+      factor leaves 1) and everywhere when the constant is 0 (a = 0, or p | k).
+
+    Bit 4 comes from these closed forms by table gathers, never from bits 1 and 2, so that a
+    criterion stays an independent check of the oracles. Built one base word at a time; None
+    where the tail tensor, the minor table or this build does not fit one run."""
+    if (tails := _frame_tails(f, k)) is None or (minors := _frame_minors(f, k)) is None:
         return None
+    binom = lucas_binom(f.q - 2, k - 1, f.p)
 
-    def build(pairs):
-        return np.array([_dot(f, word[pairs[:, :k]], tails[0]) == word[pairs[:, k]]
-                         for word in _frame_bases(f, k)])
-
-    return _frame("hits", f, k, k + 1, f.q + 1 + 32 * (k + 1), build)
-
-
-def _frame_zeros(f: FiniteField, k: int):
-    """The frame's zeros table, (q + 1, C(q + 1, k + 1)) bools: is det[G_T; b_T] = 0 at the
-    (k+1)-subset T of frame points for base word b (``_frame_bases``)? Expanded along the word
-    row as in ``mds_extension_zeros``, from the frame k-minor table one base word at a time;
-    None where that table or this build does not fit one run."""
-    if (minors := _frame_minors(f, k)) is None:
-        return None
+    def criterion(S, a):
+        if a < 0:
+            total = S[:, 0]
+            for j in range(1, k):
+                total = f.add_table[total, S[:, j]]
+            return total == 0
+        if not (const := f.mul_enc(binom, f.pow_enc(a, f.q - 1 - k))):
+            return False
+        value = np.full(len(S), const)
+        for shifted in f.add_table[S, f.neg_enc(a)].T:
+            value = f.mul_table[value, shifted]
+        return value == f.neg_enc(1)
 
     def build(subsets):
         cof = minors[0][matrix._drop_ranks(f.q + 1, subsets)].astype(np.intp)
         cof[:, 1::2] = f.neg_table[cof[:, 1::2]]
-        return np.array([_dot(f, word[subsets], cof) == 0 for word in _frame_bases(f, k)])
-
-    return _frame("zeros", f, k, k + 1, f.q + 1 + 64 * (k + 1), build)
-
-
-def _frame_criteria(f: FiniteField, k: int):
-    """The frame's criteria table, (q + 1, C(q + 1, k)) bools: is the expression of a paper
-    criterion zero at the k-subset S of frame points? Rows as ``_frame_bases``: row 0 is thm14's,
-    [sum S = 0], and row 1 + a is thm15's at a, [C(q-2, k-1) * a^(q-1-k) * prod_{y in S} (y - a)
-    + 1 = 0], false where S holds a (a zero factor leaves 1) and everywhere when the constant is
-    0 (a = 0, or p | k). Every row is false where S holds the projective point q. Built from these
-    closed forms by table gathers, one row at a time, and never read from the hits or zeros
-    tables, so that a criterion stays an independent check of the oracles; None where the build
-    would pass one run."""
-    binom = lucas_binom(f.q - 2, k - 1, f.p)
-
-    def build(subsets):
-        table = np.zeros((f.q + 1, len(subsets)), dtype=bool)
-        finite = subsets[:, -1] < f.q  # the projective point is the largest
-        S = subsets[finite]
-        total = S[:, 0]
-        for j in range(1, k):
-            total = f.add_table[total, S[:, j]]
-        table[0, finite] = total == 0
-        for a in range(f.q):
-            if const := f.mul_enc(binom, f.pow_enc(a, f.q - 1 - k)):
-                shifted = f.add_table[S, f.neg_enc(a)]
-                value = np.full(len(S), const)
-                for j in range(k):
-                    value = f.mul_table[value, shifted[:, j]]
-                table[1 + a, finite] = value == f.neg_enc(1)
+        projective = subsets[:, k] == f.q
+        S, table = subsets[projective, :k], np.empty((f.q + 1, len(subsets)), dtype=np.uint8)
+        for row, word in enumerate(_frame_bases(f, k)):
+            table[row] = _dot(f, word[subsets[:, :k]], tails[0]) == word[subsets[:, k]]
+            table[row] += np.uint8(2) * (_dot(f, word[subsets], cof) == 0)
+            table[row, projective] += np.uint8(4) * criterion(S, row - 1)
         return table
 
-    # per subset: its index row, the finite copy and its shift, a few gathers, and the table
-    return _frame("criteria", f, k, k, 24 * k + 48 + f.q + 1, build)
+    return _frame("family", f, k, k + 1, f.q + 1 + 64 * (k + 1), build)
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Per row of a mask, its first true column, or -1 for none."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
 
 
 def family_verdicts(codes, a, bases, words, lams, mds, distinct=None) -> tuple:
@@ -576,33 +563,29 @@ def family_verdicts(codes, a, bases, words, lams, mds, distinct=None) -> tuple:
     * zeros, one per row with mds[r]: the rank of the base word's first (k+1)-subset T with
       det[G_T; b_T] = 0, or -1 for a deep hole, as ``mds_extension_zeros``;
     * witnesses, per row: the first k-subset of its code's D in lexicographic order at which its
-      paper criterion's expression is zero (row 1 + a[r] of ``_frame_criteria``: thm14's at
-      a[r] = -1, else thm15's at a[r]), as encodings, or () for none; None where that table
-      would pass one run.
+      paper criterion's expression is zero (thm14's at a[r] = -1, else thm15's at a[r]), as
+      encodings, or () for none; None where there is no family table.
 
     The first length - k (k+1)-subsets are the syndrome pairs (0..k-1) + (i,), whose tail rows
-    give the syndromes (``_syndromes``). Where the frame's hits table (and, for mds rows, its
-    zeros table) fits one run, one frame ranking of each distinct code's (k+1)-subsets
-    (``_ranks``) serves all three: the tail rows are read from the frame tail tensor, a distance
-    is a gather of the hits table (``_frame_hits``), one sum per k-subset S of its pairs S + (i,)
-    and a max, as ``agreement_distances`` scores a word, and a zero is the first hit of a gather
-    of the zeros table (``_frame_zeros``). Otherwise the tail rows are built per distinct code
-    (``_tail_tensor``) and the base words go through ``agreement_distances`` and
-    ``mds_extension_zeros``. A witness is the first true column of a gather of the criteria
-    table at the frame ranks of each distinct code's k-subsets of D: D is sorted and the frame
-    map keeps subset order. The rows go a group at a time, as many as fit one run at 64 bytes a
-    ranked (k+1)-subset, 24 bytes a ranked k-subset and 24 bytes a syndrome term.
+    give the syndromes (``_syndromes``). Where the frame's family table (``_family_frame``) fits
+    one run, one frame ranking of each distinct code's (k+1)-subsets (``_ranks``) serves them all:
+    the tail rows are read from the frame tail tensor, and one gather of the table at row 1 + a[r]
+    gives the rest. A distance is one sum of bit 1 per k-subset S of its pairs S + (i,) and a max,
+    as ``agreement_distances`` scores a word; a zero is the first column with bit 2; a witness is
+    the first column with bit 4, whose S is the criterion's k-subset of D: a code's projective
+    columns S + (n,) come in the lexicographic order of S, and the frame map keeps it. Otherwise
+    the tail rows are built per distinct code (``_tail_tensor``), the base words go through
+    ``agreement_distances`` and ``mds_extension_zeros``, and each criterion is left to its scalar
+    scan. The rows go a group at a time, as many as fit one run at 64 bytes a ranked (k+1)-subset
+    and 24 bytes a syndrome term.
     """
     f, n, k, top = codes[0].field, codes[0].n, codes[0].k, codes[0].length
     a, mds, rows = np.asarray(a, dtype=np.intp), np.asarray(mds, dtype=bool), np.flatnonzero(mds)
     w = np.concatenate([np.asarray(words, dtype=np.intp), bases[:, None]], axis=1)
     lams = np.asarray(lams, dtype=np.intp)[:, :, None]
-    hits, zeros = _frame_hits(f, k), (_frame_zeros(f, k) if rows.size else ())
-    criteria = _frame_criteria(f, k)
-    framed = hits is not None and zeros is not None
-    subsets = matrix._subset_index(top, k + 1) if framed else matrix._subsets(top, k + 1, 0, top - k)
-    dsubsets = () if criteria is None else matrix._subset_index(n, k)  # the k-subsets of D
-    unit = 64 * len(subsets) * framed + 24 * len(dsubsets) + 24 * w.shape[1] * (top - k) * k
+    frame = _family_frame(f, k)
+    subsets = matrix._subsets(top, k + 1, 0, top - k) if frame is None else matrix._subset_index(top, k + 1)
+    unit = 64 * len(subsets) * (frame is not None) + 24 * w.shape[1] * (top - k) * k
     group = max(1, matrix._RUN_BYTES // unit)
     points, index = _distinct(codes) if distinct is None else distinct
     inside, dist = np.empty(lams.shape[:2], dtype=bool), np.empty(len(codes), dtype=np.intp)
@@ -613,30 +596,26 @@ def family_verdicts(codes, a, bases, words, lams, mds, distinct=None) -> tuple:
         if len(codes) > group:  # a part ranks only the codes its rows use
             used, at = np.unique(at, return_inverse=True)
             used = points[used]
-        if framed:
-            ranks, b = _ranks(hits[1], used, subsets), a[part, None] + 1
+        if frame is None:
+            T = _tail_tensor(f, used[:, :n], subsets)[at]
+        else:
+            ranks = _ranks(frame[1], used, subsets)
             T, ranks = _frame_tails(f, k)[0][ranks[:, : top - k]][at], ranks[at]
-            counts = np.add.reduceat(hits[0][b, ranks], _tail_starts(subsets), axis=1, dtype=np.intp)
+            bits = frame[0][a[part, None] + 1, ranks]
+            counts = np.add.reduceat(bits & 1, _tail_starts(subsets), axis=1, dtype=np.intp)
             dist[part] = top - k - counts.max(axis=1)
             if (m := mds[part]).any():
-                zero = zeros[0][b[m], ranks[m]]
-                first[part][m] = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
-        else:
-            T = _tail_tensor(f, used[:, :n], subsets)[at]
-        if criteria is not None:
-            found = criteria[0][a[part, None] + 1, _ranks(criteria[1], used, dsubsets)[at]]
-            witness[part] = np.where(found.any(axis=1), found.argmax(axis=1), -1)
+                first[part][m] = _first(bits[m] & 2)
+            witness[part] = _first(bits & 4)
         syn = _syndromes(f, k, w[part], T)
         inside[part] = (syn[:, :-1] == f.mul_table[lams[part], syn[:, -1:]]).all(axis=2)
-    if not framed:
+    if frame is None:
         dist = agreement_distances(codes, bases[:, None])[:, 0]
         if rows.size:
             first[rows] = mds_extension_zeros([codes[r] for r in rows], bases[rows, None])[:, 0]
-    witnesses = None
-    if criteria is not None:
-        encs = points[index[:, None], dsubsets[witness]].tolist()
-        witnesses = [tuple(e) if r >= 0 else () for e, r in zip(encs, witness.tolist())]
-    return inside, dist, first[rows], witnesses
+        return inside, dist, first[rows], None
+    encs = points[index[:, None], subsets[witness, :k]].tolist()
+    return inside, dist, first[rows], [tuple(e) if r >= 0 else () for e, r in zip(encs, witness.tolist())]
 
 
 def _syndromes(f: FiniteField, k: int, words: np.ndarray, T: np.ndarray) -> np.ndarray:

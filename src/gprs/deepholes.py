@@ -34,11 +34,11 @@ thm14, thm15 and mds_extension each define their witnesses once: a ground
 set, a subset size and a field expression that is zero exactly on a
 witness. The criterion scan and ``validate_verdict`` both evaluate that one
 definition; thm15 validation therefore also requires a_j to be an excluded
-point. Sweeps find their witnesses another way, as the first true column of a
-gather of the frame criteria table (``codes._frame_criteria``, built from the
-same closed forms), and ``criterion_verdict`` turns that witness into the
-row's verdict; the one definition re-checks every such witness. Where the
-table would pass one run, ``criterion_verdict`` runs the scan here.
+point. Sweeps find their witnesses another way, in a gather of the criterion
+bit of the frame family table (``codes._family_frame``, built from the same
+closed forms), and ``criterion_verdict`` turns that witness into the row's
+verdict; the one definition re-checks every such witness. Where there is no
+table, ``criterion_verdict`` runs the scan here.
 """
 
 from __future__ import annotations

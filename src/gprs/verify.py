@@ -22,10 +22,10 @@ error distance nor the MDS-extension verdict: a row covers its whole family.
 Its sampled words are still built and each is class-checked against the base
 word; ``run_sweep`` scores the family rows of one (q, l, k) together, in one
 pass (``_scored_rows``) that also decides their criteria: each row's first
-witness is a gather of the frame criteria table (``codes.family_verdicts``),
-re-checked by its one scalar definition (``validate_verdict``), and a shape
-whose table would pass one run scans each row's criterion instead
-(``criterion_verdict``). The words come from one seeded stream per slab
+witness comes from the same gather of the frame family table as its oracle
+verdicts (``codes.family_verdicts``) and is re-checked by its one scalar
+definition (``validate_verdict``), and a shape with no table scans each row's
+criterion instead (``criterion_verdict``). The words come from one seeded stream per slab
 (``_draws``): a (claim, q, l, k) slab of thm14/thm15 rows, or one thm16/thm17
 row, draws all its words before any of its criteria are decided, so a row's
 words never depend on another row's verdict.

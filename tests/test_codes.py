@@ -23,7 +23,14 @@ from gprs.codes import (
     mds_extension_zeros,
     minimum_distances,
 )
-from gprs.deepholes import WordFamilySpec, _family_bases, build_family_word, family_words
+from gprs.deepholes import (
+    WordFamilySpec,
+    _family_bases,
+    _thm14_test,
+    _thm15_test,
+    build_family_word,
+    family_words,
+)
 from gprs.galois import field, field_of_order
 from gprs.matrix import _subset_index, _subsets
 from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
@@ -637,8 +644,7 @@ def test_family_verdicts_are_the_per_code_verdicts_of_every_base_word(monkeypatc
     # zero of ``mds_extension_zeros``; a word lam * base + codeword is inside its family and
     # the same word with one coordinate moved is outside, as ``_syndrome`` decides
     if not framed:
-        for name in ("_frame_hits", "_frame_zeros"):
-            monkeypatch.setattr(codes_module, name, lambda f, k: None)
+        monkeypatch.setattr(codes_module, "_family_frame", lambda f, k: None)
     rng = random.Random(q)
     for codes, a, bases in _family_slabs(q):
         f, n = codes[0].field, codes[0].length
@@ -663,8 +669,8 @@ def test_family_verdicts_are_the_per_code_verdicts_of_every_base_word(monkeypatc
 
 def test_family_verdicts_rank_each_part_of_a_group_by_its_own_codes(monkeypatch):
     # GF(7), length 6, k = 3: every code with each of its base words, 63 rows of 21 codes. Under
-    # a 25,000-byte run every frame table still builds, and the rows go a part of 12 at a time,
-    # each part ranking only the distinct codes its rows use; every check is as in one part
+    # a 25,000-byte run the family table still builds, and the rows go a part of 13 at a time,
+    # each part ranking only the distinct codes its rows use, once; every check is as in one part
     codes, a, bases = next(slab for slab in _family_slabs(7) if (slab[0][0].length, slab[0][0].k) == (6, 3))
     lams = np.ones((len(codes), 3), dtype=np.intp)
     words = family_words(codes, bases, lams, np.zeros((len(codes), 3, 3), dtype=np.intp))
@@ -675,7 +681,7 @@ def test_family_verdicts_rank_each_part_of_a_group_by_its_own_codes(monkeypatch)
                         or real(binom, points, subsets))
     monkeypatch.setattr(matrix_module, "_RUN_BYTES", 25000)
     parts = family_verdicts(codes, a, bases, words, lams, mds)
-    assert len(codes) == 63 and len(ranked) == 2 * 6 and max(ranked) <= 12
+    assert len(codes) == 63 and len(ranked) == 5 and max(ranked) <= 13
     assert all(p.tolist() == w.tolist() for p, w in zip(parts[:3], whole[:3])) and parts[3] == whole[3]
 
 
@@ -860,11 +866,9 @@ def test_subset_indexes_holds_a_sweep_pass_within_its_bound(monkeypatch):
     run_sweep(config)
     shapes = set(matrix_module._indexes)
     assert len(shapes) >= 35
-    # the frame family tables share the cache and its bound
+    # the frame family tables share the cache and its bound, one per k
     f = field_of_order(11)
-    family = {key for key in shapes if key[0] in ("hits", "zeros", "criteria")}
-    assert {("hits", f, k) for k in range(2, 10)} | {("zeros", f, k) for k in range(2, 9)} <= family
-    assert {("criteria", f, k) for k in range(2, 10)} <= family
+    assert {key for key in shapes if key[0] == "family"} == {("family", f, k) for k in range(2, 10)}
     assert sum(a.nbytes for entry in matrix_module._indexes.values() for a in entry) <= matrix_module._INDEX_BYTES
     built = []
     real = matrix_module._subsets
@@ -882,21 +886,22 @@ def test_subset_indexes_holds_a_sweep_pass_within_its_bound(monkeypatch):
 
 
 def test_frame_family_tables_build_within_one_run_and_never_past_it(monkeypatch):
-    # GF(13), every k: with the tail tensor and k-minor table in the cache, the hits and
-    # zeros tables build one base word at a time within one run. A zeros table comes only
-    # with its minor table (none at k = 7..9, whose minor tables pass one run)
+    # GF(13), every k: with the tail tensor and k-minor table in the cache, the family table
+    # builds one base word at a time within one run. It comes only with its minor table (none
+    # at k = 7..9, whose minor tables pass one run)
     monkeypatch.setattr(matrix_module, "_indexes", {})
     f = field_of_order(13)
     for k in range(2, 12):
         tails, minors = codes_module._frame_tails(f, k), codes_module._frame_minors(f, k)
         tracemalloc.start()
         try:
-            hits, zeros = codes_module._frame_hits(f, k), codes_module._frame_zeros(f, k)
+            table = codes_module._family_frame(f, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tails is not None and hits is not None and (zeros is None) == (minors is None) == (7 <= k <= 9)
-        assert hits[0].shape == (14, math.comb(14, k + 1)) and hits[0].dtype == bool
+        assert tails is not None and (table is None) == (minors is None) == (7 <= k <= 9), k
+        if table is not None:
+            assert table[0].shape == (14, math.comb(14, k + 1)) and table[0].dtype == np.uint8
         assert peak < matrix_module._RUN_BYTES, k
     # GF(23), k = 11: no tail tensor and no minor table, so no family table, and nothing built
     monkeypatch.setattr(matrix_module, "_indexes", {})
@@ -907,24 +912,29 @@ def test_frame_family_tables_build_within_one_run_and_never_past_it(monkeypatch)
     for name in ("_tail_tensor", "det_stack"):
         monkeypatch.setattr(codes_module, name, refuse)
     monkeypatch.setattr(matrix_module, "_subsets", refuse)
-    f = field_of_order(23)
-    assert codes_module._frame_hits(f, 11) is None and codes_module._frame_zeros(f, 11) is None
+    assert codes_module._family_frame(field_of_order(23), 11) is None
     assert matrix_module._indexes == {}
 
 
 def test_frame_criteria_build_within_one_run_and_never_past_it(monkeypatch):
-    # GF(13), every k: the criteria table, one row for thm14 and one per a for thm15, builds
-    # within one run. GF(23), k = 11: it would pass one run, so it is None and nothing is built
-    monkeypatch.setattr(matrix_module, "_indexes", {})
+    # GF(13), every k, from an empty shape cache: the criteria, bit 4 of the family table, build
+    # with the tail tensor and minor table they wait on within one run, and lie only on the
+    # projective columns. At k = 7..9 there is no table, so no criteria to gather. GF(23),
+    # k = 11: they would pass one run, so they are None and no subset is built
     f = field_of_order(13)
     for k in range(2, 12):
+        monkeypatch.setattr(matrix_module, "_indexes", {})
         tracemalloc.start()
         try:
-            table = codes_module._frame_criteria(f, k)
+            table = codes_module._family_frame(f, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table[0].shape == (14, math.comb(14, k)) and table[0].dtype == bool
+        assert (table is None) == (7 <= k <= 9), k
+        if table is not None:
+            projective = _subset_index(14, k + 1)[:, k] == 13
+            criteria = (table[0] & 4) > 0
+            assert criteria.any() and not criteria[:, ~projective].any(), k
         assert peak < matrix_module._RUN_BYTES, k
     monkeypatch.setattr(matrix_module, "_indexes", {})
 
@@ -932,15 +942,56 @@ def test_frame_criteria_build_within_one_run_and_never_past_it(monkeypatch):
         raise AssertionError("built past one run")
 
     monkeypatch.setattr(matrix_module, "_subsets", refuse)
-    assert codes_module._frame_criteria(field_of_order(23), 11) is None
+    assert codes_module._family_frame(field_of_order(23), 11) is None
     assert matrix_module._indexes == {}
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_every_family_table_column_keeps_the_identities_of_its_bits(monkeypatch, q):
+    # every column T of the family table at every k a code takes, rows as ``_frame_bases``
+    # (row 1 + a of the shifted base word at a, row 0 of x^k, which no a constrains):
+    # (i) bit 1 (hits) equals bit 2 (zeros) wherever T avoids a, Dür's equivalence one subset
+    # at a time; (ii) no finite T that avoids a hits; (iii) on the projective T = S + (q,) that
+    # avoid a, bit 1 equals bit 4 (the criterion), and bit 4 is never set off them. For odd q,
+    # bit 4 is the scalar criterion at S on a code whose D holds S: F_q minus a for row 1 + a,
+    # F_q minus the least point outside S for row 0. So a wrong build of any one bit fails. The
+    # run is raised so that GF(13) builds its tables at k = 7..9 too
+    monkeypatch.setattr(matrix_module, "_indexes", {})
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", 1 << 24)
+    f, tests, columns = field_of_order(q), {}, 0
+    for k in range(2, q - 1):
+        table, _ = codes_module._family_frame(f, k)
+        subsets = _subset_index(q + 1, k + 1)
+        projective = subsets[:, k] == q
+        for row, bits in enumerate(table):
+            a = row - 1
+            avoids = (subsets != a).all(axis=1)
+            hits, zeros, criterion = ((bits & bit) > 0 for bit in (1, 2, 4))
+            assert (hits == zeros)[avoids].all(), (k, row)
+            assert not hits[avoids & ~projective].any(), (k, row)
+            assert (hits == criterion)[avoids & projective].all(), (k, row)
+            assert not criterion[~projective].any(), (k, row)
+            columns += len(subsets)
+            if q % 2 == 0:
+                continue
+            for S, bit in zip(map(tuple, subsets[projective, :k].tolist()), criterion[projective].tolist()):
+                if a in S:
+                    assert not bit, (k, row, S)
+                    continue
+                e = a if a >= 0 else min(set(range(q)) - set(S))
+                if (k, a, e) not in tests:
+                    code = GprsCode(f, [e], k)
+                    tests[k, a, e] = _thm14_test(code) if a < 0 else _thm15_test(code, e)
+                test = tests[k, a, e]
+                assert (test.value is not None and test.value(S) == 0) == bit, (k, row, S)
+    assert columns == sum((q + 1) * math.comb(q + 1, k + 1) for k in range(2, q - 1))
 
 
 @pytest.mark.parametrize("k", range(2, 12))
 def test_family_verdicts_hold_a_group_of_rows_within_one_run(k):
     # GF(13), 300 rows of 20 words on one code, every other row with the MDS scan: the rows
     # go a group at a time, and a call on the frame tables peaks within one run (they are
-    # built first, as they stay in the shape cache). At k = 7..9 there is no zeros table:
+    # built first, as they stay in the shape cache). At k = 7..9 there is no family table:
     # the per-code route runs ``mds_extension_zeros`` on the base words, whose rows of one
     # code share its minor table (``test_mds_extension_zeros_of_rows_on_one_code_fit_one_run``)
     f, rng, rows = field_of_order(13), np.random.default_rng(k), 300
@@ -977,7 +1028,7 @@ def test_second_sweep_pass_builds_no_frame_table(monkeypatch):
                          words_per_config=1)
     run_sweep(config)
     f = field_of_order(11)
-    frames = {("minors", f, k) for k in range(2, 9)} | {("tails", f, k) for k in range(2, 10)}
+    frames = {("minors", f, k) for k in range(2, 10)} | {("tails", f, k) for k in range(2, 10)}
     assert _frame_keys() == frames and len(builds) == len(frames)
     builds.clear()
     run_sweep(config)

@@ -533,11 +533,12 @@ def test_base_words_score_as_every_sampled_word(monkeypatch, q):
 
 
 def test_base_words_past_the_frame_score_as_every_sampled_word(monkeypatch):
-    # at q = 19 the hits tables of k = 4..15 pass one run, so those thm16 and thm17 rows take
-    # the per-code route of ``family_verdicts``; k = 2, 3, 16 and 17 keep their tables
+    # at q = 19 the family tables of k = 4..17 pass one run, or need a tail tensor or k-minor
+    # table that does, so those thm16 and thm17 rows take the per-code route of
+    # ``family_verdicts``; k = 2 and 3 keep their tables
     f = field_of_order(19)
-    framed = [k for k in range(2, 18) if codes_module._frame_hits(f, k) is not None]
-    assert framed == [2, 3, 16, 17]
+    framed = [k for k in range(2, 18) if codes_module._family_frame(f, k) is not None]
+    assert framed == [2, 3]
     config = SweepConfig(claims=("thm16", "thm17"), q_list=(19,), words_per_config=1)
     _, summary = _assert_scored_as_the_per_word_reference(monkeypatch, config)
     assert summary == {"total": 31, "agreed": 31, "refuted": 0, "skipped": 0}
@@ -558,9 +559,10 @@ def test_every_lie_refutes_as_in_the_per_word_reference(monkeypatch, case):
 @pytest.mark.parametrize("q, cap", [(5, None), (7, None), (9, None), (11, None), (13, 40)])
 def test_group_witnesses_are_the_scalar_criteria(q, cap):
     # every code, a_j and k of the thm14/thm15 grid (exhaustive below 13): the witness that
-    # ``family_verdicts`` gathers from the frame criteria table makes the verdict the scalar scan
-    # makes, thm14_criterion's or thm15_criterion's, at a_j = 0 and p | k too, where the
-    # expression is the constant 1
+    # ``family_verdicts`` gathers from bit 4 of the frame family table makes the verdict the
+    # scalar scan makes, thm14_criterion's or thm15_criterion's, at a_j = 0 and p | k too, where
+    # the expression is the constant 1. GF(13) has no family table at k = 7..9, where
+    # ``family_verdicts`` returns no witnesses, so that a row scans its criterion
     f = field_of_order(q)
     config = SweepConfig(claims=("thm15",), q_list=(q,), max_exclusion_sets_per_q=cap)
     constant, kinds = 0, set()
@@ -573,6 +575,10 @@ def test_group_witnesses_are_the_scalar_criteria(q, cap):
         bases[a >= 0] = _family_bases([c for c, _ in shifted], "shifted_qminus2", [a_j for _, a_j in shifted])
         mds = np.zeros(len(codes), dtype=bool)
         *_, witnesses = codes_module.family_verdicts(codes, a, bases, bases[:, None], np.ones((len(codes), 1)), mds)
+        k = codes[0].k
+        assert (witnesses is None) == (q == 13 and 7 <= k <= 9), k
+        if witnesses is None:
+            continue
         for code, a_j, witness in zip(codes, a_js, witnesses):
             scalar = thm14_criterion(code) if a_j is None else thm15_criterion(code, a_j)
             assert verify.criterion_verdict(code, a_j, witness) == scalar, (code.spec_string(), a_j)
@@ -582,10 +588,10 @@ def test_group_witnesses_are_the_scalar_criteria(q, cap):
 
 
 def test_a_shape_past_one_run_takes_the_scalar_criteria(monkeypatch):
-    # GF(17) has no criteria table at k = 7..12, whose rows scan by thm14_criterion and
+    # GF(17) has no family table at k = 5..15, whose rows scan by thm14_criterion and
     # thm15_criterion; with no table anywhere the report has the same bytes
-    f, middle = field_of_order(17), range(7, 13)
-    assert [k for k in range(2, 16) if codes_module._frame_criteria(f, k) is None] == list(middle)
+    f, middle = field_of_order(17), range(5, 16)
+    assert [k for k in range(2, 16) if codes_module._family_frame(f, k) is None] == list(middle)
     config = SweepConfig(claims=("thm14", "thm15"), q_list=(17,), words_per_config=1, max_exclusion_sets_per_q=14)
     scanned = []
     for name in ("thm14_criterion", "thm15_criterion"):
@@ -594,7 +600,7 @@ def test_a_shape_past_one_run_takes_the_scalar_criteria(monkeypatch):
     rep = run_sweep(config)
     assert rep.summary["agreed"] == rep.summary["total"] and set(scanned) == set(middle)
     assert len(scanned) == sum(int(row.k) in middle for row in rep.rows)
-    monkeypatch.setattr(codes_module, "_frame_criteria", lambda f, k: None)
+    monkeypatch.setattr(codes_module, "_family_frame", lambda f, k: None)
     assert run_sweep(config).to_json() == rep.to_json()
 
 
