@@ -42,7 +42,7 @@ r-1 levels has weight r, and the last level is never expanded.
 Every code over F_q takes its coordinates from one frame: the q points of F_q
 in encoding order, then the projective point q. Its generator is the frame
 generator on those columns, and the map keeps subset order. So the k-minor
-table, which ``mds_extension_zeros`` expands and the all-minors MDS check
+table, whose cofactors decide MDS extensions and which the all-minors MDS check
 (``mds_checks``) reads, and the tail tensor depend only on (field, k): each
 is built once for the frame (``_frame_minors``, ``_frame_tails``), kept in
 the shape cache of ``gprs.matrix``, and a code's rows are gathered from it
@@ -54,30 +54,29 @@ distinct codes of a group of a slab's rows, in the runs of subsets that
 The paper's families are lam times a base word (x^k, or (x - a)^(q-2)) plus
 a codeword, and neither scaling nor adding a codeword moves the error distance
 or the MDS-extension verdict, so a family is scored by its base word alone
-(``family_verdicts``). Base words are built on a code's points
-(``_base_words``), and on the frame (``_frame_bases``) for the frame's family
-table (``_family_frame``): one row per base word, one column per (k+1)-subset
-of the frame points, and three bits, each from its own build. Bit 1 says that
-the interpolant through the first k points meets the base word at the last
-(from the tail tensor), bit 2 that the base word under the generator has a zero
-minor there (from the k-minor table), and bit 4, on the columns that end at the
-projective point, that the expression of the base word's paper criterion is zero
-at the first k points (from its closed form, never from bits 1 and 2, so that it
-stays an independent check of them). ``family_verdicts`` also checks that each
-sampled word is in its family: its syndrome (``_syndromes``, from the tail rows
-of the pairs (0..k-1) + (i,)) is lam times the base word's.
+(``family_verdicts``), from three bits per (k+1)-subset T = S + (i,) of a code's
+points (``_family_bits``), each from its own build. Bit 1 says that the
+interpolant through S meets the base word at i (from tail rows), bit 2 that the
+base word under the generator has a zero minor at T (from k-minor cofactors),
+and bit 4, at T = S + (projective point), that the expression of the base word's
+paper criterion is zero at S (from its closed form, never from bits 1 and 2, so
+that it stays an independent check of them). On the frame's base words
+(``_frame_bases``) the bits make the family table (``_family_frame``), gathered
+by rank; past one run they are built per code, a run of subsets at a time.
+``family_verdicts`` also checks that each sampled word is in its family: its
+syndrome (``_syndromes``, from the tail rows of the pairs (0..k-1) + (i,)) is
+lam times the base word's.
 
 The test suite pins the two flavors against each other exhaustively on
 small codes, the kernel against the per-subset interpolation loop it
 replaced, the frame tables against the per-code builds on every small code
 and the bits of the family table against each other and the scalar criteria,
 the spans against the digit-by-digit q^k build they replaced, and the slab
-minimum distances, MDS checks and MDS-extension zeros against per-code scans,
-and the syndrome BFS against a BFS that steps one generator at a time. It pins
-the batched syndromes to ``_syndrome``, and ``family_verdicts`` to the
-agreement kernel, the MDS-extension zeros and ``_syndrome``, with and without
-the family table, on every small code, and its witnesses to the scalar
-criteria on every code of the small sweep grids.
+minimum distances and MDS checks against per-code scans, and the syndrome BFS
+against a BFS that steps one generator at a time. It pins the batched syndromes
+to ``_syndrome``, and ``family_verdicts`` to the agreement kernel, a reference
+MDS-extension scan and ``_syndrome`` on every small code, its per-code bits to
+its family table, and its witnesses to the scalar criteria on the sweep grids.
 """
 
 from __future__ import annotations
@@ -335,6 +334,12 @@ def _frame_tails(f: FiniteField, k: int):
                   lambda pairs: _tail_tensor(f, np.arange(f.q)[None], pairs)[0])
 
 
+def _tails(f: FiniteField, n: int, frame, points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Each code's tail rows at ``pairs``, (codes, pairs, k): gathered from the frame tail tensor
+    ``frame`` (``_frame_tails``), or built on the codes' D points, points[:, :n], past it."""
+    return _tail_tensor(f, points[:, :n], pairs) if frame is None else _gather(frame, points, pairs)
+
+
 def _gather(frame, points: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Each code's rows of a frame table at the m-subsets of its coordinates, (codes, subsets)."""
     return frame[0][_ranks(frame[1], points, subsets)]
@@ -372,33 +377,6 @@ def mds_checks(codes) -> list[MdsCheckResult]:
     length, k = codes[0].length, codes[0].k
     return [MdsCheckResult(False, tuple(matrix._subsets(length, k, r, r + 1)[0].tolist()))
             if row[r] else MdsCheckResult(True) for row, r in zip(singular, singular.argmax(axis=1))]
-
-
-def mds_extension_zeros(codes, words) -> np.ndarray:
-    """Per words[r, j] and codes[r], as (rows, words): the rank of the first (k+1)-subset T of
-    range(length) in lexicographic order with det[G_T; w_T] = 0, or -1 for none, a deep hole (Dür).
-
-    Up to sign, det[G_T; w_T] = sum_j (-1)^j w_(T_j) det G_(T minus T_j): k+1 gathers per run of
-    subsets (``subset_runs``) from the k-minor table of each distinct code of a group of rows
-    (``_minor_tables``), at the ranks of ``matrix._drop_ranks``, until each word of the group has
-    a zero. A group is as many rows as fit one run at 8 bytes a k-minor.
-    """
-    f, n, k = codes[0].field, codes[0].length, codes[0].k
-    w = np.asarray(words, dtype=np.intp).reshape(len(codes), -1, n)
-    first = np.full(w.shape[:2], -1)
-    group = max(1, matrix._RUN_BYTES // (8 * math.comb(n, k)))
-    for start in range(0, len(codes), group):
-        minors, index = _minor_tables(codes[start : start + group])
-        wr, fr = w[start : start + group], first[start : start + group]
-        # a subset's drop ranks and their temporaries; per row a cofactor, per word a point and term
-        for a, run in subset_runs(n, k + 1, 8 * (k + 1) * (6 + 2 * (wr.shape[1] + 1) * len(wr))):
-            cof = minors[:, matrix._drop_ranks(n, run)]
-            cof[..., 1::2] = f.neg_table[cof[..., 1::2]]
-            found = (fr < 0) & (zero := _dot(f, wr[:, :, run], cof[index, None]) == 0).any(axis=2)
-            fr[found] = a + zero[found].argmax(axis=1)
-            if (fr >= 0).all():
-                break
-    return first
 
 
 def minimum_distances(codes, budget: int = DEFAULT_MESSAGE_BUDGET) -> list[int]:
@@ -460,7 +438,7 @@ def agreement_distances(codes, words) -> np.ndarray:
         points, index = _distinct(codes[start : start + group])
         wr, br, carry = w[start : start + group], best[start : start + group], 0
         for _, pairs in subset_runs(top, k + 1, len(wr) * unit + pair_index):
-            T = (_tail_tensor(f, points[:, :n], pairs) if frame is None else _gather(frame, points, pairs))[index]
+            T = _tails(f, n, frame, points, pairs)[index]
             vals = _dot(f, np.take(wr, pairs[:, :k], axis=2), T[:, None])
             hits = np.add.reduceat(vals == np.take(wr, pairs[:, k], axis=2), _tail_starts(pairs),
                                    axis=2, dtype=np.intp)
@@ -501,54 +479,70 @@ def _frame_bases(f: FiniteField, k: int) -> np.ndarray:
 
 
 def _family_frame(f: FiniteField, k: int):
-    """The frame's family table, (q + 1, C(q + 1, k + 1)) uint8, rows as ``_frame_bases``. At the
-    (k+1)-subset T = S + (i,) of frame points, for base word b:
-
-    * bit 1, hits: the interpolant through S of b meets b at i, from the frame tail tensor;
-    * bit 2, zeros: det[G_T; b_T] = 0, expanded along the word row as in ``mds_extension_zeros``,
-      from the frame k-minor table;
-    * bit 4, set only on the projective columns i = q: the expression of b's paper criterion is
-      zero at S. Row 0 is thm14's, [sum S = 0], and row 1 + a is thm15's at a,
-      [C(q-2, k-1) * a^(q-1-k) * prod_{y in S} (y - a) + 1 = 0], unset where S holds a (a zero
-      factor leaves 1) and everywhere when the constant is 0 (a = 0, or p | k).
-
-    Bit 4 comes from these closed forms by table gathers, never from bits 1 and 2, so that a
-    criterion stays an independent check of the oracles. Built one base word at a time; None
-    where the tail tensor, the minor table or this build does not fit one run."""
+    """The frame's family table, (q + 1, C(q + 1, k + 1)) uint8: ``_family_bits`` of each base
+    word of ``_frame_bases`` on the frame, one at a time, from the frame tail tensor and k-minor
+    table; None where either of them or this build does not fit one run."""
     if (tails := _frame_tails(f, k)) is None or (minors := _frame_minors(f, k)) is None:
         return None
-    binom = lucas_binom(f.q - 2, k - 1, f.p)
-
-    def criterion(S, a):
-        if a < 0:
-            total = S[:, 0]
-            for j in range(1, k):
-                total = f.add_table[total, S[:, j]]
-            return total == 0
-        if not (const := f.mul_enc(binom, f.pow_enc(a, f.q - 1 - k))):
-            return False
-        value = np.full(len(S), const)
-        for shifted in f.add_table[S, f.neg_enc(a)].T:
-            value = f.mul_table[value, shifted]
-        return value == f.neg_enc(1)
+    points, need = np.arange(f.q + 1)[None], np.ones(1, dtype=bool)
 
     def build(subsets):
-        cof = minors[0][matrix._drop_ranks(f.q + 1, subsets)].astype(np.intp)
-        cof[:, 1::2] = f.neg_table[cof[:, 1::2]]
-        projective = subsets[:, k] == f.q
-        S, table = subsets[projective, :k], np.empty((f.q + 1, len(subsets)), dtype=np.uint8)
-        for row, word in enumerate(_frame_bases(f, k)):
-            table[row] = _dot(f, word[subsets[:, :k]], tails[0]) == word[subsets[:, k]]
-            table[row] += np.uint8(2) * (_dot(f, word[subsets], cof) == 0)
-            table[row, projective] += np.uint8(4) * criterion(S, row - 1)
-        return table
+        cof = _cofactors(f, minors[0], f.q + 1, subsets)
+        return np.concatenate([_family_bits(f, k, points, word[None], np.array([row - 1]), subsets, tails[0], cof, need)
+                               for row, word in enumerate(_frame_bases(f, k))])
 
     return _frame("family", f, k, k + 1, f.q + 1 + 64 * (k + 1), build)
 
 
-def _first(mask: np.ndarray) -> np.ndarray:
-    """Per row of a mask, its first true column, or -1 for none."""
-    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+def _cofactors(f: FiniteField, minors: np.ndarray, N: int, subsets: np.ndarray) -> np.ndarray:
+    """(-1)^j det G_(T minus T_j) per (k+1)-subset T of range(N) in ``subsets`` and j, (...,
+    subsets, k + 1), from k-minor tables (..., C(N, k)) at the ranks of ``matrix._drop_ranks``."""
+    cof = minors[..., matrix._drop_ranks(N, subsets)]
+    cof[..., 1::2] = f.neg_table[cof[..., 1::2]]
+    return cof
+
+
+def _family_bits(f: FiniteField, k: int, points, words, a, subsets, tails, cof, need) -> np.ndarray:
+    """The family bits of base words b = words[r] on the frame points points[r], the last one
+    projective (``_base_words``, a[r] as there), (rows, subsets) uint8. At a (k+1)-subset
+    T = S + (i,) of ``subsets``, bit 1 says that the interpolant through S of b meets b at i, by
+    the tail rows ``tails``; on the rows where ``need`` holds, bit 2 that det[G_T; b_T] = 0, by
+    their signed cofactors ``cof`` (``_cofactors``); and bit 4, only where i is projective, that
+    the row's criterion is zero at S (``_criteria``), never read from bits 1 and 2."""
+    bits = (_dot(f, words[:, subsets[:, :k]], tails) == words[:, subsets[:, k]]).astype(np.uint8)
+    if need.any():
+        bits[need] += np.uint8(2) * (_dot(f, words[need][:, subsets], cof) == 0)
+    projective = subsets[:, k] == points.shape[1] - 1
+    bits[:, projective] += np.uint8(4) * _criteria(f, k, points[:, subsets[projective, :k]], a)
+    return bits
+
+
+def _criteria(f: FiniteField, k: int, S: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Is row r's paper criterion zero at the k points S[r, c], (rows, subsets)? thm14's
+    [sum S = 0] at a[r] = -1, else thm15's [C(q-2, k-1) * a^(q-1-k) * prod_{y in S} (y - a) + 1
+    = 0] at a = a[r], never where S holds a or the constant is 0 (a = 0, or p | k). As k < q - 1,
+    a^(q-1-k) is 1 / a^k, and 0 at a = 0 (``inv_table`` maps 0 to 0)."""
+    out, deg = np.empty(S.shape[:2], dtype=bool), a < 0
+    if deg.any():
+        total = S[deg, :, 0]
+        for j in range(1, k):
+            total = f.add_table[total, S[deg, :, j]]
+        out[deg] = total == 0
+    if not deg.all():
+        shift = a[~deg]
+        power = shift
+        for _ in range(1, k):
+            power = f.mul_table[power, shift]
+        value = f.mul_table[lucas_binom(f.q - 2, k - 1, f.p), f.inv_table[power]][:, None]
+        for factor in np.moveaxis(f.add_table[S[~deg], f.neg_table[shift][:, None, None]], 2, 0):
+            value = f.mul_table[value, factor]
+        out[~deg] = value == f.neg_enc(1)
+    return out
+
+
+def _first(mask: np.ndarray, start: int = 0) -> np.ndarray:
+    """Per row of a mask, start plus its first true column, or -1 for none."""
+    return np.where(mask.any(axis=1), start + mask.argmax(axis=1), -1)
 
 
 def family_verdicts(codes, a, bases, words, lams, mds, distinct=None) -> tuple:
@@ -561,61 +555,68 @@ def family_verdicts(codes, a, bases, words, lams, mds, distinct=None) -> tuple:
     * inside, (rows, words): is the syndrome of words[r, j] lams[r, j] times the base word's?
     * distances, (rows,): the base word's exact error distance to codes[r];
     * zeros, one per row with mds[r]: the rank of the base word's first (k+1)-subset T with
-      det[G_T; b_T] = 0, or -1 for a deep hole, as ``mds_extension_zeros``;
+      det[G_T; b_T] = 0, or -1 for a deep hole;
     * witnesses, per row: the first k-subset of its code's D in lexicographic order at which its
       paper criterion's expression is zero (thm14's at a[r] = -1, else thm15's at a[r]), as
-      encodings, or () for none; None where there is no family table.
+      encodings, or () for none.
+
+    The last three come from the family bits (``_family_bits``) of the base words at each code's
+    (k+1)-subsets in lexicographic order: one gather of the frame's family table
+    (``_family_frame``) at row 1 + a[r] and the frame ranks (``_ranks``) where it fits one run,
+    else built on the distinct codes a run of subsets at a time (``subset_runs``), bit 2 only for
+    the rows with mds[r] and no zero yet, from their k-minor tables (``_minor_tables``). A
+    distance sums bit 1 per k-subset S of its pairs S + (i,), as ``agreement_distances`` scores a
+    word; a zero is the first column with bit 2; a witness is the first with bit 4, whose S is
+    the criterion's: a code's projective columns S + (n,) come in the lexicographic order of S.
 
     The first length - k (k+1)-subsets are the syndrome pairs (0..k-1) + (i,), whose tail rows
-    give the syndromes (``_syndromes``). Where the frame's family table (``_family_frame``) fits
-    one run, one frame ranking of each distinct code's (k+1)-subsets (``_ranks``) serves them all:
-    the tail rows are read from the frame tail tensor, and one gather of the table at row 1 + a[r]
-    gives the rest. A distance is one sum of bit 1 per k-subset S of its pairs S + (i,) and a max,
-    as ``agreement_distances`` scores a word; a zero is the first column with bit 2; a witness is
-    the first column with bit 4, whose S is the criterion's k-subset of D: a code's projective
-    columns S + (n,) come in the lexicographic order of S, and the frame map keeps it. Otherwise
-    the tail rows are built per distinct code (``_tail_tensor``), the base words go through
-    ``agreement_distances`` and ``mds_extension_zeros``, and each criterion is left to its scalar
-    scan. The rows go a group at a time, as many as fit one run at 64 bytes a ranked (k+1)-subset
-    and 24 bytes a syndrome term.
+    give the syndromes (``_syndromes``). The rows go a group at a time, as many as fit one run at
+    24 bytes a syndrome term and 64 bytes a ranked (k+1)-subset, or 8 bytes a k-minor.
     """
     f, n, k, top = codes[0].field, codes[0].n, codes[0].k, codes[0].length
-    a, mds, rows = np.asarray(a, dtype=np.intp), np.asarray(mds, dtype=bool), np.flatnonzero(mds)
+    a, mds = np.asarray(a, dtype=np.intp), np.asarray(mds, dtype=bool)
     w = np.concatenate([np.asarray(words, dtype=np.intp), bases[:, None]], axis=1)
     lams = np.asarray(lams, dtype=np.intp)[:, :, None]
-    frame = _family_frame(f, k)
-    subsets = matrix._subsets(top, k + 1, 0, top - k) if frame is None else matrix._subset_index(top, k + 1)
-    unit = 64 * len(subsets) * (frame is not None) + 24 * w.shape[1] * (top - k) * k
-    group = max(1, matrix._RUN_BYTES // unit)
+    frame, tails = _family_frame(f, k), _frame_tails(f, k)
+    table = 64 * math.comb(top, k + 1) if frame is not None else 8 * math.comb(top, k)
+    group = max(1, matrix._RUN_BYTES // (table + 24 * w.shape[1] * (top - k) * k))
     points, index = _distinct(codes) if distinct is None else distinct
-    inside, dist = np.empty(lams.shape[:2], dtype=bool), np.empty(len(codes), dtype=np.intp)
-    first, witness = np.full(len(codes), -1), np.full(len(codes), -1)
+    inside, best = np.empty(lams.shape[:2], dtype=bool), np.zeros(len(codes), dtype=np.intp)
+    first, witness = np.full(len(codes), -1), np.full((len(codes), k), -1)
     for start in range(0, len(codes), group):
         part = slice(start, start + group)
         used, at = points, index[part]
         if len(codes) > group:  # a part ranks only the codes its rows use
             used, at = np.unique(at, return_inverse=True)
             used = points[used]
+        m, carry = mds[part], 0
         if frame is None:
-            T = _tail_tensor(f, used[:, :n], subsets)[at]
+            runs = subset_runs(top, k + 1, (_TAIL_INDEX + _TAIL_BUILD * len(used) + 32 * len(at)) * (k + 1))
+            T = _tails(f, n, tails, used, matrix._subsets(top, k + 1, 0, top - k))[at]
+            if m.any():
+                minors, held = _minor_tables([code for code, x in zip(codes[part], m) if x])
         else:
-            ranks = _ranks(frame[1], used, subsets)
-            T, ranks = _frame_tails(f, k)[0][ranks[:, : top - k]][at], ranks[at]
-            bits = frame[0][a[part, None] + 1, ranks]
-            counts = np.add.reduceat(bits & 1, _tail_starts(subsets), axis=1, dtype=np.intp)
-            dist[part] = top - k - counts.max(axis=1)
-            if (m := mds[part]).any():
-                first[part][m] = _first(bits[m] & 2)
-            witness[part] = _first(bits & 4)
+            runs = [(0, matrix._subset_index(top, k + 1))]
+            ranks = _ranks(frame[1], used, runs[0][1])
+            T, ranks = tails[0][ranks[:, : top - k]][at], ranks[at]
         syn = _syndromes(f, k, w[part], T)
         inside[part] = (syn[:, :-1] == f.mul_table[lams[part], syn[:, -1:]]).all(axis=2)
-    if frame is None:
-        dist = agreement_distances(codes, bases[:, None])[:, 0]
-        if rows.size:
-            first[rows] = mds_extension_zeros([codes[r] for r in rows], bases[rows, None])[:, 0]
-        return inside, dist, first[rows], None
-    encs = points[index[:, None], subsets[witness, :k]].tolist()
-    return inside, dist, first[rows], [tuple(e) if r >= 0 else () for e, r in zip(encs, witness.tolist())]
+        for r, run in runs:
+            fresh = m & (first[part] < 0)
+            if frame is not None:
+                bits = frame[0][a[part, None] + 1, ranks]
+            else:
+                cof = _cofactors(f, minors, top, run)[held[fresh[m]]] if fresh.any() else None
+                bits = _family_bits(f, k, points[index[part]], bases[part], a[part], run,
+                                    _tails(f, n, tails, used, run)[at], cof, fresh)
+            counts = np.add.reduceat(bits & 1, _tail_starts(run), axis=1, dtype=np.intp)
+            counts[:, 0] += carry  # the pairs of an S that the last run ended inside
+            carry = counts[:, -1] if run[-1, k] < top - 1 else 0
+            np.maximum(best[part], counts.max(axis=1), out=best[part])
+            first[part][fresh] = _first(bits[fresh] & 2, r)
+            found = (witness[part, 0] < 0) & ((hit := _first(bits & 4)) >= 0)
+            witness[part][found] = points[index[part][found, None], run[hit[found], :k]]
+    return inside, top - k - best, first[mds], [tuple(e) if e[0] >= 0 else () for e in witness.tolist()]
 
 
 def _syndromes(f: FiniteField, k: int, words: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ covering radius q - l + 1 - k. Four routes produce a verdict:
 
 * ``oracle``: compare the exact error distance against the covering radius;
 * ``mds_extension``: stack the word under the generator matrix and demand
-  every (k+1)-column minor be nonsingular (one word here; a slab of words
-  goes through ``codes.mds_extension_zeros``);
+  every (k+1)-column minor be nonsingular (one word here; a slab of base
+  words reads bit 2 of its family bits in ``codes.family_verdicts``);
 * ``thm14``: closed form for words whose interpolant has degree exactly k;
   such a word is a deep hole iff no k-subset of D sums to zero;
 * ``thm15``: closed form for the family lam*(x - a_j)^(q-2) + nu*x^(k-1)
@@ -34,11 +34,11 @@ thm14, thm15 and mds_extension each define their witnesses once: a ground
 set, a subset size and a field expression that is zero exactly on a
 witness. The criterion scan and ``validate_verdict`` both evaluate that one
 definition; thm15 validation therefore also requires a_j to be an excluded
-point. Sweeps find their witnesses another way, in a gather of the criterion
-bit of the frame family table (``codes._family_frame``, built from the same
-closed forms), and ``criterion_verdict`` turns that witness into the row's
-verdict; the one definition re-checks every such witness. Where there is no
-table, ``criterion_verdict`` runs the scan here.
+point. Sweeps find their witnesses another way, as the first criterion bit of
+their family bits (``codes._family_bits``, built from the same closed forms),
+and ``criterion_verdict`` turns that witness into the row's verdict; the one
+definition re-checks every such witness. Only a single-code call
+(``thm14_criterion``, ``thm15_criterion``) runs the scan here.
 """
 
 from __future__ import annotations
@@ -216,11 +216,8 @@ def thm15_criterion(code: GprsCode, a_j) -> DeepHoleVerdict:
 
 def criterion_verdict(code: GprsCode, a_j, witness) -> DeepHoleVerdict:
     """thm14's verdict on the code (a_j None) or thm15's at a_j, from the lexicographically first
-    witness a batched scan found (``codes.family_verdicts``), () for none; with None, where no
-    batched scan ran, the criterion scans here. Sweeps take their criteria this way, and re-check
-    every witness by ``validate_verdict``."""
-    if witness is None:
-        return thm14_criterion(code) if a_j is None else thm15_criterion(code, a_j)
+    witness a batched scan found (``codes.family_verdicts``), () for none. Sweeps take their
+    criteria this way, and re-check every witness by ``validate_verdict``."""
     return DeepHoleVerdict(not witness, "thm14" if a_j is None else "thm15", witness or None)
 
 

@@ -22,13 +22,12 @@ error distance nor the MDS-extension verdict: a row covers its whole family.
 Its sampled words are still built and each is class-checked against the base
 word; ``run_sweep`` scores the family rows of one (q, l, k) together, in one
 pass (``_scored_rows``) that also decides their criteria: each row's first
-witness comes from the same gather of the frame family table as its oracle
-verdicts (``codes.family_verdicts``) and is re-checked by its one scalar
-definition (``validate_verdict``), and a shape with no table scans each row's
-criterion instead (``criterion_verdict``). The words come from one seeded stream per slab
-(``_draws``): a (claim, q, l, k) slab of thm14/thm15 rows, or one thm16/thm17
-row, draws all its words before any of its criteria are decided, so a row's
-words never depend on another row's verdict.
+witness comes from the family bits of its oracle verdicts
+(``codes.family_verdicts``), is made its verdict (``criterion_verdict``) and
+is re-checked by its one scalar definition (``validate_verdict``). The words
+come from one seeded stream per slab (``_draws``): a (claim, q, l, k) slab of
+thm14/thm15 rows, or one thm16/thm17 row, draws all its words before any of
+its criteria are decided, so no row's words depend on another's verdict.
 
 Each claim is one entry of the claim table ``_CLAIMS``: the function making
 its rows (or, for thm14..thm17, its slabs of family row specs), the smallest q
@@ -382,7 +381,7 @@ def _scored_rows(specs) -> list[SweepRow]:
     q, modulus, k_text, excluded, rows = f.q, _modulus_str(f), str(k), {}, []
     for r, ((claim, code, a_j, _), at, aj, d, c, whole) in enumerate(zip(
             specs, index.tolist(), a.tolist(), deep.tolist(), checked.tolist(), inside.all(axis=1).tolist())):
-        predicted = criterion_verdict(code, a_j, None if witnesses is None else witnesses[r])
+        predicted = criterion_verdict(code, a_j, witnesses[r])
         claimed, witness, detail, expected = _CLAIMS[claim][3](code, a_j, predicted)
         oracle = ""
         if expected is not None:

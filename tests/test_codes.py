@@ -20,7 +20,6 @@ from gprs.codes import (
     agreement_distances,
     family_verdicts,
     mds_checks,
-    mds_extension_zeros,
     minimum_distances,
 )
 from gprs.deepholes import (
@@ -36,7 +35,7 @@ from gprs.matrix import _subset_index, _subsets
 from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
 from gprs.verify import SweepConfig, run_sweep
 import references
-from references import column_minors, mds_generator_check
+from references import column_minors, mds_extension_zeros, mds_generator_check
 
 
 # -- independent oracle: plain-int message enumeration --------------------------
@@ -685,6 +684,48 @@ def test_family_verdicts_rank_each_part_of_a_group_by_its_own_codes(monkeypatch)
     assert all(p.tolist() == w.tolist() for p, w in zip(parts[:3], whole[:3])) and parts[3] == whole[3]
 
 
+@pytest.mark.parametrize("q", [5, 7, 8])
+def test_per_code_family_bits_in_short_runs_give_the_framed_verdicts(monkeypatch, q):
+    # every code and base word, in slabs of one (length, k): with no family table and runs of a
+    # few subsets, the per-code family bits carry each S's hits across runs, offset each zero
+    # and witness by its run's rank and stop bit 2 once every mds row has a zero, and so give
+    # the framed verdicts and witnesses
+    rng = random.Random(q)
+    slabs = []
+    for codes, a, bases in _family_slabs(q):
+        lams = [[rng.randrange(1, q)] for _ in codes]
+        words = family_words(codes, bases, lams, [[[rng.randrange(q) for _ in range(codes[0].k)]] for _ in codes])
+        mds = np.arange(len(codes)) % 3 > 0
+        slabs.append(((codes, a, bases, words, lams, mds), family_verdicts(codes, a, bases, words, lams, mds)))
+    monkeypatch.setattr(codes_module, "_family_frame", lambda f, k: None)
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", 20000)
+    for args, framed in slabs:
+        inside, dist, zeros, witnesses = family_verdicts(*args)
+        assert (inside.tolist(), dist.tolist(), zeros.tolist(), witnesses) == (
+            framed[0].tolist(), framed[1].tolist(), framed[2].tolist(), framed[3])
+
+
+def test_per_code_family_bits_score_any_word_across_runs(monkeypatch):
+    # a base word meets a codeword at most once per S (its only hits are projective), so only
+    # other words test the per-code sums of bit 1 across runs: with no family table and runs of
+    # a few subsets, words at every distance from GF(7) codes, given as base words, get the
+    # distances of ``agreement_distances`` and the first zeros of the reference scan
+    rng = random.Random(7)
+    monkeypatch.setattr(codes_module, "_family_frame", lambda f, k: None)
+    monkeypatch.setattr(matrix_module, "_RUN_BYTES", 20000)
+    for codes, a, _ in _family_slabs(7):
+        f, length, k = codes[0].field, codes[0].length, codes[0].k
+        words = np.array([code.word_from_poly(Polynomial(f, [rng.randrange(7) for _ in range(k)])).encs
+                          for code in codes])
+        for row in words:
+            for i in rng.sample(range(length), rng.randrange(length - k + 1)):
+                row[i] = f.add_enc(int(row[i]), rng.randrange(1, 7))
+        lams, mds = np.ones((len(codes), 1), dtype=np.intp), np.ones(len(codes), dtype=bool)
+        _, dist, zeros, _ = family_verdicts(codes, a, words, words[:, None], lams, mds)
+        assert dist.tolist() == agreement_distances(codes, words[:, None])[:, 0].tolist()
+        assert zeros.tolist() == mds_extension_zeros(codes, words[:, None])[:, 0].tolist()
+
+
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_batched_syndromes_are_the_scalar_syndromes(q):
     # on every GPRS and GRS code, stacked per (length, k), random words: the syndrome pairs'
@@ -760,36 +801,50 @@ def test_agreement_memory_stays_under_the_cap():
     assert peak < cap
 
 
+def _shifted_rows(code, rows):
+    """``rows`` rows of the shifted family at a_j = 0 on one code, (codes, a, bases, words, lams):
+    row r's one sampled word has scale 1 + r % (q - 1) and nu = r % q."""
+    f, codes = code.field, [code] * rows
+    a = np.zeros(rows, dtype=np.intp)
+    lams = 1 + np.arange(rows)[:, None] % (f.q - 1)
+    tails = np.zeros((rows, 1, code.k), dtype=np.intp)
+    tails[:, 0, -1] = np.arange(rows) % f.q
+    bases = _base_words(codes, a)
+    return codes, a, bases, family_words(codes, bases, lams, tails), lams
+
+
 def test_mds_extension_zeros_memory_stays_under_the_cap():
-    # GF(17), n = 16, k = 8: the cofactors of every 9-subset would be C(17, 9) * 9 * 24 bytes,
-    # about 5 MB, past one run. Two words of the shifted family at a_j = 0 are deep holes
-    # (thm17), so every subset is scanned, a run of subsets at a time.
+    # GF(17), n = 16, k = 8, past the family table: the cofactors of every 9-subset would be
+    # C(17, 9) * 9 * 24 bytes, about 5 MB, past one run. ``family_verdicts`` builds bit 2 per
+    # code, a run of subsets at a time, on two rows of the shifted family at a_j = 0, whose
+    # words are deep holes (thm17), so every subset is scanned
     code = GprsCode(field_of_order(17), [0], 8)
     assert math.comb(17, 9) * 9 * 24 > matrix_module._RUN_BYTES
-    words = [build_family_word(code, WordFamilySpec("shifted_qminus2", lam, nu, 0)).encs
-             for lam, nu in ((1, 0), (3, 5))]
+    assert codes_module._family_frame(code.field, 8) is None
+    rows = _shifted_rows(code, 2)
     tracemalloc.start()
     try:
-        zeros = mds_extension_zeros([code], [words])
+        _, dist, zeros, _ = family_verdicts(*rows, np.ones(2, dtype=bool))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert zeros.tolist() == [[-1, -1]]
+    assert zeros.tolist() == [-1, -1] and (dist == code.covering_radius()).all()
     assert peak < 3 * matrix_module._RUN_BYTES
 
 
 def test_mds_extension_zeros_of_rows_on_one_code_fit_one_run():
-    # GF(13), k = 7, past the frame tables: 150 rows of one code keep one k-minor table. A
-    # copy per row, 150 * C(13, 7) * 8 bytes, would take about half a run by itself, and
-    # with the scan's temporaries pass one
+    # GF(13), k = 7, past the frame tables: 150 rows of one code keep one k-minor table in the
+    # per-code bit 2 of ``family_verdicts``. A copy per row, 150 * C(13, 7) * 8 bytes, would
+    # take about half a run by itself, and with the scan's temporaries pass one
     f, k, rows = field_of_order(13), 7, 150
     code = GprsCode(f, [0], k)
-    words = [build_family_word(code, WordFamilySpec("shifted_qminus2", 1 + r % 12, r % 13, 0)).encs
-             for r in range(rows)]
-    mds_extension_zeros([code], [words[:1]])
+    assert codes_module._family_frame(f, k) is None
+    codes, a, bases, words, lams = _shifted_rows(code, rows)
+    mds = np.ones(rows, dtype=bool)
+    family_verdicts(codes[:1], a[:1], bases[:1], words[:1], lams[:1], mds[:1])
     tracemalloc.start()
     try:
-        zeros = mds_extension_zeros([code] * rows, [[w] for w in words])
+        _, _, zeros, _ = family_verdicts(codes, a, bases, words, lams, mds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -992,8 +1047,8 @@ def test_family_verdicts_hold_a_group_of_rows_within_one_run(k):
     # GF(13), 300 rows of 20 words on one code, every other row with the MDS scan: the rows
     # go a group at a time, and a call on the frame tables peaks within one run (they are
     # built first, as they stay in the shape cache). At k = 7..9 there is no family table:
-    # the per-code route runs ``mds_extension_zeros`` on the base words, whose rows of one
-    # code share its minor table (``test_mds_extension_zeros_of_rows_on_one_code_fit_one_run``)
+    # the per-code family bits run a run of subsets at a time, and the rows of one code share
+    # its minor table (``test_mds_extension_zeros_of_rows_on_one_code_fit_one_run``)
     f, rng, rows = field_of_order(13), np.random.default_rng(k), 300
     codes, a = [GprsCode(f, [0], k)] * rows, np.zeros(rows, dtype=np.intp)
     bases, mds = _base_words(codes, a), np.arange(rows) % 2 == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import gprs.codes as codes_module
 import gprs.deepholes as deepholes
 import gprs.matrix as matrix_module
-from gprs.codes import BudgetExceededError, GprsCode, _generator_stack, mds_extension_zeros
+from gprs.codes import BudgetExceededError, GprsCode, _generator_stack
 from gprs.matrix import _drop_ranks, _subset_index, _subsets
 from gprs.deepholes import (
     DeepHoleVerdict,
@@ -32,7 +32,7 @@ from gprs.deepholes import (
 from gprs.galois import field, field_of_order, lucas_binom
 from gprs.polynomial import Polynomial, _eval_enc
 from gprs.verify import SweepConfig, run_sweep
-from references import _shifted_power_enc, expand_shifted_power
+from references import _shifted_power_enc, expand_shifted_power, mds_extension_zeros
 
 
 def x_squared(f):

@@ -550,7 +550,7 @@ def test_every_lie_refutes_as_in_the_per_word_reference(monkeypatch, case):
     # reference scores a word moved out of its family by its own distance
     name, lie, claim, q_list, total, refuted = REFUTATIONS[case][0]
     monkeypatch.setattr(verify, name, lie(getattr(verify, name)))
-    reference_lies = [(codes_module, "mds_extension_zeros", _per_word_zeros)] if case == "thm14-mds" else []
+    reference_lies = [(references, "mds_extension_zeros", _per_word_zeros)] if case == "thm14-mds" else []
     config = SweepConfig(claims=(claim,), q_list=q_list, words_per_config=3, max_exclusion_sets_per_q=4)
     _, summary = _assert_scored_as_the_per_word_reference(monkeypatch, config, reference_lies)
     assert (summary["total"], summary["refuted"]) == (total, refuted)
@@ -559,10 +559,10 @@ def test_every_lie_refutes_as_in_the_per_word_reference(monkeypatch, case):
 @pytest.mark.parametrize("q, cap", [(5, None), (7, None), (9, None), (11, None), (13, 40)])
 def test_group_witnesses_are_the_scalar_criteria(q, cap):
     # every code, a_j and k of the thm14/thm15 grid (exhaustive below 13): the witness that
-    # ``family_verdicts`` gathers from bit 4 of the frame family table makes the verdict the
-    # scalar scan makes, thm14_criterion's or thm15_criterion's, at a_j = 0 and p | k too, where
-    # the expression is the constant 1. GF(13) has no family table at k = 7..9, where
-    # ``family_verdicts`` returns no witnesses, so that a row scans its criterion
+    # ``family_verdicts`` reads from bit 4 of the family bits, gathered from the frame family
+    # table or, at GF(13) k = 7..9, built per code, makes the verdict the scalar scan makes,
+    # thm14_criterion's or thm15_criterion's, at a_j = 0 and p | k too, where the expression
+    # is the constant 1
     f = field_of_order(q)
     config = SweepConfig(claims=("thm15",), q_list=(q,), max_exclusion_sets_per_q=cap)
     constant, kinds = 0, set()
@@ -575,10 +575,6 @@ def test_group_witnesses_are_the_scalar_criteria(q, cap):
         bases[a >= 0] = _family_bases([c for c, _ in shifted], "shifted_qminus2", [a_j for _, a_j in shifted])
         mds = np.zeros(len(codes), dtype=bool)
         *_, witnesses = codes_module.family_verdicts(codes, a, bases, bases[:, None], np.ones((len(codes), 1)), mds)
-        k = codes[0].k
-        assert (witnesses is None) == (q == 13 and 7 <= k <= 9), k
-        if witnesses is None:
-            continue
         for code, a_j, witness in zip(codes, a_js, witnesses):
             scalar = thm14_criterion(code) if a_j is None else thm15_criterion(code, a_j)
             assert verify.criterion_verdict(code, a_j, witness) == scalar, (code.spec_string(), a_j)
@@ -588,20 +584,40 @@ def test_group_witnesses_are_the_scalar_criteria(q, cap):
 
 
 def test_a_shape_past_one_run_takes_the_scalar_criteria(monkeypatch):
-    # GF(17) has no family table at k = 5..15, whose rows scan by thm14_criterion and
-    # thm15_criterion; with no table anywhere the report has the same bytes
+    # GF(17) has no family table at k = 5..15, whose rows take the per-code family bits: the
+    # sweep makes no thm14_criterion or thm15_criterion call, each of those rows has the
+    # verdict and witness of its scalar scan, and with no table anywhere the report has the
+    # same bytes
     f, middle = field_of_order(17), range(5, 16)
     assert [k for k in range(2, 16) if codes_module._family_frame(f, k) is None] == list(middle)
     config = SweepConfig(claims=("thm14", "thm15"), q_list=(17,), words_per_config=1, max_exclusion_sets_per_q=14)
     scanned = []
-    for name in ("thm14_criterion", "thm15_criterion"):
-        real = getattr(deepholes, name)
-        monkeypatch.setattr(deepholes, name, lambda code, *a, real=real: scanned.append(code.k) or real(code, *a))
-    rep = run_sweep(config)
-    assert rep.summary["agreed"] == rep.summary["total"] and set(scanned) == set(middle)
-    assert len(scanned) == sum(int(row.k) in middle for row in rep.rows)
+    with monkeypatch.context() as counted:
+        for name in ("thm14_criterion", "thm15_criterion"):
+            real = getattr(deepholes, name)
+            counted.setattr(deepholes, name, lambda code, *a, real=real: scanned.append(code.k) or real(code, *a))
+        rep = run_sweep(config)
+    assert rep.summary["agreed"] == rep.summary["total"] and scanned == []
+    rows = [row for row in rep.rows if int(row.k) in middle]
+    assert {int(row.k) for row in rows} == set(middle)
+    for row in rows:
+        code = GprsCode(f, [int(e) for e in row.excluded.split(",")], int(row.k))
+        scalar = thm14_criterion(code) if row.claim == "thm14" else thm15_criterion(code, int(row.aj))
+        assert (row.predicted, row.witness) == (verify._bool_str(scalar.is_deep_hole),
+                                                verify._encs_str(scalar.witness or ())), row
     monkeypatch.setattr(codes_module, "_family_frame", lambda f, k: None)
     assert run_sweep(config).to_json() == rep.to_json()
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11])
+def test_per_code_family_bits_give_the_framed_report(monkeypatch, q):
+    # the per-code family bits, witnesses included, on the small grids: with no family table
+    # anywhere, the thm14..thm17 report has the bytes of the framed one
+    config = SweepConfig(claims=("thm14", "thm15", "thm16", "thm17"), q_list=(q,), words_per_config=3,
+                         max_exclusion_sets_per_q=8 if q == 11 else None)
+    framed = run_sweep(config).to_json()
+    monkeypatch.setattr(codes_module, "_family_frame", lambda f, k: None)
+    assert run_sweep(config).to_json() == framed
 
 
 def test_lemma28_refutation_exits_one_with_its_subsets(monkeypatch, capsys):
