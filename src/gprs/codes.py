@@ -28,9 +28,9 @@ Both budgets still count q^k codewords.
 
 Agreement scores each k-subset S of D only at the coordinates after max(S),
 the projective one last: a word's agreement with the code is k plus the best
-count of i > max(S) where it equals the interpolant through S (proved at
-``agreement_distances``). The tail tensor T[S + (i,), s] = L_{S,s}(x_i) has
-a row per (k+1)-subset of coordinates.
+count of i > max(S) where it equals the interpolant through S, bit 1 below
+(proved at ``_walk``). The tail tensor T[S + (i,), s] = L_{S,s}(x_i) has a
+row per (k+1)-subset of coordinates.
 
 The exact covering radius is the depth of a breadth-first search over the
 q^r syndromes, r = length - k, from zero (``_syndrome_bfs_depth``), stepping by
@@ -63,18 +63,19 @@ paper criterion is zero at S (from its closed form, never from bits 1 and 2, so
 that it stays an independent check of them). On the frame's base words
 (``_frame_bases``) the bits make the family table (``_family_frame``), gathered
 by rank; past one run they are built per code, a run of subsets at a time.
-``family_verdicts`` also checks that each sampled word is in its family: its
-syndrome (``_syndromes``, from the tail rows of the pairs (0..k-1) + (i,)) is
-lam times the base word's.
+One run walker (``_walk``) reads them for ``family_verdicts`` and, on a word
+alone and bit 1 only, for ``error_distance``. ``family_verdicts`` also checks
+that each sampled word is in its family: its syndrome (``_syndromes``, from
+the tail rows of the pairs (0..k-1) + (i,)) is lam times the base word's.
 
 The test suite pins the two flavors against each other exhaustively on
-small codes, the kernel against the per-subset interpolation loop it
+small codes, the walker against the per-subset interpolation loop it
 replaced, the frame tables against the per-code builds on every small code
 and the bits of the family table against each other and the scalar criteria,
 the spans against the digit-by-digit q^k build they replaced, and the slab
 minimum distances and MDS checks against per-code scans, and the syndrome BFS
 against a BFS that steps one generator at a time. It pins the batched syndromes
-to ``_syndrome``, and ``family_verdicts`` to the agreement kernel, a reference
+to ``_syndrome``, and ``family_verdicts`` to the interpolation loop, a reference
 MDS-extension scan and ``_syndrome`` on every small code, its per-code bits to
 its family table, and its witnesses to the scalar criteria on the sweep grids.
 """
@@ -97,8 +98,8 @@ DEFAULT_DISTANCE_BUDGET = 10**8
 # its compare mask; with the codeword's int64 weight this also covers the gather that builds it,
 # span_(k-2) and that span's intp index copy, 10 / q bytes a coordinate
 _SPAN_BYTES = 3
-# bytes per point of a tail pair: per code a tensor build or a frame gather, and the subset index
-_TAIL_BUILD, _TAIL_GATHER, _TAIL_INDEX = 24, 16, 48
+# bytes per point of a tail pair: per code a tensor build, and the subset index
+_TAIL_BUILD, _TAIL_INDEX = 24, 48
 
 
 class BudgetExceededError(RuntimeError):
@@ -256,7 +257,7 @@ class _EvaluationCode:
         if method == "agreement":
             if (pairs := math.comb(self.length, self.k + 1)) > budget:
                 raise BudgetExceededError(f"C(length, k+1) = {pairs} agreement pairs exceed budget {budget}")
-            return int(agreement_distances([self], [[encs]])[0, 0])
+            return int(_walk([self], [encs])[0][0])
         raise ValueError(f"unknown error-distance method {method!r}")
 
     def is_codeword(self, word: ReceivedWord) -> bool:
@@ -415,41 +416,6 @@ def _spans(f: FiniteField, rows: np.ndarray):
         yield span
 
 
-def agreement_distances(codes, words) -> np.ndarray:
-    """Exact error distances by agreement of words[r, j] to codes[r], as (rows, words).
-
-    The codes share the field, n and k, and may repeat. A k-subset S of D scores the
-    i > max(S) where the word w equals the interpolant through S, sum_s w[S_s] *
-    T[S + (i,), s] (``_tail_tensor``), and the agreement is k plus the best score: the
-    first k points S of a best agreement set A lie in D, so interp_S matches w on A minus
-    S, all past max(S), and no S scores past its interpolant's agreement. A group of rows,
-    as many as fit one run, takes the pairs S + (i,) a run at a time (``subset_runs``),
-    gathers (``_frame_tails``) or builds its distinct codes' tensor rows once per run, and
-    stops at the first run after which every word in it is a codeword.
-    """
-    f, n, k, top = codes[0].field, codes[0].n, codes[0].k, codes[0].length
-    w = np.asarray(words, dtype=np.intp).reshape(len(codes), -1, top)
-    best = np.zeros(w.shape[:2], dtype=np.intp)
-    frame, pair_index = _frame_tails(f, k), _TAIL_INDEX * (k + 1)
-    # per row and pair: its tensor row's build or gather, its index copy, and per word a few gathers
-    unit = (_TAIL_BUILD if frame is None else _TAIL_GATHER) * (k + 1) + 2 * k + 40 * w.shape[1]
-    group = max(1, (matrix._RUN_BYTES // math.comb(top, k + 1) - pair_index) // unit)
-    for start in range(0, len(codes), group):
-        points, index = _distinct(codes[start : start + group])
-        wr, br, carry = w[start : start + group], best[start : start + group], 0
-        for _, pairs in subset_runs(top, k + 1, len(wr) * unit + pair_index):
-            T = _tails(f, n, frame, points, pairs)[index]
-            vals = _dot(f, np.take(wr, pairs[:, :k], axis=2), T[:, None])
-            hits = np.add.reduceat(vals == np.take(wr, pairs[:, k], axis=2), _tail_starts(pairs),
-                                   axis=2, dtype=np.intp)
-            hits[..., 0] += carry  # the pairs of an S that the last run ended inside
-            carry = hits[..., -1] if pairs[-1, k] < top - 1 else 0
-            np.maximum(br, hits.max(axis=2), out=br)
-            if (br == top - k).all():
-                break
-    return top - k - best
-
-
 def _base_words(f: FiniteField, k: int, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The base words of the paper's families at the points x[r] of D, (rows, n + 1): the word of
     x^k where a[r] = -1, else of (x - a[r])^(q-2), which is 1 / (y - a[r]) at y != a[r], with the
@@ -503,25 +469,28 @@ def _cofactors(f: FiniteField, minors: np.ndarray, N: int, subsets: np.ndarray) 
 
 
 def _family_bits(f: FiniteField, k: int, points, words, a, subsets, tails, cof, need) -> np.ndarray:
-    """The family bits of base words b = words[r] on the frame points points[r], the last one
-    projective (``_base_words``, a[r] as there), (rows, subsets) uint8. At a (k+1)-subset
-    T = S + (i,) of ``subsets``, bit 1 says that the interpolant through S of b meets b at i, by
-    the tail rows ``tails``; on the rows where ``need`` holds, bit 2 that det[G_T; b_T] = 0, by
-    their signed cofactors ``cof`` (``_cofactors``); and bit 4, only where i is projective, that
-    the row's criterion is zero at S (``_criteria``), never read from bits 1 and 2."""
+    """The family bits of words[r] on the frame points points[r], (rows, subsets) uint8. At a
+    (k+1)-subset T = S + (i,) of ``subsets``, bit 1 says that the interpolant through S of the
+    word meets it at i, by the tail rows ``tails``; given the signed cofactors ``cof``
+    (``_cofactors``) of the rows where ``need`` holds, bit 2 on them that det[G_T; w_T] = 0; and
+    given a, bit 4 where i is projective that the criterion of the base word of a[r]
+    (``_base_words``) is zero at S (``_criteria``), never read from bits 1 and 2. Bit 4 stays 0
+    on the rows whose criterion's constant is 0: a[r] = 0, or p | k."""
     bits = (_dot(f, words[:, subsets[:, :k]], tails) == words[:, subsets[:, k]]).astype(np.uint8)
-    if need.any():
+    if cof is not None:
         bits[need] += np.uint8(2) * (_dot(f, words[need][:, subsets], cof) == 0)
-    projective = subsets[:, k] == points.shape[1] - 1
-    bits[:, projective] += np.uint8(4) * _criteria(f, k, points[:, subsets[projective, :k]], a)
+    if a is not None and (live := (a < 0) | (a > 0) & (lucas_binom(f.q - 2, k - 1, f.p) > 0)).any():
+        projective = subsets[:, k] == points.shape[1] - 1
+        S = points[live][:, subsets[projective, :k]]
+        bits[np.ix_(live, projective)] += np.uint8(4) * _criteria(f, k, S, a[live])
     return bits
 
 
 def _criteria(f: FiniteField, k: int, S: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Is row r's paper criterion zero at the k points S[r, c], (rows, subsets)? thm14's
     [sum S = 0] at a[r] = -1, else thm15's [C(q-2, k-1) * a^(q-1-k) * prod_{y in S} (y - a) + 1
-    = 0] at a = a[r], never where S holds a or the constant is 0 (a = 0, or p | k). As k < q - 1,
-    a^(q-1-k) is 1 / a^k, and 0 at a = 0 (``inv_table`` maps 0 to 0)."""
+    = 0] at a = a[r], never where S holds a. The rows' constants are not 0, and as k < q - 1,
+    a^(q-1-k) is 1 / a^k."""
     out, deg = np.empty(S.shape[:2], dtype=bool), a < 0
     if deg.any():
         total = S[deg, :, 0]
@@ -545,6 +514,76 @@ def _first(mask: np.ndarray, start: int = 0) -> np.ndarray:
     return np.where(mask.any(axis=1), start + mask.argmax(axis=1), -1)
 
 
+def _walk(codes, words, a=None, mds=None, distinct=None) -> tuple:
+    """The run walker: (distances, zeros, witnesses, lead) of the rows (codes[r], words[r]), whose
+    codes share the field, n and k and may repeat, from the family bits (``_family_bits``) of each
+    word at its code's (k+1)-subsets T = S + (i,) in lexicographic order:
+
+    * distances: exact error distances. A k-subset S of D scores the i > max(S) where the
+      interpolant through S meets the word (bit 1), summed across runs, and the agreement is k
+      plus the best score: the first k points S of a best agreement set A lie in D, so interp_S
+      matches w on A minus S, all past max(S), and no S scores past its interpolant's agreement;
+    * zeros, read where mds[r]: the rank of the first T with bit 2, or -1;
+    * witnesses and lead, where a is given: the columns of S at the first T with bit 4, or -1s;
+      and the tail rows of the first length - k subsets, the syndrome pairs (0..k-1) + (i,).
+
+    Without ``a`` a row is any word and gets bit 1 alone, and a walk stops once every word is a
+    codeword. With ``a``, words[r] is the base word of a[r] (``_base_words``) and also gets bit 4.
+    Where the family table (``_family_frame``) fits one run, the bits are one gather of its row
+    1 + a[r] at the frame ranks (``_ranks``); else they are built on the distinct codes of a group
+    of rows (``_distinct``, or ``distinct``) a run of subsets at a time (``subset_runs``), from
+    ``_tails`` and, for the mds rows with no zero yet, their k-minor tables (``_minor_tables``). A
+    group is as many rows as fit one run at 64 bytes a ranked subset, or at 8 bytes a k-minor and
+    the bytes of a run of one subset.
+    """
+    f, n, k, top = codes[0].field, codes[0].n, codes[0].k, codes[0].length
+    words, rows = np.asarray(words, dtype=np.intp), len(codes)
+    need = np.zeros(rows, dtype=bool) if mds is None else mds
+    frame, tails, any_mds = None if a is None else _family_frame(f, k), _frame_tails(f, k), need.any()
+    unit = (64 * math.comb(top, k + 1) if frame is not None
+            else 8 * math.comb(top, k) * any_mds + (_TAIL_BUILD + 32) * (k + 1))
+    group = max(1, matrix._RUN_BYTES // unit)
+    points, index = _distinct(codes) if distinct is None else distinct
+    best, first, witness = np.zeros(rows, dtype=np.intp), np.full(rows, -1), np.full((rows, k), -1)
+    lead, coords = np.empty((rows, top - k, k), dtype=np.uint16), points[index]
+    for start in range(0, rows, group):
+        part, carry, m = slice(start, start + group), 0, need[start : start + group]
+        used, at, waiting = points, index[part], any_mds and m.any()
+        if rows > group:  # a part ranks or builds only the codes its rows use
+            used, at = np.unique(at, return_inverse=True)
+            used = points[used]
+        if frame is not None:
+            runs = [(0, matrix._subset_index(top, k + 1))]
+            ranks = _ranks(frame[1], used, runs[0][1])[at]
+            lead[part] = tails[0][ranks[:, : top - k]]
+        else:
+            runs = subset_runs(top, k + 1, (_TAIL_INDEX + _TAIL_BUILD * len(used) + 32 * len(at)) * (k + 1))
+            if a is not None:
+                lead[part] = _tails(f, n, tails, used, matrix._subsets(top, k + 1, 0, top - k))[at]
+            if waiting:
+                minors, held = _minor_tables([code for code, x in zip(codes[part], m) if x])
+        for r, run in runs:
+            if frame is not None:
+                bits = frame[0][a[part, None] + 1, ranks]
+            else:
+                fresh = m & (first[part] < 0) if waiting else None
+                cof = _cofactors(f, minors, top, run)[held[fresh[m]]] if waiting and fresh.any() else None
+                bits = _family_bits(f, k, coords[part], words[part], None if a is None else a[part], run,
+                                    _tails(f, n, tails, used, run)[at], cof, fresh)
+            counts = np.add.reduceat(bits & 1, _tail_starts(run), axis=1, dtype=np.intp)
+            counts[:, 0] += carry  # the pairs of an S that the last run ended inside
+            carry = counts[:, -1] if run[-1, k] < top - 1 else 0
+            np.maximum(best[part], counts.max(axis=1), out=best[part])
+            if waiting:  # bit 2 comes in the frame's one run, or past it only on rows with no zero yet
+                np.maximum(first[part], _first(bits & 2, r), out=first[part])
+            if a is not None:
+                hit = _first(bits & 4)
+                witness[part] = np.where((witness[part, :1] < 0) & (hit[:, None] >= 0), run[hit, :k], witness[part])
+            elif not waiting and (best[part] == top - k).all():
+                break  # every word of the part is a codeword
+    return top - k - best, first, witness, lead
+
+
 def family_verdicts(codes, a, bases, words, lams, mds, distinct=None) -> tuple:
     """The checks of a group of family rows, whose codes share the field, n and k: row r's
     family is lam times its base word bases[r] plus a codeword of codes[r], and words[r, j] its
@@ -558,65 +597,24 @@ def family_verdicts(codes, a, bases, words, lams, mds, distinct=None) -> tuple:
       det[G_T; b_T] = 0, or -1 for a deep hole;
     * witnesses, per row: the first k-subset of its code's D in lexicographic order at which its
       paper criterion's expression is zero (thm14's at a[r] = -1, else thm15's at a[r]), as
-      encodings, or () for none.
-
-    The last three come from the family bits (``_family_bits``) of the base words at each code's
-    (k+1)-subsets in lexicographic order: one gather of the frame's family table
-    (``_family_frame``) at row 1 + a[r] and the frame ranks (``_ranks``) where it fits one run,
-    else built on the distinct codes a run of subsets at a time (``subset_runs``), bit 2 only for
-    the rows with mds[r] and no zero yet, from their k-minor tables (``_minor_tables``). A
-    distance sums bit 1 per k-subset S of its pairs S + (i,), as ``agreement_distances`` scores a
-    word; a zero is the first column with bit 2; a witness is the first with bit 4, whose S is
-    the criterion's: a code's projective columns S + (n,) come in the lexicographic order of S.
-
-    The first length - k (k+1)-subsets are the syndrome pairs (0..k-1) + (i,), whose tail rows
-    give the syndromes (``_syndromes``). The rows go a group at a time, as many as fit one run at
-    24 bytes a syndrome term and 64 bytes a ranked (k+1)-subset, or 8 bytes a k-minor.
+      encodings, or () for none: the S of the first bit 4, as projective columns S + (n,) come
+      in the order of S. These three, and the tail rows of the syndrome pairs, come from the run
+      walker (``_walk``) on the base words; the syndromes (``_syndromes``) go as many rows at a
+      time as fit one run at 24 bytes a syndrome term.
     """
-    f, n, k, top = codes[0].field, codes[0].n, codes[0].k, codes[0].length
-    a, mds = np.asarray(a, dtype=np.intp), np.asarray(mds, dtype=bool)
-    w = np.concatenate([np.asarray(words, dtype=np.intp), bases[:, None]], axis=1)
-    lams = np.asarray(lams, dtype=np.intp)[:, :, None]
-    frame, tails = _family_frame(f, k), _frame_tails(f, k)
-    table = 64 * math.comb(top, k + 1) if frame is not None else 8 * math.comb(top, k)
-    group = max(1, matrix._RUN_BYTES // (table + 24 * w.shape[1] * (top - k) * k))
+    f, k, top = codes[0].field, codes[0].k, codes[0].length
+    mds, lams = np.asarray(mds, dtype=bool), np.asarray(lams, dtype=np.intp)[:, :, None]
     points, index = _distinct(codes) if distinct is None else distinct
-    inside, best = np.empty(lams.shape[:2], dtype=bool), np.zeros(len(codes), dtype=np.intp)
-    first, witness = np.full(len(codes), -1), np.full((len(codes), k), -1)
+    dist, zeros, cols, T = _walk(codes, bases, np.asarray(a, dtype=np.intp), mds, (points, index))
+    w = np.concatenate([np.asarray(words, dtype=np.intp), bases[:, None]], axis=1)
+    inside = np.empty(lams.shape[:2], dtype=bool)
+    group = max(1, matrix._RUN_BYTES // (24 * w.shape[1] * (top - k) * k))
     for start in range(0, len(codes), group):
         part = slice(start, start + group)
-        used, at = points, index[part]
-        if len(codes) > group:  # a part ranks only the codes its rows use
-            used, at = np.unique(at, return_inverse=True)
-            used = points[used]
-        m, carry = mds[part], 0
-        if frame is None:
-            runs = subset_runs(top, k + 1, (_TAIL_INDEX + _TAIL_BUILD * len(used) + 32 * len(at)) * (k + 1))
-            T = _tails(f, n, tails, used, matrix._subsets(top, k + 1, 0, top - k))[at]
-            if m.any():
-                minors, held = _minor_tables([code for code, x in zip(codes[part], m) if x])
-        else:
-            runs = [(0, matrix._subset_index(top, k + 1))]
-            ranks = _ranks(frame[1], used, runs[0][1])
-            T, ranks = tails[0][ranks[:, : top - k]][at], ranks[at]
-        syn = _syndromes(f, k, w[part], T)
+        syn = _syndromes(f, k, w[part], T[part])
         inside[part] = (syn[:, :-1] == f.mul_table[lams[part], syn[:, -1:]]).all(axis=2)
-        for r, run in runs:
-            fresh = m & (first[part] < 0)
-            if frame is not None:
-                bits = frame[0][a[part, None] + 1, ranks]
-            else:
-                cof = _cofactors(f, minors, top, run)[held[fresh[m]]] if fresh.any() else None
-                bits = _family_bits(f, k, points[index[part]], bases[part], a[part], run,
-                                    _tails(f, n, tails, used, run)[at], cof, fresh)
-            counts = np.add.reduceat(bits & 1, _tail_starts(run), axis=1, dtype=np.intp)
-            counts[:, 0] += carry  # the pairs of an S that the last run ended inside
-            carry = counts[:, -1] if run[-1, k] < top - 1 else 0
-            np.maximum(best[part], counts.max(axis=1), out=best[part])
-            first[part][fresh] = _first(bits[fresh] & 2, r)
-            found = (witness[part, 0] < 0) & ((hit := _first(bits & 4)) >= 0)
-            witness[part][found] = points[index[part][found, None], run[hit[found], :k]]
-    return inside, top - k - best, first[mds], [tuple(e) if e[0] >= 0 else () for e in witness.tolist()]
+    encs = points[index[:, None], cols].tolist()
+    return inside, dist, zeros[mds], [tuple(e) if c[0] >= 0 else () for e, c in zip(encs, cols.tolist())]
 
 
 def _syndromes(f: FiniteField, k: int, words: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ Determinants come from Gaussian elimination, one grid at a time (``det_enc``)
 or a stack at a time by table gathers (``det_stack``). Column subsets are
 always enumerated in lexicographic order of their index tuples, which makes
 the first failing minor a reproducible witness. Every batched subset scan (in
-``codes`` the k-minors, agreement and the MDS-extension zeros) takes them from
+``codes`` the k-minors and the run walker's family bits) takes them from
 ``subset_runs`` in runs of about ``_RUN_BYTES``, sliced from one shape cache of
 subset indexes (``_subset_index``) or unranked past it, and ``_drop_ranks``
 ranks each with a point deleted. The cache also holds the frame tables of

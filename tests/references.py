@@ -15,9 +15,10 @@ something the library computes another way:
   ``deepholes.is_deep_hole_mds_extension`` and bit 2 of the family bits that
   ``codes.family_verdicts`` reads;
 * ``scored_rows_reference``: a sweep's family rows scored word by word, every
-  sampled word through the agreement oracle and the MDS-extension scan, and
-  every criterion by its scalar scan, against ``verify._scored_rows``, which
-  scores each row's base word.
+  sampled word by its own agreement distance (bit 1 of the run walker
+  ``codes._walk``, on the word alone) and the MDS-extension scan, and every
+  criterion by its scalar scan, against ``verify._scored_rows``, which scores
+  each row's base word from the bits of its family.
 """
 
 import math
@@ -127,9 +128,9 @@ def scored_rows_reference(specs):
     """``verify._scored_rows`` word by word, as sweeps scored before a base word decided its
     family and before a group found its criterion witnesses: each row's criterion runs its own
     scan (``thm14_criterion`` or ``thm15_criterion``), whose witness ``verify.criterion_verdict``
-    makes the verdict that the claim's row function judges. Each sampled word gets
-    ``codes.agreement_distances`` and, on thm14 rows, ``mds_extension_zeros`` (both read at call
-    time). The oracle column is the last oracle verdict walked; the first word a check rules on
+    makes the verdict that the claim's row function judges. Each sampled word gets its distance
+    from the run walker ``codes._walk``, a row per word, and, on thm14 rows, ``mds_extension_zeros``
+    (both read at call time). The oracle column is the last oracle verdict walked; the first word a check rules on
     differently from the row's expectation refutes the row, with the row's miss formatted by that
     word, its distance and its oracle and MDS verdicts as the detail."""
     judged = []
@@ -146,7 +147,8 @@ def scored_rows_reference(specs):
         bases = np.array([_family_bases([code], "deg_k" if a_j is None else "shifted_qminus2", [a_j])[0]
                           for code, a_j in zip(codes, a_js)])
         words = family_words(codes, bases, draws[..., -1], draws[..., :-1])
-        dist = codes_module.agreement_distances(codes, words)
+        rows = [code for code in codes for _ in range(words.shape[1])]
+        dist = codes_module._walk(rows, words.reshape(len(rows), -1))[0].reshape(words.shape[:2])
         deep = dist == codes[0].covering_radius("formula")
         checked = deep.copy()
         if rows := [r for r, claim in enumerate(claims) if claim == "thm14"]:

@@ -12,7 +12,8 @@ import random
 from contextlib import contextmanager
 from itertools import combinations
 
-from gprs.codes import GprsCode, agreement_distances
+import gprs.codes as codes_module
+from gprs.codes import GprsCode
 from gprs.deepholes import (
     DeepHoleVerdict,
     validate_verdict,
@@ -261,7 +262,7 @@ def test_criterion_11_translation_and_scaling_invariance():
 
 
 def _invariance_trials(code, trials):
-    # every trial's words are drawn first, then scored in one agreement batch
+    # every trial's words are drawn first, then scored in one walk of a row per word
     f = code.field
     q = f.q
     rng = random.Random(f"{SEED}/invariance/{code.spec_string()}")
@@ -278,7 +279,7 @@ def _invariance_trials(code, trials):
         )
         scaled = v * lam + low
         words += [u, u + u0, code.word_from_poly(scaled), code.word_from_poly(v)]
-    d = agreement_distances([code], [[w.encs for w in words]])[0].tolist()
+    d = codes_module._walk([code] * len(words), [w.encs for w in words])[0].tolist()
     # per trial d(u) == d(u + u0) and d(lam * v + low) == d(v)
     assert d[0::4] == d[1::4]
     assert d[2::4] == d[3::4]

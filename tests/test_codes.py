@@ -17,7 +17,6 @@ from gprs.codes import (
     _generator_stack,
     _tail_starts,
     _tail_tensor,
-    agreement_distances,
     family_verdicts,
     mds_checks,
     minimum_distances,
@@ -29,6 +28,7 @@ from gprs.deepholes import (
     _thm15_test,
     build_family_word,
     family_words,
+    thm14_criterion,
 )
 from gprs.galois import field, field_of_order
 from gprs.matrix import _subset_index, _subsets
@@ -322,7 +322,7 @@ def test_agreement_oracle_matches_plain_enumeration_gf9():
         )
 
 
-# -- batched agreement kernel, pinned to the per-subset loop it replaced ---------------
+# -- the run walker's agreement, pinned to the per-subset loop it replaced ---------------
 
 
 def _loop_agreement_distance(code, encs):
@@ -346,6 +346,14 @@ def _loop_agreement_distance(code, encs):
     return top - best
 
 
+def _reference_distance(code, encs):
+    """A word's error distance by enumerating the code's q^k codewords, or past 10^4 of them by
+    the per-subset interpolation loop, whichever reference is quicker there."""
+    if code.field.q**code.k <= 10**4:
+        return code.error_distance(code.word(encs))
+    return _loop_agreement_distance(code, encs)
+
+
 def _kernel_words(code, rng, count=2):
     """Random words, a codeword, that codeword with one coordinate changed,
     and a degree-k and a shifted family word."""
@@ -367,8 +375,14 @@ def _kernel_words(code, rng, count=2):
 
 
 def _agreement(code, words):
-    """Exact error distances of one code's words by agreement: the slab of that code alone."""
-    return agreement_distances([code], [[w.encs for w in words]])[0].tolist()
+    """Exact error distances of one code's words by agreement: the run walker on a row per word."""
+    return codes_module._walk([code] * len(words), [w.encs for w in words])[0].tolist()
+
+
+def _slab_agreement(slab, words):
+    """``_agreement`` of words[r] on slab[r] for a slab of codes, in one walk, as (rows, words)."""
+    rows = [code for code, row in zip(slab, words) for _ in row]
+    return codes_module._walk(rows, [w for row in words for w in row])[0].reshape(len(slab), -1).tolist()
 
 
 def _assert_kernel_matches_loop(code, words):
@@ -411,10 +425,12 @@ def _slabs(q, rng):
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_agreement_kernel_on_a_slab_matches_loop(monkeypatch, q):
-    # at the default cap; with a cap that takes a slab a row or two at a time, and one
-    # that leaves a row alone and scores its tensor in runs; and at a cap so small
-    # that each distinct code builds its tensor one subset at a time. The loop
-    # takes seconds per slab past a few hundred subsets, so those shapes are left out.
+    # the walker on a row per (code, word), four words a code: at the default cap; at a cap of
+    # 2 * C(length, k + 1) rows a group, a group being as many rows as fit a run at ``unit``
+    # bytes a row, whose pairs then go in runs of a few; on the first slabs also at two rows a
+    # group and at a cap so small that each row is its own group, both taking one subset a
+    # run, so each distinct code builds its tensor one subset at a time. The loop takes seconds
+    # per slab past a few hundred subsets, so those shapes are left out.
     rng = random.Random(q)
     default = matrix_module._RUN_BYTES
     for i, slab in enumerate(_slabs(q, rng)):
@@ -423,11 +439,10 @@ def test_agreement_kernel_on_a_slab_matches_loop(monkeypatch, q):
             continue
         words = [[w.encs for w in _kernel_words(code, rng, count=0)] for code in slab]
         expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
-        build = math.comb(top, k + 1) * 16 * k * (k + 2)
-        scored = build + math.comb(top, k + 1) * (2 * k + 40 * len(words[0]))
-        for cap in [default, 2 * scored, build] + [1] * (i < 4):
+        unit = (codes_module._TAIL_BUILD + 32) * (k + 1)
+        for cap in [default, 2 * math.comb(top, k + 1) * unit] + [2 * unit, 1] * (i < 4):
             monkeypatch.setattr(matrix_module, "_RUN_BYTES", cap)
-            assert agreement_distances(slab, words).tolist() == expected, slab[0].spec_string()
+            assert _slab_agreement(slab, words) == expected, slab[0].spec_string()
 
 
 @pytest.mark.parametrize("q", [8, 9])
@@ -582,7 +597,7 @@ def _recorded_runs(monkeypatch):
 
 def test_agreement_slab_that_fits_scores_in_one_run(monkeypatch):
     # C(7, 4) = 35 pairs: one word of one code builds the GF(7), k = 3 frame tensor once,
-    # on its C(8, 4) = 70 pairs, and scores in one run at the default cap; a slab of two
+    # on its C(8, 4) = 70 pairs, and scores in one run at the default cap; a walk of two
     # codes then gathers from that frame, builds nothing, and scores in one run
     monkeypatch.setattr(matrix_module, "_indexes", {})
     scans, builds = _recorded_runs(monkeypatch)
@@ -595,28 +610,32 @@ def test_agreement_slab_that_fits_scores_in_one_run(monkeypatch):
     slab = [code, GprsCode(field(7), [6], 3)]
     words = [[_kernel_words(c, random.Random(7))[0].encs] for c in slab]
     expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
-    assert agreement_distances(slab, words).tolist() == expected
+    assert _slab_agreement(slab, words) == expected
     assert (scans, builds) == ([[35]], [])
 
 
 def test_agreement_builds_each_groups_distinct_codes_once_a_run(monkeypatch):
     # no frame tensor under a cap of 17500 bytes (GF(7), k = 3 needs C(8, 4) * 72 * 4 = 20160),
-    # so each code builds its own rows; a row and pair take 24 * 4 + 2 * 3 + 40 = 142 bytes
-    # with one word, so a group is (17500 // 35 - 48 * 4) // 142 = 2 rows, whose 35 pairs fit
-    # one run. The slab [A, B, A, A, B] is scored as [A, B], [A, A], [B]: one build per
-    # group, on its distinct codes only.
-    monkeypatch.setattr(matrix_module, "_RUN_BYTES", 17500)
+    # so each code builds its own rows. A row of the walker takes (24 + 32) * 4 = 224 bytes, so
+    # the walk of [A, B, A, A, B] is one group of 5 rows and 2 distinct codes, whose pairs take
+    # (48 + 24 * 2 + 32 * 5) * 4 = 1024 bytes each: runs of 17, 17 and 1 of the 35 pairs, each
+    # building both codes once. Under a cap of 2 * 224 = 448 bytes a group is 2 rows, scored as
+    # [A, B], [A, A], [B], and a pair takes (48 + 24 + 32) * 4 = 416 bytes or more, so each
+    # group takes 35 runs of one pair, each building the group's distinct codes only.
     a, b = GprsCode(field(7), [0], 3), GprsCode(field(7), [6], 3)
-    assert codes_module._frame_tails(a.field, 3) is None
     built, tensor = [], codes_module._tail_tensor
     monkeypatch.setattr(codes_module, "_tail_tensor", lambda f, x, p: built.append(x.tolist()) or tensor(f, x, p))
     slab = [a, b, a, a, b]
     rng = random.Random(17)
     words = [[w.encs] for code in slab for w in _kernel_words(code, rng, count=1)[:1]]
     expected = [[_loop_agreement_distance(c, w) for w in row] for c, row in zip(slab, words)]
-    assert agreement_distances(slab, words).tolist() == expected
     x_a, x_b = list(a.evaluation_encodings()), list(b.evaluation_encodings())
-    assert built == [[x_a, x_b], [x_a], [x_b]]
+    for cap, builds in ((17500, [[x_a, x_b]] * 3), (448, [[x_a, x_b]] * 35 + [[x_a]] * 35 + [[x_b]] * 35)):
+        monkeypatch.setattr(matrix_module, "_RUN_BYTES", cap)
+        assert codes_module._frame_tails(a.field, 3) is None
+        built.clear()
+        assert _slab_agreement(slab, words) == expected
+        assert built == builds
 
 
 def _base_words(codes, a):
@@ -639,9 +658,9 @@ def _family_slabs(q):
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_family_verdicts_are_the_per_code_verdicts_of_every_base_word(monkeypatch, q, framed):
     # on every code and base word: the frame route's gathers, or with no frame table the
-    # per-code route, give the base word the distance of ``agreement_distances`` and the first
-    # zero of ``mds_extension_zeros``; a word lam * base + codeword is inside its family and
-    # the same word with one coordinate moved is outside, as ``_syndrome`` decides
+    # per-code route, give the base word the distance of ``_reference_distance`` and the first
+    # zero of ``mds_extension_zeros``; a word lam * base + codeword is inside its
+    # family and the same word with one coordinate moved is outside, as ``_syndrome`` decides
     if not framed:
         monkeypatch.setattr(codes_module, "_family_frame", lambda f, k: None)
     rng = random.Random(q)
@@ -657,7 +676,7 @@ def test_family_verdicts_are_the_per_code_verdicts_of_every_base_word(monkeypatc
         words[:, 1, moved] = f.add_table[words[:, 1, moved], rng.randrange(1, q)]
         mds = np.arange(len(codes)) % 3 > 0
         inside, dist, zeros, _ = family_verdicts(codes, a, bases, words, lams, mds)
-        assert dist.tolist() == agreement_distances(codes, bases[:, None])[:, 0].tolist()
+        assert dist.tolist() == [_reference_distance(code, base) for code, base in zip(codes, bases.tolist())]
         scan = mds_extension_zeros([c for c, m in zip(codes, mds) if m], bases[mds, None])[:, 0]
         assert zeros.tolist() == scan.tolist()
         assert inside[:, 0].all() and not inside[:, 1].any()
@@ -667,9 +686,11 @@ def test_family_verdicts_are_the_per_code_verdicts_of_every_base_word(monkeypatc
 
 
 def test_family_verdicts_rank_each_part_of_a_group_by_its_own_codes(monkeypatch):
-    # GF(7), length 6, k = 3: every code with each of its base words, 63 rows of 21 codes. Under
-    # a 25,000-byte run the family table still builds, and the rows go a part of 13 at a time,
-    # each part ranking only the distinct codes its rows use, once; every check is as in one part
+    # GF(7), length 6, k = 3: every code with each of its base words, 63 rows of 21 codes, 3 rows
+    # a code. Under a 25,000-byte run the family table still builds, and the walker's rows go a
+    # part of 25000 // (64 * C(6, 4)) = 26 at a time, rows 0-25, 26-51 and 52-62, each part
+    # ranking only the distinct codes its rows use, once: codes 0-8, 8-17 and 17-20. The
+    # syndrome pairs take their tail rows from those ranks. Every check is as in one part
     codes, a, bases = next(slab for slab in _family_slabs(7) if (slab[0][0].length, slab[0][0].k) == (6, 3))
     lams = np.ones((len(codes), 3), dtype=np.intp)
     words = family_words(codes, bases, lams, np.zeros((len(codes), 3, 3), dtype=np.intp))
@@ -680,7 +701,7 @@ def test_family_verdicts_rank_each_part_of_a_group_by_its_own_codes(monkeypatch)
                         or real(binom, points, subsets))
     monkeypatch.setattr(matrix_module, "_RUN_BYTES", 25000)
     parts = family_verdicts(codes, a, bases, words, lams, mds)
-    assert len(codes) == 63 and len(ranked) == 5 and max(ranked) <= 13
+    assert len(codes) == 63 and ranked == [9, 10, 4]
     assert all(p.tolist() == w.tolist() for p, w in zip(parts[:3], whole[:3])) and parts[3] == whole[3]
 
 
@@ -709,7 +730,7 @@ def test_per_code_family_bits_score_any_word_across_runs(monkeypatch):
     # a base word meets a codeword at most once per S (its only hits are projective), so only
     # other words test the per-code sums of bit 1 across runs: with no family table and runs of
     # a few subsets, words at every distance from GF(7) codes, given as base words, get the
-    # distances of ``agreement_distances`` and the first zeros of the reference scan
+    # distances of the per-subset interpolation loop and the first zeros of the reference scan
     rng = random.Random(7)
     monkeypatch.setattr(codes_module, "_family_frame", lambda f, k: None)
     monkeypatch.setattr(matrix_module, "_RUN_BYTES", 20000)
@@ -722,7 +743,7 @@ def test_per_code_family_bits_score_any_word_across_runs(monkeypatch):
                 row[i] = f.add_enc(int(row[i]), rng.randrange(1, 7))
         lams, mds = np.ones((len(codes), 1), dtype=np.intp), np.ones(len(codes), dtype=bool)
         _, dist, zeros, _ = family_verdicts(codes, a, words, words[:, None], lams, mds)
-        assert dist.tolist() == agreement_distances(codes, words[:, None])[:, 0].tolist()
+        assert dist.tolist() == [_loop_agreement_distance(code, w) for code, w in zip(codes, words.tolist())]
         assert zeros.tolist() == mds_extension_zeros(codes, words[:, None])[:, 0].tolist()
 
 
@@ -756,19 +777,19 @@ def test_a_code_caches_nothing():
         minimum_distances([code, code])
         mds_checks([code])
         mds_extension_zeros([code], [[word.encs]])
-        agreement_distances([code], [[word.encs]])
+        codes_module._walk([code, code], [word.encs] * 2)
         assert vars(code) == before
 
 
 def test_one_small_run_cap_splits_every_batched_scan(monkeypatch):
-    # the agreement kernel, the MDS-extension verdicts and the all-minors check, on a
-    # slab of two GF(4) codes and every word of F_4^4, give the results of the default
-    # cap in runs of a few subsets under a 300-byte cap
+    # the run walker, the MDS-extension verdicts and the all-minors check, on a slab of two
+    # GF(4) codes and every word of F_4^4, give the results of the default cap in runs of a
+    # few subsets under a 300-byte cap
     slab = [GprsCode(field(2, 2), [e], 2) for e in (0, 1)]
     words = [list(product(range(4), repeat=4))] * 2
 
     def scan():
-        return (agreement_distances(slab, words).tolist(), mds_extension_zeros(slab, words).tolist(),
+        return (_slab_agreement(slab, words), mds_extension_zeros(slab, words).tolist(),
                 [mds_generator_check(code.generator, 2) for code in slab])
 
     expected = scan()
@@ -777,9 +798,10 @@ def test_one_small_run_cap_splits_every_batched_scan(monkeypatch):
     monkeypatch.setattr(matrix_module, "_RUN_BYTES", 300)
     assert scan() == expected
     counts = [len(runs) for runs in scans]
-    # per code an agreement group; the MDS-extension zeros' minor tables and their one group
-    # of both codes, as a k-minor table takes 48 bytes; per code a generator
-    assert len(counts) == 6 and min(counts) > 1
+    # per (code, word) row a walker group, as a row takes (24 + 32) * 3 = 168 bytes, 2 * 256 of
+    # them; the MDS-extension zeros' minor tables and their one group of both codes, as a
+    # k-minor table takes 48 bytes; per code a generator
+    assert len(counts) == 2 * 256 + 4 and min(counts) > 1
 
 
 def test_agreement_memory_stays_under_the_cap():
@@ -882,6 +904,63 @@ def test_refused_agreement_call_builds_nothing(monkeypatch):
     with pytest.raises(BudgetExceededError, match="77558760"):
         code.error_distance(code.word([1] * 29), method="agreement", budget=10)
     assert list(matrix_module._indexes) == shapes
+
+
+@pytest.mark.parametrize("q, k, cap", [(7, 3, None), (13, 8, None), (7, 3, 17500)])
+def test_agreement_route_builds_only_bit_1(monkeypatch, q, k, cap):
+    # ``error_distance(method="agreement")`` walks bit 1 alone: it reads no family table and
+    # builds no k-minor table, cofactor, syndrome or criterion. Shapes: GF(7), k = 3 gathers the
+    # frame tail tensor; GF(13), k = 8 is past the family table, as its k-minor frame passes one
+    # run; GF(7), k = 3 under 17,500 bytes has no frame tail tensor (it needs 20,160), so its
+    # tail rows are built. Each on a GPRS code and a GRS code, with a codeword among the words
+    f = field_of_order(q)
+    if cap is not None:
+        monkeypatch.setattr(matrix_module, "_RUN_BYTES", cap)
+    assert (codes_module._frame_tails(f, k) is None) == (cap is not None)
+    assert (codes_module._family_frame(f, k) is None) == (q == 13 or cap is not None)
+
+    def refuse(*args):
+        raise AssertionError("the agreement route built more than bit 1")
+
+    for name in ("_family_frame", "_minor_tables", "det_stack", "_cofactors", "_syndromes", "_criteria"):
+        monkeypatch.setattr(codes_module, name, refuse)
+    rng = random.Random(q * k)
+    for code in (GprsCode(f, [0], k), GrsCode(f, range(1, q), k)):
+        words = [[rng.randrange(q) for _ in range(code.length)] for _ in range(2)]
+        words.append(list(code.word_from_poly(Polynomial(f, [rng.randrange(q) for _ in range(k)])).encs))
+        assert [code.error_distance(code.word(w), method="agreement") for w in words] == [
+            _loop_agreement_distance(code, w) for w in words], code
+        assert _loop_agreement_distance(code, words[-1]) == 0
+
+
+def test_criteria_never_get_a_row_whose_constant_is_zero(monkeypatch):
+    # thm15's criterion at a is C(q-2, k-1) * a^(q-1-k) * prod_{y in S} (y - a) + 1 = 0, which
+    # never holds where the constant is 0: at a = 0, thm17's rows, or where p | k. ``_criteria``
+    # gets no such row, in the family table's build or past it, and those rows have no witness;
+    # a thm14 row (a = -1) of the same code still reaches it, with the same witness both ways
+    calls, criteria = [], codes_module._criteria
+
+    def spy(f, k, S, a):
+        assert 0 not in a.tolist() and (k % f.p or (a < 0).all()), (f.q, k, a.tolist())
+        calls.append(len(a))
+        return criteria(f, k, S, a)
+
+    monkeypatch.setattr(codes_module, "_criteria", spy)
+    for q, excluded, k, a_j in ((7, [0], 3, 0), (9, [2], 3, 2)):  # thm17, and thm15 with p | k
+        code = GprsCode(field_of_order(q), excluded, k)
+        codes, a = [code, code], np.array([a_j, -1])
+        bases = _base_words(codes, a)
+        args = codes, a, bases, bases[:, None], np.ones((2, 1), dtype=np.intp), np.zeros(2, dtype=bool)
+        found = []
+        for framed in (True, False):
+            with monkeypatch.context() as patched:
+                patched.setattr(matrix_module, "_indexes", {})  # the family table is built afresh
+                if not framed:
+                    patched.setattr(codes_module, "_family_frame", lambda f, k: None)
+                calls.clear()
+                found.append(family_verdicts(*args)[3])
+                assert calls and found[-1][0] == (), (q, framed)
+        assert found[0] == found[1] and found[0][1] == (thm14_criterion(code).witness or ())
 
 
 def _tail_walk(length, k):
