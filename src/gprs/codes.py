@@ -282,14 +282,12 @@ def _distinct(codes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frame_generator(f: FiniteField, k: int) -> np.ndarray:
-    """The frame's generator rows, (k, q + 1): x^i at the q points of F_q by repeated mul_table
-    gathers, and at the projective point q the column of the x^(k-1) coefficient. Every code's
-    generator is this one on the code's frame points (``_columns``)."""
+    """The frame's generator rows, (k, q + 1): x^i = exp[i log x] at the q points of F_q, 0 at
+    x = 0 past i = 0, and at the projective point q the column of the x^(k-1) coefficient. Every
+    code's generator is this one on the code's frame points (``_columns``)."""
     g = np.zeros((k, f.q + 1), dtype=np.intp)
-    g[0, : f.q] = 1
-    for i in range(1, k):
-        g[i, : f.q] = f.mul_table[g[i - 1, : f.q], np.arange(f.q)]
-    g[k - 1, f.q] = 1
+    g[:, : f.q] = f.exp[np.arange(k)[:, None] * f.log % (f.q - 1)]
+    g[1:, 0], g[k - 1, f.q] = 0, 1
     return g
 
 
@@ -420,19 +418,13 @@ def _base_words(f: FiniteField, k: int, x: np.ndarray, a: np.ndarray) -> np.ndar
     """The base words of the paper's families at the points x[r] of D, (rows, n + 1): the word of
     x^k where a[r] = -1, else of (x - a[r])^(q-2), which is 1 / (y - a[r]) at y != a[r], with the
     x^(k-1) coefficient C(q-2, k-1) * (-a[r])^(q-1-k) as the last coordinate. As k < q - 1, that
-    is C(q-2, k-1) / (-a[r])^k, and 0 at a[r] = 0 (``inv_table`` maps 0 to 0)."""
+    is exp[log C(q-2, k-1) - k log(-a[r])], and 0 where a[r] = 0 or p divides C(q-2, k-1)."""
     words, deg = np.empty((len(a), x.shape[1] + 1), dtype=np.intp), a < 0
     if deg.any():
-        power = x
-        for _ in range(1, k):
-            power = f.mul_table[power, x]
-        words[:, :-1], words[:, -1] = power, 0
+        words[:, :-1], words[:, -1] = f.exp[k * f.log[x] % (f.q - 1)] * (x > 0), 0
     if not deg.all():
-        neg = f.neg_table[np.maximum(a, 0)]
-        power = neg
-        for _ in range(1, k):
-            power = f.mul_table[power, neg]
-        coeff = f.mul_table[lucas_binom(f.q - 2, k - 1, f.p), f.inv_table[power]]
+        neg, binom = f.neg_table[np.maximum(a, 0)], lucas_binom(f.q - 2, k - 1, f.p)
+        coeff = f.exp[(f.log[binom] - k * f.log[neg]) % (f.q - 1)] * (neg > 0) * (binom > 0)
         np.copyto(words[:, :-1], f.inv_table[f.add_table[x, neg[:, None]]], where=~deg[:, None])
         np.copyto(words[:, -1], coeff, where=~deg)
     return words
@@ -476,7 +468,7 @@ def _family_bits(f: FiniteField, k: int, points, words, a, subsets, tails, cof, 
     given a, bit 4 where i is projective that the criterion of the base word of a[r]
     (``_base_words``) is zero at S (``_criteria``), never read from bits 1 and 2. Bit 4 stays 0
     on the rows whose criterion's constant is 0: a[r] = 0, or p | k."""
-    bits = (_dot(f, words[:, subsets[:, :k]], tails) == words[:, subsets[:, k]]).astype(np.uint8)
+    bits = (_dot(f, words[:, subsets[:, :k]], tails) == words[:, subsets[:, k]]).view(np.uint8)
     if cof is not None:
         bits[need] += np.uint8(2) * (_dot(f, words[need][:, subsets], cof) == 0)
     if a is not None and (live := (a < 0) | (a > 0) & (lucas_binom(f.q - 2, k - 1, f.p) > 0)).any():
@@ -490,7 +482,8 @@ def _criteria(f: FiniteField, k: int, S: np.ndarray, a: np.ndarray) -> np.ndarra
     """Is row r's paper criterion zero at the k points S[r, c], (rows, subsets)? thm14's
     [sum S = 0] at a[r] = -1, else thm15's [C(q-2, k-1) * a^(q-1-k) * prod_{y in S} (y - a) + 1
     = 0] at a = a[r], never where S holds a. The rows' constants are not 0, and as k < q - 1,
-    a^(q-1-k) is 1 / a^k."""
+    a^(q-1-k) is 1 / a^k: thm15's is log C(q-2, k-1) - k log a + sum_y log(y - a) = log(-1)
+    mod q - 1 where no y - a is 0."""
     out, deg = np.empty(S.shape[:2], dtype=bool), a < 0
     if deg.any():
         total = S[deg, :, 0]
@@ -499,13 +492,9 @@ def _criteria(f: FiniteField, k: int, S: np.ndarray, a: np.ndarray) -> np.ndarra
         out[deg] = total == 0
     if not deg.all():
         shift = a[~deg]
-        power = shift
-        for _ in range(1, k):
-            power = f.mul_table[power, shift]
-        value = f.mul_table[lucas_binom(f.q - 2, k - 1, f.p), f.inv_table[power]][:, None]
-        for factor in np.moveaxis(f.add_table[S[~deg], f.neg_table[shift][:, None, None]], 2, 0):
-            value = f.mul_table[value, factor]
-        out[~deg] = value == f.neg_enc(1)
+        diff = f.add_table[S[~deg], f.neg_table[shift][:, None, None]]
+        logs = f.log[diff].sum(axis=2) + (f.log[lucas_binom(f.q - 2, k - 1, f.p)] - k * f.log[shift])[:, None]
+        out[~deg] = (logs % (f.q - 1) == f.log[f.neg_enc(1)]) & (diff > 0).all(axis=2)
     return out
 
 
@@ -524,31 +513,33 @@ def _walk(codes, words, a=None, mds=None, distinct=None) -> tuple:
       plus the best score: the first k points S of a best agreement set A lie in D, so interp_S
       matches w on A minus S, all past max(S), and no S scores past its interpolant's agreement;
     * zeros, read where mds[r]: the rank of the first T with bit 2, or -1;
-    * witnesses and lead, where a is given: the columns of S at the first T with bit 4, or -1s;
-      and the tail rows of the first length - k subsets, the syndrome pairs (0..k-1) + (i,).
+    * witnesses and lead: the columns of S at the first T with bit 4, or -1s; and the tail rows
+      of the first length - k subsets, the syndrome pairs (0..k-1) + (i,).
 
-    Without ``a`` a row is any word and gets bit 1 alone, and a walk stops once every word is a
-    codeword. With ``a``, words[r] is the base word of a[r] (``_base_words``) and also gets bit 4.
-    Where the family table (``_family_frame``) fits one run, the bits are one gather of its row
-    1 + a[r] at the frame ranks (``_ranks``); else they are built on the distinct codes of a group
-    of rows (``_distinct``, or ``distinct``) a run of subsets at a time (``subset_runs``), from
-    ``_tails`` and, for the mds rows with no zero yet, their k-minor tables (``_minor_tables``). A
-    group is as many rows as fit one run at 64 bytes a ranked subset, or at 8 bytes a k-minor and
-    the bytes of a run of one subset.
+    Without ``a`` (or ``mds``) a row is any word and gets bit 1 alone, only (distances,) comes
+    back, and a walk stops once every word is a codeword. With ``a``, words[r] is the base word of
+    a[r] (``_base_words``) and also gets bit 4. Where the family table (``_family_frame``) fits one
+    run, the bits are one gather of its row 1 + a[r] at the frame ranks (``_ranks``); else they are
+    built on the distinct codes of a group of rows (``_distinct``, or ``distinct``) a run of
+    subsets at a time (``subset_runs``), from ``_tails`` and, for the mds rows with no zero yet,
+    their k-minor tables (``_minor_tables``). A group is as many rows as fit one run at 64 bytes a
+    ranked subset, or at 8 bytes a k-minor and the bytes of a run of one subset.
     """
     f, n, k, top = codes[0].field, codes[0].n, codes[0].k, codes[0].length
     words, rows = np.asarray(words, dtype=np.intp), len(codes)
-    need = np.zeros(rows, dtype=bool) if mds is None else mds
-    frame, tails, any_mds = None if a is None else _family_frame(f, k), _frame_tails(f, k), need.any()
+    frame, tails = None if a is None else _family_frame(f, k), _frame_tails(f, k)
+    any_mds = a is not None and mds.any()
     unit = (64 * math.comb(top, k + 1) if frame is not None
             else 8 * math.comb(top, k) * any_mds + (_TAIL_BUILD + 32) * (k + 1))
     group = max(1, matrix._RUN_BYTES // unit)
     points, index = _distinct(codes) if distinct is None else distinct
-    best, first, witness = np.zeros(rows, dtype=np.intp), np.full(rows, -1), np.full((rows, k), -1)
-    lead, coords = np.empty((rows, top - k, k), dtype=np.uint16), points[index]
+    best, coords = np.zeros(rows, dtype=np.intp), points[index]
+    if a is not None:
+        first, witness = np.full(rows, -1), np.full((rows, k), -1)
+        lead = np.empty((rows, top - k, k), dtype=np.uint16)
     for start in range(0, rows, group):
-        part, carry, m = slice(start, start + group), 0, need[start : start + group]
-        used, at, waiting = points, index[part], any_mds and m.any()
+        part, carry = slice(start, start + group), 0
+        used, at, waiting = points, index[part], any_mds and (m := mds[part]).any()
         if rows > group:  # a part ranks or builds only the codes its rows use
             used, at = np.unique(at, return_inverse=True)
             used = points[used]
@@ -579,9 +570,9 @@ def _walk(codes, words, a=None, mds=None, distinct=None) -> tuple:
             if a is not None:
                 hit = _first(bits & 4)
                 witness[part] = np.where((witness[part, :1] < 0) & (hit[:, None] >= 0), run[hit, :k], witness[part])
-            elif not waiting and (best[part] == top - k).all():
+            elif (best[part] == top - k).all():
                 break  # every word of the part is a codeword
-    return top - k - best, first, witness, lead
+    return (top - k - best,) if a is None else (top - k - best, first, witness, lead)
 
 
 def family_verdicts(codes, a, bases, words, lams, mds, distinct=None) -> tuple:
@@ -637,27 +628,27 @@ def _tail_tensor(f: FiniteField, x: np.ndarray, pairs: np.ndarray) -> np.ndarray
     of ``pairs``.
 
     L_{S,s}(x) = prod_{t != s} (x - x_{S_t}) / (x_{S_s} - x_{S_t}) is the Lagrange basis
-    polynomial of S that is 1 at x_{S_s}. Its numerator at x_i is P_i / (x_i - x_{S_s}), with
-    P_i = prod_t (x_i - x_{S_t}) nonzero as i is not in S, and its denominators are built once
-    per S of the run. At the projective coordinate i = n each x_i - x_{S_t} counts as 1, which
-    leaves the x^(k-1) coefficient.
+    polynomial of S that is 1 at x_{S_s}. Its factors are nonzero, as i is not in S, so T is exp
+    of a sum of logs lg[c, j, i] = log(x_i - x_j) mod q - 1, the denominators' once per S. The
+    diagonal of lg is log 0 = 0, and at the projective coordinate i = n each x_i - x_{S_t}
+    counts as 1, which leaves the x^(k-1) coefficient.
     """
-    mul, inv = f.mul_table, f.inv_table
     n, k = x.shape[1], pairs.shape[1] - 1
-    diff = np.ones((len(x), n, n + 1), dtype=np.intp)  # diff[c, j, i] = x_i - x_j, 1 at i = n or j
-    diff[:, :, :n] = f.add_table[x[:, None, :], f.neg_table[x][:, :, None]]
-    diff[:, np.arange(n), np.arange(n)] = 1
+    lg = np.zeros((len(x), n, n + 1), dtype=np.intp)  # lg[c, j, i] = log(x_i - x_j), 0 at i = n or j
+    lg[:, :, :n] = f.log[f.add_table[x[:, None, :], f.neg_table[x][:, :, None]]]
     S, i = pairs[:, :k], pairs[:, k]
     new = np.ones(len(pairs), dtype=bool)
     new[1:] = (S[1:] != S[:-1]).any(axis=1)
     first, owner = np.flatnonzero(new), np.cumsum(new) - 1  # each S once, and each pair's S
-    den = diff[:, S[first, :1], S[first]]  # prod_t (x_{S_s} - x_{S_t}), the factor t = s being 1
-    num = diff[:, S[:, :1], i[:, None]]  # prod_t (x_i - x_{S_t})
+    den = lg[:, S[first, :1], S[first]]  # sum_t log(x_{S_s} - x_{S_t})
+    num = lg[:, S[:, :1], i[:, None]]  # sum_t log(x_i - x_{S_t})
     for t in range(1, k):
-        den = mul[den, diff[:, S[first, t : t + 1], S[first]]]
-        num = mul[num, diff[:, S[:, t : t + 1], i[:, None]]]
-    num = mul[num, inv[diff[:, S, i[:, None]]]]
-    return mul[num, inv[den][:, owner]].astype(np.uint16)
+        den += lg[:, S[first, t : t + 1], S[first]]
+        num += lg[:, S[:, t : t + 1], i[:, None]]
+    out = num - lg[:, S, i[:, None]]
+    out -= den[:, owner]
+    out %= f.q - 1
+    return f.exp[out].astype(np.uint16)
 
 
 def parse_excluded(text: str) -> list[int]:

@@ -10,14 +10,17 @@ are pure.
 One arithmetic kernel serves every field, prime or not. ``FiniteField``
 builds dense q x q uint16 addition and multiplication tables once, at
 construction, vectorised in numpy from the base-p digits (see ``_tables``),
-and derives the negation and inversion vectors from them. The scalar
-operations (``add_enc``, ``mul_enc``, ...) are plain lookups in ``array('H')``
-row copies of the tables; batched callers index the numpy arrays
-``add_table``, ``mul_table``, ``neg_table`` and ``inv_table`` directly. Each
-q x q table costs 4 * q^2 bytes (numpy array plus row copies), about 19 MB at
-q = 2187. An order above ``_MAX_ORDER`` = 4096, whose two tables would pass
-128 MiB, is refused before anything is factored, powered or allocated
-(``_check_order``).
+the negation vector from the first and the discrete exp and log vectors from
+the second (``_exp_log``), so that a product of nonzero elements is a sum of
+logs mod q - 1: inversion is exp[-log] and ``pow_enc`` exp[n log a]. The
+scalar operations (``add_enc``, ``mul_enc``, ...) are plain lookups in
+``array('H')`` row copies of the tables and list copies of the vectors;
+batched callers index the read-only numpy arrays ``add_table``,
+``mul_table``, ``neg_table``, ``inv_table``, ``exp`` and ``log`` directly.
+Each q x q table costs 4 * q^2 bytes (numpy array plus row copies), about
+19 MB at q = 2187. An order above ``_MAX_ORDER`` = 4096, whose two tables
+would pass 128 MiB, is refused before anything is factored, powered or
+allocated (``_check_order``).
 
 Values enter the encoding currency in one place, ``FiniteField.encodings``.
 It takes elements of the field and integers 0..q-1 (through
@@ -182,6 +185,24 @@ def _tables(p: int, s: int, x_s: int) -> tuple[np.ndarray, np.ndarray]:
     return add, mul
 
 
+def _exp_log(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp[e] = g^e for e < q - 1, g the smallest element of order q - 1 under the table ``mul``,
+    and log its inverse on F_q^*, with log[0] = 0. The powers of 64 candidates at a time come by
+    doubling, g^(m + e) = g^m * g^e, and g has order q - 1 where g^e = 1 for no 0 < e < q - 1."""
+    q = len(mul)
+    for start in range(1, q, 64):
+        g = np.arange(start, min(start + 64, q))
+        exp, m = np.ones((len(g), q - 1), dtype=np.intp), 1
+        while m < q - 1:
+            exp[:, m : 2 * m] = mul[mul[exp[:, m - 1], g][:, None], exp[:, : min(m, q - 1 - m)]]
+            m *= 2
+        if (full := (exp[:, 1:] != 1).all(axis=1)).any():
+            exp, log = exp[full.argmax()].copy(), np.zeros(q, dtype=np.intp)
+            log[exp] = np.arange(q - 1)
+            return exp, log
+    raise AssertionError("multiplicative group of a finite field is cyclic")
+
+
 class FiniteField:
     """The finite field GF(p^s), deterministically constructed.
 
@@ -219,14 +240,17 @@ class FiniteField:
         if self.modulus is not None:
             x_s = sum(-c % p * p**i for i, c in enumerate(self.modulus[:-1]))
         add, mul = _tables(p, s, x_s)
+        exp, log = _exp_log(mul)
         # inv[0] is 0, and inv_enc rejects zero
-        neg, inv = np.argmax(add == 0, axis=1), np.argmax(mul == 1, axis=1)
-        for table in (add, mul, neg, inv):
+        neg, inv = np.argmax(add == 0, axis=1), exp[-log % (self.q - 1)]
+        inv[0] = 0
+        for table in (add, mul, neg, inv, exp, log):
             table.flags.writeable = False
         self.add_table, self.mul_table, self.neg_table, self.inv_table = add, mul, neg, inv
+        self.exp, self.log = exp, log
         self._add = [array("H", row.tobytes()) for row in add]
         self._mul = [array("H", row.tobytes()) for row in mul]
-        self._neg, self._inv = neg.tolist(), inv.tolist()
+        self._neg, self._inv, self._exp, self._log = neg.tolist(), inv.tolist(), exp.tolist(), log.tolist()
 
     # -- identity and representation ------------------------------------
 
@@ -317,31 +341,15 @@ class FiniteField:
             if n < 0:
                 raise ZeroDivisionError("zero raised to a negative power")
             return 1 if n == 0 else 0
-        n %= self.q - 1
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul_enc(result, base)
-            base = self.mul_enc(base, base)
-            n >>= 1
-        return result
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     # -- derived structure -------------------------------------------------
 
     def primitive_element(self) -> "FieldElement":
-        """Smallest element (in encoding order) of multiplicative order q-1."""
+        """Smallest element (in encoding order) of multiplicative order q-1: exp[1] (``_exp_log``)."""
         if self.q < 3:
             raise ValueError("primitive element requires q >= 3")
-        for enc in range(1, self.q):
-            order = 1
-            acc = enc
-            while acc != 1:
-                acc = self.mul_enc(acc, enc)
-                order += 1
-            if order == self.q - 1:
-                return FieldElement(self, enc)
-        raise AssertionError("multiplicative group of a finite field is cyclic")
+        return FieldElement(self, self._exp[1])
 
 
 class FieldElement:

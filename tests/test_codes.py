@@ -30,7 +30,7 @@ from gprs.deepholes import (
     family_words,
     thm14_criterion,
 )
-from gprs.galois import field, field_of_order
+from gprs.galois import field, field_of_order, lucas_binom
 from gprs.matrix import _subset_index, _subsets
 from gprs.polynomial import Polynomial, _eval_enc, _interp_enc
 from gprs.verify import SweepConfig, run_sweep
@@ -521,14 +521,15 @@ def _tail_tensor_reference(codes, pairs):
     return T.astype(np.uint16)
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49])
 def test_tail_tensor_matches_the_per_pair_reference(q):
-    # the tensor with its denominators built once per S equals the per-pair k x k build
-    # entry for entry, on every pair and on runs that start and end inside an S
+    # the tensor summed in discrete logs, its denominators once per S, equals the per-pair
+    # k x k build entry for entry, on every pair and on runs that start and end inside an S;
+    # codes are at most 13 long, as in the benchmark's queries, so from q = 16 on l >= q - 12
     rng = random.Random(q)
     f = field_of_order(q)
     for _ in range(6):
-        l = rng.randrange(1, q - 2)
+        l = rng.randrange(max(1, q - 12), q - 2)
         slab = [GprsCode(f, rng.sample(range(q), l), k) for k in [rng.randrange(2, q - l)] for _ in range(3)]
         grs = GrsCode(f, rng.sample(range(q), q - l), slab[0].k - 1)
         for codes in (slab, [grs]):
@@ -931,6 +932,36 @@ def test_agreement_route_builds_only_bit_1(monkeypatch, q, k, cap):
         assert [code.error_distance(code.word(w), method="agreement") for w in words] == [
             _loop_agreement_distance(code, w) for w in words], code
         assert _loop_agreement_distance(code, words[-1]) == 0
+
+
+@pytest.mark.parametrize("q", [25, 27, 49, 81])
+def test_criteria_match_the_scalar_witness_definitions(q):
+    # ``_criteria`` in discrete logs against the scalar expressions of thm14 and thm15
+    # (``_thm14_test``, ``_thm15_test``) on random k-subsets of F_q, some of them solved to be
+    # zeros of the criterion and some holding a, where thm15's product has a zero factor and
+    # ``_criteria`` must say False
+    rng, f = random.Random(q), field_of_order(q)
+    k = rng.choice([k for k in range(2, q - 2) if lucas_binom(q - 2, k - 1, f.p)])
+    a = np.array([-1] + rng.sample(range(1, q), 4))
+    S, expected = np.empty((len(a), 300, k), dtype=np.intp), np.empty((len(a), 300), dtype=bool)
+    for r, a_r in enumerate(a.tolist()):
+        code = GprsCode(f, [max(a_r, 0)], k)
+        value = (_thm14_test(code) if a_r < 0 else _thm15_test(code, a_r)).value
+        for c in range(300):
+            subset = rng.sample(range(q), k)
+            head = subset[:-1]
+            if c % 3 == 0 and a_r >= 0 and a_r not in subset:  # hold a
+                subset[rng.randrange(k)] = a_r
+            elif c % 3 == 1 and a_r < 0:  # solve the last point for a zero of the sum
+                last = f.neg_enc(value(head + [0]))
+                subset = head + [last] if last not in head else subset
+            elif c % 3 == 1 and a_r not in head:  # or of the product, by its last factor
+                rest = f.sub_enc(value(head + [f.add_enc(a_r, 1)]), 1)
+                last = f.add_enc(a_r, f.div_enc(f.neg_enc(1), rest))
+                subset = head + [last] if last not in head else subset
+            S[r, c], expected[r, c] = subset, value(tuple(subset)) == 0
+    assert expected[0].any() and expected[1:].any() and (S[1:] == a[1:, None, None]).any(axis=2).any()
+    assert (codes_module._criteria(f, k, S, a) == expected).all()
 
 
 def test_criteria_never_get_a_row_whose_constant_is_zero(monkeypatch):

@@ -320,6 +320,45 @@ def test_primitive_element_has_full_order(q):
         assert order < q - 1
 
 
+def _is_prime_power(q):
+    try:
+        prime_power_decomposition(q)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 257) if _is_prime_power(q)] + [4096])
+def test_exp_log_kernel_matches_repeated_multiplication(q):
+    # a fresh field, so that GF(4096)'s tables are not kept in the shared cache
+    f = FiniteField(*prime_power_decomposition(q))
+    assert all(not table.flags.writeable
+               for table in (f.add_table, f.mul_table, f.neg_table, f.inv_table, f.exp, f.log))
+    g, acc, powers = f.exp[1 % (q - 1)], 1, []
+    for _ in range(q - 1):
+        powers.append(acc)
+        acc = int(f.mul_table[acc, g])
+    assert f.exp.tolist() == powers and acc == 1
+    nonzero = np.arange(1, q)
+    assert (f.log[f.exp] == np.arange(q - 1)).all() and (f.exp[f.log[nonzero]] == nonzero).all()
+    assert f.log[0] == 0 and f.inv_table[0] == 0 and (f.mul_table[nonzero, f.inv_table[nonzero]] == 1).all()
+    # pow_enc against a running product of mul_enc, up to past 2q; a negative power is the
+    # element whose product with the positive one is 1
+    rng = random.Random(q)
+    exponents = sorted({0, 1, 2, q - 2, q - 1, q, q + 1, 2 * q + 1, rng.randrange(q, 2 * q + 2)})
+    for a in (nonzero.tolist() if q <= 16 else rng.sample(range(1, q), 6)):
+        acc, running = 1, []
+        for _ in range(2 * q + 2):
+            running.append(acc)
+            acc = f.mul_enc(acc, a)
+        for n in exponents:
+            assert f.pow_enc(a, n) == running[n], (a, n)
+            assert f.mul_enc(f.pow_enc(a, -n), running[n]) == 1, (a, -n)
+    assert f.pow_enc(0, 0) == 1 and all(f.pow_enc(0, n) == 0 for n in exponents[1:])
+    with pytest.raises(ZeroDivisionError):
+        f.pow_enc(0, -1)
+
+
 def test_primitive_element_requires_q_at_least_3():
     with pytest.raises(ValueError):
         field(2).primitive_element()
