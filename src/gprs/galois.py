@@ -10,10 +10,10 @@ are pure.
 One arithmetic kernel serves every field, prime or not. ``FiniteField``
 builds dense q x q uint16 addition and multiplication tables once, at
 construction, vectorised in numpy from the base-p digits (see ``_tables``),
-the negation vector from the first and the discrete exp and log vectors from
-the second (``_exp_log``), so that a product of nonzero elements is a sum of
-logs mod q - 1: inversion is exp[-log] and ``pow_enc`` exp[n log a]. The
-scalar operations (``add_enc``, ``mul_enc``, ...) are plain lookups in
+the negation (row p - 1, as -a = (-1) * a) and discrete exp and log vectors
+from the second (``_exp_log``), so that a product of nonzero elements is a
+sum of logs mod q - 1: inversion is exp[-log] and ``pow_enc`` exp[n log a].
+The scalar operations (``add_enc``, ``mul_enc``, ...) are plain lookups in
 ``array('H')`` row copies of the tables and list copies of the vectors;
 batched callers index the read-only numpy arrays ``add_table``,
 ``mul_table``, ``neg_table``, ``inv_table``, ``exp`` and ``log`` directly.
@@ -241,8 +241,8 @@ class FiniteField:
             x_s = sum(-c % p * p**i for i, c in enumerate(self.modulus[:-1]))
         add, mul = _tables(p, s, x_s)
         exp, log = _exp_log(mul)
-        # inv[0] is 0, and inv_enc rejects zero
-        neg, inv = np.argmax(add == 0, axis=1), exp[-log % (self.q - 1)]
+        # -a = (-1) * a, and -1 encodes as p - 1; inv[0] is 0, and inv_enc rejects zero
+        neg, inv = mul[p - 1].astype(np.intp), exp[-log % (self.q - 1)]
         inv[0] = 0
         for table in (add, mul, neg, inv, exp, log):
             table.flags.writeable = False

@@ -3,13 +3,15 @@
 Determinants come from Gaussian elimination, one grid at a time (``det_enc``)
 or a stack at a time by table gathers (``det_stack``). Column subsets are
 always enumerated in lexicographic order of their index tuples, which makes
-the first failing minor a reproducible witness. Every batched subset scan (in
-``codes`` the k-minors and the run walker's family bits) takes them from
-``subset_runs`` in runs of about ``_RUN_BYTES``, sliced from one shape cache of
-subset indexes (``_subset_index``) or unranked past it, and ``_drop_ranks``
-ranks each with a point deleted. The cache also holds the frame tables of
-``codes``; ``_cached`` keeps it under ``_INDEX_BYTES``. Only ``matrix`` and
-``codes`` use these names.
+the first failing minor a reproducible witness. The one-word scan
+(``first_singular_column_subset``) row-reduces its grid once and tests each
+subset by the small block of the reduced grid that it leaves (``det_enc``).
+Every batched subset scan (in ``codes`` the k-minors and the run walker's
+family bits) takes them from ``subset_runs`` in runs of about ``_RUN_BYTES``,
+sliced from one shape cache of subset indexes (``_subset_index``) or unranked
+past it, and ``_drop_ranks`` ranks each with a point deleted. The cache also
+holds the frame tables of ``codes``; ``_cached`` keeps it under
+``_INDEX_BYTES``. Only ``matrix`` and ``codes`` use these names.
 """
 
 from __future__ import annotations
@@ -177,11 +179,34 @@ def first_singular_column_subset(field: FiniteField, rows, size: int):
     `rows` is a grid of encodings with exactly `size` rows. Returns the
     column-index tuple of the first singular minor, or None when every
     minor is nonsingular.
+
+    The grid is row-reduced once to [I | A] on its first `size` columns B:
+    left multiplication by B^-1 scales every minor by det B^-1 != 0, so the
+    zero minors stay exactly the zero minors. A singular B is the first subset,
+    returned as soon as a column of B has no pivot. The minor at T is then
+    +-det A[P - T, T - P], P = (0, ..., size-1): a block at most
+    min(size, ncols - size) wide, and empty, of det 1, at T = P.
     """
     ncols = len(rows[0])
+    if ncols < size:
+        return None
+    m = [list(r) for r in rows]
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if m[r][c]), None)
+        if pivot is None:
+            return tuple(range(size))
+        m[c], m[pivot] = m[pivot], m[c]
+        # columns up to c are never read again, so only those past c are updated
+        inv = field.inv_enc(m[c][c])
+        base = m[c][c + 1 :] = [field.mul_enc(inv, v) for v in m[c][c + 1 :]]
+        for r in range(size):
+            factor = m[r][c]
+            if factor and r != c:
+                m[r][c + 1 :] = [field.sub_enc(v, field.mul_enc(factor, b)) if b else v
+                                 for v, b in zip(m[r][c + 1 :], base)]
     for cols in combinations(range(ncols), size):
-        sub = [[row[j] for j in cols] for row in rows]
-        if det_enc(field, sub) == 0:
+        block = [[m[i][j] for j in cols if j >= size] for i in range(size) if i not in cols]
+        if det_enc(field, block) == 0:
             return cols
     return None
 

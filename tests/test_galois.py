@@ -537,3 +537,15 @@ def test_field_values_enter_through_encodings(entry, value, error):
 def test_all_encoding_inputs_name_no_field():
     with pytest.raises(ValueError, match="names the field"):
         vandermonde_det([1, 2])
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 81, 125, 128, 243, 343,
+                               729, 2187, 4096])
+def test_negation_vector_is_the_row_of_minus_one(q):
+    # neg_table is row p - 1 of mul_table; pinned to the zero of each addition-table row
+    f = FiniteField(*prime_power_decomposition(q))
+    elements = np.arange(q)
+    assert f.neg_table.dtype == np.intp and not f.neg_table.flags.writeable
+    assert (f.add_table[elements, f.neg_table] == 0).all()
+    assert (f.neg_table == np.argmax(f.add_table == 0, axis=1)).all()
+    assert [f.neg_enc(a) for a in range(min(q, 64))] == f.neg_table[:64].tolist()

@@ -2,13 +2,14 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gprs.matrix as matrix_module
 from gprs.codes import GprsCode, _minor_tables
 from gprs.galois import field, field_of_order
 from gprs.matrix import (
     Matrix,
-    MdsCheckResult,
     det_enc,
     det_stack,
     first_singular_column_subset,
@@ -261,18 +262,81 @@ def test_subset_runs_match_a_combinations_walk(monkeypatch, cached):
     assert (9, 4) in matrix_module._indexes if cached else not matrix_module._indexes
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 9])
+# -- the one-word scan, pinned to the first zero of the batched minors walk ------
+
+
+def _first_zero_minor(f, rows, size):
+    runs = column_minors(f, rows, size)
+    return next((tuple(cols[dets == 0][0].tolist()) for cols, dets in runs if 0 in dets), None)
+
+
+def _scan_grid(rng, q, size, ncols):
+    """A random size x ncols grid: dense or sparse, sometimes with a repeated row, a zero column
+    or a leading block made singular by a repeated column."""
+    density = rng.choice((1.0, 0.9, 0.6))
+    grid = [[rng.randrange(1, q) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(size)]
+    if size > 1 and rng.random() < 0.1:
+        grid[rng.randrange(1, size)] = list(grid[0])
+    if rng.random() < 0.1:
+        j = rng.randrange(ncols)
+        for row in grid:
+            row[j] = 0
+    if 1 < size <= ncols and rng.random() < 0.1:
+        j = rng.randrange(1, size)
+        for row in grid:
+            row[j] = row[0]
+    return grid
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 16, 25, 27, 49, 81, 343])
 def test_mds_check_matches_scalar_scan(q):
-    # the batched check against the scalar first_singular_column_subset loop
+    # the scalar first_singular_column_subset against the first zero of the batched
+    # det_stack walk, on every size of the queries shapes (up to 13 columns) and past them
     f = field_of_order(q)
     rng = random.Random(q)
-    for _ in range(60):
-        k = rng.randrange(1, 4)
-        ncols = rng.randrange(k, 8)
-        rows = [[rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(ncols)]
-                for _ in range(k)]
-        witness = first_singular_column_subset(f, rows, k)
-        assert mds_generator_check(Matrix(f, rows), k) == MdsCheckResult(witness is None, witness)
+    for _ in range(40):
+        size = rng.randrange(1, 13)
+        rows = _scan_grid(rng, q, size, rng.randrange(size, size + 7))
+        witness = first_singular_column_subset(f, rows, size)
+        assert witness == _first_zero_minor(f, rows, size), rows
+
+
+def test_scan_cases_by_hand():
+    f = field(7)
+    # a singular leading block is the first subset
+    assert first_singular_column_subset(f, [[1, 2, 3, 1], [2, 4, 5, 2]], 2) == (0, 1)
+    # a rank-deficient grid has every minor zero, so the first subset again
+    assert first_singular_column_subset(f, [[1, 2, 3, 4], [2, 4, 6, 1], [3, 6, 2, 5]], 3) == (0, 1, 2)
+    # a zero column past the leading block: the first subset that holds it
+    grid = [[1, 0, 2, 0, 3], [0, 1, 4, 0, 5]]
+    assert first_singular_column_subset(f, grid, 2) == (0, 3)
+    # a zero column inside it
+    assert first_singular_column_subset(f, [[1, 0, 2], [1, 0, 3]], 2) == (0, 1)
+    # size = ncols: one subset, singular or not
+    assert first_singular_column_subset(f, [[1, 2], [3, 4]], 2) is None
+    assert first_singular_column_subset(f, [[1, 2], [2, 4]], 2) == (0, 1)
+    # ncols < size: no subset, so none is singular
+    assert first_singular_column_subset(f, [[1, 2], [3, 4], [5, 6]], 3) is None
+    # [I | A] with A[2, 3] = 0: the minor at (0, 1, 3) is that entry
+    grid = [[1, 0, 0, 1, 2], [0, 1, 0, 1, 3], [0, 0, 1, 0, 4]]
+    assert first_singular_column_subset(f, grid, 3) == (0, 1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scan_finds_the_first_zero_minor(data):
+    q = data.draw(st.sampled_from([4, 5, 7, 8, 9, 25]))
+    size = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(max(1, size - 1), size + 4))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=size, max_size=size))
+    f = field_of_order(q)
+    witness = first_singular_column_subset(f, rows, size)
+    assert witness == _first_zero_minor(f, rows, size)
+    if witness is not None:
+        assert det_enc(f, [[row[j] for j in witness] for row in rows]) == 0
 
 
 # -- stacked-matrix determinant identities (small cases; the acceptance
